@@ -19,7 +19,6 @@ from .algebra import (
 from .errors import (
     GroupoidError,
     MalformedTableError,
-    NonConvergenceError,
     PreconditionError,
     QuotientUndefinedError,
     SizeCapError,
@@ -29,7 +28,6 @@ from .gauge import (
     GaugeGroupoid,
     Section,
     gauge_groupoid,
-    gauge_groupoid_raw,
     lorentz_subgroupoid,
     poincare_convolve,
     poincare_convolve_agreement,

@@ -3,6 +3,10 @@
 Every subcommand maps onto one library operation and writes a JSON report
 with stable key order. Exit codes: 0 all checks passed, 1 a check failed,
 2 input could not be parsed, 3 a size cap was exceeded.
+
+The subcommands are the rows of ``COMMANDS``: each row names its extra
+arguments, the argument names echoed in the report's ``config`` (in that
+order), and a function from the parsed arguments to the report's checks.
 """
 
 from __future__ import annotations
@@ -12,51 +16,27 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import io as gio
 from .algebra import (
-    GroupoidFunction,
-    HaarWeights,
-    carrier_weights,
-    groupoid_convolve,
-    verify_theorem1,
+    GroupoidFunction, HaarWeights, carrier_weights, groupoid_convolve, verify_theorem1,
 )
-from .errors import (
-    GroupoidError,
-    MalformedTableError,
-    PreconditionError,
-    SizeCapError,
-)
+from .errors import GroupoidError, MalformedTableError, SizeCapError
 from .gauge import (
-    FinitePrincipalBundle,
-    Section,
-    gauge_groupoid,
-    lorentz_subgroupoid,
-    poincare_convolve_agreement,
-    poincare_decomposition,
-    translation_subgroupoid,
+    FinitePrincipalBundle, Section, gauge_groupoid, lorentz_subgroupoid,
+    poincare_convolve_agreement, poincare_decomposition, translation_subgroupoid,
     verify_poincare_decomposition,
 )
-from .groupoid import (
-    isotropy_subgroupoid,
-    quotient_by_isotropy,
-    validate_groupoid,
-)
+from .groupoid import isotropy_subgroupoid, quotient_by_isotropy, validate_groupoid
 from .groups import builtin_group, group_from_table
 from .morphism import verify_morphism
 from .representation import (
-    HilbertBundle,
-    UnitaryRep,
-    block_diagonal_generators,
-    check_commutation,
-    commutant,
-    contains_in_span,
-    norm_bound,
-    operator_norm,
-    random_operator_from,
-    simple_extension,
+    HilbertBundle, UnitaryRep, block_diagonal_generators, check_commutation, commutant,
+    contains_in_span, norm_bound, operator_norm, random_operator_from, simple_extension,
     validate_rep,
 )
 from .semidirect import prop1_equivalence
@@ -82,23 +62,25 @@ def _load_section(spec: str, bundle: FinitePrincipalBundle, seed: int) -> Sectio
     return Section.from_names(bundle, gio.load_json(spec))
 
 
+def _bundle_section(args) -> tuple[FinitePrincipalBundle, Section]:
+    """The bundle and section named by --base, --group, --section, --seed."""
+    bundle = FinitePrincipalBundle(args.base, _load_group(args.group))
+    return bundle, _load_section(args.section, bundle, args.seed)
+
+
+def _regular_matrices(G) -> list[np.ndarray]:
+    """L(g) for every g: the permutation matrix of h ↦ g·h."""
+    eye = np.eye(G.order, dtype=complex)
+    return [eye[:, G.mul[g]] for g in range(G.order)]
+
+
 def _regular_rep(gauge):
     """Fiberwise regular representation of the structure group on the
     isotropy arrows, dims |G| at each base point."""
     G = gauge.bundle.group
-    n = G.order
-    mats = {}
-    for g in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        for h in range(n):
-            m[G.mul[g][h], h] = 1.0
-        mats[g] = m
-    bundle = HilbertBundle((n,) * gauge.n_base)
-    U = {
-        i: mats[g]
-        for i, (y, g, x) in enumerate(gauge.triples)
-        if y == x
-    }
+    L = _regular_matrices(G)
+    bundle = HilbertBundle((G.order,) * gauge.n_base)
+    U = {i: L[g] for i, (y, g, x) in enumerate(gauge.triples) if y == x}
     return UnitaryRep(gauge, bundle, U)
 
 
@@ -107,20 +89,222 @@ def _identity_translations(gauge, g1):
     return {a1: np.eye(n, dtype=complex) for a1 in g1.arrows}
 
 
-def _gauge_setup(args):
-    bundle = FinitePrincipalBundle(args.base, _load_group(args.group))
+def _regular_translations(gauge, g1):
+    """L(g) on each translation arrow (y, g, x): the unitary family that
+    satisfies the commutation relation with the regular representation
+    for every section (L(e) = I under the identity section)."""
+    L = _regular_matrices(gauge.bundle.group)
+    return {a1: L[gauge.triples[a1][1]] for a1 in g1.arrows}
+
+
+def _verify_groupoid(args) -> list[dict]:
+    rep = validate_groupoid(gio.groupoid_from_dict(gio.load_json(getattr(args, "in"))))
+    return [
+        {
+            "name": "groupoid-axioms",
+            "passed": rep.ok,
+            "violations": [v.to_dict() for v in rep.violations],
+        }
+    ]
+
+
+def _semidirect(args) -> list[dict]:
+    bundle, section = _bundle_section(args)
+    sd = poincare_decomposition(bundle, section).sd
+    gio.dump_json(gio.groupoid_to_dict(sd), args.out)
+    return [
+        {"name": "carrier-valid", "passed": validate_groupoid(sd).ok},
+        {
+            "name": "arrow-count",
+            "passed": sd.n_arrows == args.base**2 * bundle.group.order,
+            "arrows": sd.n_arrows,
+        },
+    ]
+
+
+def _quotient(args) -> list[dict]:
+    g = gio.groupoid_from_dict(gio.load_json(getattr(args, "in")))
+    q, rho = quotient_by_isotropy(g, isotropy_subgroupoid(g))
+    gio.dump_json(gio.groupoid_to_dict(q), args.out)
+    return [
+        {"name": "quotient-valid", "passed": validate_groupoid(q).ok},
+        {"name": "projection-morphism", "passed": verify_morphism(rho).ok},
+    ]
+
+
+def _verify_prop1(args) -> list[dict]:
+    bundle, section = _bundle_section(args)
     gauge = gauge_groupoid(bundle)
-    section = _load_section(args.section, bundle, args.seed)
-    g0 = lorentz_subgroupoid(gauge)
     g1 = translation_subgroupoid(gauge, section)
-    return bundle, gauge, section, g0, g1
+    result = prop1_equivalence(gauge, lorentz_subgroupoid(gauge), g1)
+    return [
+        {
+            "name": "prop1-biconditional",
+            "passed": result.j_exists == result.J_is_iso,
+            "j_exists": result.j_exists,
+            "J_is_iso": result.J_is_iso,
+        },
+        {"name": "i-map", "passed": result.i_map_verified},
+    ]
 
 
-def _report(args, command: str, config: dict, checks: list[dict], start: float) -> int:
+def _verify_theorem1(args) -> list[dict]:
+    sd = poincare_decomposition(*_bundle_section(args)).sd
+    rep = verify_theorem1(sd, trials=args.trials, seed=args.seed, tol=args.tol)
+    return [{"name": "theorem1", "passed": rep.passed, **rep.to_dict()}]
+
+
+def _rep_check(args) -> list[dict]:
+    dec = poincare_decomposition(*_bundle_section(args))
+    U0 = _regular_rep(dec.gauge)
+    I = _regular_translations(dec.gauge, dec.g1)
+    u0_report = validate_rep(U0, args.tol)
+    comm = check_commutation(U0, I, dec.sd, args.tol)
+    checks = [
+        {"name": "isotropy-rep", "passed": u0_report.ok, **u0_report.to_dict()},
+        {"name": "commutation", "passed": comm.ok, **comm.to_dict()},
+    ]
+    if comm.ok:
+        ext_report = validate_rep(simple_extension(U0, I, dec.sd, args.tol), args.tol)
+        checks.append(
+            {"name": "simple-extension", "passed": ext_report.ok, **ext_report.to_dict()}
+        )
+    return checks
+
+
+def _random_op(args) -> list[dict]:
+    gauge = gauge_groupoid(_bundle_section(args)[0])
+    U0 = _regular_rep(gauge)
+    w = HaarWeights.counting(gauge)
+    iso = sorted(lorentz_subgroupoid(gauge).arrows)
+    rng = np.random.default_rng(args.seed)
+    checks = []
+    for t in range(1 if args.fn else args.trials):
+        if args.fn:
+            values = gio.function_from_dict(gauge, gio.load_json(args.fn))
+            a = GroupoidFunction(gauge, values).restrict(iso)
+        else:
+            a = GroupoidFunction.random(gauge, rng, support=iso)
+        norm = operator_norm(random_operator_from(a, U0, w))
+        bound = norm_bound(a, w)
+        checks.append(
+            {
+                "name": f"norm-bound-{t}",
+                "passed": bool(norm <= bound + args.tol),
+                "norm": norm,
+                "bound": bound,
+            }
+        )
+    return checks
+
+
+def _commutant(args) -> list[dict]:
+    gauge = gauge_groupoid(_bundle_section(args)[0])
+    gens = block_diagonal_generators(gauge, _regular_rep(gauge), HaarWeights.counting(gauge))
+    max_entries = int(os.environ.get("GROUPOIDALG_MAX_ENTRIES", 1_000_000))
+    first = commutant(gens, levels=1, max_entries=max_entries, tol=args.tol)
+    second = commutant(gens, levels=2, max_entries=max_entries, tol=args.tol)
+    # the regular representation on every fiber: both dimensions are n·|G|
+    k = args.base * gauge.bundle.group.order
+    return [
+        {
+            "name": "commutant",
+            "passed": first.dimension == second.dimension == k,
+            "commutant_dim": first.dimension,
+            "bicommutant_dim": second.dimension,
+        },
+        {
+            "name": "generators-in-bicommutant",
+            "passed": all(contains_in_span(second.basis, m, args.tol) for m in gens),
+        },
+    ]
+
+
+def _verify_poincare(args) -> list[dict]:
+    result = verify_poincare_decomposition(*_bundle_section(args), args.tol)
+    return [{"name": "poincare-decomposition", **result, "passed": result["passed"]}]
+
+
+def _convolve(args) -> list[dict]:
+    dec = poincare_decomposition(*_bundle_section(args))
+    if args.f1 and args.f2:
+        f1, f2 = (
+            GroupoidFunction(dec.sd, gio.function_from_dict(dec.sd, gio.load_json(path)))
+            for path in (args.f1, args.f2)
+        )
+    else:
+        rng = np.random.default_rng(args.seed)
+        f1, f2 = GroupoidFunction.random(dec.sd, rng), GroupoidFunction.random(dec.sd, rng)
+    dev = poincare_convolve_agreement(f1, f2, dec)
+    if args.out:
+        w = carrier_weights(dec.sd, HaarWeights.counting(dec.gauge))
+        result = groupoid_convolve(f1, f2, w)
+        gio.dump_json(gio.function_to_dict(dec.sd, result.values), args.out)
+    return [
+        {
+            "name": "explicit-formula-agreement",
+            "passed": dev <= args.tol,
+            "max_deviation": dev,
+            "tol": args.tol,
+        }
+    ]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    checks: Callable[[argparse.Namespace], list[dict]]
+    config: tuple[str, ...]
+    args: tuple[tuple[str, dict], ...] = ()
+
+
+IN = ("--in", {"required": True})
+OUT = ("--out", {"required": True})
+TRIALS = ("--trials", {"type": _positive_int, "default": 50})
+GAUGE = ("base", "group", "section")
+
+COMMANDS = (
+    Command("verify-groupoid", "check the groupoid axioms on a file",
+            _verify_groupoid, ("in",), (IN,)),
+    Command("semidirect", "build a gauge decomposition carrier",
+            _semidirect, GAUGE + ("seed", "out"), (OUT,)),
+    Command("quotient", "quotient a groupoid file by its isotropy",
+            _quotient, ("in", "out"), (IN, OUT)),
+    Command("verify-prop1", "check the decomposition biconditional",
+            _verify_prop1, GAUGE + ("seed",)),
+    Command("verify-theorem1", "check the convolution isomorphism",
+            _verify_theorem1, GAUGE + ("trials", "seed", "tol"), (TRIALS,)),
+    Command("rep-check", "validate the regular-rep simple extension",
+            _rep_check, GAUGE + ("seed", "tol")),
+    Command("random-op", "quantize functions and check the norm bound",
+            _random_op, GAUGE + ("fn", "trials", "seed", "tol"),
+            (("--fn", {"help": "function file (defaults to random functions)"}), TRIALS)),
+    Command("commutant", "commutant/bicommutant of the quantized algebra",
+            _commutant, GAUGE + ("seed", "tol")),
+    Command("verify-poincare", "full gauge decomposition check",
+            _verify_poincare, GAUGE + ("seed", "tol")),
+    Command("convolve", "explicit formula vs generic convolution",
+            _convolve, GAUGE + ("f1", "f2", "seed", "tol", "out"),
+            (("--f1", {}), ("--f2", {}), ("--out", {}))),
+)
+
+
+def _run(args) -> int:
+    start = time.perf_counter()
+    command = args.command_row
+    checks = command.checks(args)
     passed = all(c.get("passed", False) for c in checks)
     report = {
-        "command": command,
-        "config": config,
+        "command": command.name,
+        "config": {key: getattr(args, key) for key in command.config},
         "checks": checks,
         "passed": passed,
         "timing_ms": round((time.perf_counter() - start) * 1000.0, 3),
@@ -134,328 +318,40 @@ def _report(args, command: str, config: dict, checks: list[dict], start: float) 
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def cmd_verify_groupoid(args) -> int:
-    start = time.perf_counter()
-    g = gio.groupoid_from_dict(gio.load_json(getattr(args, "in")))
-    rep = validate_groupoid(g)
-    checks = [
-        {
-            "name": "groupoid-axioms",
-            "passed": rep.ok,
-            "violations": [v.to_dict() for v in rep.violations],
-        }
-    ]
-    return _report(args, "verify-groupoid", {"in": getattr(args, "in")}, checks, start)
-
-
-def cmd_semidirect(args) -> int:
-    start = time.perf_counter()
-    _, gauge, section, g0, g1 = _gauge_setup(args)
-    result = prop1_equivalence(gauge, g0, g1)
-    gio.dump_json(gio.groupoid_to_dict(result.sd), args.out)
-    checks = [
-        {"name": "carrier-valid", "passed": validate_groupoid(result.sd).ok},
-        {
-            "name": "arrow-count",
-            "passed": True,
-            "arrows": result.sd.n_arrows,
-        },
-    ]
-    cfg = {
-        "base": args.base,
-        "group": args.group,
-        "section": args.section,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    return _report(args, "semidirect", cfg, checks, start)
-
-
-def cmd_quotient(args) -> int:
-    start = time.perf_counter()
-    g = gio.groupoid_from_dict(gio.load_json(getattr(args, "in")))
-    q, rho = quotient_by_isotropy(g, isotropy_subgroupoid(g))
-    gio.dump_json(gio.groupoid_to_dict(q), args.out)
-    checks = [
-        {"name": "quotient-valid", "passed": validate_groupoid(q).ok},
-        {"name": "projection-morphism", "passed": verify_morphism(rho).ok},
-    ]
-    cfg = {"in": getattr(args, "in"), "out": args.out}
-    return _report(args, "quotient", cfg, checks, start)
-
-
-def cmd_verify_prop1(args) -> int:
-    start = time.perf_counter()
-    _, gauge, section, g0, g1 = _gauge_setup(args)
-    result = prop1_equivalence(gauge, g0, g1)
-    checks = [
-        {
-            "name": "prop1-biconditional",
-            "passed": result.j_exists == result.J_is_iso,
-            "j_exists": result.j_exists,
-            "J_is_iso": result.J_is_iso,
-        },
-        {"name": "i-map", "passed": result.i_map_verified},
-    ]
-    cfg = {
-        "base": args.base,
-        "group": args.group,
-        "section": args.section,
-        "seed": args.seed,
-    }
-    return _report(args, "verify-prop1", cfg, checks, start)
-
-
-def cmd_verify_theorem1(args) -> int:
-    start = time.perf_counter()
-    _, gauge, section, g0, g1 = _gauge_setup(args)
-    result = prop1_equivalence(gauge, g0, g1)
-    rep = verify_theorem1(result.sd, trials=args.trials, seed=args.seed, tol=args.tol)
-    checks = [{"name": "theorem1", "passed": rep.passed, **rep.to_dict()}]
-    cfg = {
-        "base": args.base,
-        "group": args.group,
-        "section": args.section,
-        "trials": args.trials,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    return _report(args, "verify-theorem1", cfg, checks, start)
-
-
-def cmd_rep_check(args) -> int:
-    start = time.perf_counter()
-    _, gauge, section, g0, g1 = _gauge_setup(args)
-    result = prop1_equivalence(gauge, g0, g1)
-    U0 = _regular_rep(gauge)
-    I = _identity_translations(gauge, g1)
-    u0_report = validate_rep(U0, args.tol)
-    comm = check_commutation(U0, I, result.sd, args.tol)
-    checks = [
-        {"name": "isotropy-rep", "passed": u0_report.ok, **u0_report.to_dict()},
-        {"name": "commutation", "passed": comm.ok, **comm.to_dict()},
-    ]
-    if comm.ok:
-        ext = simple_extension(U0, I, result.sd, args.tol)
-        ext_report = validate_rep(ext, args.tol)
-        checks.append(
-            {"name": "simple-extension", "passed": ext_report.ok, **ext_report.to_dict()}
-        )
-    cfg = {
-        "base": args.base,
-        "group": args.group,
-        "section": args.section,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    return _report(args, "rep-check", cfg, checks, start)
-
-
-def cmd_random_op(args) -> int:
-    start = time.perf_counter()
-    _, gauge, section, g0, g1 = _gauge_setup(args)
-    U0 = _regular_rep(gauge)
-    w = HaarWeights.counting(gauge)
-    iso = sorted(g0.arrows)
-    rng = np.random.default_rng(args.seed)
-    checks = []
-    for t in range(args.trials):
-        if args.fn:
-            values = gio.function_from_dict(gauge, gio.load_json(args.fn))
-            a = GroupoidFunction(gauge, values).restrict(iso)
-        else:
-            a = GroupoidFunction.random(gauge, rng, support=iso)
-        ro = random_operator_from(a, U0, w)
-        norm = operator_norm(ro)
-        bound = norm_bound(a, w)
-        checks.append(
-            {
-                "name": f"norm-bound-{t}",
-                "passed": bool(norm <= bound),
-                "norm": norm,
-                "bound": bound,
-            }
-        )
-        if args.fn:
-            break
-    cfg = {
-        "base": args.base,
-        "group": args.group,
-        "section": args.section,
-        "fn": args.fn,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    return _report(args, "random-op", cfg, checks, start)
-
-
-def cmd_commutant(args) -> int:
-    start = time.perf_counter()
-    _, gauge, section, g0, g1 = _gauge_setup(args)
-    U0 = _regular_rep(gauge)
-    w = HaarWeights.counting(gauge)
-    max_entries = int(os.environ.get("GROUPOIDALG_MAX_ENTRIES", 1_000_000))
-    gens = block_diagonal_generators(gauge, U0, w)
-    first = commutant(gens, levels=1, max_entries=max_entries, tol=args.tol)
-    second = commutant(gens, levels=2, max_entries=max_entries, tol=args.tol)
-    contained = all(contains_in_span(second.basis, m, args.tol) for m in gens)
-    checks = [
-        {
-            "name": "commutant",
-            "passed": True,
-            "commutant_dim": first.dimension,
-            "bicommutant_dim": second.dimension,
-        },
-        {"name": "generators-in-bicommutant", "passed": contained},
-    ]
-    cfg = {
-        "base": args.base,
-        "group": args.group,
-        "section": args.section,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    return _report(args, "commutant", cfg, checks, start)
-
-
-def cmd_verify_poincare(args) -> int:
-    start = time.perf_counter()
-    bundle = FinitePrincipalBundle(args.base, _load_group(args.group))
-    section = _load_section(args.section, bundle, args.seed)
-    result = verify_poincare_decomposition(bundle, section, args.tol)
-    checks = [{"name": "poincare-decomposition", **result, "passed": result["passed"]}]
-    cfg = {
-        "base": args.base,
-        "group": args.group,
-        "section": args.section,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    return _report(args, "verify-poincare", cfg, checks, start)
-
-
-def cmd_convolve(args) -> int:
-    start = time.perf_counter()
-    bundle = FinitePrincipalBundle(args.base, _load_group(args.group))
-    section = _load_section(args.section, bundle, args.seed)
-    dec = poincare_decomposition(bundle, section)
-    rng = np.random.default_rng(args.seed)
-    if args.f1 and args.f2:
-        f1 = GroupoidFunction(dec.sd, gio.function_from_dict(dec.sd, gio.load_json(args.f1)))
-        f2 = GroupoidFunction(dec.sd, gio.function_from_dict(dec.sd, gio.load_json(args.f2)))
-    else:
-        f1 = GroupoidFunction.random(dec.sd, rng)
-        f2 = GroupoidFunction.random(dec.sd, rng)
-    dev = poincare_convolve_agreement(f1, f2, dec)
-    if args.out:
-        w = carrier_weights(dec.sd, HaarWeights.counting(dec.gauge))
-        result = groupoid_convolve(f1, f2, w)
-        gio.dump_json(gio.function_to_dict(dec.sd, result.values), args.out)
-    checks = [
-        {
-            "name": "explicit-formula-agreement",
-            "passed": dev <= args.tol,
-            "max_deviation": dev,
-            "tol": args.tol,
-        }
-    ]
-    cfg = {
-        "base": args.base,
-        "group": args.group,
-        "section": args.section,
-        "f1": args.f1,
-        "f2": args.f2,
-        "seed": args.seed,
-        "tol": args.tol,
-        "out": args.out,
-    }
-    return _report(args, "convolve", cfg, checks, start)
-
-
-def _add_common(p, gauge_args: bool = True):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--report", help="write the JSON report to this path")
-    if gauge_args:
-        p.add_argument("--base", type=int, required=True, help="number of base points")
-        p.add_argument("--group", required=True, help="builtin group name or table file")
-        p.add_argument(
-            "--section", default="identity", help="identity | random | section file"
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupoidalg",
         description="Finite groupoid algebra constructions and verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-groupoid", help="check the groupoid axioms on a file")
-    p.add_argument("--in", required=True)
-    _add_common(p, gauge_args=False)
-    p.set_defaults(func=cmd_verify_groupoid)
-
-    p = sub.add_parser("semidirect", help="build a gauge decomposition carrier")
-    _add_common(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_semidirect)
-
-    p = sub.add_parser("quotient", help="quotient a groupoid file by its isotropy")
-    p.add_argument("--in", required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p, gauge_args=False)
-    p.set_defaults(func=cmd_quotient)
-
-    p = sub.add_parser("verify-prop1", help="check the decomposition biconditional")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_prop1)
-
-    p = sub.add_parser("verify-theorem1", help="check the convolution isomorphism")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(func=cmd_verify_theorem1)
-
-    p = sub.add_parser("rep-check", help="validate the regular-rep simple extension")
-    _add_common(p)
-    p.set_defaults(func=cmd_rep_check)
-
-    p = sub.add_parser("random-op", help="quantize functions and check the norm bound")
-    _add_common(p)
-    p.add_argument("--fn", help="function file (defaults to random functions)")
-    p.add_argument("--trials", type=int, default=50)
-    p.set_defaults(func=cmd_random_op)
-
-    p = sub.add_parser("commutant", help="commutant/bicommutant of the quantized algebra")
-    _add_common(p)
-    p.set_defaults(func=cmd_commutant)
-
-    p = sub.add_parser("verify-poincare", help="full gauge decomposition check")
-    _add_common(p)
-    p.set_defaults(func=cmd_verify_poincare)
-
-    p = sub.add_parser("convolve", help="explicit formula vs generic convolution")
-    _add_common(p)
-    p.add_argument("--f1")
-    p.add_argument("--f2")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_convolve)
-
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flag, kwargs in command.args:
+            p.add_argument(flag, **kwargs)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--report", help="write the JSON report to this path")
+        if "base" in command.config:  # a gauge subcommand
+            p.add_argument(
+                "--base", type=_positive_int, required=True, help="number of base points"
+            )
+            p.add_argument("--group", required=True, help="builtin group name or table file")
+            p.add_argument("--section", default="identity", help="identity | random | section file")
+        p.set_defaults(command_row=command)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
     except (MalformedTableError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    except (PreconditionError, GroupoidError) as exc:
+    except GroupoidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

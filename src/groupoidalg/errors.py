@@ -24,7 +24,3 @@ class QuotientUndefinedError(GroupoidError):
 
 class SizeCapError(GroupoidError):
     """An instance exceeded a configured size guard."""
-
-
-class NonConvergenceError(GroupoidError):
-    """Iterative numerical routine did not converge within its cap."""

@@ -20,7 +20,7 @@ from .algebra import (
     carrier_weights,
     groupoid_convolve,
 )
-from .errors import PreconditionError
+from .errors import MalformedTableError, PreconditionError
 from .groupoid import (
     FiniteGroupoid,
     SubgroupoidSelection,
@@ -29,7 +29,7 @@ from .groupoid import (
     validate_groupoid,
 )
 from .groups import FiniteGroup
-from .semidirect import SemidirectGroupoid, prop1_equivalence
+from .semidirect import SemidirectGroupoid, prop1_equivalence, semidirect_product
 
 
 @dataclass(eq=False)
@@ -64,11 +64,13 @@ class Section:
 
     @classmethod
     def from_names(cls, bundle: FinitePrincipalBundle, names: dict) -> "Section":
+        if not isinstance(names, dict):
+            raise MalformedTableError("section file: not a map from base point to element")
         sigma = []
         for x in range(bundle.n_base):
             key = str(x)
             if key not in names:
-                raise PreconditionError(f"section file misses base point {key}")
+                raise MalformedTableError(f"section file misses base point {key}")
             sigma.append(bundle.group.index(str(names[key])))
         return cls(tuple(sigma))
 
@@ -109,82 +111,6 @@ def gauge_groupoid(bundle: FinitePrincipalBundle) -> GaugeGroupoid:
     )
 
 
-def gauge_groupoid_raw(bundle: FinitePrincipalBundle):
-    """Independent construction of the gauge groupoid straight from the
-    raw-pair quotient: arrows are orbits of pairs of bundle points under
-    the diagonal right action. Returns the groupoid, the orbit list, and
-    the class map orbit ↦ (y, a·b⁻¹, x) into normal form.
-
-    Kept solely as a test oracle for the normal-form construction.
-    """
-    G = bundle.group
-    points = bundle.points()
-    seen = set()
-    orbits = []
-    for p1 in points:
-        for p2 in points:
-            if (p1, p2) in seen:
-                continue
-            orbit = frozenset(
-                ((p1[0], G.mul[p1[1]][g]), (p2[0], G.mul[p2[1]][g]))
-                for g in range(G.order)
-            )
-            seen.update(orbit)
-            orbits.append(orbit)
-    idx = {o: i for i, o in enumerate(orbits)}
-
-    def tgt_of(o):
-        return next(iter(o))[0][0]
-
-    def src_of(o):
-        return next(iter(o))[1][0]
-
-    def class_containing(p1, p2):
-        for o in orbits:
-            if (p1, p2) in o:
-                return o
-        raise AssertionError("pair not covered by any orbit")
-
-    comp = {}
-    for i, o1 in enumerate(orbits):
-        for j, o2 in enumerate(orbits):
-            if src_of(o1) != tgt_of(o2):
-                continue
-            p1, p2 = next(iter(o1))
-            # find a member (p3, p4) of o2 and g with p3 = p2·g
-            found = None
-            for (p3, p4) in o2:
-                for g in range(G.order):
-                    if (p2[0], G.mul[p2[1]][g]) == p3:
-                        found = class_containing(p1, (p4[0], G.mul[p4[1]][G.inverse[g]]))
-                        break
-                if found is not None:
-                    break
-            comp[(i, j)] = idx[found]
-    inv = []
-    ident = [None] * bundle.n_base
-    for o in orbits:
-        p1, p2 = next(iter(o))
-        inv.append(idx[class_containing(p2, p1)])
-        if p1 == p2:
-            ident[p1[0]] = idx[o]
-    raw = FiniteGroupoid(
-        n_base=bundle.n_base,
-        src=tuple(src_of(o) for o in orbits),
-        tgt=tuple(tgt_of(o) for o in orbits),
-        compose_table=comp,
-        inv=tuple(inv),
-        identity=tuple(ident),
-    )
-
-    def to_normal(o):
-        (y, a), (x, b) = next(iter(o))
-        return (y, G.mul[a][G.inverse[b]], x)
-
-    class_map = [to_normal(o) for o in orbits]
-    return raw, orbits, class_map
-
-
 def lorentz_subgroupoid(gauge: GaugeGroupoid) -> SubgroupoidSelection:
     """The arrows (x, g, x): classes of fiber-preserving transformations;
     coincides with the isotropy subgroupoid."""
@@ -218,7 +144,6 @@ class PoincareDecomposition:
     g1: SubgroupoidSelection
     sd: SemidirectGroupoid
     translation: dict[tuple[int, int], int]  # (tgt, src) -> parent arrow id
-    prop1: object = None
 
 
 def poincare_decomposition(
@@ -227,24 +152,21 @@ def poincare_decomposition(
     gauge = gauge_groupoid(bundle)
     g0 = lorentz_subgroupoid(gauge)
     g1 = translation_subgroupoid(gauge, s)
-    result = prop1_equivalence(gauge, g0, g1)
     G = bundle.group
     translation = {
         (y, x): gauge.triple_index[(y, G.mul[s.sigma[y]][G.inverse[s.sigma[x]]], x)]
         for y in range(gauge.n_base)
         for x in range(gauge.n_base)
     }
-    dec = PoincareDecomposition(
+    return PoincareDecomposition(
         bundle=bundle,
         section=s,
         gauge=gauge,
         g0=g0,
         g1=g1,
-        sd=result.sd,
+        sd=semidirect_product(gauge, g0, g1),
         translation=translation,
     )
-    dec.prop1 = result
-    return dec
 
 
 def verify_poincare_decomposition(

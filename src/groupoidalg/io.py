@@ -57,14 +57,19 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
     aidx = {}
     src, tgt = [], []
     for rec in arrows:
-        aid = str(rec["id"])
+        try:
+            aid, s, t = str(rec["id"]), str(rec["src"]), str(rec["tgt"])
+        except (KeyError, TypeError) as exc:
+            raise MalformedTableError(
+                f"groupoid file: arrow record {rec!r} misses {exc}"
+            ) from None
         if aid in aidx:
             raise MalformedTableError(f"groupoid file: duplicate arrow id {aid!r}")
-        if str(rec["src"]) not in bidx or str(rec["tgt"]) not in bidx:
+        if s not in bidx or t not in bidx:
             raise MalformedTableError(f"groupoid file: arrow {aid!r} has unknown endpoint")
         aidx[aid] = len(src)
-        src.append(bidx[str(rec["src"])])
-        tgt.append(bidx[str(rec["tgt"])])
+        src.append(bidx[s])
+        tgt.append(bidx[t])
 
     def arrow(aid) -> int:
         aid = str(aid)
@@ -72,7 +77,14 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
             raise MalformedTableError(f"groupoid file: unknown arrow id {aid!r}")
         return aidx[aid]
 
-    comp = {(arrow(a), arrow(b)): arrow(c) for a, b, c in compose}
+    comp = {}
+    for entry in compose:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+            raise MalformedTableError(
+                f"groupoid file: compose entry {entry!r} is not [a, b, a∘b]"
+            )
+        a, b, c = entry
+        comp[(arrow(a), arrow(b))] = arrow(c)
     inv_t = [None] * len(src)
     for a, b in inv.items():
         inv_t[arrow(a)] = arrow(b)
@@ -116,11 +128,18 @@ def function_to_dict(g: FiniteGroupoid, values: np.ndarray) -> dict:
 
 
 def function_from_dict(g: FiniteGroupoid, data: dict) -> np.ndarray:
+    if not isinstance(data, dict):
+        raise MalformedTableError("function file: not a map from arrow id to [re, im]")
     ids = {_arrow_id(g, a): a for a in g.arrows()}
     out = np.zeros(g.n_arrows, dtype=complex)
     for aid, pair in data.items():
         if aid not in ids:
             raise MalformedTableError(f"function file: unknown arrow id {aid!r}")
-        re, im = pair
-        out[ids[aid]] = complex(float(re), float(im))
+        try:
+            re, im = pair
+            out[ids[aid]] = complex(float(re), float(im))
+        except (TypeError, ValueError):
+            raise MalformedTableError(
+                f"function file: value of {aid!r} is {pair!r}, not [re, im]"
+            ) from None
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import GroupoidFunction, HaarWeights, beta
-from .errors import NonConvergenceError, PreconditionError, SizeCapError
+from .errors import PreconditionError, SizeCapError
 from .groupoid import FiniteGroupoid
 from .semidirect import SemidirectGroupoid, alpha
 
@@ -253,32 +253,12 @@ def random_operator_from(
     return RandomOperator(U0.bundle, blocks)
 
 
-def spectral_norm(
-    m: np.ndarray, rel_tol: float = 1e-12, max_iter: int = 10_000
-) -> float:
-    """Largest singular value via power iteration on m*m with a
-    deterministic all-ones start vector."""
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value."""
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0.0
-    A = m.conj().T @ m
-    n = A.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iter):
-        Av = A @ v
-        norm = np.linalg.norm(Av)
-        if norm == 0:
-            return 0.0
-        v = Av / norm
-        lam_new = float(np.real(np.vdot(v, A @ v)))
-        if abs(lam_new - lam) <= rel_tol * max(abs(lam_new), 1.0):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam = lam_new
-    raise NonConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations; "
-        "consider an exact characteristic-polynomial fallback for tiny matrices"
-    )
+    return float(np.linalg.norm(m, 2))
 
 
 def operator_norm(ro: RandomOperator) -> float:

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from groupoidalg import (
+    FinitePrincipalBundle,
     GroupoidFunction,
+    Section,
+    builtin_group,
     gauge_groupoid,
+    lorentz_subgroupoid,
     pair_groupoid,
+    translation_subgroupoid,
     validate_groupoid,
 )
 from groupoidalg import io as gio
@@ -239,3 +244,194 @@ class TestDeterminism:
         assert list(read_report(r)) == [
             "command", "config", "checks", "passed", "timing_ms"
         ]
+
+
+GAUGE_ARGS = ["--base", "2", "--group", "Z2"]
+
+
+def run_report(argv, tmp_path):
+    report = tmp_path / "r.json"
+    code = main(argv + ["--report", str(report)])
+    return code, read_report(report)
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (["verify-groupoid", "--in", "{pair}"], ["in"]),
+            (["semidirect", *GAUGE_ARGS, "--out", "{out}"],
+             ["base", "group", "section", "seed", "out"]),
+            (["quotient", "--in", "{pair}", "--out", "{out}"], ["in", "out"]),
+            (["verify-prop1", *GAUGE_ARGS], ["base", "group", "section", "seed"]),
+            (["verify-theorem1", *GAUGE_ARGS, "--trials", "2"],
+             ["base", "group", "section", "trials", "seed", "tol"]),
+            (["rep-check", *GAUGE_ARGS], ["base", "group", "section", "seed", "tol"]),
+            (["random-op", *GAUGE_ARGS, "--trials", "2"],
+             ["base", "group", "section", "fn", "trials", "seed", "tol"]),
+            (["commutant", *GAUGE_ARGS], ["base", "group", "section", "seed", "tol"]),
+            (["verify-poincare", *GAUGE_ARGS], ["base", "group", "section", "seed", "tol"]),
+            (["convolve", *GAUGE_ARGS],
+             ["base", "group", "section", "f1", "f2", "seed", "tol", "out"]),
+        ],
+    )
+    def test_config_keys(self, argv, keys, pair_file, tmp_path):
+        argv = [a.format(pair=pair_file, out=tmp_path / "out.json") for a in argv]
+        code, data = run_report(argv, tmp_path)
+        assert code == 0
+        assert data["command"] == argv[0]
+        assert list(data["config"]) == keys
+
+
+class TestWithoutIsomorphismSearch:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["semidirect", "--out", "{out}"],
+            ["verify-theorem1", "--trials", "1"],
+            ["rep-check"],
+            ["convolve"],
+        ],
+    )
+    def test_base_9(self, argv, tmp_path):
+        # the 64-arrow search cap stops prop1_equivalence at base 9
+        argv = [a.format(out=tmp_path / "out.json") for a in argv]
+        code, data = run_report(argv + ["--base", "9", "--group", "Z2"], tmp_path)
+        assert code == 0
+        assert data["passed"] is True
+
+    def test_only_prop1_commands_search(self, monkeypatch, pair_file, tmp_path):
+        import groupoidalg.semidirect
+
+        def no_search(*args):
+            raise AssertionError("find_isomorphism reached")
+
+        monkeypatch.setattr(groupoidalg.semidirect, "find_isomorphism", no_search)
+        out = str(tmp_path / "out.json")
+        for argv in (
+            ["verify-groupoid", "--in", pair_file],
+            ["quotient", "--in", pair_file, "--out", out],
+            ["semidirect", *GAUGE_ARGS, "--out", out],
+            ["verify-theorem1", *GAUGE_ARGS, "--trials", "2"],
+            ["rep-check", *GAUGE_ARGS],
+            ["random-op", *GAUGE_ARGS, "--trials", "2"],
+            ["commutant", *GAUGE_ARGS],
+            ["convolve", *GAUGE_ARGS, "--out", out],
+        ):
+            assert run_report(argv, tmp_path)[0] == 0, argv[0]
+
+
+class TestChecksCheck:
+    def test_zero_sum_norm(self, tmp_path):
+        # δ_e − δ_a at base point 0: L(e) − L(a) has norm 2, and its
+        # values sum to zero
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"(0,e,0)": [1.0, 0.0], "(0,a,0)": [-1.0, 0.0]}))
+        code, data = run_report(["random-op", *GAUGE_ARGS, "--fn", str(fn)], tmp_path)
+        assert code == 0
+        (check,) = data["checks"]
+        assert check["norm"] == pytest.approx(2.0, abs=1e-12)
+        assert check["bound"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_semidirect_arrow_count(self, monkeypatch, tmp_path):
+        import groupoidalg.gauge as gauge_mod
+
+        real = gauge_mod.semidirect_product
+
+        def smaller_carrier(parent, g0, g1):
+            # the carrier of the (2, Z2) bundle: 8 arrows, not 2²·|Z4| = 16
+            small = gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2")))
+            s = Section.identity(small.bundle)
+            return real(small, lorentz_subgroupoid(small), translation_subgroupoid(small, s))
+
+        monkeypatch.setattr(gauge_mod, "semidirect_product", smaller_carrier)
+        argv = ["semidirect", "--base", "2", "--group", "Z4", "--out", str(tmp_path / "o.json")]
+        code, data = run_report(argv, tmp_path)
+        assert code == 1
+        check = {c["name"]: c for c in data["checks"]}["arrow-count"]
+        assert check["arrows"] == 8
+        assert check["passed"] is False
+
+    def test_commutant_dimension(self, monkeypatch, tmp_path):
+        import groupoidalg.cli as cli
+
+        real = cli.commutant
+
+        def one_short(gens, levels, **kwargs):
+            result = real(gens, levels=levels, **kwargs)
+            result.dimension -= 1
+            return result
+
+        monkeypatch.setattr(cli, "commutant", one_short)
+        code, data = run_report(["commutant", *GAUGE_ARGS], tmp_path)
+        assert code == 1
+        assert data["checks"][0]["passed"] is False
+
+    @pytest.mark.parametrize("cmd", ["random-op", "verify-theorem1"])
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_rejected(self, cmd, trials, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *GAUGE_ARGS, "--trials", trials])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_random_op_norm_tolerance(self, monkeypatch, tmp_path):
+        import groupoidalg.cli as cli
+
+        # a norm that meets its bound up to rounding: δ_e has norm = bound = 1
+        monkeypatch.setattr(cli, "operator_norm", lambda ro: 1.0 + 1e-12)
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"(0,e,0)": [1.0, 0.0]}))
+        code, data = run_report(["random-op", *GAUGE_ARGS, "--fn", str(fn)], tmp_path)
+        assert data["config"]["tol"] == 1e-9
+        assert data["checks"][0]["bound"] == 1.0
+        assert code == 0
+
+    def test_rep_check_noncentral_section(self, tmp_path):
+        G = builtin_group("S3")
+        sigma = Section.random(FinitePrincipalBundle(3, G), np.random.default_rng(0)).sigma
+        t = G.mul[sigma[0]][G.inverse[sigma[1]]]
+        assert any(G.mul[t][h] != G.mul[h][t] for h in range(G.order))
+        argv = ["rep-check", "--base", "3", "--group", "S3", "--section", "random", "--seed", "0"]
+        code, data = run_report(argv, tmp_path)
+        assert code == 0
+        assert [c["name"] for c in data["checks"]] == [
+            "isotropy-rep", "commutation", "simple-extension"
+        ]
+
+
+class TestMalformedInput:
+    def test_arrow_without_tgt(self, tmp_path):
+        d = gio.groupoid_to_dict(pair_groupoid(2))
+        del d["arrows"][0]["tgt"]
+        path = tmp_path / "bad.json"
+        gio.dump_json(d, path)
+        assert main(["verify-groupoid", "--in", str(path)]) == 2
+
+    def test_two_element_compose_entry(self, tmp_path):
+        d = gio.groupoid_to_dict(pair_groupoid(2))
+        d["compose"][0] = d["compose"][0][:2]
+        path = tmp_path / "bad.json"
+        gio.dump_json(d, path)
+        assert main(["quotient", "--in", str(path), "--out", str(tmp_path / "q.json")]) == 2
+
+    def test_function_value_not_a_pair(self, tmp_path):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"(0,e,0)": [1]}))
+        assert main(["random-op", *GAUGE_ARGS, "--fn", str(fn)]) == 2
+
+    def test_function_file_not_a_map(self, tmp_path):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps([1, 2]))
+        assert main(["random-op", *GAUGE_ARGS, "--fn", str(fn)]) == 2
+
+    @pytest.mark.parametrize("names", [{"0": "e"}, ["e", "e"]])
+    def test_section_file_not_total(self, names, tmp_path):
+        section = tmp_path / "section.json"
+        section.write_text(json.dumps(names))
+        assert main(["verify-prop1", *GAUGE_ARGS, "--section", str(section)]) == 2
+
+    def test_empty_base_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-prop1", "--base", "0", "--group", "Z2"])
+        assert exc.value.code == 2

@@ -12,7 +12,6 @@ from groupoidalg import (
     carrier_weights,
     find_isomorphism,
     gauge_groupoid,
-    gauge_groupoid_raw,
     groupoid_convolve,
     isotropy_subgroupoid,
     lorentz_subgroupoid,
@@ -27,7 +26,84 @@ from groupoidalg import (
     verify_morphism,
     verify_poincare_decomposition,
 )
-from groupoidalg.groupoid import GroupoidMorphism
+from groupoidalg.groupoid import FiniteGroupoid, GroupoidMorphism
+
+
+def gauge_groupoid_raw(bundle: FinitePrincipalBundle):
+    """Independent construction of the gauge groupoid straight from the
+    raw-pair quotient: arrows are orbits of pairs of bundle points under
+    the diagonal right action. Returns the groupoid, the orbit list, and
+    the class map orbit ↦ (y, a·b⁻¹, x) into normal form.
+
+    A test oracle for the normal-form construction.
+    """
+    G = bundle.group
+    points = bundle.points()
+    seen = set()
+    orbits = []
+    for p1 in points:
+        for p2 in points:
+            if (p1, p2) in seen:
+                continue
+            orbit = frozenset(
+                ((p1[0], G.mul[p1[1]][g]), (p2[0], G.mul[p2[1]][g]))
+                for g in range(G.order)
+            )
+            seen.update(orbit)
+            orbits.append(orbit)
+    idx = {o: i for i, o in enumerate(orbits)}
+
+    def tgt_of(o):
+        return next(iter(o))[0][0]
+
+    def src_of(o):
+        return next(iter(o))[1][0]
+
+    def class_containing(p1, p2):
+        for o in orbits:
+            if (p1, p2) in o:
+                return o
+        raise AssertionError("pair not covered by any orbit")
+
+    comp = {}
+    for i, o1 in enumerate(orbits):
+        for j, o2 in enumerate(orbits):
+            if src_of(o1) != tgt_of(o2):
+                continue
+            p1, p2 = next(iter(o1))
+            # find a member (p3, p4) of o2 and g with p3 = p2·g
+            found = None
+            for (p3, p4) in o2:
+                for g in range(G.order):
+                    if (p2[0], G.mul[p2[1]][g]) == p3:
+                        found = class_containing(p1, (p4[0], G.mul[p4[1]][G.inverse[g]]))
+                        break
+                if found is not None:
+                    break
+            comp[(i, j)] = idx[found]
+    inv = []
+    ident = [None] * bundle.n_base
+    for o in orbits:
+        p1, p2 = next(iter(o))
+        inv.append(idx[class_containing(p2, p1)])
+        if p1 == p2:
+            ident[p1[0]] = idx[o]
+    raw = FiniteGroupoid(
+        n_base=bundle.n_base,
+        src=tuple(src_of(o) for o in orbits),
+        tgt=tuple(tgt_of(o) for o in orbits),
+        compose_table=comp,
+        inv=tuple(inv),
+        identity=tuple(ident),
+    )
+
+    def to_normal(o):
+        (y, a), (x, b) = next(iter(o))
+        return (y, G.mul[a][G.inverse[b]], x)
+
+    class_map = [to_normal(o) for o in orbits]
+    return raw, orbits, class_map
+
 
 SMALL_INSTANCES = [
     (1, "Z3"),
