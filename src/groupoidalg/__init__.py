@@ -44,7 +44,6 @@ from .groupoid import (
     isotropy_subgroupoid,
     pair_groupoid,
     quotient_by_isotropy,
-    relabel,
     selection_to_groupoid,
     subgroupoid_properties,
     validate_groupoid,

@@ -84,11 +84,6 @@ def _regular_rep(gauge):
     return UnitaryRep(gauge, bundle, U)
 
 
-def _identity_translations(gauge, g1):
-    n = gauge.bundle.group.order
-    return {a1: np.eye(n, dtype=complex) for a1 in g1.arrows}
-
-
 def _regular_translations(gauge, g1):
     """L(g) on each translation arrow (y, g, x): the unitary family that
     satisfies the commutation relation with the regular representation
@@ -226,8 +221,11 @@ def _verify_poincare(args) -> list[dict]:
 
 
 def _convolve(args) -> list[dict]:
+    if (args.f1 is None) != (args.f2 is None):
+        missing = "--f1" if args.f1 is None else "--f2"
+        raise MalformedTableError(f"{missing} is missing: give both --f1 and --f2 or neither")
     dec = poincare_decomposition(*_bundle_section(args))
-    if args.f1 and args.f2:
+    if args.f1 is not None:
         f1, f2 = (
             GroupoidFunction(dec.sd, gio.function_from_dict(dec.sd, gio.load_json(path)))
             for path in (args.f1, args.f2)
@@ -342,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors (2) and --help (0)
+        return exc.code
     try:
         return _run(args)
     except SizeCapError as exc:

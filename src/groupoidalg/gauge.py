@@ -118,18 +118,22 @@ def lorentz_subgroupoid(gauge: GaugeGroupoid) -> SubgroupoidSelection:
     return SubgroupoidSelection(gauge, sel)
 
 
-def translation_subgroupoid(gauge: GaugeGroupoid, s: Section) -> SubgroupoidSelection:
-    """The arrows [s(y), s(x)] = (y, sigma(y)·sigma(x)⁻¹, x): a wide
-    transitive subgroupoid isomorphic to the pair groupoid over the base."""
+def _translations(gauge: GaugeGroupoid, s: Section) -> dict[tuple[int, int], int]:
+    """(y, x) ↦ the arrow [s(y), s(x)] = (y, sigma(y)·sigma(x)⁻¹, x)."""
     G = gauge.bundle.group
     if len(s.sigma) != gauge.n_base:
         raise PreconditionError("section does not cover the base")
-    sel = frozenset(
-        gauge.triple_index[(y, G.mul[s.sigma[y]][G.inverse[s.sigma[x]]], x)]
+    return {
+        (y, x): gauge.triple_index[(y, G.mul[s.sigma[y]][G.inverse[s.sigma[x]]], x)]
         for y in range(gauge.n_base)
         for x in range(gauge.n_base)
-    )
-    return SubgroupoidSelection(gauge, sel)
+    }
+
+
+def translation_subgroupoid(gauge: GaugeGroupoid, s: Section) -> SubgroupoidSelection:
+    """The arrows [s(y), s(x)]: a wide transitive subgroupoid isomorphic to
+    the pair groupoid over the base."""
+    return SubgroupoidSelection(gauge, frozenset(_translations(gauge, s).values()))
 
 
 @dataclass(eq=False)
@@ -152,12 +156,6 @@ def poincare_decomposition(
     gauge = gauge_groupoid(bundle)
     g0 = lorentz_subgroupoid(gauge)
     g1 = translation_subgroupoid(gauge, s)
-    G = bundle.group
-    translation = {
-        (y, x): gauge.triple_index[(y, G.mul[s.sigma[y]][G.inverse[s.sigma[x]]], x)]
-        for y in range(gauge.n_base)
-        for x in range(gauge.n_base)
-    }
     return PoincareDecomposition(
         bundle=bundle,
         section=s,
@@ -165,7 +163,7 @@ def poincare_decomposition(
         g0=g0,
         g1=g1,
         sd=semidirect_product(gauge, g0, g1),
-        translation=translation,
+        translation=_translations(gauge, s),
     )
 
 
@@ -195,17 +193,14 @@ def verify_poincare_decomposition(
     # i(rho(gamma)) must be the translation arrow between gamma's endpoints
     iota_ok = result.i_map is not None
     if iota_ok:
-        G = bundle.group
         # selection_to_groupoid indexes the selection's arrows in sorted order
-        sorted_g1 = sorted(g1.arrows)
-        for gamma in gauge.arrows():
-            y, x = gauge.tgt[gamma], gauge.src[gamma]
-            t = gauge.triple_index[(y, G.mul[s.sigma[y]][G.inverse[s.sigma[x]]], x)]
-            expected = sorted_g1.index(t)
-            got = result.i_map.arrow_map[result.rho.arrow_map[gamma]]
-            if got != expected:
-                iota_ok = False
-                break
+        inclusion = sorted(g1.arrows)
+        translation = _translations(gauge, s)
+        iota_ok = all(
+            inclusion[result.i_map.arrow_map[result.rho.arrow_map[gamma]]]
+            == translation[(gauge.tgt[gamma], gauge.src[gamma])]
+            for gamma in gauge.arrows()
+        )
     checks["section_identity"] = iota_ok
     checks["measures"] = "counting (discrete stand-in for Haar/Lebesgue)"
     checks["passed"] = all(v is True for k, v in checks.items() if k != "measures")

@@ -434,45 +434,3 @@ def group_groupoid(G: FiniteGroup) -> FiniteGroupoid:
         base_labels=("*",),
     )
 
-
-def relabel(
-    g: FiniteGroupoid, base_perm: list[int], arrow_perm: list[int]
-) -> FiniteGroupoid:
-    """Isomorphic copy with base point x renamed base_perm[x] and arrow a
-    renamed arrow_perm[a]. Useful as a test oracle for isomorphism search."""
-    inv_b = [0] * g.n_base
-    for x, y in enumerate(base_perm):
-        inv_b[y] = x
-    inv_a = [0] * g.n_arrows
-    for a, b in enumerate(arrow_perm):
-        inv_a[b] = a
-    src = [0] * g.n_arrows
-    tgt = [0] * g.n_arrows
-    inv = [0] * g.n_arrows
-    for a in g.arrows():
-        src[arrow_perm[a]] = base_perm[g.src[a]]
-        tgt[arrow_perm[a]] = base_perm[g.tgt[a]]
-        inv[arrow_perm[a]] = arrow_perm[g.inv[a]]
-    comp = {
-        (arrow_perm[a], arrow_perm[b]): arrow_perm[c]
-        for (a, b), c in g.compose_table.items()
-    }
-    ident = [0] * g.n_base
-    for x in g.base():
-        ident[base_perm[x]] = arrow_perm[g.identity[x]]
-    labels = None
-    if g.arrow_labels is not None:
-        labels = tuple(g.arrow_labels[inv_a[a]] for a in g.arrows())
-    blabels = None
-    if g.base_labels is not None:
-        blabels = tuple(g.base_labels[inv_b[x]] for x in g.base())
-    return FiniteGroupoid(
-        n_base=g.n_base,
-        src=tuple(src),
-        tgt=tuple(tgt),
-        compose_table=comp,
-        inv=tuple(inv),
-        identity=tuple(ident),
-        arrow_labels=labels,
-        base_labels=blabels,
-    )

@@ -64,21 +64,6 @@ def verify_morphism(m: GroupoidMorphism, require_iso: bool = False) -> Validatio
     return rep
 
 
-def invert_isomorphism(m: GroupoidMorphism) -> GroupoidMorphism:
-    arrow_map = [0] * m.codomain.n_arrows
-    for a, b in enumerate(m.arrow_map):
-        arrow_map[b] = a
-    base_map = [0] * m.codomain.n_base
-    for x, y in enumerate(m.base_map):
-        base_map[y] = x
-    return GroupoidMorphism(
-        domain=m.codomain,
-        codomain=m.domain,
-        arrow_map=tuple(arrow_map),
-        base_map=tuple(base_map),
-    )
-
-
 def _self_power_order(g: FiniteGroupoid, a: int) -> int:
     """Order of an isotropy arrow under repeated composition with itself."""
     e = g.identity[g.src[a]]
@@ -191,15 +176,16 @@ def find_isomorphism(
     """Exhaustive isomorphism search, pruned by fiber-size and isotropy-order
     signatures. Returns a verified isomorphism or None.
 
-    Raises SizeCapError above max_arrows; the worst case is factorial.
+    Groupoids of different sizes are rejected before the cap applies;
+    raises SizeCapError above max_arrows, since the worst case is factorial.
     """
-    if max(g.n_arrows, h.n_arrows) > max_arrows:
-        raise SizeCapError(
-            f"instance too large for isomorphism search "
-            f"({max(g.n_arrows, h.n_arrows)} arrows > cap {max_arrows})"
-        )
     if g.n_base != h.n_base or g.n_arrows != h.n_arrows:
         return None
+    if g.n_arrows > max_arrows:
+        raise SizeCapError(
+            f"instance too large for isomorphism search "
+            f"({g.n_arrows} arrows > cap {max_arrows})"
+        )
     sig_g = [_base_signature(g, x) for x in g.base()]
     sig_h = [_base_signature(h, x) for x in h.base()]
     if sorted(sig_g) != sorted(sig_h):

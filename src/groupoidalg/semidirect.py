@@ -15,7 +15,7 @@ from .groupoid import (
     selection_to_groupoid,
     subgroupoid_properties,
 )
-from .morphism import find_isomorphism, invert_isomorphism, verify_morphism
+from .morphism import verify_morphism
 
 
 def alpha(parent: FiniteGroupoid, g1: int, g0: int) -> int:
@@ -144,19 +144,24 @@ def prop1_equivalence(
 ) -> Prop1Result:
     """Both directions of the decomposition criterion on one instance.
 
-    j_exists: the quotient by g0 is isomorphic to g1 (exhaustive search).
+    j_exists: the quotient by g0 is isomorphic to g1. Decided on j = rho∘iota:
+    the quotient of the transitive parent has one arrow per pair of
+    endpoints and j is onto, so some isomorphism exists iff j is one.
     J_is_iso: the comparison morphism from the semidirect product is an
     isomorphism. The two booleans agree on every lawful instance; callers
     treat their equality as a checked postcondition.
 
     When the comparison map is invertible, the induced map from the
-    quotient onto g1 (class ↦ second pair component) is built and verified.
+    quotient onto g1 (class of J(gamma0, gamma1) ↦ gamma1) is built and verified.
     """
     sd = semidirect_product(parent, g0, g1)
     quotient, rho = quotient_by_isotropy(parent, g0)
     g1_groupoid, inclusion = selection_to_groupoid(g1)
-    j = find_isomorphism(g1_groupoid, quotient)
-    j_exists = j is not None
+    j = GroupoidMorphism(
+        g1_groupoid, quotient, tuple(rho.arrow_map[a] for a in inclusion.arrow_map),
+        base_map=tuple(quotient.base()),
+    )
+    j_exists = verify_morphism(j, require_iso=True).ok
 
     J = J_map(sd)
     J_is_iso = verify_morphism(J, require_iso=True).ok
@@ -164,14 +169,10 @@ def prop1_equivalence(
     i_map = None
     i_verified = False
     if J_is_iso:
-        I = invert_isomorphism(J)  # parent -> sd
         g1_index = {a: k for k, a in enumerate(inclusion.arrow_map)}
-        arrow_map = []
-        for cid in quotient.arrows():
-            # representative of the class, read off the projection
-            rep = next(a for a in parent.arrows() if rho.arrow_map[a] == cid)
-            _, a1 = sd.pair_of[I.arrow_map[rep]]
-            arrow_map.append(g1_index[a1])
+        arrow_map = [0] * quotient.n_arrows
+        for (_, a1), gamma in zip(sd.pair_of, J.arrow_map):
+            arrow_map[rho.arrow_map[gamma]] = g1_index[a1]
         i_map = GroupoidMorphism(
             domain=quotient,
             codomain=g1_groupoid,

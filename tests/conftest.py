@@ -15,6 +15,13 @@ from groupoidalg import (
 )
 
 
+def identity_translations(gauge, g1):
+    """The identity matrix on each translation arrow: the unitary family of
+    the identity section paired with the regular representation."""
+    n = gauge.bundle.group.order
+    return {a1: np.eye(n, dtype=complex) for a1 in g1.arrows}
+
+
 @pytest.fixture(scope="session")
 def fix_pair():
     return pair_groupoid(2)

@@ -34,7 +34,8 @@ from groupoidalg import (
     verify_poincare_decomposition,
     verify_theorem1,
 )
-from groupoidalg.cli import _identity_translations, _regular_rep, main
+from conftest import identity_translations
+from groupoidalg.cli import _regular_rep, main
 from groupoidalg.groupoid import (
     AXIOM_ASSOCIATIVITY,
     AXIOM_IDENTITY,
@@ -160,7 +161,7 @@ def test_criterion_5_commutation_and_equivariance(
     g = fix_gauge_2_z2
     sd = decomposition_2_z2.sd
     U0 = _regular_rep(g)
-    I = _identity_translations(g, sd.g1)
+    I = identity_translations(g, sd.g1)
     w = HaarWeights.counting(g)
     comm = check_commutation(U0, I, sd, tol=1e-9)
     ext_ok = True

@@ -291,31 +291,39 @@ class TestWithoutIsomorphismSearch:
             ["verify-theorem1", "--trials", "1"],
             ["rep-check"],
             ["convolve"],
+            ["verify-prop1"],
+            ["verify-poincare"],
         ],
     )
     def test_base_9(self, argv, tmp_path):
-        # the 64-arrow search cap stops prop1_equivalence at base 9
+        # 324 arrows: above the 64-arrow cap of find_isomorphism
         argv = [a.format(out=tmp_path / "out.json") for a in argv]
         code, data = run_report(argv + ["--base", "9", "--group", "Z2"], tmp_path)
         assert code == 0
         assert data["passed"] is True
 
     def test_only_prop1_commands_search(self, monkeypatch, pair_file, tmp_path):
-        import groupoidalg.semidirect
+        # Prop 1 is decided by construction: no subcommand, verify-prop1 and
+        # verify-poincare included, reaches the search under any name
+        import sys
 
         def no_search(*args):
             raise AssertionError("find_isomorphism reached")
 
-        monkeypatch.setattr(groupoidalg.semidirect, "find_isomorphism", no_search)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "groupoidalg" and hasattr(module, "find_isomorphism"):
+                monkeypatch.setattr(module, "find_isomorphism", no_search)
         out = str(tmp_path / "out.json")
         for argv in (
             ["verify-groupoid", "--in", pair_file],
             ["quotient", "--in", pair_file, "--out", out],
             ["semidirect", *GAUGE_ARGS, "--out", out],
+            ["verify-prop1", *GAUGE_ARGS],
             ["verify-theorem1", *GAUGE_ARGS, "--trials", "2"],
             ["rep-check", *GAUGE_ARGS],
             ["random-op", *GAUGE_ARGS, "--trials", "2"],
             ["commutant", *GAUGE_ARGS],
+            ["verify-poincare", *GAUGE_ARGS],
             ["convolve", *GAUGE_ARGS, "--out", out],
         ):
             assert run_report(argv, tmp_path)[0] == 0, argv[0]
@@ -370,9 +378,7 @@ class TestChecksCheck:
     @pytest.mark.parametrize("cmd", ["random-op", "verify-theorem1"])
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_trials_below_one_rejected(self, cmd, trials, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main([cmd, *GAUGE_ARGS, "--trials", trials])
-        assert exc.value.code == 2
+        assert main([cmd, *GAUGE_ARGS, "--trials", trials]) == 2
         assert "--trials" in capsys.readouterr().err
 
     def test_random_op_norm_tolerance(self, monkeypatch, tmp_path):
@@ -431,7 +437,23 @@ class TestMalformedInput:
         section.write_text(json.dumps(names))
         assert main(["verify-prop1", *GAUGE_ARGS, "--section", str(section)]) == 2
 
-    def test_empty_base_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify-prop1", "--base", "0", "--group", "Z2"])
-        assert exc.value.code == 2
+    def test_empty_base_rejected(self, capsys):
+        assert main(["verify-prop1", "--base", "0", "--group", "Z2"]) == 2
+        assert "--base" in capsys.readouterr().err
+
+    def test_missing_required_flag(self, capsys):
+        assert main(["verify-prop1", "--base", "2"]) == 2
+        assert "--group" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "verify-prop1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("given, missing", [("--f1", "--f2"), ("--f2", "--f1")])
+    def test_convolve_one_function_file(self, given, missing, tmp_path, capsys):
+        # a file that is not a function map: it must not be silently
+        # replaced by random functions
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps([1, 2]))
+        assert main(["convolve", *GAUGE_ARGS, given, str(fn)]) == 2
+        assert missing in capsys.readouterr().err

@@ -12,8 +12,65 @@ from groupoidalg import (
     verify_morphism,
 )
 from groupoidalg.errors import SizeCapError
-from groupoidalg.groupoid import GroupoidMorphism, relabel
-from groupoidalg.morphism import invert_isomorphism
+from groupoidalg.groupoid import FiniteGroupoid, GroupoidMorphism
+
+
+def relabel(
+    g: FiniteGroupoid, base_perm: list[int], arrow_perm: list[int]
+) -> FiniteGroupoid:
+    """Isomorphic copy with base point x renamed base_perm[x] and arrow a
+    renamed arrow_perm[a]: the oracle for isomorphism search."""
+    inv_b = [0] * g.n_base
+    for x, y in enumerate(base_perm):
+        inv_b[y] = x
+    inv_a = [0] * g.n_arrows
+    for a, b in enumerate(arrow_perm):
+        inv_a[b] = a
+    src = [0] * g.n_arrows
+    tgt = [0] * g.n_arrows
+    inv = [0] * g.n_arrows
+    for a in g.arrows():
+        src[arrow_perm[a]] = base_perm[g.src[a]]
+        tgt[arrow_perm[a]] = base_perm[g.tgt[a]]
+        inv[arrow_perm[a]] = arrow_perm[g.inv[a]]
+    comp = {
+        (arrow_perm[a], arrow_perm[b]): arrow_perm[c]
+        for (a, b), c in g.compose_table.items()
+    }
+    ident = [0] * g.n_base
+    for x in g.base():
+        ident[base_perm[x]] = arrow_perm[g.identity[x]]
+    labels = None
+    if g.arrow_labels is not None:
+        labels = tuple(g.arrow_labels[inv_a[a]] for a in g.arrows())
+    blabels = None
+    if g.base_labels is not None:
+        blabels = tuple(g.base_labels[inv_b[x]] for x in g.base())
+    return FiniteGroupoid(
+        n_base=g.n_base,
+        src=tuple(src),
+        tgt=tuple(tgt),
+        compose_table=comp,
+        inv=tuple(inv),
+        identity=tuple(ident),
+        arrow_labels=labels,
+        base_labels=blabels,
+    )
+
+
+def invert_isomorphism(m: GroupoidMorphism) -> GroupoidMorphism:
+    arrow_map = [0] * m.codomain.n_arrows
+    for a, b in enumerate(m.arrow_map):
+        arrow_map[b] = a
+    base_map = [0] * m.codomain.n_base
+    for x, y in enumerate(m.base_map):
+        base_map[y] = x
+    return GroupoidMorphism(
+        domain=m.codomain,
+        codomain=m.domain,
+        arrow_map=tuple(arrow_map),
+        base_map=tuple(base_map),
+    )
 
 
 def identity_morphism(g):
@@ -92,6 +149,22 @@ class TestFindIsomorphism:
     def test_size_cap(self, fix_gauge_3_s3):
         with pytest.raises(SizeCapError):
             find_isomorphism(fix_gauge_3_s3, fix_gauge_3_s3, max_arrows=10)
+
+    def test_size_mismatch_rejected_before_cap(self):
+        # the whole (4,D4) gauge groupoid against its quotient: 128 arrows
+        # against 16, rejected on the counts without reaching the 64 cap
+        from groupoidalg import (
+            FinitePrincipalBundle, dihedral, gauge_groupoid, isotropy_subgroupoid,
+            quotient_by_isotropy, selection_to_groupoid,
+        )
+        from groupoidalg.groupoid import SubgroupoidSelection
+
+        gauge = gauge_groupoid(FinitePrincipalBundle(4, dihedral(4)))
+        whole, _ = selection_to_groupoid(SubgroupoidSelection(gauge, frozenset(gauge.arrows())))
+        quotient, _ = quotient_by_isotropy(gauge, isotropy_subgroupoid(gauge))
+        assert (whole.n_arrows, quotient.n_arrows) == (128, 16)
+        assert find_isomorphism(whole, quotient) is None
+        assert find_isomorphism(quotient, whole) is None
 
     def test_inverse_roundtrip(self, fix_pair):
         m = find_isomorphism(fix_pair, fix_pair)

@@ -19,7 +19,8 @@ from groupoidalg import (
     trivial_rep,
     validate_rep,
 )
-from groupoidalg.cli import _identity_translations, _regular_rep
+from conftest import identity_translations
+from groupoidalg.cli import _regular_rep
 from groupoidalg.errors import PreconditionError
 
 
@@ -70,7 +71,7 @@ class TestValidateRep:
 class TestSimpleExtension:
     def test_identity_translations_z2(self, fix_gauge_2_z2, reg_z2, decomposition_2_z2):
         sd = decomposition_2_z2.sd
-        I = _identity_translations(fix_gauge_2_z2, sd.g1)
+        I = identity_translations(fix_gauge_2_z2, sd.g1)
         assert check_commutation(reg_z2, I, sd).ok
         ext = simple_extension(reg_z2, I, sd)
         assert set(ext.U) == set(sd.arrows())
@@ -78,7 +79,7 @@ class TestSimpleExtension:
 
     def test_identity_translations_s3(self, fix_gauge_3_s3, reg_s3, decomposition_3_s3):
         sd = decomposition_3_s3.sd
-        I = _identity_translations(fix_gauge_3_s3, sd.g1)
+        I = identity_translations(fix_gauge_3_s3, sd.g1)
         ext = simple_extension(reg_s3, I, sd)
         assert validate_rep(ext).ok
 
@@ -95,7 +96,7 @@ class TestSimpleExtension:
             I[a1] = np.eye(2, dtype=complex) if g.src[a1] == g.tgt[a1] else swap
         ext = simple_extension(reg_z2, I, sd)
         assert validate_rep(ext).ok
-        ident = _identity_translations(g, sd.g1)
+        ident = identity_translations(g, sd.g1)
         other = simple_extension(reg_z2, ident, sd)
         assert any(
             np.max(np.abs(ext.U[i] - other.U[i])) > 0.5 for i in sd.arrows()
@@ -107,7 +108,7 @@ class TestSimpleExtension:
         g = fix_gauge_2_z2
         sd = decomposition_2_z2.sd
         swap = np.array([[0, 1], [1, 0]], dtype=complex)
-        I = _identity_translations(g, sd.g1)
+        I = identity_translations(g, sd.g1)
         # break functoriality in one direction only
         bad = next(a1 for a1 in sd.g1.arrows if g.src[a1] != g.tgt[a1])
         I[bad] = swap
@@ -219,7 +220,7 @@ class TestEquivariance:
         g = fix_gauge_2_z2
         sd = decomposition_2_z2.sd
         w = HaarWeights.counting(g)
-        I = _identity_translations(g, sd.g1)
+        I = identity_translations(g, sd.g1)
         iso = [a for x in g.base() for a in g.isotropy_fiber(x)]
         a = GroupoidFunction.random(g, rng, support=iso)
         rep = check_equivariance(a, reg_z2, I, sd, w)
@@ -230,7 +231,7 @@ class TestEquivariance:
         g = fix_gauge_3_s3
         sd = decomposition_3_s3.sd
         w = HaarWeights.counting(g)
-        I = _identity_translations(g, sd.g1)
+        I = identity_translations(g, sd.g1)
         iso = [a for x in g.base() for a in g.isotropy_fiber(x)]
         rng = np.random.default_rng(99)
         for _ in range(50):

@@ -1,17 +1,48 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidalg import (
+    FinitePrincipalBundle,
     J_map,
+    Section,
     alpha,
+    builtin_group,
     find_isomorphism,
+    gauge_groupoid,
     isotropy_subgroupoid,
+    lorentz_subgroupoid,
     prop1_equivalence,
+    selection_to_groupoid,
     semidirect_product,
     validate_groupoid,
     verify_morphism,
 )
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import SubgroupoidSelection
+from groupoidalg.groups import BUILTIN_GROUPS
+
+
+def cyclic_subgroup(G, h):
+    """The elements of <h>."""
+    H, k = [G.identity], h
+    while k != G.identity:
+        H.append(k)
+        k = G.mul[k][h]
+    return H
+
+
+def twisted_translations(gauge, sigma, H):
+    """{(y, sigma(y)·k·sigma(x)⁻¹, x) : k in H}: wide, transitive and closed
+    for every subgroup H; the translation subgroupoid when H is trivial."""
+    G = gauge.bundle.group
+    return SubgroupoidSelection(gauge, frozenset(
+        gauge.triple_index[(y, G.mul[G.mul[sigma[y]][k]][G.inverse[sigma[x]]], x)]
+        for y in range(gauge.n_base)
+        for x in range(gauge.n_base)
+        for k in H
+    ))
 
 
 class TestAlpha:
@@ -159,3 +190,30 @@ class TestProp1:
         g1 = SubgroupoidSelection(fix_pair, frozenset(fix_pair.identity))
         with pytest.raises(PreconditionError):
             prop1_equivalence(fix_pair, g0, g1)
+
+
+class TestProp1Construction:
+    """j = rho∘iota against the comparison map J and against the search."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BUILTIN_GROUPS)),
+        n=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        data=st.data(),
+    )
+    def test_cyclic_twist(self, name, n, seed, data):
+        G = builtin_group(name)
+        H = cyclic_subgroup(G, data.draw(st.integers(0, G.order - 1), label="h"))
+        bundle = FinitePrincipalBundle(n, G)
+        gauge = gauge_groupoid(bundle)
+        sigma = Section.random(bundle, np.random.default_rng(seed)).sigma
+        g1 = twisted_translations(gauge, sigma, H)
+        res = prop1_equivalence(gauge, lorentz_subgroupoid(gauge), g1)
+        assert res.j_exists == res.J_is_iso == (len(H) == 1)
+        assert res.i_map_verified == (len(H) == 1)
+        assert verify_morphism(res.rho).ok
+        g1_groupoid, _ = selection_to_groupoid(g1)
+        if max(g1_groupoid.n_arrows, res.quotient.n_arrows) <= 64:
+            found = find_isomorphism(g1_groupoid, res.quotient)
+            assert res.j_exists == (found is not None)
