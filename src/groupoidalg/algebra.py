@@ -8,6 +8,7 @@ All integrals are weighted finite sums over a Haar weight system
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,7 @@ class HaarWeights:
                     f"weights are not constant on the isotropy fiber at {g.base_label(x)}"
                 )
         for gamma in g.arrows():
-            x = g.src[gamma]
-            for a in g.isotropy_fiber(x):
+            for a in g.isotropy_fiber(g.src[gamma]):
                 if self.values[alpha(g, gamma, a)] != self.values[a]:
                     raise PreconditionError(
                         "weights are not invariant under the conjugation action"
@@ -203,11 +203,10 @@ def groupoid_convolve(
     g = f1.groupoid
     if f2.groupoid is not g or w.groupoid is not g:
         raise PreconditionError("operands live on different groupoids")
-    into = [g.arrows_into(x) for x in g.base()]
     out = np.zeros(g.n_arrows, dtype=complex)
     for gamma in g.arrows():
         acc = 0j
-        for eta in into[g.tgt[gamma]]:
+        for eta in g.arrows_into(g.tgt[gamma]):
             acc += w[eta] * f1.values[eta] * f2.values[g.compose_table[(g.inv[eta], gamma)]]
         out[gamma] = acc
     return GroupoidFunction(g, out)
@@ -280,15 +279,7 @@ class Theorem1Report:
     witness: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "tol": self.tol,
-            "max_deviation": self.max_deviation,
-            "pair_identity_ok": self.pair_identity_ok,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return dataclasses.asdict(self)
 
 
 def verify_theorem1(
@@ -309,9 +300,8 @@ def verify_theorem1(
     pair_ok = True
     witness = None
     for i, (a0, a1) in enumerate(sd.pair_of):
-        for j, (b0, b1) in enumerate(sd.pair_of):
-            if sd.tgt[i] != sd.tgt[j]:
-                continue
+        for j in sd.arrows_into(sd.tgt[i]):
+            b0, b1 = sd.pair_of[j]
             via_table = sd.compose_table[(sd.inv[j], i)]
             expected = (
                 alpha(p, p.inv[b1], p.compose_table[(p.inv[b0], a0)]),

@@ -196,7 +196,7 @@ def _random_op(args) -> list[dict]:
 def _commutant(args) -> list[dict]:
     gauge = gauge_groupoid(_bundle_section(args)[0])
     gens = block_diagonal_generators(gauge, _regular_rep(gauge), HaarWeights.counting(gauge))
-    max_entries = int(os.environ.get("GROUPOIDALG_MAX_ENTRIES", 1_000_000))
+    max_entries = int(os.environ.get("GROUPOIDALG_MAX_ENTRIES", 4_000_000))
     first = commutant(gens, levels=1, max_entries=max_entries, tol=args.tol)
     second = commutant(gens, levels=2, max_entries=max_entries, tol=args.tol)
     # the regular representation on every fiber: both dimensions are n·|G|

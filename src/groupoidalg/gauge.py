@@ -24,6 +24,7 @@ from .errors import MalformedTableError, PreconditionError
 from .groupoid import (
     FiniteGroupoid,
     SubgroupoidSelection,
+    _composable_pairs,
     isotropy_subgroupoid,
     subgroupoid_properties,
     validate_groupoid,
@@ -43,9 +44,6 @@ class FinitePrincipalBundle:
     def __post_init__(self):
         if self.n_base < 1:
             raise PreconditionError("bundle base must be nonempty")
-
-    def points(self):
-        return [(x, a) for x in range(self.n_base) for a in range(self.group.order)]
 
 
 @dataclass(frozen=True)
@@ -92,15 +90,17 @@ def gauge_groupoid(bundle: FinitePrincipalBundle) -> GaugeGroupoid:
     nb = bundle.n_base
     triples = [(y, g, x) for y in range(nb) for g in range(G.order) for x in range(nb)]
     idx = {t: i for i, t in enumerate(triples)}
+    src = tuple(x for (_, _, x) in triples)
+    tgt = tuple(y for (y, _, _) in triples)
     comp = {}
-    for i, (y, h1, x) in enumerate(triples):
-        for j, (x2, h2, z) in enumerate(triples):
-            if x == x2:
-                comp[(i, j)] = idx[(y, G.mul[h1][h2], z)]
+    for i, j in _composable_pairs(nb, src, tgt):
+        y, h1, _ = triples[i]
+        _, h2, z = triples[j]
+        comp[(i, j)] = idx[(y, G.mul[h1][h2], z)]
     return GaugeGroupoid(
         n_base=nb,
-        src=tuple(x for (_, _, x) in triples),
-        tgt=tuple(y for (y, _, _) in triples),
+        src=src,
+        tgt=tgt,
         compose_table=comp,
         inv=tuple(idx[(x, G.inverse[g], y)] for (y, g, x) in triples),
         identity=tuple(idx[(x, G.identity, x)] for x in range(nb)),
@@ -155,7 +155,8 @@ def poincare_decomposition(
 ) -> PoincareDecomposition:
     gauge = gauge_groupoid(bundle)
     g0 = lorentz_subgroupoid(gauge)
-    g1 = translation_subgroupoid(gauge, s)
+    translation = _translations(gauge, s)
+    g1 = SubgroupoidSelection(gauge, frozenset(translation.values()))
     return PoincareDecomposition(
         bundle=bundle,
         section=s,
@@ -163,7 +164,7 @@ def poincare_decomposition(
         g0=g0,
         g1=g1,
         sd=semidirect_product(gauge, g0, g1),
-        translation=_translations(gauge, s),
+        translation=translation,
     )
 
 
@@ -181,7 +182,8 @@ def verify_poincare_decomposition(
     checks["gauge_valid"] = validate_groupoid(gauge).ok
     g0 = lorentz_subgroupoid(gauge)
     checks["lorentz_is_isotropy"] = g0.arrows == isotropy_subgroupoid(gauge).arrows
-    g1 = translation_subgroupoid(gauge, s)
+    translation = _translations(gauge, s)
+    g1 = SubgroupoidSelection(gauge, frozenset(translation.values()))
     props = subgroupoid_properties(gauge, g1)
     checks["translation_wide_transitive_closed"] = all(props.values())
     result = prop1_equivalence(gauge, g0, g1)
@@ -195,7 +197,6 @@ def verify_poincare_decomposition(
     if iota_ok:
         # selection_to_groupoid indexes the selection's arrows in sorted order
         inclusion = sorted(g1.arrows)
-        translation = _translations(gauge, s)
         iota_ok = all(
             inclusion[result.i_map.arrow_map[result.rho.arrow_map[gamma]]]
             == translation[(gauge.tgt[gamma], gauge.src[gamma])]

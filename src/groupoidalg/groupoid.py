@@ -8,6 +8,7 @@ src(g) == tgt(xi), and then src(g∘xi) == src(xi), tgt(g∘xi) == tgt(g).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import PreconditionError, QuotientUndefinedError
 from .groups import FiniteGroup
@@ -53,6 +54,39 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
+class _Fibers(NamedTuple):
+    """Per base point x, in arrow-id order: the arrows with tgt == x (into),
+    with src == x (out), and with both (iso)."""
+
+    into: tuple[tuple[int, ...], ...]
+    out: tuple[tuple[int, ...], ...]
+    iso: tuple[tuple[int, ...], ...]
+
+
+def _fiber_index(n_base: int, src, tgt) -> _Fibers:
+    """The fiber index of src/tgt tables. An endpoint outside the base is
+    left out of every fiber, so malformed tables index without error."""
+    into, out, iso = ([[] for _ in range(n_base)] for _ in range(3))
+    for a, (s, t) in enumerate(zip(src, tgt)):
+        if 0 <= t < n_base:
+            into[t].append(a)
+        if 0 <= s < n_base:
+            out[s].append(a)
+            if s == t:
+                iso[s].append(a)
+    return _Fibers(*(tuple(map(tuple, lists)) for lists in (into, out, iso)))
+
+
+def _composable_pairs(n_base: int, src, tgt):
+    """Every pair (a, b) with src[a] == tgt[b], walked over the fiber index:
+    a ascending, then b ascending among the arrows into src[a]. The one place
+    the composability rule is applied to all arrows."""
+    into = _fiber_index(n_base, src, tgt).into
+    for a, x in enumerate(src):
+        for b in into[x]:
+            yield a, b
+
+
 @dataclass(eq=False)
 class FiniteGroupoid:
     n_base: int
@@ -63,6 +97,11 @@ class FiniteGroupoid:
     identity: tuple[int, ...]  # per base point
     arrow_labels: tuple[str, ...] | None = None
     base_labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        # set during __init__, not cached on first use: an attribute added
+        # later makes every attribute load on the instance slower
+        self._fibers = _fiber_index(self.n_base, self.src, self.tgt)
 
     @property
     def n_arrows(self) -> int:
@@ -87,14 +126,14 @@ class FiniteGroupoid:
 
     def arrows_into(self, x: int) -> list[int]:
         """The fiber over target x (all arrows with tgt == x)."""
-        return [a for a in self.arrows() if self.tgt[a] == x]
+        return list(self._fibers.into[x])
 
     def arrows_from(self, x: int) -> list[int]:
         """The fiber over source x (all arrows with src == x)."""
-        return [a for a in self.arrows() if self.src[a] == x]
+        return list(self._fibers.out[x])
 
     def isotropy_fiber(self, x: int) -> list[int]:
-        return [a for a in self.arrows() if self.src[a] == x and self.tgt[a] == x]
+        return list(self._fibers.iso[x])
 
     def is_identity(self, a: int) -> bool:
         return a == self.identity[self.src[a]]
@@ -140,15 +179,14 @@ def check_structure(g: FiniteGroupoid) -> ValidationReport:
                 (a, b),
                 f"compose entry on non-composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
             )
-    for a in range(n):
-        for b in range(n):
-            if g.src[a] == g.tgt[b] and (a, b) not in g.compose_table:
-                rep.add(
-                    "malformed",
-                    "tables",
-                    (a, b),
-                    f"compose table missing composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
-                )
+    for a, b in _composable_pairs(g.n_base, g.src, g.tgt):
+        if (a, b) not in g.compose_table:
+            rep.add(
+                "malformed",
+                "tables",
+                (a, b),
+                f"compose table missing composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
+            )
     return rep
 
 
@@ -207,7 +245,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             )
 
     # associativity over all composable triples
-    into = [g.arrows_into(x) for x in range(g.n_base)]
+    into = g._fibers.into
     for (a, b), ab in comp.items():
         for c in into[src[b]]:
             lhs = comp.get((ab, c))
@@ -243,17 +281,16 @@ def subgroupoid_properties(g: FiniteGroupoid, h: SubgroupoidSelection) -> dict:
     if not h.arrows <= frozenset(g.arrows()):
         raise PreconditionError("selection is not a subset of the parent's arrows")
     arrows = h.arrows
-    closed = all(g.inv[a] in arrows for a in arrows)
-    if closed:
-        for a in arrows:
-            for b in arrows:
-                if g.composable(a, b) and g.compose_table[(a, b)] not in arrows:
-                    closed = False
-                    break
-            if not closed:
-                break
-    if closed:
-        closed = all(g.identity[x] in arrows for x in h.touched_base())
+    closed = (
+        all(g.inv[a] in arrows for a in arrows)
+        and all(
+            g.compose_table[(a, b)] in arrows
+            for a in arrows
+            for b in g._fibers.into[g.src[a]]
+            if b in arrows
+        )
+        and all(g.identity[x] in arrows for x in h.touched_base())
+    )
     wide = h.touched_base() == set(g.base())
     pairs = {(g.tgt[a], g.src[a]) for a in arrows}
     transitive = len(pairs) == g.n_base * g.n_base
@@ -282,16 +319,16 @@ def selection_to_groupoid(sel: SubgroupoidSelection) -> tuple[FiniteGroupoid, Gr
     base_idx = {x: i for i, x in enumerate(base_pts)}
     arrows = sorted(sel.arrows)
     arrow_idx = {a: i for i, a in enumerate(arrows)}
+    src = tuple(base_idx[p.src[a]] for a in arrows)
+    tgt = tuple(base_idx[p.tgt[a]] for a in arrows)
     comp = {
-        (arrow_idx[a], arrow_idx[b]): arrow_idx[p.compose_table[(a, b)]]
-        for a in arrows
-        for b in arrows
-        if p.composable(a, b)
+        (i, j): arrow_idx[p.compose_table[(arrows[i], arrows[j])]]
+        for i, j in _composable_pairs(len(base_pts), src, tgt)
     }
     sub = FiniteGroupoid(
         n_base=len(base_pts),
-        src=tuple(base_idx[p.src[a]] for a in arrows),
-        tgt=tuple(base_idx[p.tgt[a]] for a in arrows),
+        src=src,
+        tgt=tgt,
         compose_table=comp,
         inv=tuple(arrow_idx[p.inv[a]] for a in arrows),
         identity=tuple(arrow_idx[p.identity[x]] for x in base_pts),
@@ -325,10 +362,10 @@ def quotient_by_isotropy(
                 f"quotient selection contains non-isotropy arrow {g.arrow_label(a)}"
             )
     # conjugation stability: alpha_gamma maps g0 fibers into g0
+    iso = g._fibers.iso
     for gamma in g.arrows():
-        x = g.src[gamma]
-        for a in g0.arrows:
-            if g.src[a] != x:
+        for a in iso[g.src[gamma]]:
+            if a not in g0.arrows:
                 continue
             conj = g.compose_table[(g.compose_table[(gamma, a)], g.inv[gamma])]
             if conj not in g0.arrows:
@@ -343,9 +380,7 @@ def quotient_by_isotropy(
         if class_of[gamma] is not None:
             continue
         orbit = sorted(
-            g.compose_table[(a, gamma)]
-            for a in g0.arrows
-            if g.src[a] == g.tgt[gamma]
+            g.compose_table[(a, gamma)] for a in iso[g.tgt[gamma]] if a in g0.arrows
         )
         cid = len(classes)
         classes.append(orbit)
@@ -363,24 +398,25 @@ def quotient_by_isotropy(
     reps = [members[0] for members in classes]
 
     # well-definedness of composition on representatives
+    src = tuple(g.src[r] for r in reps)
+    tgt = tuple(g.tgt[r] for r in reps)
     comp: dict[tuple[int, int], int] = {}
-    for c1, m1 in enumerate(classes):
-        for c2, m2 in enumerate(classes):
-            if g.src[reps[c1]] != g.tgt[reps[c2]]:
-                continue
-            results = {class_of[g.compose_table[(a, b)]] for a in m1 for b in m2}
-            if len(results) != 1:
-                raise QuotientUndefinedError(
-                    f"quotient undefined: classes [{g.arrow_label(reps[c1])}] and "
-                    f"[{g.arrow_label(reps[c2])}] compose ambiguously",
-                    witnesses=(reps[c1], reps[c2]),
-                )
-            comp[(c1, c2)] = results.pop()
+    for c1, c2 in _composable_pairs(g.n_base, src, tgt):
+        results = {
+            class_of[g.compose_table[(a, b)]] for a in classes[c1] for b in classes[c2]
+        }
+        if len(results) != 1:
+            raise QuotientUndefinedError(
+                f"quotient undefined: classes [{g.arrow_label(reps[c1])}] and "
+                f"[{g.arrow_label(reps[c2])}] compose ambiguously",
+                witnesses=(reps[c1], reps[c2]),
+            )
+        comp[(c1, c2)] = results.pop()
 
     quotient = FiniteGroupoid(
         n_base=g.n_base,
-        src=tuple(g.src[r] for r in reps),
-        tgt=tuple(g.tgt[r] for r in reps),
+        src=src,
+        tgt=tgt,
         compose_table=comp,
         inv=tuple(class_of[g.inv[r]] for r in reps),
         identity=tuple(class_of[g.identity[x]] for x in g.base()),
@@ -402,16 +438,16 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     """Pair groupoid over {0..n-1}: arrows (y,x), (z,y)∘(y,x) = (z,x)."""
     arrows = [(y, x) for y in range(n) for x in range(n)]
     idx = {a: i for i, a in enumerate(arrows)}
+    src = tuple(x for (_, x) in arrows)
+    tgt = tuple(y for (y, _) in arrows)
     comp = {
-        (idx[(z, y)], idx[(y2, x)]): idx[(z, x)]
-        for (z, y) in arrows
-        for (y2, x) in arrows
-        if y == y2
+        (a, b): idx[(tgt[a], src[b])]
+        for a, b in _composable_pairs(n, src, tgt)
     }
     return FiniteGroupoid(
         n_base=n,
-        src=tuple(x for (_, x) in arrows),
-        tgt=tuple(y for (y, _) in arrows),
+        src=src,
+        tgt=tgt,
         compose_table=comp,
         inv=tuple(idx[(x, y)] for (y, x) in arrows),
         identity=tuple(idx[(x, x)] for x in range(n)),

@@ -12,21 +12,13 @@ from .errors import MalformedTableError, PreconditionError
 from .groupoid import FiniteGroupoid
 
 
-def _arrow_id(g: FiniteGroupoid, a: int) -> str:
-    return g.arrow_labels[a] if g.arrow_labels is not None else str(a)
-
-
-def _base_id(g: FiniteGroupoid, x: int) -> str:
-    return g.base_labels[x] if g.base_labels is not None else str(x)
-
-
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     """Groupoid description: keys base, arrows, compose, inv, identity,
     in that order; arrow and base ids are their labels."""
-    aid = [_arrow_id(g, a) for a in g.arrows()]
+    aid = [g.arrow_label(a) for a in g.arrows()]
     if len(set(aid)) != g.n_arrows:
         raise PreconditionError("arrow labels are not unique; cannot serialize")
-    bid = [_base_id(g, x) for x in g.base()]
+    bid = [g.base_label(x) for x in g.base()]
     return {
         "base": bid,
         "arrows": [
@@ -122,7 +114,7 @@ def load_json(path) -> dict:
 
 def function_to_dict(g: FiniteGroupoid, values: np.ndarray) -> dict:
     return {
-        _arrow_id(g, a): [float(values[a].real), float(values[a].imag)]
+        g.arrow_label(a): [float(values[a].real), float(values[a].imag)]
         for a in g.arrows()
     }
 
@@ -130,7 +122,7 @@ def function_to_dict(g: FiniteGroupoid, values: np.ndarray) -> dict:
 def function_from_dict(g: FiniteGroupoid, data: dict) -> np.ndarray:
     if not isinstance(data, dict):
         raise MalformedTableError("function file: not a map from arrow id to [re, im]")
-    ids = {_arrow_id(g, a): a for a in g.arrows()}
+    ids = {g.arrow_label(a): a for a in g.arrows()}
     out = np.zeros(g.n_arrows, dtype=complex)
     for aid, pair in data.items():
         if aid not in ids:

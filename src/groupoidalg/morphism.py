@@ -135,14 +135,14 @@ def _extend_arrows(g, h, base_map, cand, order):
             used.add(d)
             trail.append(a)
             queue.extend(forced)
-            # products with already-assigned partners are forced
-            for b in list(amap):
-                if g.composable(a, b):
+            # products with already-assigned partners (a itself included) are
+            # forced; the closure, and so the outcome, does not depend on order
+            for b in g.arrows_into(g.src[a]):
+                if b in amap:
                     queue.append((g.compose_table[(a, b)], h.compose_table[(d, amap[b])]))
-                if b != a and g.composable(b, a):
+            for b in g.arrows_from(g.tgt[a]):
+                if b != a and b in amap:
                     queue.append((g.compose_table[(b, a)], h.compose_table[(amap[b], d)]))
-            if g.composable(a, a):
-                queue.append((g.compose_table[(a, a)], h.compose_table[(d, d)]))
         return True
 
     def undo(trail, n):
@@ -214,9 +214,8 @@ def find_isomorphism(
         for a in g.arrows():
             cs = [
                 d
-                for d in h.arrows()
+                for d in h.arrows_into(base_map[g.tgt[a]])
                 if h.src[d] == base_map[g.src[a]]
-                and h.tgt[d] == base_map[g.tgt[a]]
                 and _arrow_signature(h, d) == _arrow_signature(g, a)
             ]
             if not cs:

@@ -71,6 +71,13 @@ class RepReport:
     def add(self, condition: str, witness: tuple, message: str):
         self.violations.append((condition, witness, message))
 
+    def _measure(self, diff, tol: float, condition: str, witness: tuple, message: str):
+        """Fold max|diff| into max_deviation; above tol it is a violation."""
+        dev = float(np.max(np.abs(diff)))
+        self.max_deviation = max(self.max_deviation, dev)
+        if dev > tol:
+            self.add(condition, witness, message)
+
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
@@ -96,20 +103,16 @@ def validate_rep(rep: UnitaryRep, tol: float = 1e-9) -> RepReport:
             raise PreconditionError(
                 f"U({g.arrow_label(a)}) has shape {m.shape}, expected {want}"
             )
-        dev = float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1]))))
-        report.max_deviation = max(report.max_deviation, dev)
-        if dev > tol:
-            report.add("unitarity", (a,), f"U({g.arrow_label(a)}) is not unitary")
+        report._measure(m.conj().T @ m - np.eye(m.shape[1]), tol,
+                        "unitarity", (a,), f"U({g.arrow_label(a)}) is not unitary")
     for x in g.base():
         e = g.identity[x]
         if e in rep.U:
-            dev = float(np.max(np.abs(rep.U[e] - np.eye(b.dims[x]))))
-            report.max_deviation = max(report.max_deviation, dev)
-            if dev > tol:
-                report.add("identity", (e,), f"U(identity at {g.base_label(x)}) != id")
+            report._measure(rep.U[e] - np.eye(b.dims[x]), tol,
+                            "identity", (e,), f"U(identity at {g.base_label(x)}) != id")
     for a in rep.covered():
-        for c in rep.covered():
-            if not g.composable(a, c):
+        for c in g.arrows_into(g.src[a]):
+            if c not in rep.U:
                 continue
             prod = g.compose_table[(a, c)]
             if prod not in rep.U:
@@ -119,25 +122,15 @@ def validate_rep(rep: UnitaryRep, tol: float = 1e-9) -> RepReport:
                     "covered arrows compose outside the covered set",
                 )
                 continue
-            dev = float(np.max(np.abs(rep.U[prod] - rep.U[a] @ rep.U[c])))
-            report.max_deviation = max(report.max_deviation, dev)
-            if dev > tol:
-                report.add(
-                    "composition",
-                    (a, c),
-                    f"U({g.arrow_label(a)}∘{g.arrow_label(c)}) != U·U",
-                )
+            report._measure(rep.U[prod] - rep.U[a] @ rep.U[c], tol, "composition", (a, c),
+                            f"U({g.arrow_label(a)}∘{g.arrow_label(c)}) != U·U")
     for a in rep.covered():
         ia = g.inv[a]
         if ia not in rep.U:
             report.add("inverse", (a,), "inverse arrow not covered")
             continue
-        dev = float(np.max(np.abs(rep.U[ia] - rep.U[a].conj().T)))
-        report.max_deviation = max(report.max_deviation, dev)
-        if dev > tol:
-            report.add(
-                "inverse", (a,), f"U({g.arrow_label(a)}⁻¹) != U({g.arrow_label(a)})*"
-            )
+        report._measure(rep.U[ia] - rep.U[a].conj().T, tol, "inverse", (a,),
+                        f"U({g.arrow_label(a)}⁻¹) != U({g.arrow_label(a)})*")
     return report
 
 
@@ -162,14 +155,8 @@ def check_commutation(
         for a0 in p.isotropy_fiber(x):
             lhs = I[a1] @ U0.U[a0] @ I[p.inv[a1]]
             rhs = U0.U[alpha(p, a1, a0)]
-            dev = float(np.max(np.abs(lhs - rhs)))
-            report.max_deviation = max(report.max_deviation, dev)
-            if dev > tol:
-                report.add(
-                    "commutation",
-                    (a0, a1),
-                    f"commutation fails at ({p.arrow_label(a0)}, {p.arrow_label(a1)})",
-                )
+            report._measure(lhs - rhs, tol, "commutation", (a0, a1),
+                            f"commutation fails at ({p.arrow_label(a0)}, {p.arrow_label(a1)})")
     return report
 
 
@@ -247,9 +234,7 @@ def random_operator_from(
     iso = [ar for x in g.base() for ar in g.isotropy_fiber(x)]
     if not a.supported_on(iso):
         raise PreconditionError("function must be supported on the isotropy arrows")
-    blocks = {}
-    for x in g.base():
-        blocks[x] = quantize(a.restrict(g.isotropy_fiber(x)), U0, x, w)
+    blocks = {x: quantize(a.restrict(g.isotropy_fiber(x)), U0, x, w) for x in g.base()}
     return RandomOperator(U0.bundle, blocks)
 
 
@@ -301,19 +286,15 @@ def check_equivariance(
         for g0 in p.isotropy_fiber(x):
             lhs = U0.U[g0] @ qx[x] @ U0.U[p.inv[g0]]
             rhs = quantize(beta(p, p.inv[g0], ax), U0, x, w)
-            dev = float(np.max(np.abs(lhs - rhs)))
-            report.max_deviation = max(report.max_deviation, dev)
-            if dev > tol:
-                report.add("isotropy-rule", (g0,), f"rule fails at {p.arrow_label(g0)}")
+            report._measure(lhs - rhs, tol, "isotropy-rule", (g0,),
+                            f"rule fails at {p.arrow_label(g0)}")
     for a1 in sd.g1.arrows:
         x, y = p.src[a1], p.tgt[a1]
         ax = a.restrict(p.isotropy_fiber(x))
         lhs = I[a1] @ qx[x] @ I[p.inv[a1]]
         rhs = quantize(beta(p, p.inv[a1], ax), U0, y, w)
-        dev = float(np.max(np.abs(lhs - rhs)))
-        report.max_deviation = max(report.max_deviation, dev)
-        if dev > tol:
-            report.add("translation-rule", (a1,), f"rule fails at {p.arrow_label(a1)}")
+        report._measure(lhs - rhs, tol, "translation-rule", (a1,),
+                        f"rule fails at {p.arrow_label(a1)}")
     return report
 
 
@@ -336,12 +317,10 @@ def block_diagonal_generators(
 
 
 def _nullspace(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the null space (rows of the result)."""
-    _, s, vh = np.linalg.svd(mat)
-    if s.size:
-        rank = int(np.sum(s > tol * max(s[0], 1.0)))
-    else:
-        rank = 0
+    """Orthonormal basis of the null space (rows of the result); mat has at
+    least as many rows as columns, so the thin SVD gives the full vh."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
     return vh[rank:].conj()
 
 
@@ -354,11 +333,14 @@ class CommutantResult:
 def commutant(
     generators: list[np.ndarray],
     levels: int = 1,
-    max_entries: int = 1_000_000,
+    max_entries: int = 4_000_000,
     tol: float = 1e-9,
 ) -> CommutantResult:
     """All matrices commuting with every generator (levels=1), or the
     bicommutant (levels=2), via the null space of the stacked commutator map.
+
+    Each level stacks one k²×k² block per matrix; SizeCapError is raised
+    before a stack of more than max_entries entries is built.
     """
     if levels not in (1, 2):
         raise PreconditionError("levels must be 1 or 2")
@@ -368,10 +350,14 @@ def commutant(
     k = gens[0].shape[0]
     if any(m.shape != (k, k) for m in gens):
         raise PreconditionError("generators must be square matrices of equal size")
-    if k * k > max_entries:
-        raise SizeCapError(f"matrix dimension {k} exceeds the entry cap")
 
     def commutant_basis(mats):
+        entries = len(mats) * k**4
+        if entries > max_entries:
+            raise SizeCapError(
+                f"commutator system of {len(mats)} blocks of {k * k}x{k * k} has "
+                f"{entries} entries, above the cap of {max_entries}"
+            )
         eye = np.eye(k)
         rows = [np.kron(eye, m.T) - np.kron(m, eye) for m in mats]
         ns = _nullspace(np.vstack(rows), tol)

@@ -10,6 +10,7 @@ from .groupoid import (
     FiniteGroupoid,
     GroupoidMorphism,
     SubgroupoidSelection,
+    _composable_pairs,
     isotropy_subgroupoid,
     quotient_by_isotropy,
     selection_to_groupoid,
@@ -55,8 +56,7 @@ def semidirect_product(
     Arrows are pairs (gamma0, gamma1) with d(gamma0) = r(gamma1);
     multiplication twists the second factor through the conjugation action.
     """
-    iso = isotropy_subgroupoid(parent)
-    if g0.arrows != iso.arrows:
+    if g0.arrows != isotropy_subgroupoid(parent).arrows:
         raise PreconditionError(
             "g0 must be the full isotropy subgroupoid of the parent"
         )
@@ -68,27 +68,22 @@ def semidirect_product(
     if not props["is_transitive"]:
         raise PreconditionError("g1 is not transitive")
 
-    g1_sorted = sorted(g1.arrows)
+    # g0 is the full isotropy, so its arrows at r(a1) are one isotropy fiber
     pairs = [
-        (a0, a1)
-        for a1 in g1_sorted
-        for a0 in sorted(g0.arrows)
-        if parent.src[a0] == parent.tgt[a1]
+        (a0, a1) for a1 in sorted(g1.arrows) for a0 in parent.isotropy_fiber(parent.tgt[a1])
     ]
     idx = {p: i for i, p in enumerate(pairs)}
 
     src = tuple(parent.src[a1] for (_, a1) in pairs)
     tgt = tuple(parent.tgt[a0] for (a0, _) in pairs)
     comp: dict[tuple[int, int], int] = {}
-    for i, (a0, a1) in enumerate(pairs):
-        for j, (b0, b1) in enumerate(pairs):
-            if src[i] != tgt[j]:
-                continue
-            prod = (
-                parent.compose(a0, alpha(parent, a1, b0)),
-                parent.compose(a1, b1),
-            )
-            comp[(i, j)] = idx[prod]
+    for i, j in _composable_pairs(parent.n_base, src, tgt):
+        (a0, a1), (b0, b1) = pairs[i], pairs[j]
+        prod = (
+            parent.compose(a0, alpha(parent, a1, b0)),
+            parent.compose(a1, b1),
+        )
+        comp[(i, j)] = idx[prod]
     inv = tuple(
         idx[(alpha(parent, parent.inv[a1], parent.inv[a0]), parent.inv[a1])]
         for (a0, a1) in pairs

@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidalg import (
     BundleFunction,
+    FinitePrincipalBundle,
     GroupoidFunction,
     HaarWeights,
     K_inverse,
     K_map,
+    Section,
     beta,
+    builtin_group,
     carrier_weights,
     fiber_convolve,
     group_groupoid,
     groupoid_convolve,
+    poincare_decomposition,
     semidirect_convolve_pairform,
     symmetric,
     twisted_convolve,
     verify_theorem1,
 )
 from groupoidalg.errors import PreconditionError
+from groupoidalg.groups import BUILTIN_GROUPS, group_from_table, group_to_table
 
 
 def max_dev(a, b):
@@ -238,6 +245,42 @@ class TestKMap:
             lhs = K_map(twisted_convolve(F1, F2, w), sd)
             rhs = groupoid_convolve(K_map(F1, sd), K_map(F2, sd), wc)
             assert max_dev(lhs, rhs) < 1e-9
+
+
+def relabeled_group(G, rng):
+    """G through a table file with its elements shuffled and the identity
+    moved off index 0."""
+    order = [int(i) for i in rng.permutation(G.order)]
+    if order[0] == G.identity:
+        order[0], order[-1] = order[-1], order[0]
+    names = [G.elements[i] for i in order]
+    table = group_to_table(G)
+    mul = [[table["mul"][i][j] for j in order] for i in order]
+    H = group_from_table({"elements": names, "mul": mul}, name=f"{G.name}-relabeled")
+    assert H.order == 1 or H.identity != 0
+    return H
+
+
+class TestKMultiplicativeRandomTables:
+    """K intertwines the twisted and groupoid convolutions on gauge carriers
+    over relabeled group tables, bases of 1-3 points and random sections."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BUILTIN_GROUPS)),
+        n=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_k_multiplicative(self, name, n, seed):
+        rng = np.random.default_rng(seed)
+        bundle = FinitePrincipalBundle(n, relabeled_group(builtin_group(name), rng))
+        sd = poincare_decomposition(bundle, Section.random(bundle, rng)).sd
+        w = HaarWeights.counting(sd.parent)
+        F1 = BundleFunction.random(sd.parent, sd.g1, rng)
+        F2 = BundleFunction.random(sd.parent, sd.g1, rng)
+        lhs = K_map(twisted_convolve(F1, F2, w), sd)
+        rhs = groupoid_convolve(K_map(F1, sd), K_map(F2, sd), carrier_weights(sd, w))
+        assert max_dev(lhs, rhs) <= 1e-9
 
 
 class TestVerifyTheorem1:

@@ -111,6 +111,18 @@ class TestExitCodes:
         assert code == 3
 
 
+    def test_size_cap_counts_stacked_system(self, monkeypatch, tmp_path, capsys):
+        # k² = 16 is under the cap; the 4-generator system has 1,024 entries
+        monkeypatch.setenv("GROUPOIDALG_MAX_ENTRIES", "100")
+        report = tmp_path / "r.json"
+        code = main(
+            ["commutant", "--base", "2", "--group", "Z2", "--report", str(report)]
+        )
+        assert code == 3
+        assert "1024 entries" in capsys.readouterr().err
+        assert not report.exists()
+
+
 class TestSubcommands:
     def test_semidirect_writes_carrier(self, tmp_path):
         out = tmp_path / "sd.json"

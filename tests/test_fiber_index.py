@@ -1,0 +1,210 @@
+"""The fiber index of FiniteGroupoid against brute-force oracles.
+
+The oracles are the O(N) fiber scans and the N² endpoint filter that the
+library used before it kept an index: fibers must be equal, and every
+builder's compose table must hold exactly the pairs the filter finds, in
+the order it finds them, with products computed without the table.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from groupoidalg import (
+    FinitePrincipalBundle,
+    Section,
+    alpha,
+    builtin_group,
+    group_groupoid,
+    pair_groupoid,
+    poincare_decomposition,
+    quotient_by_isotropy,
+    validate_groupoid,
+)
+from groupoidalg import io as gio
+from groupoidalg.groups import BUILTIN_GROUPS
+
+
+def scan_into(g, x):
+    return [a for a in g.arrows() if g.tgt[a] == x]
+
+
+def scan_from(g, x):
+    return [a for a in g.arrows() if g.src[a] == x]
+
+
+def scan_isotropy(g, x):
+    return [a for a in g.arrows() if g.src[a] == x and g.tgt[a] == x]
+
+
+def brute_table(g, product):
+    """The compose table the N² endpoint filter builds from product(a, b)."""
+    return {
+        (a, b): product(a, b)
+        for a in g.arrows()
+        for b in g.arrows()
+        if g.src[a] == g.tgt[b]
+    }
+
+
+def _pair(n):
+    g = pair_groupoid(n)
+    labels = list(g.arrow_labels)
+    return g, lambda a, b: labels.index(f"({g.tgt[a]},{g.src[b]})")
+
+
+def _group(name):
+    G = builtin_group(name)
+    return group_groupoid(G), lambda a, b: G.mul[a][b]
+
+
+def _decomposition(n, name):
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    return poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(7)))
+
+
+def _gauge(n, name):
+    gauge = _decomposition(n, name).gauge
+    mul, t = gauge.bundle.group.mul, gauge.triples
+
+    def product(a, b):
+        return gauge.triple_index[(t[a][0], mul[t[a][1]][t[b][1]], t[b][2])]
+
+    return gauge, product
+
+
+def _carrier(n, name):
+    sd = _decomposition(n, name).sd
+    p = sd.parent
+
+    def product(i, j):
+        (a0, a1), (b0, b1) = sd.pair_of[i], sd.pair_of[j]
+        return sd.pair_index[(p.compose(a0, alpha(p, a1, b0)), p.compose(a1, b1))]
+
+    return sd, product
+
+
+def _quotient(n, name):
+    dec = _decomposition(n, name)
+    gauge = dec.gauge
+    q, rho = quotient_by_isotropy(gauge, dec.g0)
+    # rho is checked to be a morphism elsewhere; compose class representatives
+    rep = [rho.arrow_map.index(c) for c in q.arrows()]
+    return q, lambda c1, c2: rho.arrow_map[gauge.compose(rep[c1], rep[c2])]
+
+
+def _reloaded(tmp_path_factory):
+    sd = _decomposition(3, "S3").sd
+    path = tmp_path_factory.mktemp("json") / "carrier.json"
+    gio.dump_json(gio.groupoid_to_dict(sd), path)
+    g = gio.groupoid_from_dict(gio.load_json(path))
+    assert g.arrow_labels == sd.arrow_labels
+    return g, lambda a, b: sd.compose_table[(a, b)]
+
+
+SIZES = ((2, "Z2"), (3, "S3"), (4, "D4"))
+BUILDERS = (
+    [(f"pair-{n}", lambda n=n: _pair(n)) for n in range(1, 5)]
+    + [(f"group-{name}", lambda name=name: _group(name)) for name in sorted(BUILTIN_GROUPS)]
+    + [
+        (f"{kind.__name__[1:]}-{n}{name}", lambda kind=kind, n=n, name=name: kind(n, name))
+        for n, name in SIZES
+        for kind in (_gauge, _carrier, _quotient)
+    ]
+)
+
+
+@pytest.fixture(params=[b for _, b in BUILDERS] + ["json"], ids=[i for i, _ in BUILDERS] + ["json"])
+def instance(request, tmp_path_factory):
+    if request.param == "json":
+        return _reloaded(tmp_path_factory)
+    return request.param()
+
+
+def test_fibers_equal_scans(instance):
+    g, _ = instance
+    for x in g.base():
+        assert g.arrows_into(x) == scan_into(g, x)
+        assert g.arrows_from(x) == scan_from(g, x)
+        assert g.isotropy_fiber(x) == scan_isotropy(g, x)
+
+
+def test_fibers_are_copies(instance):
+    g, _ = instance
+    g.arrows_into(0).append(-1)
+    g.isotropy_fiber(0).clear()
+    assert g.arrows_into(0) == scan_into(g, 0)
+    assert g.isotropy_fiber(0) == scan_isotropy(g, 0)
+
+
+def test_compose_table_equals_brute_force(instance):
+    g, product = instance
+    assert list(g.compose_table.items()) == list(brute_table(g, product).items())
+    assert validate_groupoid(g).ok
+
+
+class TestMalformed:
+    """Malformed tables index without error and keep their reports."""
+
+    def test_src_out_of_range(self):
+        g = pair_groupoid(2)
+        src = list(g.src)
+        src[1] = 5
+        bad = dataclasses.replace(g, src=tuple(src))
+        assert [a for x in bad.base() for a in bad.arrows_from(x)] == [0, 2, 3]
+        assert validate_groupoid(bad).to_dict() == {
+            "ok": False,
+            "violations": [
+                {
+                    "kind": "malformed",
+                    "axiom": "tables",
+                    "witness": [1],
+                    "message": "arrow 1: src/tgt out of range",
+                }
+            ],
+        }
+
+    def test_negative_tgt_is_in_no_fiber(self):
+        g = pair_groupoid(2)
+        tgt = list(g.tgt)
+        tgt[2] = -1
+        bad = dataclasses.replace(g, tgt=tuple(tgt))
+        assert bad.arrows_into(1) == [3]
+        assert bad.isotropy_fiber(1) == [3]
+        report = validate_groupoid(bad)
+        assert [v.to_dict()["witness"] for v in report.violations] == [[2]]
+
+    def test_missing_composable_pairs(self):
+        g = pair_groupoid(2)
+        comp = dict(g.compose_table)
+        del comp[(1, 2)]
+        del comp[(0, 0)]
+        report = validate_groupoid(dataclasses.replace(g, compose_table=comp))
+        assert report.to_dict() == {
+            "ok": False,
+            "violations": [
+                {
+                    "kind": "malformed",
+                    "axiom": "tables",
+                    "witness": [0, 0],
+                    "message": "compose table missing composable pair ((0,0), (0,0))",
+                },
+                {
+                    "kind": "malformed",
+                    "axiom": "tables",
+                    "witness": [1, 2],
+                    "message": "compose table missing composable pair ((0,1), (1,0))",
+                },
+            ],
+        }
+
+
+def test_replace_builds_a_fresh_index():
+    g = pair_groupoid(3)
+    before = [g.arrows_into(x) for x in g.base()]
+    flipped = dataclasses.replace(g, src=g.tgt, tgt=g.src)
+    for x in g.base():
+        assert g.arrows_into(x) == before[x]
+        assert flipped.arrows_into(x) == scan_into(flipped, x) == g.arrows_from(x)
+        assert flipped.arrows_into(x) != before[x]

@@ -38,7 +38,7 @@ def gauge_groupoid_raw(bundle: FinitePrincipalBundle):
     A test oracle for the normal-form construction.
     """
     G = bundle.group
-    points = bundle.points()
+    points = [(x, a) for x in range(bundle.n_base) for a in range(G.order)]
     seen = set()
     orbits = []
     for p1 in points:

@@ -274,6 +274,44 @@ class TestCommutant:
         with pytest.raises(SizeCapError):
             commutant([np.eye(40, dtype=complex)], max_entries=100)
 
+    def test_cap_counts_stacked_system(self, fix_gauge_2_z2, reg_z2):
+        """Four 4x4 generators stack a 64x16 system: 1,024 entries, not k² = 16."""
+        from groupoidalg import block_diagonal_generators
+        from groupoidalg.errors import SizeCapError
+
+        gens = block_diagonal_generators(
+            fix_gauge_2_z2, reg_z2, HaarWeights.counting(fix_gauge_2_z2)
+        )
+        with pytest.raises(SizeCapError, match="1024 entries"):
+            commutant(gens, max_entries=100)
+        assert commutant(gens, max_entries=1024).dimension == 4
+
+    def test_cap_checked_at_each_level(self):
+        from groupoidalg.errors import SizeCapError
+
+        # one 2x2 generator: 16 entries at level 1; its 4-dim commutant
+        # stacks 64 entries at level 2
+        gens = [np.eye(2, dtype=complex)]
+        assert commutant(gens, levels=1, max_entries=16).dimension == 4
+        with pytest.raises(SizeCapError, match="64 entries"):
+            commutant(gens, levels=2, max_entries=16)
+
+    def test_default_cap_rejects_4_d4(self, monkeypatch):
+        from groupoidalg import FinitePrincipalBundle, block_diagonal_generators, dihedral
+        from groupoidalg import gauge_groupoid
+        from groupoidalg.errors import SizeCapError
+
+        g = gauge_groupoid(FinitePrincipalBundle(4, dihedral(4)))
+        gens = block_diagonal_generators(g, _regular_rep(g), HaarWeights.counting(g))
+
+        def no_kron(*args):
+            raise AssertionError("the commutator system was built past the cap")
+
+        # 32 generators of size 32: 3.4e7 entries, refused before any allocation
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(SizeCapError, match="33554432 entries"):
+            commutant(gens)
+
     def test_commutant_members_commute(self, rng):
         m = rng.random((4, 4)) + 1j * rng.random((4, 4))
         res = commutant([m])
