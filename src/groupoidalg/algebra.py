@@ -180,18 +180,18 @@ def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> 
     if F1.parent is not F2.parent or F1.g1.arrows != F2.g1.arrows:
         raise PreconditionError("operands live on different crossed products")
     p = F1.parent
+    into: dict[int, list[int]] = {}  # the g1 arrows by target, in frozenset order
+    for b1 in F1.g1.arrows:
+        into.setdefault(p.tgt[b1], []).append(b1)
     out = {}
     for a1 in F1.g1.arrows:
         x = p.tgt[a1]
-        acc = GroupoidFunction.zero(p)
-        for b1 in F1.g1.arrows:
-            if p.tgt[b1] != x:
-                continue
+        acc = np.zeros(p.n_arrows, dtype=complex)
+        for b1 in into[x]:
             c1 = p.compose_table[(p.inv[b1], a1)]
             pulled = beta(p, p.inv[b1], F2.fibers[c1])
-            term = fiber_convolve(F1.fibers[b1], pulled, x, w)
-            acc = GroupoidFunction(p, acc.values + w[b1] * term.values)
-        out[a1] = acc
+            acc += w[b1] * fiber_convolve(F1.fibers[b1], pulled, x, w).values
+        out[a1] = GroupoidFunction(p, acc)
     return BundleFunction(p, F1.g1, out)
 
 

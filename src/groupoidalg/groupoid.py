@@ -8,7 +8,10 @@ src(g) == tgt(xi), and then src(g∘xi) == src(xi), tgt(g∘xi) == tgt(g).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import PreconditionError, QuotientUndefinedError
 from .groups import FiniteGroup
@@ -18,6 +21,8 @@ AXIOM_ASSOCIATIVITY = "associativity"
 AXIOM_IDENTITY = "identity"
 AXIOM_INVERSE = "inverse"
 AXIOM_IDENTITY_BASE = "identity-base"
+
+_BLOCK = 1 << 16  # triples per associativity block; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -79,8 +84,8 @@ def _fiber_index(n_base: int, src, tgt) -> _Fibers:
 
 def _composable_pairs(n_base: int, src, tgt):
     """Every pair (a, b) with src[a] == tgt[b], walked over the fiber index:
-    a ascending, then b ascending among the arrows into src[a]. The one place
-    the composability rule is applied to all arrows."""
+    a ascending, then b ascending among the arrows into src[a]. The builders
+    walk it, and validate_groupoid's slot array follows its order."""
     into = _fiber_index(n_base, src, tgt).into
     for a, x in enumerate(src):
         for b in into[x]:
@@ -149,116 +154,189 @@ class FiniteGroupoid:
         return str(x)
 
 
-def check_structure(g: FiniteGroupoid) -> ValidationReport:
-    """Malformed-table checks: totality and id ranges, before any axiom check."""
+class _Slots(NamedTuple):
+    """A compose table as a slot array over the fiber index. The product of
+    the composable pair (a, b) sits at prod[off[a] + pos[b]]: off[a] is the
+    running sum of |into(src a)| and pos[b] the rank of b in into(tgt b), so
+    slots run in _composable_pairs order. Unfilled slots hold -1, and so
+    does a tail as long as the largest fiber, which starts at slot n_slots
+    and which non-composable lookups read. into(x) is
+    into_ids[into_ptr[x]:into_ptr[x + 1]]."""
+
+    src: np.ndarray
+    tgt: np.ndarray
+    off: np.ndarray
+    pos: np.ndarray
+    prod: np.ndarray
+    n_slots: int
+    into_ids: np.ndarray
+    into_ptr: np.ndarray
+
+    def get(self, a, b):
+        """compose_table.get over arrays of arrow ids, with -1 for None."""
+        return self.prod[
+            np.where(self.src[a] == self.tgt[b], self.off[a], self.n_slots) + self.pos[b]
+        ]
+
+
+def _ids(seq, count: int) -> np.ndarray:
+    return np.fromiter(seq, np.int64, count)
+
+
+def _structure(g: FiniteGroupoid):
+    """check_structure's report; when it is clean, also the slot array and
+    the compose entries: keys, a, b and a∘b in insertion order."""
     rep = ValidationReport()
+
+    def malformed(witness, message):
+        rep.add("malformed", "tables", witness, message)
+
     n, nb = g.n_arrows, g.n_base
     if len(g.tgt) != n or len(g.inv) != n:
-        rep.add("malformed", "tables", (), "src/tgt/inv tables have inconsistent lengths")
-        return rep
+        malformed((), "src/tgt/inv tables have inconsistent lengths")
+        return rep, None, None
     if len(g.identity) != nb:
-        rep.add("malformed", "tables", (), "identity table does not cover the base")
-        return rep
-    for a in range(n):
-        if not (0 <= g.src[a] < nb and 0 <= g.tgt[a] < nb):
-            rep.add("malformed", "tables", (a,), f"arrow {a}: src/tgt out of range")
-        if not (0 <= g.inv[a] < n):
-            rep.add("malformed", "tables", (a,), f"arrow {a}: inv out of range")
-    for x in range(nb):
-        if not (0 <= g.identity[x] < n):
-            rep.add("malformed", "tables", (x,), f"base point {x}: identity out of range")
+        malformed((), "identity table does not cover the base")
+        return rep, None, None
+    src, tgt, inv, ident = (_ids(t, len(t)) for t in (g.src, g.tgt, g.inv, g.identity))
+    bad_ends = (src < 0) | (src >= nb) | (tgt < 0) | (tgt >= nb)
+    bad_inv = (inv < 0) | (inv >= n)
+    for a in np.flatnonzero(bad_ends | bad_inv).tolist():
+        if bad_ends[a]:
+            malformed((a,), f"arrow {a}: src/tgt out of range")
+        if bad_inv[a]:
+            malformed((a,), f"arrow {a}: inv out of range")
+    for x in np.flatnonzero((ident < 0) | (ident >= n)).tolist():
+        malformed((x,), f"base point {x}: identity out of range")
     if not rep.ok:
-        return rep
-    for (a, b), c in g.compose_table.items():
-        if not (0 <= a < n and 0 <= b < n and 0 <= c < n):
-            rep.add("malformed", "tables", (a, b), "compose entry refers to unknown arrow")
-        elif g.src[a] != g.tgt[b]:
-            rep.add(
-                "malformed",
-                "tables",
+        return rep, None, None
+
+    keys = list(g.compose_table)
+    ab = _ids(chain.from_iterable(keys), 2 * len(keys)).reshape(-1, 2)
+    A, B = ab[:, 0], ab[:, 1]
+    C = _ids(g.compose_table.values(), len(keys))
+    pair_known = (A >= 0) & (A < n) & (B >= 0) & (B < n)
+    known = pair_known & (C >= 0) & (C < n)
+    composable = np.zeros(len(keys), dtype=bool)
+    composable[pair_known] = src[A[pair_known]] == tgt[B[pair_known]]
+    for i in np.flatnonzero(~(known & composable)).tolist():
+        a, b = keys[i]
+        if not known[i]:
+            malformed((a, b), "compose entry refers to unknown arrow")
+        else:
+            malformed(
                 (a, b),
                 f"compose entry on non-composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
             )
-    for a, b in _composable_pairs(g.n_base, g.src, g.tgt):
-        if (a, b) not in g.compose_table:
-            rep.add(
-                "malformed",
-                "tables",
-                (a, b),
-                f"compose table missing composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
-            )
-    return rep
+
+    into = g._fibers.into
+    sizes = np.fromiter(map(len, into), np.int64, nb)
+    into_ptr = np.concatenate(([0], np.cumsum(sizes)))
+    into_ids = _ids(chain.from_iterable(into), n)
+    pos = np.empty(n, dtype=np.int32)
+    pos[into_ids] = np.arange(n) - np.repeat(into_ptr[:-1], sizes)
+    span = sizes[src]
+    off = np.cumsum(span) - span
+    n_slots = int(span.sum())
+    filled = np.zeros(n_slots, dtype=bool)
+    filled[off[A[composable]] + pos[B[composable]]] = True
+    missing = np.flatnonzero(~filled)
+    ma = np.searchsorted(off, missing, side="right") - 1
+    mb = into_ids[into_ptr[src[ma]] + missing - off[ma]]
+    for a, b in zip(ma.tolist(), mb.tolist()):
+        malformed(
+            (a, b),
+            f"compose table missing composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
+        )
+    if not rep.ok:
+        return rep, None, None
+    prod = np.full(n_slots + int(sizes.max(initial=0)), -1, dtype=np.int32)
+    prod[off[A] + pos[B]] = C
+    slots = _Slots(
+        src.astype(np.int32), tgt.astype(np.int32), off, pos, prod, n_slots, into_ids, into_ptr
+    )
+    return rep, slots, (keys, A, B, C)
+
+
+def check_structure(g: FiniteGroupoid) -> ValidationReport:
+    """Malformed-table checks: totality and id ranges, before any axiom check."""
+    return _structure(g)[0]
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Check all groupoid axioms; an empty report means the instance is valid.
 
     Structurally malformed tables are reported as kind "malformed" and
-    short-circuit the axiom checks.
+    short-circuit the axiom checks. Each check runs as array expressions
+    over the slot array; Violations are built only for failing entries.
     """
-    rep = check_structure(g)
+    rep, s, entries = _structure(g)
     if not rep.ok:
         return rep
-    comp = g.compose_table
-    src, tgt, inv, ident = g.src, g.tgt, g.inv, g.identity
+    keys, A, B, C = entries
+    src, tgt = s.src, s.tgt
+    ident = _ids(g.identity, g.n_base)
 
+    base = np.arange(g.n_base)
+    for x in np.flatnonzero((src[ident] != base) | (tgt[ident] != base)).tolist():
+        e = g.identity[x]
+        rep.add(
+            "axiom",
+            AXIOM_IDENTITY_BASE,
+            (x, e),
+            f"identity arrow at base {g.base_label(x)} has endpoints "
+            f"({g.base_label(g.src[e])},{g.base_label(g.tgt[e])})",
+        )
+
+    for i in np.flatnonzero((src[C] != src[B]) | (tgt[C] != tgt[A])).tolist():
+        a, b = keys[i]
+        rep.add(
+            "axiom",
+            AXIOM_SOURCE_TARGET,
+            (a, b),
+            f"product {g.arrow_label(a)}∘{g.arrow_label(b)} has wrong endpoints",
+        )
+
+    arrows = np.arange(g.n_arrows)
+    left, right = ident[tgt], ident[src]
+    bad = (s.get(left, arrows) != arrows) | (s.get(arrows, right) != arrows)
+    for a in np.flatnonzero(bad).tolist():
+        rep.add("axiom", AXIOM_IDENTITY, (a,), f"identity law fails at arrow {g.arrow_label(a)}")
+
+    inv = _ids(g.inv, g.n_arrows)
+    bad = (s.get(arrows, inv) != left) | (s.get(inv, arrows) != right)
+    for a in np.flatnonzero(bad).tolist():
+        rep.add("axiom", AXIOM_INVERSE, (a,), f"inverse law fails at arrow {g.arrow_label(a)}")
+
+    # associativity: per base point x, the entries (a, b) with src b = x
+    # against the arrows c into x (slot column j = pos c), in blocks of at
+    # most _BLOCK triples
+    by_x = np.argsort(src[B], kind="stable")
+    bounds = np.searchsorted(src[B][by_x], np.arange(g.n_base + 1))
+    fails = []
     for x in range(g.n_base):
-        e = ident[x]
-        if src[e] != x or tgt[e] != x:
+        j = np.arange(s.into_ptr[x + 1] - s.into_ptr[x])
+        rows = by_x[bounds[x]:bounds[x + 1]]
+        step = max(1, _BLOCK // max(1, j.size))
+        for lo in range(0, len(rows), step):
+            r = rows[lo:lo + step, None]
+            bc = s.prod[s.off[B[r]] + j]
+            lhs = s.prod[np.where(src[C[r]] == x, s.off[C[r]], s.n_slots) + j]
+            hit_r, hit_j = np.nonzero((lhs < 0) | (lhs != s.get(A[r], bc)))
+            if hit_r.size:
+                fails.append((r[hit_r, 0], s.into_ptr[x] + hit_j))
+    if fails:
+        entry, at = (np.concatenate(parts) for parts in zip(*fails))
+        order = np.lexsort((at, entry))
+        for i, c in zip(entry[order].tolist(), s.into_ids[at[order]].tolist()):
+            a, b = keys[i]
             rep.add(
                 "axiom",
-                AXIOM_IDENTITY_BASE,
-                (x, e),
-                f"identity arrow at base {g.base_label(x)} has endpoints "
-                f"({g.base_label(src[e])},{g.base_label(tgt[e])})",
+                AXIOM_ASSOCIATIVITY,
+                (a, b, c),
+                f"associativity fails at ({g.arrow_label(a)}, "
+                f"{g.arrow_label(b)}, {g.arrow_label(c)})",
             )
-
-    # src/tgt of products
-    for (a, b), c in comp.items():
-        if src[c] != src[b] or tgt[c] != tgt[a]:
-            rep.add(
-                "axiom",
-                AXIOM_SOURCE_TARGET,
-                (a, b),
-                f"product {g.arrow_label(a)}∘{g.arrow_label(b)} has wrong endpoints",
-            )
-
-    # identities
-    for a in range(g.n_arrows):
-        if comp.get((ident[tgt[a]], a)) != a or comp.get((a, ident[src[a]])) != a:
-            rep.add(
-                "axiom",
-                AXIOM_IDENTITY,
-                (a,),
-                f"identity law fails at arrow {g.arrow_label(a)}",
-            )
-
-    # inverses
-    for a in range(g.n_arrows):
-        ia = inv[a]
-        if comp.get((a, ia)) != ident[tgt[a]] or comp.get((ia, a)) != ident[src[a]]:
-            rep.add(
-                "axiom",
-                AXIOM_INVERSE,
-                (a,),
-                f"inverse law fails at arrow {g.arrow_label(a)}",
-            )
-
-    # associativity over all composable triples
-    into = g._fibers.into
-    for (a, b), ab in comp.items():
-        for c in into[src[b]]:
-            lhs = comp.get((ab, c))
-            bc = comp.get((b, c))
-            rhs = comp.get((a, bc)) if bc is not None else None
-            if lhs != rhs or lhs is None:
-                rep.add(
-                    "axiom",
-                    AXIOM_ASSOCIATIVITY,
-                    (a, b, c),
-                    f"associativity fails at ({g.arrow_label(a)}, "
-                    f"{g.arrow_label(b)}, {g.arrow_label(c)})",
-                )
     return rep
 
 
@@ -390,6 +468,10 @@ def quotient_by_isotropy(
                     "orbit structure inconsistent", witnesses=(gamma, m)
                 )
             class_of[m] = cid
+        if class_of[gamma] is None:
+            raise QuotientUndefinedError(
+                f"arrow {g.arrow_label(gamma)} lies in no orbit", witnesses=(gamma,)
+            )
     # deterministic representative: smallest arrow id; reorder classes by it
     order = sorted(range(len(classes)), key=lambda c: classes[c][0])
     rank = {c: i for i, c in enumerate(order)}

@@ -13,6 +13,7 @@ from groupoidalg import (
     symmetric,
     translation_subgroupoid,
 )
+from groupoidalg.groups import group_from_table, group_to_table
 
 
 def identity_translations(gauge, g1):
@@ -20,6 +21,20 @@ def identity_translations(gauge, g1):
     the identity section paired with the regular representation."""
     n = gauge.bundle.group.order
     return {a1: np.eye(n, dtype=complex) for a1 in g1.arrows}
+
+
+def relabeled_group(G, rng):
+    """G through a table file with its elements shuffled and the identity
+    moved off index 0."""
+    order = [int(i) for i in rng.permutation(G.order)]
+    if order[0] == G.identity:
+        order[0], order[-1] = order[-1], order[0]
+    names = [G.elements[i] for i in order]
+    table = group_to_table(G)
+    mul = [[table["mul"][i][j] for j in order] for i in order]
+    H = group_from_table({"elements": names, "mul": mul}, name=f"{G.name}-relabeled")
+    assert H.order == 1 or H.identity != 0
+    return H
 
 
 @pytest.fixture(scope="session")

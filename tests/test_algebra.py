@@ -23,8 +23,9 @@ from groupoidalg import (
     twisted_convolve,
     verify_theorem1,
 )
+from conftest import relabeled_group
 from groupoidalg.errors import PreconditionError
-from groupoidalg.groups import BUILTIN_GROUPS, group_from_table, group_to_table
+from groupoidalg.groups import BUILTIN_GROUPS
 
 
 def max_dev(a, b):
@@ -245,20 +246,6 @@ class TestKMap:
             lhs = K_map(twisted_convolve(F1, F2, w), sd)
             rhs = groupoid_convolve(K_map(F1, sd), K_map(F2, sd), wc)
             assert max_dev(lhs, rhs) < 1e-9
-
-
-def relabeled_group(G, rng):
-    """G through a table file with its elements shuffled and the identity
-    moved off index 0."""
-    order = [int(i) for i in rng.permutation(G.order)]
-    if order[0] == G.identity:
-        order[0], order[-1] = order[-1], order[0]
-    names = [G.elements[i] for i in order]
-    table = group_to_table(G)
-    mul = [[table["mul"][i][j] for j in order] for i in order]
-    H = group_from_table({"elements": names, "mul": mul}, name=f"{G.name}-relabeled")
-    assert H.order == 1 or H.identity != 0
-    return H
 
 
 class TestKMultiplicativeRandomTables:

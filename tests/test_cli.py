@@ -102,6 +102,16 @@ class TestExitCodes:
         assert main(["verify-prop1", "--base", "2", "--group", "E8"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_quotient_of_non_groupoid(self, fix_gauge_2_z2, tmp_path, capsys):
+        d = gio.groupoid_to_dict(fix_gauge_2_z2)
+        for entry in d["compose"]:
+            if entry[:2] == ["(0,e,0)", "(0,e,1)"]:
+                entry[2] = "(0,a,1)"
+        path = tmp_path / "bad.json"
+        gio.dump_json(d, path)
+        assert main(["quotient", "--in", str(path), "--out", str(tmp_path / "q.json")]) == 1
+        assert capsys.readouterr().err == "error: arrow (0,e,1) lies in no orbit\n"
+
     def test_size_cap(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GROUPOIDALG_MAX_ENTRIES", "10")
         report = tmp_path / "r.json"

@@ -24,6 +24,7 @@ from groupoidalg import (
 )
 from groupoidalg import io as gio
 from groupoidalg.groups import BUILTIN_GROUPS
+from validation_oracle import oracle_validate_groupoid
 
 
 def scan_into(g, x):
@@ -153,6 +154,7 @@ class TestMalformed:
         src[1] = 5
         bad = dataclasses.replace(g, src=tuple(src))
         assert [a for x in bad.base() for a in bad.arrows_from(x)] == [0, 2, 3]
+        assert validate_groupoid(bad).to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert validate_groupoid(bad).to_dict() == {
             "ok": False,
             "violations": [
@@ -173,6 +175,7 @@ class TestMalformed:
         assert bad.arrows_into(1) == [3]
         assert bad.isotropy_fiber(1) == [3]
         report = validate_groupoid(bad)
+        assert report.to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert [v.to_dict()["witness"] for v in report.violations] == [[2]]
 
     def test_missing_composable_pairs(self):
@@ -180,7 +183,9 @@ class TestMalformed:
         comp = dict(g.compose_table)
         del comp[(1, 2)]
         del comp[(0, 0)]
-        report = validate_groupoid(dataclasses.replace(g, compose_table=comp))
+        bad = dataclasses.replace(g, compose_table=comp)
+        report = validate_groupoid(bad)
+        assert report.to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert report.to_dict() == {
             "ok": False,
             "violations": [

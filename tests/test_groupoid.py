@@ -12,7 +12,7 @@ from groupoidalg import (
     symmetric,
     validate_groupoid,
 )
-from groupoidalg.errors import PreconditionError
+from groupoidalg.errors import PreconditionError, QuotientUndefinedError
 from groupoidalg.groupoid import (
     AXIOM_ASSOCIATIVITY,
     AXIOM_IDENTITY,
@@ -21,6 +21,7 @@ from groupoidalg.groupoid import (
     SubgroupoidSelection,
 )
 from groupoidalg.morphism import find_isomorphism, verify_morphism
+from validation_oracle import oracle_validate_groupoid
 
 
 def with_fields(g, **kwargs):
@@ -42,6 +43,7 @@ class TestValidation:
         inv[a] = a  # (0,1) is not its own inverse
         bad = with_fields(fix_pair, inv=tuple(inv))
         report = validate_groupoid(bad)
+        assert report.to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert not report.ok
         assert AXIOM_INVERSE in report.axioms_cited()
         assert any(a in v.witness for v in report.violations)
@@ -58,7 +60,9 @@ class TestValidation:
         )
         comp = dict(g.compose_table)
         comp[(e, gamma)] = other
-        report = validate_groupoid(with_fields(g, compose_table=comp))
+        bad = with_fields(g, compose_table=comp)
+        report = validate_groupoid(bad)
+        assert report.to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert not report.ok
         assert AXIOM_IDENTITY in report.axioms_cited()
 
@@ -76,7 +80,9 @@ class TestValidation:
         )
         comp = dict(g.compose_table)
         comp[(a, b)] = wrong
-        report = validate_groupoid(with_fields(g, compose_table=comp))
+        bad = with_fields(g, compose_table=comp)
+        report = validate_groupoid(bad)
+        assert report.to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert not report.ok
         assert AXIOM_SOURCE_TARGET in report.axioms_cited()
 
@@ -96,7 +102,9 @@ class TestValidation:
         )
         comp = dict(g.compose_table)
         comp[(a, b)] = other
-        report = validate_groupoid(with_fields(g, compose_table=comp))
+        bad = with_fields(g, compose_table=comp)
+        report = validate_groupoid(bad)
+        assert report.to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert not report.ok
         assert report.axioms_cited() & {AXIOM_ASSOCIATIVITY, AXIOM_IDENTITY, AXIOM_INVERSE}
 
@@ -110,7 +118,9 @@ class TestValidation:
         )
         comp = dict(g.compose_table)
         comp[(a, b)] = 0
-        report = validate_groupoid(with_fields(g, compose_table=comp))
+        bad = with_fields(g, compose_table=comp)
+        report = validate_groupoid(bad)
+        assert report.to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert not report.ok
         assert all(v.kind == "malformed" for v in report.violations)
 
@@ -210,6 +220,19 @@ class TestQuotient:
         sel = SubgroupoidSelection(s3, frozenset({s3.identity[0], swap}))
         with pytest.raises(PreconditionError):
             quotient_by_isotropy(s3, sel)
+
+    def test_arrow_in_no_orbit(self, fix_gauge_2_z2):
+        """With e∘(0,e,1) redirected to (0,a,1), the orbit of (0,e,1) misses
+        (0,e,1) itself: the quotient is undefined, with that arrow as witness."""
+        g = fix_gauge_2_z2
+        e0, gamma, other = (arrow_by_label(g, s) for s in ("(0,e,0)", "(0,e,1)", "(0,a,1)"))
+        comp = dict(g.compose_table)
+        comp[(e0, gamma)] = other
+        bad = with_fields(g, compose_table=comp)
+        with pytest.raises(QuotientUndefinedError) as exc:
+            quotient_by_isotropy(bad, isotropy_subgroupoid(bad))
+        assert exc.value.witnesses == (gamma,)
+        assert "(0,e,1)" in str(exc.value)
 
     def test_non_wide_selection_rejected(self, fix_pair):
         sel = SubgroupoidSelection(fix_pair, frozenset({fix_pair.identity[0]}))

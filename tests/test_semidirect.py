@@ -19,6 +19,7 @@ from groupoidalg import (
     validate_groupoid,
     verify_morphism,
 )
+from conftest import relabeled_group
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import SubgroupoidSelection
 from groupoidalg.groups import BUILTIN_GROUPS
@@ -217,3 +218,24 @@ class TestProp1Construction:
         if max(g1_groupoid.n_arrows, res.quotient.n_arrows) <= 64:
             found = find_isomorphism(g1_groupoid, res.quotient)
             assert res.j_exists == (found is not None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BUILTIN_GROUPS)),
+        n=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+        data=st.data(),
+    )
+    def test_cyclic_twist_relabeled_tables(self, name, n, seed, data):
+        """The same twists over group tables with shuffled elements and the
+        identity off index 0, read through group_from_table."""
+        rng = np.random.default_rng(seed)
+        G = relabeled_group(builtin_group(name), rng)
+        H = cyclic_subgroup(G, data.draw(st.integers(0, G.order - 1), label="h"))
+        bundle = FinitePrincipalBundle(n, G)
+        gauge = gauge_groupoid(bundle)
+        g1 = twisted_translations(gauge, Section.random(bundle, rng).sigma, H)
+        res = prop1_equivalence(gauge, lorentz_subgroupoid(gauge), g1)
+        assert res.j_exists == res.J_is_iso == res.i_map_verified == (len(H) == 1)
+        assert verify_morphism(res.rho).ok
+        assert validate_groupoid(res.rho.codomain).ok

@@ -1,0 +1,166 @@
+"""validate_groupoid and check_structure against the loop oracle in
+validation_oracle.py: the same reports, violations in the same order with
+the same witnesses and messages, on valid instances and on random
+corruptions of them."""
+
+import dataclasses
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from groupoidalg import (
+    FinitePrincipalBundle,
+    FiniteGroupoid,
+    Section,
+    builtin_group,
+    gauge_groupoid,
+    group_groupoid,
+    pair_groupoid,
+    poincare_decomposition,
+    quotient_by_isotropy,
+    validate_groupoid,
+)
+from groupoidalg.groupoid import check_structure
+from groupoidalg.groups import BUILTIN_GROUPS
+from validation_oracle import oracle_check_structure, oracle_validate_groupoid
+
+
+def assert_same_reports(g):
+    assert check_structure(g).to_dict() == oracle_check_structure(g).to_dict()
+    report = validate_groupoid(g).to_dict()
+    assert report == oracle_validate_groupoid(g).to_dict()
+    return report
+
+
+@pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4")])
+def test_ladder(n, name):
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    dec = poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(5)))
+    quotient, _ = quotient_by_isotropy(dec.gauge, dec.g0)
+    for g in (dec.gauge, dec.sd, quotient):
+        assert assert_same_reports(g) == {"ok": True, "violations": []}
+
+
+def test_empty_groupoid():
+    empty = FiniteGroupoid(0, (), (), {}, (), ())
+    assert assert_same_reports(empty)["ok"]
+    assert not assert_same_reports(dataclasses.replace(empty, compose_table={(0, 0): 0}))["ok"]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"tgt": (0,)},
+        {"inv": (0, 1, 2)},
+        {"identity": (0,)},
+        {"src": (0, 2, 1, 1), "inv": (0, 2, -1, 3)},
+        {"identity": (0, 4)},
+    ],
+)
+def test_malformed_tables(fields):
+    report = assert_same_reports(dataclasses.replace(pair_groupoid(2), **fields))
+    assert [v["kind"] for v in report["violations"]] == ["malformed"] * len(report["violations"])
+
+
+def test_base_point_without_arrows_into_it():
+    """Arrow 1 leaves base point 1, into which no arrow points: it composes
+    with nothing, so it owns no slot."""
+    g = FiniteGroupoid(2, (0, 1), (0, 0), {(0, 0): 0, (0, 1): 1}, (0, 1), (0, 1))
+    assert [v["axiom"] for v in assert_same_reports(g)["violations"]] == [
+        "identity-base", "identity", "inverse",
+    ]
+
+
+@lru_cache(maxsize=None)
+def _base_instance(family, size, name):
+    if family == "pair":
+        return pair_groupoid(size)
+    if family == "group":
+        return group_groupoid(builtin_group(name))
+    return gauge_groupoid(FinitePrincipalBundle(size, builtin_group(name)))
+
+
+def _redirect(draw, g):
+    comp = dict(g.compose_table)
+    key = draw(st.sampled_from(sorted(comp)))
+    comp[key] = draw(st.integers(0, g.n_arrows - 1))
+    return dataclasses.replace(g, compose_table=comp)
+
+
+def _drop(draw, g):
+    comp = dict(g.compose_table)
+    for key in draw(st.lists(st.sampled_from(sorted(comp)), min_size=1, max_size=3)):
+        comp.pop(key, None)
+    return dataclasses.replace(g, compose_table=comp)
+
+
+def _extra(draw, g):
+    """An entry on a pair that may not be composable."""
+    comp = dict(g.compose_table)
+    arrow = st.integers(0, g.n_arrows - 1)
+    comp[(draw(arrow), draw(arrow))] = draw(arrow)
+    return dataclasses.replace(g, compose_table=comp)
+
+
+def _out_of_range(draw, g):
+    """An id outside its table's range, in compose keys or values or in
+    src, tgt, inv or identity."""
+    n, nb = g.n_arrows, g.n_base
+    bad_arrow = draw(st.sampled_from([-1, -7, n, n + 3, 2**40]))
+    where = draw(st.sampled_from(["key", "value", "src", "tgt", "inv", "identity"]))
+    if where in ("key", "value"):
+        comp = dict(g.compose_table)
+        a, b = draw(st.sampled_from(sorted(comp)))
+        if where == "value":
+            comp[(a, b)] = bad_arrow
+        else:
+            comp[(bad_arrow, b) if draw(st.booleans()) else (a, bad_arrow)] = comp.pop((a, b))
+        return dataclasses.replace(g, compose_table=comp)
+    table = list(getattr(g, where))
+    i = draw(st.integers(0, len(table) - 1))
+    table[i] = draw(st.sampled_from([-1, nb, nb + 2])) if where in ("src", "tgt") else bad_arrow
+    return dataclasses.replace(g, **{where: tuple(table)})
+
+
+def _wrong_inv(draw, g):
+    inv = list(g.inv)
+    inv[draw(st.integers(0, g.n_arrows - 1))] = draw(st.integers(0, g.n_arrows - 1))
+    return dataclasses.replace(g, inv=tuple(inv))
+
+
+def _wrong_identity(draw, g):
+    ident = list(g.identity)
+    ident[draw(st.integers(0, g.n_base - 1))] = draw(st.integers(0, g.n_arrows - 1))
+    return dataclasses.replace(g, identity=tuple(ident))
+
+
+def _reorder(draw, g):
+    """The same entries in another insertion order, which orders witnesses."""
+    keys = list(g.compose_table)
+    draw(st.randoms(use_true_random=False)).shuffle(keys)
+    return dataclasses.replace(g, compose_table={k: g.compose_table[k] for k in keys})
+
+
+CORRUPTIONS = [_redirect, _drop, _extra, _out_of_range, _wrong_inv, _wrong_identity, _reorder]
+
+
+@st.composite
+def corrupted_groupoids(draw):
+    family = draw(st.sampled_from(["pair", "group", "gauge"]))
+    size = draw(st.integers(1, 3))
+    name = draw(st.sampled_from(sorted(BUILTIN_GROUPS)))
+    g = _base_instance(family, size, None if family == "pair" else name)
+    for corrupt in draw(st.lists(st.sampled_from(CORRUPTIONS), max_size=4)):
+        if g.compose_table:
+            g = corrupt(draw, g)
+    return g
+
+
+class TestRandomCorruptions:
+    @settings(max_examples=300, deadline=None)
+    @given(g=corrupted_groupoids())
+    def test_reports_match_oracle(self, g):
+        assert_same_reports(g)
