@@ -17,6 +17,8 @@ from .errors import PreconditionError
 from .groupoid import FiniteGroupoid, SubgroupoidSelection
 from .semidirect import SemidirectGroupoid, alpha
 
+_BLOCK = 1 << 14  # slots per scatter-add block; bounds the temporaries
+
 
 @dataclass(eq=False)
 class HaarWeights:
@@ -176,39 +178,90 @@ class BundleFunction:
 def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> BundleFunction:
     """Crossed-product multiplication:
     (F1 ⊛ F2)(g1) = sum over g1' with r(g1') = r(g1) of
-    w(g1') · F1(g1') • beta_{g1'⁻¹}(F2(g1'⁻¹ ∘ g1))."""
+    w(g1') · F1(g1') • beta_{g1'⁻¹}(F2(g1'⁻¹ ∘ g1)).
+
+    Runs on the parent's slot table, one target x at a time: each fiber
+    product is a gather over the fiber at x, and beta an index permutation.
+    Sums run over g1' in g1's iteration order and over the fiber in fiber
+    order, so the values are bit-identical to the loop over the definition.
+    """
     if F1.parent is not F2.parent or F1.g1.arrows != F2.g1.arrows:
         raise PreconditionError("operands live on different crossed products")
     p = F1.parent
-    into: dict[int, list[int]] = {}  # the g1 arrows by target, in frozenset order
-    for b1 in F1.g1.arrows:
+    order = list(F1.g1.arrows)
+    if not order:
+        return BundleFunction(p, F1.g1, {})
+    s = p._product_slots()
+    inv = np.asarray(p.inv)
+    into: dict[int, list[int]] = {}  # the g1 arrows by target, in g1 order
+    for b1 in order:
         into.setdefault(p.tgt[b1], []).append(b1)
+    fiber = {x: np.array(p.isotropy_fiber(x), dtype=np.intp) for x in into}
+    rank = np.zeros(p.n_arrows, dtype=np.intp)  # of an isotropy arrow in its fiber
+    for f in fiber.values():
+        rank[f] = np.arange(f.size)
+    # each g1 arrow's values on the fiber at its target, laid end to end
+    sizes = np.array([fiber[p.tgt[a1]].size for a1 in order])
+    start = np.full(p.n_arrows, -1)
+    start[order] = np.cumsum(sizes) - sizes
+    v1, v2 = (
+        np.concatenate([F.fibers[a1].values[fiber[p.tgt[a1]]] for a1 in order])
+        for F in (F1, F2)
+    )
     out = {}
-    for a1 in F1.g1.arrows:
-        x = p.tgt[a1]
-        acc = np.zeros(p.n_arrows, dtype=complex)
-        for b1 in into[x]:
-            c1 = p.compose_table[(p.inv[b1], a1)]
-            pulled = beta(p, p.inv[b1], F2.fibers[c1])
-            acc += w[b1] * fiber_convolve(F1.fibers[b1], pulled, x, w).values
-        out[a1] = GroupoidFunction(p, acc)
-    return BundleFunction(p, F1.g1, out)
+    for x, b1 in into.items():
+        f, b1 = fiber[x], np.array(b1)
+        ib = inv[b1]
+        c1 = s.compose(ib, b1[:, None])  # [r, k] = b1_k⁻¹ ∘ a1_r, and a1 runs over b1
+        if (start[c1] < 0).any():
+            raise PreconditionError("g1 is not closed under composition")
+        h = s.compose(inv[f][:, None], f)  # [j, i] = f_j⁻¹ ∘ f_i
+        beta_h = s.compose(s.compose(ib[:, None, None], h), inv[ib][:, None, None])
+        u = v1[start[b1][:, None] + np.arange(f.size)]  # [k, j] = F1(b1_k)(f_j)
+        ur, ui = w.values[f] * u.real, w.values[f] * u.imag
+        v = v2[start[c1][:, :, None, None] + rank[beta_h]]  # [r, k, j, i]
+        vr, vi = v.real, v.imag
+        sr, si = np.zeros((2, b1.size, b1.size, f.size))
+        for j in range(f.size):
+            xr, xi = ur[:, j, None], ui[:, j, None]
+            sr += xr * vr[:, :, j] - xi * vi[:, :, j]
+            si += xr * vi[:, :, j] + xi * vr[:, :, j]
+        acc = np.zeros((b1.size, f.size), dtype=complex)
+        for k, wk in enumerate(w.values[b1]):
+            acc.real += wk * sr[:, k]
+            acc.imag += wk * si[:, k]
+        for a1, values in zip(b1.tolist(), acc):
+            full = np.zeros(p.n_arrows, dtype=complex)
+            full[f] = values
+            out[a1] = GroupoidFunction(p, full)
+    return BundleFunction(p, F1.g1, {a1: out[a1] for a1 in order})
 
 
 def groupoid_convolve(
     f1: GroupoidFunction, f2: GroupoidFunction, w: HaarWeights
 ) -> GroupoidFunction:
     """Convolution in the groupoid algebra:
-    (f1 * f2)(g) = sum over eta with r(eta) = r(g) of w(eta) f1(eta) f2(eta⁻¹ ∘ g)."""
+    (f1 * f2)(g) = sum over eta with r(eta) = r(g) of w(eta) f1(eta) f2(eta⁻¹ ∘ g).
+
+    A scatter-add per real and imaginary part over the slot table: the
+    composable pair (a, b) adds w(a) f1(a) f2(b) to a∘b. Slots run a
+    ascending and np.add.at adds in order, so each sum takes its terms in
+    the order of the loop over eta; with the complex products spelled out
+    as real arithmetic, the values are bit-identical to that loop.
+    """
     g = f1.groupoid
     if f2.groupoid is not g or w.groupoid is not g:
         raise PreconditionError("operands live on different groupoids")
-    out = np.zeros(g.n_arrows, dtype=complex)
-    for gamma in g.arrows():
-        acc = 0j
-        for eta in g.arrows_into(g.tgt[gamma]):
-            acc += w[eta] * f1.values[eta] * f2.values[g.compose_table[(g.inv[eta], gamma)]]
-        out[gamma] = acc
+    s = g._product_slots()
+    wr, wi = w.values * f1.values.real, w.values * f1.values.imag
+    out_r, out_i = np.zeros((2, g.n_arrows))
+    for first, a, b in s.pairs(_BLOCK):
+        bins = s.prod[first:first + a.size]
+        xr, xi, y = wr[a], wi[a], f2.values[b]
+        np.add.at(out_r, bins, xr * y.real - xi * y.imag)
+        np.add.at(out_i, bins, xr * y.imag + xi * y.real)
+    out = np.empty(g.n_arrows, dtype=complex)
+    out.real, out.imag = out_r, out_i
     return GroupoidFunction(g, out)
 
 

@@ -193,10 +193,20 @@ def _random_op(args) -> list[dict]:
     return checks
 
 
+def _max_entries() -> int:
+    text = os.environ.get("GROUPOIDALG_MAX_ENTRIES", "4000000")
+    try:
+        return _positive_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise MalformedTableError(
+            f"GROUPOIDALG_MAX_ENTRIES must be an integer of at least 1, got {text!r}"
+        ) from None
+
+
 def _commutant(args) -> list[dict]:
+    max_entries = _max_entries()
     gauge = gauge_groupoid(_bundle_section(args)[0])
     gens = block_diagonal_generators(gauge, _regular_rep(gauge), HaarWeights.counting(gauge))
-    max_entries = int(os.environ.get("GROUPOIDALG_MAX_ENTRIES", 4_000_000))
     first = commutant(gens, levels=1, max_entries=max_entries, tol=args.tol)
     second = commutant(gens, levels=2, max_entries=max_entries, tol=args.tol)
     # the regular representation on every fiber: both dimensions are n·|G|

@@ -8,7 +8,7 @@ src(g) == tgt(xi), and then src(g∘xi) == src(xi), tgt(g∘xi) == tgt(g).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -104,9 +104,17 @@ class FiniteGroupoid:
     base_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        # set during __init__, not cached on first use: an attribute added
+        # set during __init__, not added on first use: an attribute added
         # later makes every attribute load on the instance slower
         self._fibers = _fiber_index(self.n_base, self.src, self.tgt)
+        self._slots = None
+
+    def _product_slots(self) -> "_Slots":
+        """The compose table as a slot array, built on first use and kept:
+        the tables are not to change after that."""
+        if self._slots is None:
+            self._slots = _product_table(self)
+        return self._slots
 
     @property
     def n_arrows(self) -> int:
@@ -178,9 +186,76 @@ class _Slots(NamedTuple):
             np.where(self.src[a] == self.tgt[b], self.off[a], self.n_slots) + self.pos[b]
         ]
 
+    def pairs(self, block: int):
+        """The composable pairs in slot order, in blocks of the slots of
+        whole arrows a, at most block slots unless one arrow has more:
+        yields (first slot, a, b) with a and b arrays of arrow ids."""
+        n = len(self.off)
+        span = np.diff(self.off, append=self.n_slots)
+        step = max(1, block // max(1, int(span.max(initial=0))))
+        # b runs over into(src a) = into_ids[into_ptr[src a]:], from slot off[a]
+        shift = self.into_ptr[self.src] - self.off
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            first = int(self.off[lo])
+            a = np.repeat(np.arange(lo, hi), span[lo:hi])
+            at = np.repeat(shift[lo:hi], span[lo:hi]) + np.arange(first, first + a.size)
+            yield first, a, self.into_ids[at]
 
-def _ids(seq, count: int) -> np.ndarray:
-    return np.fromiter(seq, np.int64, count)
+    def compose(self, a, b):
+        """The products of arrays of arrow ids, which must be composable."""
+        c = self.get(a, b)
+        if (c < 0).any():
+            raise PreconditionError("arrow arrays hold a non-composable pair")
+        return c
+
+
+def _layout(into, src):
+    """The slot layout over the fiber index into, for in-range src ids:
+    off, pos, into_ids, into_ptr, the slot count and the largest fiber."""
+    n = len(src)
+    sizes = np.fromiter(map(len, into), np.int64, len(into))
+    into_ptr = np.concatenate(([0], np.cumsum(sizes)))
+    into_ids = np.fromiter(chain.from_iterable(into), np.int64, n)
+    pos = np.empty(n, dtype=np.int32)
+    pos[into_ids] = np.arange(n) - np.repeat(into_ptr[:-1], sizes)
+    span = sizes[src]
+    off = np.cumsum(span) - span
+    return off, pos, into_ids, into_ptr, int(span.sum()), int(sizes.max(initial=0))
+
+
+def _product_table(g: FiniteGroupoid) -> _Slots:
+    """The slot array of a groupoid whose tables are in range, read from
+    compose_table in _composable_pairs order."""
+    src, tgt = (np.fromiter(t, np.int32, g.n_arrows) for t in (g.src, g.tgt))
+    off, pos, into_ids, into_ptr, n_slots, tail = _layout(g._fibers.into, src)
+    pairs = _composable_pairs(g.n_base, g.src, g.tgt)
+    try:
+        prod = np.fromiter(
+            chain(map(g.compose_table.__getitem__, pairs), repeat(-1, tail)),
+            np.int32,
+            n_slots + tail,
+        )
+    except KeyError as exc:
+        a, b = exc.args[0]
+        raise PreconditionError(
+            f"compose table missing composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})"
+        ) from None
+    return _Slots(src, tgt, off, pos, prod, n_slots, into_ids, into_ptr)
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _ids(make, count: int) -> np.ndarray:
+    """The ids that make() iterates, as int64. An id beyond int64 becomes -1,
+    which every range check rejects; make() then runs a second time."""
+    try:
+        return np.fromiter(make(), np.int64, count)
+    except OverflowError:
+        return np.fromiter(
+            (v if _INT64.min <= v <= _INT64.max else -1 for v in make()), np.int64, count
+        )
 
 
 def _structure(g: FiniteGroupoid):
@@ -198,7 +273,7 @@ def _structure(g: FiniteGroupoid):
     if len(g.identity) != nb:
         malformed((), "identity table does not cover the base")
         return rep, None, None
-    src, tgt, inv, ident = (_ids(t, len(t)) for t in (g.src, g.tgt, g.inv, g.identity))
+    src, tgt, inv, ident = (_ids(t.__iter__, len(t)) for t in (g.src, g.tgt, g.inv, g.identity))
     bad_ends = (src < 0) | (src >= nb) | (tgt < 0) | (tgt >= nb)
     bad_inv = (inv < 0) | (inv >= n)
     for a in np.flatnonzero(bad_ends | bad_inv).tolist():
@@ -212,9 +287,9 @@ def _structure(g: FiniteGroupoid):
         return rep, None, None
 
     keys = list(g.compose_table)
-    ab = _ids(chain.from_iterable(keys), 2 * len(keys)).reshape(-1, 2)
+    ab = _ids(lambda: chain.from_iterable(keys), 2 * len(keys)).reshape(-1, 2)
     A, B = ab[:, 0], ab[:, 1]
-    C = _ids(g.compose_table.values(), len(keys))
+    C = _ids(g.compose_table.values, len(keys))
     pair_known = (A >= 0) & (A < n) & (B >= 0) & (B < n)
     known = pair_known & (C >= 0) & (C < n)
     composable = np.zeros(len(keys), dtype=bool)
@@ -229,15 +304,7 @@ def _structure(g: FiniteGroupoid):
                 f"compose entry on non-composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
             )
 
-    into = g._fibers.into
-    sizes = np.fromiter(map(len, into), np.int64, nb)
-    into_ptr = np.concatenate(([0], np.cumsum(sizes)))
-    into_ids = _ids(chain.from_iterable(into), n)
-    pos = np.empty(n, dtype=np.int32)
-    pos[into_ids] = np.arange(n) - np.repeat(into_ptr[:-1], sizes)
-    span = sizes[src]
-    off = np.cumsum(span) - span
-    n_slots = int(span.sum())
+    off, pos, into_ids, into_ptr, n_slots, tail = _layout(g._fibers.into, src)
     filled = np.zeros(n_slots, dtype=bool)
     filled[off[A[composable]] + pos[B[composable]]] = True
     missing = np.flatnonzero(~filled)
@@ -250,7 +317,7 @@ def _structure(g: FiniteGroupoid):
         )
     if not rep.ok:
         return rep, None, None
-    prod = np.full(n_slots + int(sizes.max(initial=0)), -1, dtype=np.int32)
+    prod = np.full(n_slots + tail, -1, dtype=np.int32)
     prod[off[A] + pos[B]] = C
     slots = _Slots(
         src.astype(np.int32), tgt.astype(np.int32), off, pos, prod, n_slots, into_ids, into_ptr
@@ -275,7 +342,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         return rep
     keys, A, B, C = entries
     src, tgt = s.src, s.tgt
-    ident = _ids(g.identity, g.n_base)
+    ident = np.asarray(g.identity, dtype=np.int64)
 
     base = np.arange(g.n_base)
     for x in np.flatnonzero((src[ident] != base) | (tgt[ident] != base)).tolist():
@@ -303,7 +370,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     for a in np.flatnonzero(bad).tolist():
         rep.add("axiom", AXIOM_IDENTITY, (a,), f"identity law fails at arrow {g.arrow_label(a)}")
 
-    inv = _ids(g.inv, g.n_arrows)
+    inv = np.asarray(g.inv, dtype=np.int64)
     bad = (s.get(arrows, inv) != left) | (s.get(inv, arrows) != right)
     for a in np.flatnonzero(bad).tolist():
         rep.add("axiom", AXIOM_INVERSE, (a,), f"inverse law fails at arrow {g.arrow_label(a)}")

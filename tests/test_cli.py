@@ -132,6 +132,17 @@ class TestExitCodes:
         assert "1024 entries" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+    def test_invalid_size_cap(self, monkeypatch, tmp_path, capsys, value):
+        monkeypatch.setenv("GROUPOIDALG_MAX_ENTRIES", value)
+        report = tmp_path / "r.json"
+        code = main(["commutant", "--base", "2", "--group", "Z2", "--report", str(report)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: GROUPOIDALG_MAX_ENTRIES must be an integer of at least 1, got {value!r}\n"
+        )
+        assert not report.exists()
+
 
 class TestSubcommands:
     def test_semidirect_writes_carrier(self, tmp_path):

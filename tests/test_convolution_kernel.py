@@ -1,0 +1,170 @@
+"""groupoid_convolve and twisted_convolve against the loop oracles in
+convolution_oracle.py: the outputs must be equal byte for byte (tobytes),
+on the ladder and on random instances, weights and values."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import relabeled_group
+from convolution_oracle import oracle_groupoid_convolve, oracle_twisted_convolve
+from groupoidalg import (
+    BundleFunction,
+    FinitePrincipalBundle,
+    GroupoidFunction,
+    HaarWeights,
+    Section,
+    SubgroupoidSelection,
+    builtin_group,
+    carrier_weights,
+    group_groupoid,
+    groupoid_convolve,
+    pair_groupoid,
+    poincare_decomposition,
+    quotient_by_isotropy,
+    selection_to_groupoid,
+    twisted_convolve,
+)
+from groupoidalg.errors import PreconditionError
+from groupoidalg.groups import BUILTIN_GROUPS
+
+
+def assert_same_convolution(f1, f2, w):
+    got = groupoid_convolve(f1, f2, w)
+    assert got.values.tobytes() == oracle_groupoid_convolve(f1, f2, w).values.tobytes()
+
+
+def assert_same_twisted(F1, F2, w):
+    got, want = twisted_convolve(F1, F2, w), oracle_twisted_convolve(F1, F2, w)
+    assert list(got.fibers) == list(want.fibers)
+    for a1, f in want.fibers.items():
+        assert got.fibers[a1].values.tobytes() == f.values.tobytes()
+
+
+def random_values(rng, n, zeros=0.0):
+    """Values in the complex unit square, scaled over many magnitudes, with
+    a share of exact zeros of either sign."""
+    v = (rng.random(n) - 0.5 + 1j * (rng.random(n) - 0.5)) * 10.0 ** rng.integers(-8, 9, n)
+    hit = rng.random(n) < zeros
+    v[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, complex(-0.0, -0.0))
+    return v
+
+
+def random_weights(g, rng):
+    """A Haar system on a transitive groupoid other than counting measure:
+    one constant on the isotropy arrows, any positive value elsewhere."""
+    iso = np.array([g.src[a] == g.tgt[a] for a in g.arrows()])
+    return HaarWeights(g, np.where(iso, rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0, g.n_arrows)))
+
+
+def random_bundle_function(p, g1, rng, zeros=0.0):
+    fibers = {}
+    for a1 in sorted(g1.arrows):
+        v = np.zeros(p.n_arrows, dtype=complex)
+        fiber = p.isotropy_fiber(p.tgt[a1])
+        v[fiber] = random_values(rng, len(fiber), zeros)
+        fibers[a1] = GroupoidFunction(p, v)
+    return BundleFunction(p, g1, fibers)
+
+
+@pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3")])
+def test_ladder(n, name):
+    rng = np.random.default_rng(n)
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    dec = poincare_decomposition(bundle, Section.random(bundle, rng))
+    quotient, _ = quotient_by_isotropy(dec.gauge, dec.g0)
+    w = HaarWeights.counting(dec.gauge)
+    scaled = HaarWeights(dec.gauge, 0.5 * np.ones(dec.gauge.n_arrows))
+    for g, wg in (
+        (dec.gauge, w),
+        (dec.sd, carrier_weights(dec.sd, w)),
+        (dec.sd, carrier_weights(dec.sd, scaled)),
+        (quotient, HaarWeights.counting(quotient)),
+    ):
+        f1, f2 = GroupoidFunction.random(g, rng), GroupoidFunction.random(g, rng)
+        assert_same_convolution(f1, f2, wg)
+    for wp in (w, scaled):
+        assert_same_twisted(
+            BundleFunction.random(dec.gauge, dec.g1, rng),
+            BundleFunction.random(dec.gauge, dec.g1, rng),
+            wp,
+        )
+
+
+class TestRandomInstances:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(BUILTIN_GROUPS)),
+        n=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=10_000),
+        zeros=st.sampled_from([0.0, 0.3]),
+    )
+    def test_gauge_carrier_and_twisted(self, name, n, seed, zeros):
+        """Gauge groupoids over relabeled group tables with a random section,
+        random Haar weights and carriers under the product weights."""
+        rng = np.random.default_rng(seed)
+        bundle = FinitePrincipalBundle(n, relabeled_group(builtin_group(name), rng))
+        dec = poincare_decomposition(bundle, Section.random(bundle, rng))
+        w = random_weights(dec.gauge, rng)
+        for g, wg in ((dec.gauge, w), (dec.sd, carrier_weights(dec.sd, w))):
+            f1, f2 = (GroupoidFunction(g, random_values(rng, g.n_arrows, zeros)) for _ in "12")
+            assert_same_convolution(f1, f2, wg)
+        F1, F2 = (random_bundle_function(dec.gauge, dec.g1, rng, zeros) for _ in "12")
+        assert_same_twisted(F1, F2, w)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        family=st.sampled_from(["pair", "group", "quotient", "isotropy", "translation"]),
+        name=st.sampled_from(sorted(BUILTIN_GROUPS)),
+        n=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_other_groupoids(self, family, name, n, seed):
+        """Pair and group groupoids, and the groupoids that quotient_by_isotropy
+        and selection_to_groupoid build from a gauge decomposition."""
+        rng = np.random.default_rng(seed)
+        if family == "pair":
+            g = pair_groupoid(n)
+        elif family == "group":
+            g = group_groupoid(relabeled_group(builtin_group(name), rng))
+        else:
+            bundle = FinitePrincipalBundle(n, builtin_group(name))
+            dec = poincare_decomposition(bundle, Section.random(bundle, rng))
+            if family == "quotient":
+                g = quotient_by_isotropy(dec.gauge, dec.g0)[0]
+            else:
+                g = selection_to_groupoid(dec.g0 if family == "isotropy" else dec.g1)[0]
+        w = random_weights(g, rng)
+        f1, f2 = (GroupoidFunction(g, random_values(rng, g.n_arrows, 0.2)) for _ in "12")
+        assert_same_convolution(f1, f2, w)
+
+
+def test_empty_selection(fix_gauge_2_z2):
+    empty = BundleFunction(fix_gauge_2_z2, SubgroupoidSelection(fix_gauge_2_z2, frozenset()), {})
+    assert twisted_convolve(empty, empty, HaarWeights.counting(fix_gauge_2_z2)).fibers == {}
+
+
+def test_missing_composable_pair():
+    """A compose table without a composable pair fails with a
+    PreconditionError naming the pair, not with a KeyError."""
+    g = pair_groupoid(2)
+    comp = dict(g.compose_table)
+    del comp[(1, 2)]
+    g = dataclasses.replace(g, compose_table=comp)
+    f = GroupoidFunction.random(g, np.random.default_rng(0))
+    with pytest.raises(PreconditionError, match=r"missing composable pair \(\(0,1\), \(1,0\)\)"):
+        groupoid_convolve(f, f, HaarWeights.counting(g))
+
+
+def test_slot_table_is_built_once(fix_gauge_2_z2):
+    g = dataclasses.replace(fix_gauge_2_z2)
+    assert g._slots is None
+    f = GroupoidFunction.random(g, np.random.default_rng(0))
+    groupoid_convolve(f, f, HaarWeights.counting(g))
+    slots = g._slots
+    assert slots.prod.dtype == np.int32
+    groupoid_convolve(f, f, HaarWeights.counting(g))
+    assert g._slots is slots

@@ -65,6 +65,27 @@ def test_malformed_tables(fields):
     assert [v["kind"] for v in report["violations"]] == ["malformed"] * len(report["violations"])
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"inv": (0, 2**70, 2, 3)},
+        {"src": (0, 2**64, 0, 1)},
+        {"identity": (0, -(2**70))},
+        {"compose_table": {(2**70, 0): 0}},
+        {"compose_table": {(0, 0): 2**63}},
+    ],
+)
+def test_ids_beyond_int64_are_out_of_range(fields):
+    """An id that does not fit in int64 is reported as malformed, as the
+    loop oracle does, instead of raising OverflowError."""
+    g = pair_groupoid(2)
+    if "compose_table" in fields:
+        fields = {"compose_table": {**g.compose_table, **fields["compose_table"]}}
+    report = assert_same_reports(dataclasses.replace(g, **fields))
+    assert report["violations"]
+    assert {v["kind"] for v in report["violations"]} == {"malformed"}
+
+
 def test_base_point_without_arrows_into_it():
     """Arrow 1 leaves base point 1, into which no arrow points: it composes
     with nothing, so it owns no slot."""
@@ -109,7 +130,7 @@ def _out_of_range(draw, g):
     """An id outside its table's range, in compose keys or values or in
     src, tgt, inv or identity."""
     n, nb = g.n_arrows, g.n_base
-    bad_arrow = draw(st.sampled_from([-1, -7, n, n + 3, 2**40]))
+    bad_arrow = draw(st.sampled_from([-1, -7, n, n + 3, 2**40, 2**70, -(2**70)]))
     where = draw(st.sampled_from(["key", "value", "src", "tgt", "inv", "identity"]))
     if where in ("key", "value"):
         comp = dict(g.compose_table)
@@ -121,7 +142,8 @@ def _out_of_range(draw, g):
         return dataclasses.replace(g, compose_table=comp)
     table = list(getattr(g, where))
     i = draw(st.integers(0, len(table) - 1))
-    table[i] = draw(st.sampled_from([-1, nb, nb + 2])) if where in ("src", "tgt") else bad_arrow
+    bad_base = draw(st.sampled_from([-1, nb, nb + 2, 2**64]))
+    table[i] = bad_base if where in ("src", "tgt") else bad_arrow
     return dataclasses.replace(g, **{where: tuple(table)})
 
 
