@@ -23,7 +23,8 @@ _BLOCK = 1 << 14  # slots per scatter-add block; bounds the temporaries
 @dataclass(eq=False)
 class HaarWeights:
     """Per-arrow positive weights; restriction to each isotropy fiber must
-    be constant (right invariance) and stable under conjugation."""
+    be constant (right invariance) and stable under conjugation. Constant
+    weights satisfy both, so they skip those checks."""
 
     groupoid: FiniteGroupoid
     values: np.ndarray
@@ -35,6 +36,8 @@ class HaarWeights:
             raise PreconditionError("weight vector length does not match arrow count")
         if not np.all(self.values > 0):
             raise PreconditionError("Haar weights must be strictly positive")
+        if (self.values == self.values[:1]).all():
+            return
         for x in g.base():
             fiber = g.isotropy_fiber(x)
             if fiber and not np.allclose(self.values[fiber], self.values[fiber[0]]):
@@ -50,10 +53,7 @@ class HaarWeights:
 
     @classmethod
     def counting(cls, g: FiniteGroupoid) -> "HaarWeights":
-        w = cls.__new__(cls)
-        w.groupoid = g
-        w.values = np.ones(g.n_arrows)
-        return w
+        return cls(g, np.ones(g.n_arrows))
 
     def __getitem__(self, a: int) -> float:
         return self.values[a]
@@ -161,12 +161,6 @@ class BundleFunction:
             _require_fiber_support(f, self.parent.tgt[a1])
 
     @classmethod
-    def zero(cls, parent, g1):
-        return cls(
-            parent, g1, {a1: GroupoidFunction.zero(parent) for a1 in g1.arrows}
-        )
-
-    @classmethod
     def random(cls, parent, g1, rng: np.random.Generator):
         fibers = {}
         for a1 in sorted(g1.arrows):
@@ -192,7 +186,6 @@ def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> 
     if not order:
         return BundleFunction(p, F1.g1, {})
     s = p._product_slots()
-    inv = np.asarray(p.inv)
     into: dict[int, list[int]] = {}  # the g1 arrows by target, in g1 order
     for b1 in order:
         into.setdefault(p.tgt[b1], []).append(b1)
@@ -211,12 +204,12 @@ def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> 
     out = {}
     for x, b1 in into.items():
         f, b1 = fiber[x], np.array(b1)
-        ib = inv[b1]
+        ib = s.inv[b1]
         c1 = s.compose(ib, b1[:, None])  # [r, k] = b1_k⁻¹ ∘ a1_r, and a1 runs over b1
         if (start[c1] < 0).any():
             raise PreconditionError("g1 is not closed under composition")
-        h = s.compose(inv[f][:, None], f)  # [j, i] = f_j⁻¹ ∘ f_i
-        beta_h = s.compose(s.compose(ib[:, None, None], h), inv[ib][:, None, None])
+        h = s.compose(s.inv[f][:, None], f)  # [j, i] = f_j⁻¹ ∘ f_i
+        beta_h = s.conj(ib[:, None, None], h)
         u = v1[start[b1][:, None] + np.arange(f.size)]  # [k, j] = F1(b1_k)(f_j)
         ur, ui = w.values[f] * u.real, w.values[f] * u.imag
         v = v2[start[c1][:, :, None, None] + rank[beta_h]]  # [r, k, j, i]
@@ -267,11 +260,7 @@ def groupoid_convolve(
 
 def carrier_weights(sd: SemidirectGroupoid, w_parent: HaarWeights) -> HaarWeights:
     """Product weights on the semidirect carrier: w(g0, g1) = w(g0)·w(g1)."""
-    vals = np.array([w_parent[a0] * w_parent[a1] for (a0, a1) in sd.pair_of])
-    w = HaarWeights.__new__(HaarWeights)
-    w.groupoid = sd
-    w.values = vals
-    return w
+    return HaarWeights(sd, [w_parent[a0] * w_parent[a1] for (a0, a1) in sd.pair_of])
 
 
 def semidirect_convolve_pairform(
@@ -335,6 +324,27 @@ class Theorem1Report:
         return dataclasses.asdict(self)
 
 
+def _pair_identity_witness(sd: SemidirectGroupoid) -> str | None:
+    """The witness of the first carrier pair (i, j), i ascending, then j
+    into tgt i, at which (b0,b1)⁻¹ ∘ (a0,a1) = (α_{b1⁻¹}(b0⁻¹ ∘ a0), b1⁻¹ ∘ a1)
+    fails, with (a0,a1) and (b0,b1) the pairs of i and j; None if it holds
+    throughout. Gathers over the carrier's slot table for the left side and
+    over the parent's for the right."""
+    cs, ps = sd._product_slots(), sd.parent._product_slots()
+    P0, P1 = np.array(sd.pair_of, dtype=np.intp).reshape(-1, 2).T
+    for _, i, j in cs.pairs(_BLOCK, cs.tgt):
+        via = cs.compose(cs.inv[j], i)
+        ib1 = ps.inv[P1[j]]
+        bad = (P0[via] != ps.conj(ib1, ps.compose(ps.inv[P0[j]], P0[i]))) | (
+            P1[via] != ps.compose(ib1, P1[i])
+        )
+        if bad.any():
+            k = np.argmax(bad)
+            i, j = int(i[k]), int(j[k])
+            return f"pair identity fails at ({sd.arrow_label(j)})⁻¹∘({sd.arrow_label(i)})"
+    return None
+
+
 def verify_theorem1(
     sd: SemidirectGroupoid,
     trials: int = 100,
@@ -349,23 +359,8 @@ def verify_theorem1(
         w_parent = HaarWeights.counting(p)
     w_carrier = carrier_weights(sd, w_parent)
 
-    # (b0,b1)⁻¹ ∘ (a0,a1) = (alpha_{b1⁻¹}(b0⁻¹ ∘ a0), b1⁻¹ ∘ a1)
-    pair_ok = True
-    witness = None
-    for i, (a0, a1) in enumerate(sd.pair_of):
-        for j in sd.arrows_into(sd.tgt[i]):
-            b0, b1 = sd.pair_of[j]
-            via_table = sd.compose_table[(sd.inv[j], i)]
-            expected = (
-                alpha(p, p.inv[b1], p.compose_table[(p.inv[b0], a0)]),
-                p.compose_table[(p.inv[b1], a1)],
-            )
-            if sd.pair_of[via_table] != expected:
-                pair_ok = False
-                witness = f"pair identity fails at ({sd.arrow_label(j)})⁻¹∘({sd.arrow_label(i)})"
-                break
-        if not pair_ok:
-            break
+    witness = _pair_identity_witness(sd)
+    pair_ok = witness is None
 
     rng = np.random.default_rng(seed)
     max_dev = 0.0

@@ -8,7 +8,7 @@ src(g) == tgt(xi), and then src(g∘xi) == src(xi), tgt(g∘xi) == tgt(g).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -111,9 +111,12 @@ class FiniteGroupoid:
 
     def _product_slots(self) -> "_Slots":
         """The compose table as a slot array, built on first use and kept:
-        the tables are not to change after that."""
+        the tables are not to change after that. Malformed tables raise
+        PreconditionError with the first violation check_structure finds."""
         if self._slots is None:
-            self._slots = _product_table(self)
+            rep, self._slots, _ = _structure(self)
+            if not rep.ok:
+                raise PreconditionError(rep.violations[0].message)
         return self._slots
 
     @property
@@ -166,13 +169,13 @@ class _Slots(NamedTuple):
     """A compose table as a slot array over the fiber index. The product of
     the composable pair (a, b) sits at prod[off[a] + pos[b]]: off[a] is the
     running sum of |into(src a)| and pos[b] the rank of b in into(tgt b), so
-    slots run in _composable_pairs order. Unfilled slots hold -1, and so
-    does a tail as long as the largest fiber, which starts at slot n_slots
-    and which non-composable lookups read. into(x) is
-    into_ids[into_ptr[x]:into_ptr[x + 1]]."""
+    slots run in _composable_pairs order. A tail as long as the largest
+    fiber starts at slot n_slots; it holds -1, and non-composable lookups
+    read it. into(x) is into_ids[into_ptr[x]:into_ptr[x + 1]]."""
 
     src: np.ndarray
     tgt: np.ndarray
+    inv: np.ndarray
     off: np.ndarray
     pos: np.ndarray
     prod: np.ndarray
@@ -186,18 +189,21 @@ class _Slots(NamedTuple):
             np.where(self.src[a] == self.tgt[b], self.off[a], self.n_slots) + self.pos[b]
         ]
 
-    def pairs(self, block: int):
-        """The composable pairs in slot order, in blocks of the slots of
-        whole arrows a, at most block slots unless one arrow has more:
-        yields (first slot, a, b) with a and b arrays of arrow ids."""
-        n = len(self.off)
-        span = np.diff(self.off, append=self.n_slots)
+    def pairs(self, block: int, end=None):
+        """The pairs (a, b) with b in into(end[a]), a ascending, then b in
+        fiber order; by default end = src, and these are the composable
+        pairs in slot order. In blocks of the pairs of whole arrows a, at
+        most block pairs unless one arrow has more: yields (first pair, a,
+        b) with a and b arrays of arrow ids."""
+        end = self.src if end is None else end
+        span = np.diff(self.into_ptr)[end]
+        off = np.cumsum(span) - span
         step = max(1, block // max(1, int(span.max(initial=0))))
-        # b runs over into(src a) = into_ids[into_ptr[src a]:], from slot off[a]
-        shift = self.into_ptr[self.src] - self.off
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            first = int(self.off[lo])
+        # b runs over into(end a) = into_ids[into_ptr[end a]:], from pair off[a]
+        shift = self.into_ptr[end] - off
+        for lo in range(0, len(span), step):
+            hi = min(lo + step, len(span))
+            first = int(off[lo])
             a = np.repeat(np.arange(lo, hi), span[lo:hi])
             at = np.repeat(shift[lo:hi], span[lo:hi]) + np.arange(first, first + a.size)
             yield first, a, self.into_ids[at]
@@ -208,6 +214,10 @@ class _Slots(NamedTuple):
         if (c < 0).any():
             raise PreconditionError("arrow arrays hold a non-composable pair")
         return c
+
+    def conj(self, g, a):
+        """The conjugation action g∘a∘g⁻¹ over arrays of arrow ids."""
+        return self.compose(self.compose(g, a), self.inv[g])
 
 
 def _layout(into, src):
@@ -224,43 +234,23 @@ def _layout(into, src):
     return off, pos, into_ids, into_ptr, int(span.sum()), int(sizes.max(initial=0))
 
 
-def _product_table(g: FiniteGroupoid) -> _Slots:
-    """The slot array of a groupoid whose tables are in range, read from
-    compose_table in _composable_pairs order."""
-    src, tgt = (np.fromiter(t, np.int32, g.n_arrows) for t in (g.src, g.tgt))
-    off, pos, into_ids, into_ptr, n_slots, tail = _layout(g._fibers.into, src)
-    pairs = _composable_pairs(g.n_base, g.src, g.tgt)
-    try:
-        prod = np.fromiter(
-            chain(map(g.compose_table.__getitem__, pairs), repeat(-1, tail)),
-            np.int32,
-            n_slots + tail,
-        )
-    except KeyError as exc:
-        a, b = exc.args[0]
-        raise PreconditionError(
-            f"compose table missing composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})"
-        ) from None
-    return _Slots(src, tgt, off, pos, prod, n_slots, into_ids, into_ptr)
-
-
-_INT64 = np.iinfo(np.int64)
+_INT32 = np.iinfo(np.int32)
 
 
 def _ids(make, count: int) -> np.ndarray:
-    """The ids that make() iterates, as int64. An id beyond int64 becomes -1,
+    """The ids that make() iterates, as int32. An id beyond int32 becomes -1,
     which every range check rejects; make() then runs a second time."""
     try:
-        return np.fromiter(make(), np.int64, count)
+        return np.fromiter(make(), np.int32, count)
     except OverflowError:
         return np.fromiter(
-            (v if _INT64.min <= v <= _INT64.max else -1 for v in make()), np.int64, count
+            (v if _INT32.min <= v <= _INT32.max else -1 for v in make()), np.int32, count
         )
 
 
 def _structure(g: FiniteGroupoid):
     """check_structure's report; when it is clean, also the slot array and
-    the compose entries: keys, a, b and a∘b in insertion order."""
+    the compose entries: arrays of a, b and a∘b in insertion order."""
     rep = ValidationReport()
 
     def malformed(witness, message):
@@ -286,15 +276,17 @@ def _structure(g: FiniteGroupoid):
     if not rep.ok:
         return rep, None, None
 
-    keys = list(g.compose_table)
-    ab = _ids(lambda: chain.from_iterable(keys), 2 * len(keys)).reshape(-1, 2)
+    comp = g.compose_table
+    ab = _ids(lambda: chain.from_iterable(comp), 2 * len(comp)).reshape(-1, 2)
     A, B = ab[:, 0], ab[:, 1]
-    C = _ids(g.compose_table.values, len(keys))
+    C = _ids(comp.values, len(comp))
     pair_known = (A >= 0) & (A < n) & (B >= 0) & (B < n)
     known = pair_known & (C >= 0) & (C < n)
-    composable = np.zeros(len(keys), dtype=bool)
+    composable = np.zeros(len(comp), dtype=bool)
     composable[pair_known] = src[A[pair_known]] == tgt[B[pair_known]]
-    for i in np.flatnonzero(~(known & composable)).tolist():
+    bad = np.flatnonzero(~(known & composable)).tolist()
+    keys = list(comp) if bad else []  # the witnesses keep ids beyond int32
+    for i in bad:
         a, b = keys[i]
         if not known[i]:
             malformed((a, b), "compose entry refers to unknown arrow")
@@ -305,8 +297,10 @@ def _structure(g: FiniteGroupoid):
             )
 
     off, pos, into_ids, into_ptr, n_slots, tail = _layout(g._fibers.into, src)
+    slot = off[A[composable]]
+    slot += pos[B[composable]]
     filled = np.zeros(n_slots, dtype=bool)
-    filled[off[A[composable]] + pos[B[composable]]] = True
+    filled[slot] = True
     missing = np.flatnonzero(~filled)
     ma = np.searchsorted(off, missing, side="right") - 1
     mb = into_ids[into_ptr[src[ma]] + missing - off[ma]]
@@ -318,11 +312,9 @@ def _structure(g: FiniteGroupoid):
     if not rep.ok:
         return rep, None, None
     prod = np.full(n_slots + tail, -1, dtype=np.int32)
-    prod[off[A] + pos[B]] = C
-    slots = _Slots(
-        src.astype(np.int32), tgt.astype(np.int32), off, pos, prod, n_slots, into_ids, into_ptr
-    )
-    return rep, slots, (keys, A, B, C)
+    prod[slot] = C  # every entry is composable here, so slot covers them all
+    slots = _Slots(src, tgt, inv, off, pos, prod, n_slots, into_ids, into_ptr)
+    return rep, slots, (A, B, C)
 
 
 def check_structure(g: FiniteGroupoid) -> ValidationReport:
@@ -340,7 +332,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     rep, s, entries = _structure(g)
     if not rep.ok:
         return rep
-    keys, A, B, C = entries
+    A, B, C = entries
     src, tgt = s.src, s.tgt
     ident = np.asarray(g.identity, dtype=np.int64)
 
@@ -356,7 +348,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         )
 
     for i in np.flatnonzero((src[C] != src[B]) | (tgt[C] != tgt[A])).tolist():
-        a, b = keys[i]
+        a, b = int(A[i]), int(B[i])
         rep.add(
             "axiom",
             AXIOM_SOURCE_TARGET,
@@ -370,8 +362,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     for a in np.flatnonzero(bad).tolist():
         rep.add("axiom", AXIOM_IDENTITY, (a,), f"identity law fails at arrow {g.arrow_label(a)}")
 
-    inv = np.asarray(g.inv, dtype=np.int64)
-    bad = (s.get(arrows, inv) != left) | (s.get(inv, arrows) != right)
+    bad = (s.get(arrows, s.inv) != left) | (s.get(s.inv, arrows) != right)
     for a in np.flatnonzero(bad).tolist():
         rep.add("axiom", AXIOM_INVERSE, (a,), f"inverse law fails at arrow {g.arrow_label(a)}")
 
@@ -396,7 +387,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
         entry, at = (np.concatenate(parts) for parts in zip(*fails))
         order = np.lexsort((at, entry))
         for i, c in zip(entry[order].tolist(), s.into_ids[at[order]].tolist()):
-            a, b = keys[i]
+            a, b = int(A[i]), int(B[i])
             rep.add(
                 "axiom",
                 AXIOM_ASSOCIATIVITY,

@@ -59,9 +59,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
@@ -135,10 +132,13 @@ def builtin_group(name: str) -> FiniteGroup:
 def group_from_table(data: dict, name: str = "custom") -> FiniteGroup:
     """Build a group from the table-file dict: elements, mul, identity."""
     try:
-        elements = tuple(str(e) for e in data["elements"])
+        elements = data["elements"]
         raw = data["mul"]
     except (KeyError, TypeError) as exc:
         raise MalformedTableError(f"group table file: missing key ({exc})") from None
+    if not isinstance(elements, list):
+        raise MalformedTableError("group table file: elements is not a list")
+    elements = tuple(map(str, elements))
     pos = {e: i for i, e in enumerate(elements)}
     if len(pos) != len(elements):
         raise MalformedTableError("group table file: duplicate element names")
@@ -148,8 +148,14 @@ def group_from_table(data: dict, name: str = "custom") -> FiniteGroup:
             if v not in pos:
                 raise MalformedTableError(f"group table file: unknown element {v!r}")
             return pos[v]
-        return int(v)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise MalformedTableError(
+                f"group table file: entry {v!r} is neither an element name nor an index"
+            )
+        return v
 
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise MalformedTableError("group table file: mul is not a list of rows")
     mul = tuple(tuple(resolve(v) for v in row) for row in raw)
     g = FiniteGroup(name, elements, mul)
     if "identity" in data and resolve(data["identity"]) != g.identity:

@@ -36,13 +36,20 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
 
 def groupoid_from_dict(data: dict) -> FiniteGroupoid:
     try:
-        base = [str(x) for x in data["base"]]
+        base = data["base"]
         arrows = data["arrows"]
         compose = data["compose"]
         inv = data["inv"]
         identity = data["identity"]
     except (KeyError, TypeError) as exc:
         raise MalformedTableError(f"groupoid file: missing key ({exc})") from None
+    for key, value, kind in (("base", base, list), ("arrows", arrows, list),
+                             ("compose", compose, list), ("inv", inv, dict),
+                             ("identity", identity, dict)):
+        if not isinstance(value, kind):
+            shape = "a list" if kind is list else "an object"
+            raise MalformedTableError(f"groupoid file: {key} is not {shape}")
+    base = [str(x) for x in base]
     bidx = {x: i for i, x in enumerate(base)}
     if len(bidx) != len(base):
         raise MalformedTableError("groupoid file: duplicate base ids")

@@ -54,9 +54,6 @@ class UnitaryRep:
     def covered(self):
         return self.U.keys()
 
-    def matrix(self, a: int) -> np.ndarray:
-        return self.U[a]
-
 
 @dataclass
 class RepReport:
@@ -276,25 +273,20 @@ def check_equivariance(
     fiber functions:
       U0(g0) Q_x(a) U0(g0)⁻¹ = Q_x(pullback along alpha_{g0⁻¹} of a),
       U1(g1) Q_x(a) U1(g1)⁻¹ = Q_y(pullback along alpha_{g1⁻¹} of a),
-    with x = d(g1), y = r(g1).
+    with x = d(g1), y = r(g1). Both are V(g) Q_x(a) V(g)⁻¹ =
+    Q_{r(g)}(pullback along alpha_{g⁻¹} of a), with V = U0 or V = I.
     """
     p = sd.parent
     report = RepReport()
-    qx = {x: quantize(a.restrict(p.isotropy_fiber(x)), U0, x, w) for x in p.base()}
-    for x in p.base():
-        ax = a.restrict(p.isotropy_fiber(x))
-        for g0 in p.isotropy_fiber(x):
-            lhs = U0.U[g0] @ qx[x] @ U0.U[p.inv[g0]]
-            rhs = quantize(beta(p, p.inv[g0], ax), U0, x, w)
-            report._measure(lhs - rhs, tol, "isotropy-rule", (g0,),
-                            f"rule fails at {p.arrow_label(g0)}")
-    for a1 in sd.g1.arrows:
-        x, y = p.src[a1], p.tgt[a1]
-        ax = a.restrict(p.isotropy_fiber(x))
-        lhs = I[a1] @ qx[x] @ I[p.inv[a1]]
-        rhs = quantize(beta(p, p.inv[a1], ax), U0, y, w)
-        report._measure(lhs - rhs, tol, "translation-rule", (a1,),
-                        f"rule fails at {p.arrow_label(a1)}")
+    ax = {x: a.restrict(p.isotropy_fiber(x)) for x in p.base()}
+    qx = {x: quantize(ax[x], U0, x, w) for x in p.base()}
+    iso = [g0 for x in p.base() for g0 in p.isotropy_fiber(x)]
+    for rule, V, arrows in (("isotropy-rule", U0.U, iso), ("translation-rule", I, sd.g1.arrows)):
+        for g in arrows:
+            x = p.src[g]
+            lhs = V[g] @ qx[x] @ V[p.inv[g]]
+            rhs = quantize(beta(p, p.inv[g], ax[x]), U0, p.tgt[g], w)
+            report._measure(lhs - rhs, tol, rule, (g,), f"rule fails at {p.arrow_label(g)}")
     return report
 
 

@@ -490,3 +490,35 @@ class TestMalformedInput:
         fn.write_text(json.dumps([1, 2]))
         assert main(["convolve", *GAUGE_ARGS, given, str(fn)]) == 2
         assert missing in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("inv", []), ("identity", ["(0,0)"]), ("arrows", 5), ("compose", None), ("base", "01")],
+        ids=["inv-not-object", "identity-not-object", "arrows-not-list", "compose-not-list",
+             "base-not-list"],
+    )
+    def test_groupoid_file_wrong_shape(self, key, value, tmp_path, capsys):
+        d = gio.groupoid_to_dict(pair_groupoid(2))
+        d[key] = value
+        path = tmp_path / "bad.json"
+        gio.dump_json(d, path)
+        assert main(["verify-groupoid", "--in", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: groupoid file: {key} is not")
+
+    @pytest.mark.parametrize(
+        "mul",
+        [[0, 1], [[0, 1], [1, None]], [[0, 1], [1, 0.5]]],
+        ids=["mul-not-rows", "mul-holds-null", "mul-holds-fraction"],
+    )
+    def test_group_table_bad_mul(self, mul, tmp_path, capsys):
+        table = tmp_path / "group.json"
+        table.write_text(json.dumps({"elements": ["e", "a"], "mul": mul}))
+        assert main(["verify-prop1", "--base", "2", "--group", str(table)]) == 2
+        assert capsys.readouterr().err.startswith("error: group table file:")
+
+    def test_group_elements_not_a_list(self, tmp_path, capsys):
+        # a string of one-letter names used to be split into its letters
+        table = tmp_path / "group.json"
+        table.write_text(json.dumps({"elements": "ea", "mul": [["e", "a"], ["a", "e"]]}))
+        assert main(["verify-prop1", "--base", "2", "--group", str(table)]) == 2
+        assert "elements is not a list" in capsys.readouterr().err

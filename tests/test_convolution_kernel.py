@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import relabeled_group
-from convolution_oracle import oracle_groupoid_convolve, oracle_twisted_convolve
+from convolution_oracle import (
+    oracle_groupoid_convolve,
+    oracle_pair_identity,
+    oracle_twisted_convolve,
+)
 from groupoidalg import (
     BundleFunction,
     FinitePrincipalBundle,
@@ -27,6 +31,7 @@ from groupoidalg import (
     quotient_by_isotropy,
     selection_to_groupoid,
     twisted_convolve,
+    verify_theorem1,
 )
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groups import BUILTIN_GROUPS
@@ -168,3 +173,55 @@ def test_slot_table_is_built_once(fix_gauge_2_z2):
     assert slots.prod.dtype == np.int32
     groupoid_convolve(f, f, HaarWeights.counting(g))
     assert g._slots is slots
+
+
+def test_endpoint_out_of_range():
+    """An endpoint beyond the base fails the slot build with the structure
+    check's message, in both kernels."""
+    g = dataclasses.replace(pair_groupoid(2), tgt=(0, 0, 5, 1))
+    w = HaarWeights.counting(g)
+    f = GroupoidFunction.random(g, np.random.default_rng(0))
+    with pytest.raises(PreconditionError, match=r"^arrow 2: src/tgt out of range$"):
+        groupoid_convolve(f, f, w)
+    g1 = SubgroupoidSelection(g, frozenset({0}))
+    F = BundleFunction(g, g1, {0: GroupoidFunction.delta(g, 0)})
+    with pytest.raises(PreconditionError, match=r"^arrow 2: src/tgt out of range$"):
+        twisted_convolve(F, F, w)
+
+
+def ladder_carrier(n, name):
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    return poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(n))).sd
+
+
+def pair_identity(sd):
+    rep = verify_theorem1(sd, trials=0)
+    return rep.pair_identity_ok, rep.witness
+
+
+# (12,S3) has 62,208 pairs (i, j), so the kernel walks them in several blocks
+@pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3")])
+def test_pair_identity(n, name):
+    """verify_theorem1's pair identity against the loop it replaces, on the
+    carrier and on copies with compose entries pointing at the wrong arrow
+    (one entry, then several, where the witness is the loop's first), or
+    with an inverse swapped for another arrow with the same endpoints."""
+    sd = ladder_carrier(n, name)
+    assert pair_identity(sd) == oracle_pair_identity(sd) == (True, None)
+    rng = np.random.default_rng(n)
+    keys = list(sd.compose_table)
+    bad = []
+    for count in (1, 1, 1, 4):
+        comp = dict(sd.compose_table)
+        for k in rng.choice(len(keys), count, replace=False):
+            comp[keys[k]] = (comp[keys[k]] + int(rng.integers(1, sd.n_arrows))) % sd.n_arrows
+        bad.append(dataclasses.replace(sd, compose_table=comp))
+    for a in rng.choice(sd.n_arrows, 2, replace=False).tolist():
+        inv = list(sd.inv)
+        ends = (sd.src[inv[a]], sd.tgt[inv[a]])
+        inv[a] = next(c for c in sd.arrows() if (sd.src[c], sd.tgt[c]) == ends and c != inv[a])
+        bad.append(dataclasses.replace(sd, inv=tuple(inv)))
+    for g in bad:
+        want = oracle_pair_identity(g)
+        assert not want[0]
+        assert pair_identity(g) == want

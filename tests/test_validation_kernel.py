@@ -86,6 +86,27 @@ def test_ids_beyond_int64_are_out_of_range(fields):
     assert {v["kind"] for v in report["violations"]} == {"malformed"}
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"tgt": (0, 0, 2**31, 1)},
+        {"inv": (0, 2**40, 2, 3)},
+        {"identity": (-(2**31) - 1, 3)},
+        {"compose_table": {(2**31, 0): 0}},
+        {"compose_table": {(0, 0): 2**40}},
+    ],
+)
+def test_ids_beyond_int32_are_out_of_range(fields):
+    """The tables are read as int32: an id that fits in int64 but not in
+    int32 is out of range too, with the loop oracle's report."""
+    g = pair_groupoid(2)
+    if "compose_table" in fields:
+        fields = {"compose_table": {**g.compose_table, **fields["compose_table"]}}
+    report = assert_same_reports(dataclasses.replace(g, **fields))
+    assert report["violations"]
+    assert {v["kind"] for v in report["violations"]} == {"malformed"}
+
+
 def test_base_point_without_arrows_into_it():
     """Arrow 1 leaves base point 1, into which no arrow points: it composes
     with nothing, so it owns no slot."""
