@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -44,12 +45,12 @@ class HaarWeights:
                 raise PreconditionError(
                     f"weights are not constant on the isotropy fiber at {g.base_label(x)}"
                 )
-        for gamma in g.arrows():
-            for a in g.isotropy_fiber(g.src[gamma]):
-                if self.values[alpha(g, gamma, a)] != self.values[a]:
-                    raise PreconditionError(
-                        "weights are not invariant under the conjugation action"
-                    )
+        # w(γ∘a∘γ⁻¹) = w(a) for every arrow γ and every a in the fiber at src γ
+        conj, iso = g._product_slots().conj, g._fibers.iso
+        a = np.fromiter(chain.from_iterable(iso[x] for x in g.src), np.intp)
+        gamma = np.repeat(np.arange(g.n_arrows), [len(iso[x]) for x in g.src])
+        if (self.values[conj(gamma, a)] != self.values[a]).any():
+            raise PreconditionError("weights are not invariant under the conjugation action")
 
     @classmethod
     def counting(cls, g: FiniteGroupoid) -> "HaarWeights":
@@ -260,7 +261,10 @@ def groupoid_convolve(
 
 def carrier_weights(sd: SemidirectGroupoid, w_parent: HaarWeights) -> HaarWeights:
     """Product weights on the semidirect carrier: w(g0, g1) = w(g0)·w(g1)."""
-    return HaarWeights(sd, [w_parent[a0] * w_parent[a1] for (a0, a1) in sd.pair_of])
+    if w_parent.groupoid is not sd.parent:
+        raise PreconditionError("weights must live on the carrier's parent groupoid")
+    P0, P1 = np.array(sd.pair_of, dtype=np.intp).reshape(-1, 2).T
+    return HaarWeights(sd, w_parent.values[P0] * w_parent.values[P1])
 
 
 def semidirect_convolve_pairform(
@@ -270,23 +274,11 @@ def semidirect_convolve_pairform(
     w_parent: HaarWeights,
 ) -> GroupoidFunction:
     """The iterated double sum over the transitive selection and the isotropy
-    fiber; agrees with groupoid_convolve under the product carrier weights."""
+    fiber. Its terms are those of groupoid_convolve under the product carrier
+    weights, so it is that kernel; only the order of the sums differs."""
     if f1.groupoid is not sd or f2.groupoid is not sd:
         raise PreconditionError("functions must live on the semidirect carrier")
-    p = sd.parent
-    out = np.zeros(sd.n_arrows, dtype=complex)
-    for i, (a0, a1) in enumerate(sd.pair_of):
-        x = p.tgt[a1]
-        acc = 0j
-        for b1 in sd.g1.arrows:
-            if p.tgt[b1] != x:
-                continue
-            for b0 in p.isotropy_fiber(x):
-                j = sd.pair_index[(b0, b1)]
-                k = sd.compose_table[(sd.inv[j], i)]
-                acc += w_parent[b0] * w_parent[b1] * f1.values[j] * f2.values[k]
-        out[i] = acc
-    return GroupoidFunction(sd, out)
+    return groupoid_convolve(f1, f2, carrier_weights(sd, w_parent))
 
 
 def K_map(F: BundleFunction, sd: SemidirectGroupoid) -> GroupoidFunction:

@@ -1,13 +1,21 @@
-"""The loop implementations of groupoid_convolve and twisted_convolve, kept
-as the oracles for the library's array kernels: one dict lookup per
-composable pair, and per term of each fiber product. The kernels sum the
-same terms in the same order, so their outputs are equal to these bit for
-bit. Also the loop over the carrier's pairs that verify_theorem1's pair
-identity check replaces."""
+"""The loop implementations of groupoid_convolve, twisted_convolve and
+poincare_convolve, kept as the oracles for the library's array kernels: one
+dict lookup per composable pair, and per term of each fiber product. The
+kernels sum the same terms in the same order, so their outputs are equal to
+these bit for bit. Also the iterated pair-form sum, whose terms
+semidirect_convolve_pairform now sums with the generic kernel in another
+order; the loop over the carrier's pairs that verify_theorem1's pair
+identity check replaces; and the loop of HaarWeights' invariance check."""
 
 import numpy as np
 
-from groupoidalg.algebra import BundleFunction, GroupoidFunction, beta, fiber_convolve
+from groupoidalg.algebra import (
+    BundleFunction,
+    GroupoidFunction,
+    HaarWeights,
+    beta,
+    fiber_convolve,
+)
 from groupoidalg.semidirect import alpha
 
 
@@ -56,3 +64,78 @@ def oracle_pair_identity(sd):
                 where = f"({sd.arrow_label(j)})⁻¹∘({sd.arrow_label(i)})"
                 return False, f"pair identity fails at {where}"
     return True, None
+
+
+def oracle_semidirect_convolve_pairform(f1, f2, sd, w_parent):
+    """The iterated double sum over the transitive selection and the isotropy
+    fiber, under the product weights w(b0)·w(b1)."""
+    p = sd.parent
+    out = np.zeros(sd.n_arrows, dtype=complex)
+    for i, (a0, a1) in enumerate(sd.pair_of):
+        x = p.tgt[a1]
+        acc = 0j
+        for b1 in sd.g1.arrows:
+            if p.tgt[b1] != x:
+                continue
+            for b0 in p.isotropy_fiber(x):
+                j = sd.pair_index[(b0, b1)]
+                k = sd.compose_table[(sd.inv[j], i)]
+                acc += w_parent[b0] * w_parent[b1] * f1.values[j] * f2.values[k]
+        out[i] = acc
+    return GroupoidFunction(sd, out)
+
+
+def oracle_poincare_convolve(f1, f2, dec, w_parent=None):
+    """The explicit formula through the section: an outer sum over base
+    points z (translations), an inner one over group elements g'."""
+    sd = dec.sd
+    gauge, G, s = dec.gauge, dec.bundle.group, dec.section
+    if w_parent is None:
+        w_parent = HaarWeights.counting(gauge)
+
+    def iso(x, h):
+        return gauge.triple_index[(x, h, x)]
+
+    def conj_by_sigma(x, g):
+        return G.mul[G.mul[s.sigma[x]][g]][G.inverse[s.sigma[x]]]
+
+    out = np.zeros(sd.n_arrows, dtype=complex)
+    for i, (a0, a1) in enumerate(sd.pair_of):
+        x = gauge.tgt[a1]
+        y = gauge.src[a1]
+        # a0 = (x, sigma(x)·g·sigma(x)⁻¹, x) for a unique g
+        h = gauge.triples[a0][1]
+        g = G.mul[G.mul[G.inverse[s.sigma[x]]][h]][s.sigma[x]]
+        acc = 0j
+        for z in range(gauge.n_base):
+            t_xz = dec.translation[(x, z)]
+            t_zy = dec.translation[(z, y)]
+            mu = w_parent[t_xz]
+            for gp in range(G.order):
+                iso_x = iso(x, conj_by_sigma(x, gp))
+                dg = w_parent[iso_x]
+                j = sd.pair_index[(iso_x, t_xz)]
+                k = sd.pair_index[
+                    (iso(z, conj_by_sigma(z, G.mul[G.inverse[gp]][g])), t_zy)
+                ]
+                acc += dg * mu * f1.values[j] * f2.values[k]
+        out[i] = acc
+    return GroupoidFunction(sd, out)
+
+
+def oracle_haar_check(g, values):
+    """The error message HaarWeights(g, values) raises after its shape and
+    positivity checks, or None: per isotropy fiber, constancy up to
+    allclose, then invariance under conjugation, arrow by arrow."""
+    values = np.asarray(values, dtype=float)
+    if (values == values[:1]).all():
+        return None
+    for x in g.base():
+        fiber = g.isotropy_fiber(x)
+        if fiber and not np.allclose(values[fiber], values[fiber[0]]):
+            return f"weights are not constant on the isotropy fiber at {g.base_label(x)}"
+    for gamma in g.arrows():
+        for a in g.isotropy_fiber(g.src[gamma]):
+            if values[alpha(g, gamma, a)] != values[a]:
+                return "weights are not invariant under the conjugation action"
+    return None

@@ -1,6 +1,8 @@
-"""groupoid_convolve and twisted_convolve against the loop oracles in
-convolution_oracle.py: the outputs must be equal byte for byte (tobytes),
-on the ladder and on random instances, weights and values."""
+"""groupoid_convolve, twisted_convolve and poincare_convolve against the
+loop oracles in convolution_oracle.py: the outputs must be equal byte for
+byte (tobytes), on the ladder and on random instances, weights and values.
+Also the pair form against its loop, and HaarWeights' invariance check
+against the loop it replaces."""
 
 import dataclasses
 
@@ -12,7 +14,10 @@ from hypothesis import strategies as st
 from conftest import relabeled_group
 from convolution_oracle import (
     oracle_groupoid_convolve,
+    oracle_haar_check,
     oracle_pair_identity,
+    oracle_poincare_convolve,
+    oracle_semidirect_convolve_pairform,
     oracle_twisted_convolve,
 )
 from groupoidalg import (
@@ -27,9 +32,11 @@ from groupoidalg import (
     group_groupoid,
     groupoid_convolve,
     pair_groupoid,
+    poincare_convolve,
     poincare_decomposition,
     quotient_by_isotropy,
     selection_to_groupoid,
+    semidirect_convolve_pairform,
     twisted_convolve,
     verify_theorem1,
 )
@@ -47,6 +54,11 @@ def assert_same_twisted(F1, F2, w):
     assert list(got.fibers) == list(want.fibers)
     for a1, f in want.fibers.items():
         assert got.fibers[a1].values.tobytes() == f.values.tobytes()
+
+
+def assert_same_poincare(f1, f2, dec, w):
+    got = poincare_convolve(f1, f2, dec, w)
+    assert got.values.tobytes() == oracle_poincare_convolve(f1, f2, dec, w).values.tobytes()
 
 
 def random_values(rng, n, zeros=0.0):
@@ -97,6 +109,15 @@ def test_ladder(n, name):
             BundleFunction.random(dec.gauge, dec.g1, rng),
             wp,
         )
+    for wp in (w, random_weights(dec.gauge, rng)):
+        f1, f2 = GroupoidFunction.random(dec.sd, rng), GroupoidFunction.random(dec.sd, rng)
+        assert_same_poincare(f1, f2, dec, wp)
+        # the pair form is the generic kernel, which sums its loop's terms
+        # in another order
+        got = semidirect_convolve_pairform(f1, f2, dec.sd, wp).values
+        want = oracle_semidirect_convolve_pairform(f1, f2, dec.sd, wp).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    assert_same_poincare(f1, f2, dec, None)
 
 
 class TestRandomInstances:
@@ -109,7 +130,8 @@ class TestRandomInstances:
     )
     def test_gauge_carrier_and_twisted(self, name, n, seed, zeros):
         """Gauge groupoids over relabeled group tables with a random section,
-        random Haar weights and carriers under the product weights."""
+        random Haar weights and carriers under the product weights; and
+        poincare_convolve there, under counting and the random weights."""
         rng = np.random.default_rng(seed)
         bundle = FinitePrincipalBundle(n, relabeled_group(builtin_group(name), rng))
         dec = poincare_decomposition(bundle, Section.random(bundle, rng))
@@ -119,6 +141,11 @@ class TestRandomInstances:
             assert_same_convolution(f1, f2, wg)
         F1, F2 = (random_bundle_function(dec.gauge, dec.g1, rng, zeros) for _ in "12")
         assert_same_twisted(F1, F2, w)
+        for wp in (HaarWeights.counting(dec.gauge), w):
+            f1, f2 = (
+                GroupoidFunction(dec.sd, random_values(rng, dec.sd.n_arrows, zeros)) for _ in "12"
+            )
+            assert_same_poincare(f1, f2, dec, wp)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -177,7 +204,9 @@ def test_slot_table_is_built_once(fix_gauge_2_z2):
 
 def test_endpoint_out_of_range():
     """An endpoint beyond the base fails the slot build with the structure
-    check's message, in both kernels."""
+    check's message, in both kernels and in the invariance check of
+    non-constant Haar weights (which took them silently before it used the
+    slot table)."""
     g = dataclasses.replace(pair_groupoid(2), tgt=(0, 0, 5, 1))
     w = HaarWeights.counting(g)
     f = GroupoidFunction.random(g, np.random.default_rng(0))
@@ -187,6 +216,8 @@ def test_endpoint_out_of_range():
     F = BundleFunction(g, g1, {0: GroupoidFunction.delta(g, 0)})
     with pytest.raises(PreconditionError, match=r"^arrow 2: src/tgt out of range$"):
         twisted_convolve(F, F, w)
+    with pytest.raises(PreconditionError, match=r"^arrow 2: src/tgt out of range$"):
+        HaarWeights(g, [1.0, 2.0, 1.0, 1.0])
 
 
 def ladder_carrier(n, name):
@@ -225,3 +256,44 @@ def test_pair_identity(n, name):
         want = oracle_pair_identity(g)
         assert not want[0]
         assert pair_identity(g) == want
+
+
+def haar_message(g, values):
+    try:
+        HaarWeights(g, values)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("family", ["gauge", "carrier", "quotient", "pair", "S3", "Z4"])
+def test_haar_check(family):
+    """HaarWeights' invariance check against its loop: the same accept or
+    reject, and the same message, on valid weights and on copies with one
+    arrow scaled, by a factor allclose lets through or by one it does not."""
+    rng = np.random.default_rng(7)
+    bundle = FinitePrincipalBundle(3, builtin_group("S3"))
+    dec = poincare_decomposition(bundle, Section.random(bundle, rng))
+    g = {
+        "gauge": dec.gauge,
+        "carrier": dec.sd,
+        "quotient": quotient_by_isotropy(dec.gauge, dec.g0)[0],
+        "pair": pair_groupoid(3),
+        "S3": group_groupoid(relabeled_group(builtin_group("S3"), rng)),
+        "Z4": group_groupoid(relabeled_group(builtin_group("Z4"), rng)),
+    }[family]
+    if family == "carrier":
+        valid = carrier_weights(dec.sd, random_weights(dec.gauge, rng)).values
+    else:
+        valid = random_weights(g, rng).values
+    messages = {haar_message(g, valid)}
+    assert messages == {oracle_haar_check(g, valid)} == {None}
+    for a in rng.choice(g.n_arrows, min(g.n_arrows, 12), replace=False).tolist():
+        for factor in (1 + 1e-12, 2.0):
+            v = valid.copy()
+            v[a] *= factor
+            want = oracle_haar_check(g, v)
+            assert haar_message(g, v) == want
+            messages.add(want)
+    if family != "Z4":  # conjugation fixes every arrow of an abelian group
+        assert "weights are not invariant under the conjugation action" in messages

@@ -20,12 +20,14 @@ from groupoidalg import (
     poincare_convolve_agreement,
     poincare_decomposition,
     selection_to_groupoid,
+    semidirect_convolve_pairform,
     subgroupoid_properties,
     translation_subgroupoid,
     validate_groupoid,
     verify_morphism,
     verify_poincare_decomposition,
 )
+from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import FiniteGroupoid, GroupoidMorphism
 
 
@@ -298,7 +300,23 @@ class TestPoincareConvolve:
     def test_carrier_mismatch_rejected(self, bundle_2_z2, fix_pair, rng):
         dec = poincare_decomposition(bundle_2_z2, Section.identity(bundle_2_z2))
         f = GroupoidFunction.random(fix_pair, rng)
-        from groupoidalg.errors import PreconditionError
-
         with pytest.raises(PreconditionError):
             poincare_convolve(f, f, dec)
+
+    def test_weights_on_another_groupoid(self, bundle_2_z2, bundle_3_s3, rng):
+        """Parent weights must live on the decomposition's gauge groupoid.
+        Weights of the (2,Z2) gauge groupoid used to end in a bare IndexError,
+        and those of a second (3,S3) gauge groupoid were taken silently."""
+        dec = poincare_decomposition(bundle_3_s3, Section.random(bundle_3_s3, rng))
+        f = GroupoidFunction.random(dec.sd, rng)
+        calls = (
+            lambda w: poincare_convolve(f, f, dec, w),
+            lambda w: poincare_convolve_agreement(f, f, dec, w),
+            lambda w: carrier_weights(dec.sd, w),
+            lambda w: semidirect_convolve_pairform(f, f, dec.sd, w),
+        )
+        for other in (gauge_groupoid(bundle_2_z2), gauge_groupoid(bundle_3_s3)):
+            w = HaarWeights.counting(other)
+            for call in calls:
+                with pytest.raises(PreconditionError, match="^weights must live on the"):
+                    call(w)
