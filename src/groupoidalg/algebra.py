@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -39,18 +38,17 @@ class HaarWeights:
             raise PreconditionError("Haar weights must be strictly positive")
         if (self.values == self.values[:1]).all():
             return
-        for x in g.base():
-            fiber = g.isotropy_fiber(x)
-            if fiber and not np.allclose(self.values[fiber], self.values[fiber[0]]):
-                raise PreconditionError(
-                    f"weights are not constant on the isotropy fiber at {g.base_label(x)}"
-                )
+        # constancy on each isotropy fiber, exactly: w(a) = w(identity at src a)
+        s = g._product_slots()
+        iso = np.flatnonzero(s.src == s.tgt)
+        bad = iso[self.values[iso] != self.values[np.asarray(g.identity)[s.src[iso]]]]
+        if bad.size:
+            x = g.base_label(int(s.src[bad].min()))
+            raise PreconditionError(f"weights are not constant on the isotropy fiber at {x}")
         # w(γ∘a∘γ⁻¹) = w(a) for every arrow γ and every a in the fiber at src γ
-        conj, iso = g._product_slots().conj, g._fibers.iso
-        a = np.fromiter(chain.from_iterable(iso[x] for x in g.src), np.intp)
-        gamma = np.repeat(np.arange(g.n_arrows), [len(iso[x]) for x in g.src])
-        if (self.values[conj(gamma, a)] != self.values[a]).any():
-            raise PreconditionError("weights are not invariant under the conjugation action")
+        for _, gamma, a in s.iso_pairs(_BLOCK):
+            if (self.values[s.conj(gamma, a)] != self.values[a]).any():
+                raise PreconditionError("weights are not invariant under the conjugation action")
 
     @classmethod
     def counting(cls, g: FiniteGroupoid) -> "HaarWeights":

@@ -226,7 +226,7 @@ def _commutant(args) -> list[dict]:
 
 
 def _verify_poincare(args) -> list[dict]:
-    result = verify_poincare_decomposition(*_bundle_section(args), args.tol)
+    result = verify_poincare_decomposition(*_bundle_section(args))
     return [{"name": "poincare-decomposition", **result, "passed": result["passed"]}]
 
 

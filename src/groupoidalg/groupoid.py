@@ -82,14 +82,31 @@ def _fiber_index(n_base: int, src, tgt) -> _Fibers:
     return _Fibers(*(tuple(map(tuple, lists)) for lists in (into, out, iso)))
 
 
-def _composable_pairs(n_base: int, src, tgt):
-    """Every pair (a, b) with src[a] == tgt[b], walked over the fiber index:
-    a ascending, then b ascending among the arrows into src[a]. The builders
-    walk it, and validate_groupoid's slot array follows its order."""
-    into = _fiber_index(n_base, src, tgt).into
-    for a, x in enumerate(src):
-        for b in into[x]:
-            yield a, b
+def _group(n_base: int, ends):
+    """The positions 0..len(ends)-1 grouped by their value in ends, in
+    order: group x is at[ptr[x]:ptr[x + 1]]. ends must lie in the base."""
+    at = np.argsort(ends, kind="stable")
+    ptr = np.zeros(n_base + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n_base), out=ptr[1:])
+    return at, ptr
+
+
+def _walk(ids, ptr, end, block: int):
+    """The pairs (a, b) with b in ids[ptr[end[a]]:ptr[end[a] + 1]], a
+    ascending, then b in that order. With ids, ptr the arrows grouped by
+    target and end = src, these are the composable pairs in slot order. In
+    blocks of the pairs of whole arrows a, at most block pairs unless one
+    arrow has more: yields (first pair, a, b) with a and b arrays."""
+    span = np.diff(ptr)[end]
+    off = np.cumsum(span) - span
+    step = max(1, block // max(1, int(span.max(initial=0))))
+    shift = ptr[end] - off  # b runs over ids[ptr[end a]:], from pair off[a]
+    for lo in range(0, len(span), step):
+        hi = min(lo + step, len(span))
+        first = int(off[lo])
+        a = np.repeat(np.arange(lo, hi), span[lo:hi])
+        at = np.repeat(shift[lo:hi], span[lo:hi]) + np.arange(first, first + a.size)
+        yield first, a, ids[at]
 
 
 @dataclass(eq=False)
@@ -169,9 +186,9 @@ class _Slots(NamedTuple):
     """A compose table as a slot array over the fiber index. The product of
     the composable pair (a, b) sits at prod[off[a] + pos[b]]: off[a] is the
     running sum of |into(src a)| and pos[b] the rank of b in into(tgt b), so
-    slots run in _composable_pairs order. A tail as long as the largest
-    fiber starts at slot n_slots; it holds -1, and non-composable lookups
-    read it. into(x) is into_ids[into_ptr[x]:into_ptr[x + 1]]."""
+    slots run in the order of _walk. A tail as long as the largest fiber
+    starts at slot n_slots; it holds -1, and non-composable lookups read
+    it. into(x) is into_ids[into_ptr[x]:into_ptr[x + 1]]."""
 
     src: np.ndarray
     tgt: np.ndarray
@@ -190,23 +207,16 @@ class _Slots(NamedTuple):
         ]
 
     def pairs(self, block: int, end=None):
-        """The pairs (a, b) with b in into(end[a]), a ascending, then b in
-        fiber order; by default end = src, and these are the composable
-        pairs in slot order. In blocks of the pairs of whole arrows a, at
-        most block pairs unless one arrow has more: yields (first pair, a,
-        b) with a and b arrays of arrow ids."""
-        end = self.src if end is None else end
-        span = np.diff(self.into_ptr)[end]
-        off = np.cumsum(span) - span
-        step = max(1, block // max(1, int(span.max(initial=0))))
-        # b runs over into(end a) = into_ids[into_ptr[end a]:], from pair off[a]
-        shift = self.into_ptr[end] - off
-        for lo in range(0, len(span), step):
-            hi = min(lo + step, len(span))
-            first = int(off[lo])
-            a = np.repeat(np.arange(lo, hi), span[lo:hi])
-            at = np.repeat(shift[lo:hi], span[lo:hi]) + np.arange(first, first + a.size)
-            yield first, a, self.into_ids[at]
+        """The walk over the pairs (a, b) with b in into(end[a]); by default
+        end = src, and these are the composable pairs in slot order."""
+        return _walk(self.into_ids, self.into_ptr, self.src if end is None else end, block)
+
+    def iso_pairs(self, block: int):
+        """The walk over the pairs (γ, a) with a in the isotropy fiber at
+        src γ: γ ascending, then a ascending."""
+        iso = np.flatnonzero(self.src == self.tgt)
+        at, ptr = _group(len(self.into_ptr) - 1, self.src[iso])
+        return _walk(iso[at], ptr, self.src, block)
 
     def compose(self, a, b):
         """The products of arrays of arrow ids, which must be composable."""
@@ -220,18 +230,39 @@ class _Slots(NamedTuple):
         return self.compose(self.compose(g, a), self.inv[g])
 
 
-def _layout(into, src):
-    """The slot layout over the fiber index into, for in-range src ids:
-    off, pos, into_ids, into_ptr, the slot count and the largest fiber."""
-    n = len(src)
-    sizes = np.fromiter(map(len, into), np.int64, len(into))
-    into_ptr = np.concatenate(([0], np.cumsum(sizes)))
-    into_ids = np.fromiter(chain.from_iterable(into), np.int64, n)
-    pos = np.empty(n, dtype=np.int32)
-    pos[into_ids] = np.arange(n) - np.repeat(into_ptr[:-1], sizes)
+def _layout(n_base: int, src, tgt):
+    """The slot layout of in-range src/tgt arrays: off, pos, into_ids,
+    into_ptr, the slot count and the largest fiber."""
+    into_ids, into_ptr = _group(n_base, tgt)
+    sizes = np.diff(into_ptr)
+    pos = np.empty(len(src), dtype=np.int32)
+    pos[into_ids] = np.arange(len(src)) - np.repeat(into_ptr[:-1], sizes)
     span = sizes[src]
     off = np.cumsum(span) - span
     return off, pos, into_ids, into_ptr, int(span.sum()), int(sizes.max(initial=0))
+
+
+_PAIR_BLOCK = 1 << 14  # pairs per block of a walk; bounds the temporaries
+
+
+def _build(cls, n_base: int, src, tgt, inv, identity, product, **fields):
+    """A groupoid of class cls from int arrays of its src, tgt, inv and
+    identity tables, its compose and slot tables filled from the walk, in
+    blocks; product(a, b) gives the products of arrays of arrow ids. The
+    keys share one int object per arrow, taken from one object array."""
+    off, pos, into_ids, into_ptr, n_slots, tail = _layout(n_base, src, tgt)
+    prod = np.full(n_slots + tail, -1, dtype=np.int32)
+    ids = np.arange(len(src)).astype(object)
+    comp = {}
+    for first, a, b in _walk(into_ids, into_ptr, src, _PAIR_BLOCK):
+        c = product(a, b)
+        prod[first:first + c.size] = c
+        comp.update(zip(zip(ids[a].tolist(), ids[b].tolist()), ids[c].tolist()))
+    g = cls(n_base, tuple(src.tolist()), tuple(tgt.tolist()), comp,
+            tuple(ids[inv].tolist()), tuple(ids[identity].tolist()), **fields)
+    src, tgt, inv = (np.asarray(t, dtype=np.int32) for t in (src, tgt, inv))
+    g._slots = _Slots(src, tgt, inv, off, pos, prod, n_slots, into_ids, into_ptr)
+    return g
 
 
 _INT32 = np.iinfo(np.int32)
@@ -296,7 +327,7 @@ def _structure(g: FiniteGroupoid):
                 f"compose entry on non-composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
             )
 
-    off, pos, into_ids, into_ptr, n_slots, tail = _layout(g._fibers.into, src)
+    off, pos, into_ids, into_ptr, n_slots, tail = _layout(nb, src, tgt)
     slot = off[A[composable]]
     slot += pos[B[composable]]
     filled = np.zeros(n_slots, dtype=bool)
@@ -332,6 +363,8 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     rep, s, entries = _structure(g)
     if not rep.ok:
         return rep
+    if g._slots is None:  # the one structure pass; builders and kernels reuse it
+        g._slots = s
     A, B, C = entries
     src, tgt = s.src, s.tgt
     ident = np.asarray(g.identity, dtype=np.int64)
@@ -403,10 +436,6 @@ class SubgroupoidSelection:
     parent: FiniteGroupoid
     arrows: frozenset[int]
 
-    def touched_base(self) -> set[int]:
-        p = self.parent
-        return {p.src[a] for a in self.arrows} | {p.tgt[a] for a in self.arrows}
-
 
 def isotropy_subgroupoid(g: FiniteGroupoid) -> SubgroupoidSelection:
     """All arrows with equal source and target; always wide and closed."""
@@ -416,21 +445,22 @@ def isotropy_subgroupoid(g: FiniteGroupoid) -> SubgroupoidSelection:
 def subgroupoid_properties(g: FiniteGroupoid, h: SubgroupoidSelection) -> dict:
     if not h.arrows <= frozenset(g.arrows()):
         raise PreconditionError("selection is not a subset of the parent's arrows")
-    arrows = h.arrows
+    s = g._product_slots()
+    sel = np.array(sorted(h.arrows), dtype=np.intp)
+    inside = np.zeros(g.n_arrows, dtype=bool)
+    inside[sel] = True
+    touched = np.zeros(g.n_base, dtype=bool)
+    touched[s.src[sel]] = touched[s.tgt[sel]] = True
+    into, ptr = _group(g.n_base, s.tgt[sel])  # the walk over the selection's pairs
+    pairs = _walk(sel[into], ptr, s.src[sel], _PAIR_BLOCK)
     closed = (
-        all(g.inv[a] in arrows for a in arrows)
-        and all(
-            g.compose_table[(a, b)] in arrows
-            for a in arrows
-            for b in g._fibers.into[g.src[a]]
-            if b in arrows
-        )
-        and all(g.identity[x] in arrows for x in h.touched_base())
+        inside[s.inv[sel]].all()
+        and all(inside[s.compose(sel[a], b)].all() for _, a, b in pairs)
+        and inside[np.asarray(g.identity)[touched]].all()
     )
-    wide = h.touched_base() == set(g.base())
-    pairs = {(g.tgt[a], g.src[a]) for a in arrows}
-    transitive = len(pairs) == g.n_base * g.n_base
-    return {"is_wide": wide, "is_transitive": transitive, "is_closed": closed}
+    ends = np.unique(s.tgt[sel].astype(np.int64) * g.n_base + s.src[sel])
+    return {"is_wide": bool(touched.all()), "is_transitive": ends.size == g.n_base**2,
+            "is_closed": bool(closed)}
 
 
 @dataclass(eq=False)
@@ -451,23 +481,17 @@ def selection_to_groupoid(sel: SubgroupoidSelection) -> tuple[FiniteGroupoid, Gr
     props = subgroupoid_properties(p, sel)
     if not props["is_closed"]:
         raise PreconditionError("selection is not closed; cannot form a subgroupoid")
-    base_pts = sorted(sel.touched_base())
-    base_idx = {x: i for i, x in enumerate(base_pts)}
-    arrows = sorted(sel.arrows)
-    arrow_idx = {a: i for i, a in enumerate(arrows)}
-    src = tuple(base_idx[p.src[a]] for a in arrows)
-    tgt = tuple(base_idx[p.tgt[a]] for a in arrows)
-    comp = {
-        (i, j): arrow_idx[p.compose_table[(arrows[i], arrows[j])]]
-        for i, j in _composable_pairs(len(base_pts), src, tgt)
-    }
-    sub = FiniteGroupoid(
-        n_base=len(base_pts),
-        src=src,
-        tgt=tgt,
-        compose_table=comp,
-        inv=tuple(arrow_idx[p.inv[a]] for a in arrows),
-        identity=tuple(arrow_idx[p.identity[x]] for x in base_pts),
+    s, arrows = p._product_slots(), sorted(sel.arrows)
+    at = np.array(arrows, dtype=np.intp)
+    base_pts = np.union1d(s.src[at], s.tgt[at]).tolist()
+    rank = np.zeros(p.n_arrows, dtype=np.intp)  # of a selected arrow, its id in sub
+    rank[at] = np.arange(at.size)
+    base_rank = np.zeros(p.n_base, dtype=np.intp)
+    base_rank[base_pts] = np.arange(len(base_pts))
+    sub = _build(
+        FiniteGroupoid, len(base_pts), base_rank[s.src[at]], base_rank[s.tgt[at]],
+        rank[s.inv[at]], rank[np.asarray(p.identity)[base_pts]],
+        lambda a, b: rank[s.compose(at[a], at[b])],
         arrow_labels=tuple(p.arrow_label(a) for a in arrows),
         base_labels=tuple(p.base_label(x) for x in base_pts),
     )
@@ -498,18 +522,20 @@ def quotient_by_isotropy(
                 f"quotient selection contains non-isotropy arrow {g.arrow_label(a)}"
             )
     # conjugation stability: alpha_gamma maps g0 fibers into g0
-    iso = g._fibers.iso
-    for gamma in g.arrows():
-        for a in iso[g.src[gamma]]:
-            if a not in g0.arrows:
-                continue
-            conj = g.compose_table[(g.compose_table[(gamma, a)], g.inv[gamma])]
-            if conj not in g0.arrows:
-                raise PreconditionError(
-                    f"selection is not conjugation-stable: witness arrows "
-                    f"({g.arrow_label(gamma)}, {g.arrow_label(a)})"
-                )
+    s = g._product_slots()
+    inside = np.zeros(g.n_arrows, dtype=bool)
+    inside[list(g0.arrows)] = True
+    for _, gamma, a in s.iso_pairs(_PAIR_BLOCK):
+        keep = inside[a]
+        gamma, a = gamma[keep], a[keep]
+        bad = np.flatnonzero(~inside[s.conj(gamma, a)])
+        if bad.size:
+            raise PreconditionError(
+                f"selection is not conjugation-stable: witness arrows "
+                f"({g.arrow_label(int(gamma[bad[0]]))}, {g.arrow_label(int(a[bad[0]]))})"
+            )
 
+    iso = g._fibers.iso
     class_of = [None] * g.n_arrows
     classes: list[list[int]] = []
     for gamma in g.arrows():
@@ -537,29 +563,26 @@ def quotient_by_isotropy(
     classes = [classes[c] for c in order]
     reps = [members[0] for members in classes]
 
-    # well-definedness of composition on representatives
-    src = tuple(g.src[r] for r in reps)
-    tgt = tuple(g.tgt[r] for r in reps)
-    comp: dict[tuple[int, int], int] = {}
-    for c1, c2 in _composable_pairs(g.n_base, src, tgt):
-        results = {
-            class_of[g.compose_table[(a, b)]] for a in classes[c1] for b in classes[c2]
-        }
-        if len(results) != 1:
-            raise QuotientUndefinedError(
-                f"quotient undefined: classes [{g.arrow_label(reps[c1])}] and "
-                f"[{g.arrow_label(reps[c2])}] compose ambiguously",
-                witnesses=(reps[c1], reps[c2]),
-            )
-        comp[(c1, c2)] = results.pop()
+    # well-definedness: every composable pair (a, b) lands in the class of
+    # the product of its classes' representatives; the witness is the first
+    # pair of classes (c1, c2), c1 ascending, then c2, that does not
+    cls, rep, m = np.array(class_of), np.array(reps), len(reps)
+    worst = m * m
+    for first, a, b in s.pairs(_PAIR_BLOCK):
+        ca, cb = cls[a], cls[b]
+        bad = cls[s.prod[first:first + a.size]] != cls[s.compose(rep[ca], rep[cb])]
+        worst = min(worst, int((ca[bad] * m + cb[bad]).min(initial=worst)))
+    if worst < m * m:
+        c1, c2 = divmod(worst, m)
+        raise QuotientUndefinedError(
+            f"quotient undefined: classes [{g.arrow_label(reps[c1])}] and "
+            f"[{g.arrow_label(reps[c2])}] compose ambiguously",
+            witnesses=(reps[c1], reps[c2]),
+        )
 
-    quotient = FiniteGroupoid(
-        n_base=g.n_base,
-        src=src,
-        tgt=tgt,
-        compose_table=comp,
-        inv=tuple(class_of[g.inv[r]] for r in reps),
-        identity=tuple(class_of[g.identity[x]] for x in g.base()),
+    quotient = _build(
+        FiniteGroupoid, g.n_base, s.src[rep], s.tgt[rep], cls[s.inv[rep]],
+        cls[np.asarray(g.identity)], lambda c1, c2: cls[s.compose(rep[c1], rep[c2])],
         arrow_labels=tuple(f"[{g.arrow_label(r)}]" for r in reps),
         base_labels=g.base_labels,
     )
@@ -575,38 +598,21 @@ def quotient_by_isotropy(
 # --- builders ---------------------------------------------------------------
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
-    """Pair groupoid over {0..n-1}: arrows (y,x), (z,y)∘(y,x) = (z,x)."""
-    arrows = [(y, x) for y in range(n) for x in range(n)]
-    idx = {a: i for i, a in enumerate(arrows)}
-    src = tuple(x for (_, x) in arrows)
-    tgt = tuple(y for (y, _) in arrows)
-    comp = {
-        (a, b): idx[(tgt[a], src[b])]
-        for a, b in _composable_pairs(n, src, tgt)
-    }
-    return FiniteGroupoid(
-        n_base=n,
-        src=src,
-        tgt=tgt,
-        compose_table=comp,
-        inv=tuple(idx[(x, y)] for (y, x) in arrows),
-        identity=tuple(idx[(x, x)] for x in range(n)),
-        arrow_labels=tuple(f"({y},{x})" for (y, x) in arrows),
+    """Pair groupoid over {0..n-1}: arrow y·n + x is (y,x), (z,y)∘(y,x) = (z,x)."""
+    y, x = np.divmod(np.arange(n * n), n)
+    return _build(
+        FiniteGroupoid, n, x, y, x * n + y, np.arange(n) * (n + 1),
+        lambda a, b: a - a % n + b % n,
+        arrow_labels=tuple(f"({t},{s})" for t, s in zip(y.tolist(), x.tolist())),
     )
 
 
 def group_groupoid(G: FiniteGroup) -> FiniteGroupoid:
     """A finite group viewed as a groupoid over a one-point base."""
-    n = G.order
-    comp = {(a, b): G.mul[a][b] for a in range(n) for b in range(n)}
-    return FiniteGroupoid(
-        n_base=1,
-        src=(0,) * n,
-        tgt=(0,) * n,
-        compose_table=comp,
-        inv=G.inverse,
-        identity=(G.identity,),
+    mul, zero = np.array(G.mul, dtype=np.intp).reshape(G.order, G.order), np.zeros(G.order, int)
+    return _build(
+        FiniteGroupoid, 1, zero, zero, np.array(G.inverse), np.array([G.identity]),
+        lambda a, b: mul[a, b],
         arrow_labels=G.elements,
         base_labels=("*",),
     )
-

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import PreconditionError
 from .groupoid import (
     FiniteGroupoid,
     GroupoidMorphism,
     SubgroupoidSelection,
-    _composable_pairs,
+    _build,
     isotropy_subgroupoid,
     quotient_by_isotropy,
     selection_to_groupoid,
@@ -72,51 +74,38 @@ def semidirect_product(
     pairs = [
         (a0, a1) for a1 in sorted(g1.arrows) for a0 in parent.isotropy_fiber(parent.tgt[a1])
     ]
-    idx = {p: i for i, p in enumerate(pairs)}
+    P0, P1 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    rank = np.zeros(parent.n_arrows, dtype=np.intp)  # of an isotropy arrow in its fiber
+    rank[P0] = np.arange(P0.size) - np.searchsorted(P1, P1)
+    ps, ident = parent._product_slots(), np.asarray(parent.identity)
 
-    src = tuple(parent.src[a1] for (_, a1) in pairs)
-    tgt = tuple(parent.tgt[a0] for (a0, _) in pairs)
-    comp: dict[tuple[int, int], int] = {}
-    for i, j in _composable_pairs(parent.n_base, src, tgt):
-        (a0, a1), (b0, b1) = pairs[i], pairs[j]
-        prod = (
-            parent.compose(a0, alpha(parent, a1, b0)),
-            parent.compose(a1, b1),
-        )
-        comp[(i, j)] = idx[prod]
-    inv = tuple(
-        idx[(alpha(parent, parent.inv[a1], parent.inv[a0]), parent.inv[a1])]
-        for (a0, a1) in pairs
-    )
-    identity = tuple(idx[(parent.identity[x], parent.identity[x])] for x in parent.base())
-    labels = tuple(
-        f"({parent.arrow_label(a0)},{parent.arrow_label(a1)})" for (a0, a1) in pairs
-    )
-    return SemidirectGroupoid(
-        n_base=parent.n_base,
-        src=src,
-        tgt=tgt,
-        compose_table=comp,
-        inv=inv,
-        identity=identity,
-        arrow_labels=labels,
-        base_labels=parent.base_labels,
-        pair_of=tuple(pairs),
-        pair_index=idx,
-        parent=parent,
-        g0=g0,
-        g1=g1,
+    def carrier(c0, c1):  # the id of (c0, c1): the first pair on c1 plus the rank of c0
+        return np.searchsorted(P1, c1) + rank[c0]
+
+    def product(i, j):  # (a0, a1)∘(b0, b1) = (a0∘α_{a1}(b0), a1∘b1)
+        a0, a1 = P0[i], P1[i]
+        return carrier(ps.compose(a0, ps.conj(a1, P0[j])), ps.compose(a1, P1[j]))
+
+    inv1 = ps.inv[P1]  # (a0, a1)⁻¹ = (α_{a1⁻¹}(a0⁻¹), a1⁻¹)
+    return _build(
+        SemidirectGroupoid, parent.n_base, ps.src[P1], ps.tgt[P0],
+        carrier(ps.conj(inv1, ps.inv[P0]), inv1), carrier(ident, ident), product,
+        arrow_labels=tuple(
+            f"({parent.arrow_label(a0)},{parent.arrow_label(a1)})" for (a0, a1) in pairs
+        ),
+        base_labels=parent.base_labels, pair_of=tuple(pairs),
+        pair_index={p: i for i, p in enumerate(pairs)}, parent=parent, g0=g0, g1=g1,
     )
 
 
 def J_map(sd: SemidirectGroupoid) -> GroupoidMorphism:
     """The comparison morphism (gamma0, gamma1) ↦ gamma0 ∘ gamma1 into the parent."""
     parent = sd.parent
-    arrow_map = tuple(parent.compose(a0, a1) for (a0, a1) in sd.pair_of)
+    P0, P1 = np.array(sd.pair_of, dtype=np.intp).reshape(-1, 2).T
     return GroupoidMorphism(
         domain=sd,
         codomain=parent,
-        arrow_map=arrow_map,
+        arrow_map=tuple(parent._product_slots().compose(P0, P1).tolist()),
         base_map=tuple(parent.base()),
     )
 
@@ -137,7 +126,13 @@ def prop1_equivalence(
     g0: SubgroupoidSelection,
     g1: SubgroupoidSelection,
 ) -> Prop1Result:
-    """Both directions of the decomposition criterion on one instance.
+    """Both directions of the decomposition criterion on one instance:
+    prop1_on_carrier of the semidirect product of g0 and g1."""
+    return prop1_on_carrier(semidirect_product(parent, g0, g1))
+
+
+def prop1_on_carrier(sd: SemidirectGroupoid) -> Prop1Result:
+    """Both directions of the decomposition criterion on a built carrier.
 
     j_exists: the quotient by g0 is isomorphic to g1. Decided on j = rho∘iota:
     the quotient of the transitive parent has one arrow per pair of
@@ -149,9 +144,8 @@ def prop1_equivalence(
     When the comparison map is invertible, the induced map from the
     quotient onto g1 (class of J(gamma0, gamma1) ↦ gamma1) is built and verified.
     """
-    sd = semidirect_product(parent, g0, g1)
-    quotient, rho = quotient_by_isotropy(parent, g0)
-    g1_groupoid, inclusion = selection_to_groupoid(g1)
+    quotient, rho = quotient_by_isotropy(sd.parent, sd.g0)
+    g1_groupoid, inclusion = selection_to_groupoid(sd.g1)
     j = GroupoidMorphism(
         g1_groupoid, quotient, tuple(rho.arrow_map[a] for a in inclusion.arrow_map),
         base_map=tuple(quotient.base()),

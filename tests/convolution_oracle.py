@@ -125,14 +125,14 @@ def oracle_poincare_convolve(f1, f2, dec, w_parent=None):
 
 def oracle_haar_check(g, values):
     """The error message HaarWeights(g, values) raises after its shape and
-    positivity checks, or None: per isotropy fiber, constancy up to
-    allclose, then invariance under conjugation, arrow by arrow."""
+    positivity checks, or None: per isotropy fiber, exact constancy, then
+    invariance under conjugation, arrow by arrow."""
     values = np.asarray(values, dtype=float)
     if (values == values[:1]).all():
         return None
     for x in g.base():
         fiber = g.isotropy_fiber(x)
-        if fiber and not np.allclose(values[fiber], values[fiber[0]]):
+        if fiber and (values[fiber] != values[fiber[0]]).any():
             return f"weights are not constant on the isotropy fiber at {g.base_label(x)}"
     for gamma in g.arrows():
         for a in g.isotropy_fiber(g.src[gamma]):

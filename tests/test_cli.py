@@ -112,6 +112,30 @@ class TestExitCodes:
         assert main(["quotient", "--in", str(path), "--out", str(tmp_path / "q.json")]) == 1
         assert capsys.readouterr().err == "error: arrow (0,e,1) lies in no orbit\n"
 
+    def test_quotient_of_incomplete_table(self, fix_gauge_2_z2, tmp_path, capsys):
+        """A file without its first compose entry is reported with the
+        missing pair, not with a KeyError and a traceback."""
+        d = gio.groupoid_to_dict(fix_gauge_2_z2)
+        del d["compose"][0]
+        path, out = tmp_path / "bad.json", tmp_path / "q.json"
+        gio.dump_json(d, path)
+        assert main(["quotient", "--in", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: compose table missing composable pair ((0,e,0), (0,e,0))\n"
+        )
+        assert not out.exists()
+
+    def test_gauge_size_cap(self, tmp_path, capsys):
+        """10⁶ base points ask for 4·10¹⁸ composable pairs: exit 3 before
+        anything is built or written."""
+        out = tmp_path / "sd.json"
+        argv = ["semidirect", "--base", "1000000", "--group", "Z2", "--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: gauge groupoid too large") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_size_cap(self, monkeypatch, tmp_path):
         monkeypatch.setenv("GROUPOIDALG_MAX_ENTRIES", "10")
         report = tmp_path / "r.json"

@@ -29,6 +29,7 @@ from groupoidalg import (
     SubgroupoidSelection,
     builtin_group,
     carrier_weights,
+    cyclic,
     group_groupoid,
     groupoid_convolve,
     pair_groupoid,
@@ -268,9 +269,12 @@ def haar_message(g, values):
 
 @pytest.mark.parametrize("family", ["gauge", "carrier", "quotient", "pair", "S3", "Z4"])
 def test_haar_check(family):
-    """HaarWeights' invariance check against its loop: the same accept or
-    reject, and the same message, on valid weights and on copies with one
-    arrow scaled, by a factor allclose lets through or by one it does not."""
+    """HaarWeights' checks against their loop: the same accept or reject,
+    and the same message, on valid weights and on copies with one arrow or
+    one whole isotropy fiber scaled, by a factor allclose lets through or by
+    one it does not. Constancy is exact, so a scaled isotropy arrow fails it
+    and only a scaled fiber reaches the invariance check; over one base
+    point, constancy implies invariance."""
     rng = np.random.default_rng(7)
     bundle = FinitePrincipalBundle(3, builtin_group("S3"))
     dec = poincare_decomposition(bundle, Section.random(bundle, rng))
@@ -288,12 +292,23 @@ def test_haar_check(family):
         valid = random_weights(g, rng).values
     messages = {haar_message(g, valid)}
     assert messages == {oracle_haar_check(g, valid)} == {None}
-    for a in rng.choice(g.n_arrows, min(g.n_arrows, 12), replace=False).tolist():
+    arrows = [[a] for a in rng.choice(g.n_arrows, min(g.n_arrows, 12), replace=False).tolist()]
+    for scaled in arrows + [g.isotropy_fiber(x) for x in g.base()]:
         for factor in (1 + 1e-12, 2.0):
             v = valid.copy()
-            v[a] *= factor
+            v[scaled] *= factor
             want = oracle_haar_check(g, v)
             assert haar_message(g, v) == want
             messages.add(want)
-    if family != "Z4":  # conjugation fixes every arrow of an abelian group
+    if family not in ("pair", "quotient"):  # their isotropy fibers are single arrows
+        assert any(m and m.startswith("weights are not constant") for m in messages)
+    if g.n_base > 1:
         assert "weights are not invariant under the conjugation action" in messages
+
+
+def test_haar_constancy_is_exact():
+    """A weight 1e-5 off on an isotropy fiber whose conjugation action is
+    trivial was let through by a check up to allclose."""
+    message = r"^weights are not constant on the isotropy fiber at \*$"
+    with pytest.raises(PreconditionError, match=message):
+        HaarWeights(group_groupoid(cyclic(4)), [1.0, 1.000009, 1.0, 1.0])

@@ -10,7 +10,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import relabeled_group
 from groupoidalg import (
     FinitePrincipalBundle,
     Section,
@@ -20,6 +23,7 @@ from groupoidalg import (
     pair_groupoid,
     poincare_decomposition,
     quotient_by_isotropy,
+    selection_to_groupoid,
     validate_groupoid,
 )
 from groupoidalg import io as gio
@@ -65,8 +69,8 @@ def _decomposition(n, name):
     return poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(7)))
 
 
-def _gauge(n, name):
-    gauge = _decomposition(n, name).gauge
+def _gauge(n, name, dec=None):
+    gauge = (dec or _decomposition(n, name)).gauge
     mul, t = gauge.bundle.group.mul, gauge.triples
 
     def product(a, b):
@@ -75,8 +79,8 @@ def _gauge(n, name):
     return gauge, product
 
 
-def _carrier(n, name):
-    sd = _decomposition(n, name).sd
+def _carrier(n, name, dec=None):
+    sd = (dec or _decomposition(n, name)).sd
     p = sd.parent
 
     def product(i, j):
@@ -95,6 +99,22 @@ def _quotient(n, name):
     return q, lambda c1, c2: rho.arrow_map[gauge.compose(rep[c1], rep[c2])]
 
 
+def _selection(dec, sel):
+    sub, incl = selection_to_groupoid(sel)
+    at, p = incl.arrow_map, dec.gauge
+    return sub, lambda a, b: at.index(p.compose(at[a], at[b]))
+
+
+def _isotropy(n, name):
+    dec = _decomposition(n, name)
+    return _selection(dec, dec.g0)
+
+
+def _translation(n, name):
+    dec = _decomposition(n, name)
+    return _selection(dec, dec.g1)
+
+
 def _reloaded(tmp_path_factory):
     sd = _decomposition(3, "S3").sd
     path = tmp_path_factory.mktemp("json") / "carrier.json"
@@ -111,7 +131,7 @@ BUILDERS = (
     + [
         (f"{kind.__name__[1:]}-{n}{name}", lambda kind=kind, n=n, name=name: kind(n, name))
         for n, name in SIZES
-        for kind in (_gauge, _carrier, _quotient)
+        for kind in (_gauge, _carrier, _quotient, _isotropy, _translation)
     ]
 )
 
@@ -143,6 +163,23 @@ def test_compose_table_equals_brute_force(instance):
     g, product = instance
     assert list(g.compose_table.items()) == list(brute_table(g, product).items())
     assert validate_groupoid(g).ok
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILTIN_GROUPS)),
+    n=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_gauge_and_carrier_over_relabeled_groups(name, n, seed):
+    """Group tables with shuffled elements and the identity off index 0, and
+    random sections: the gauge and carrier tables hold exactly the pairs of
+    the endpoint filter, in its order, with the products of the formulas."""
+    rng = np.random.default_rng(seed)
+    bundle = FinitePrincipalBundle(n, relabeled_group(builtin_group(name), rng))
+    dec = poincare_decomposition(bundle, Section.random(bundle, rng))
+    for g, product in (_gauge(n, name, dec), _carrier(n, name, dec)):
+        assert list(g.compose_table.items()) == list(brute_table(g, product).items())
 
 
 class TestMalformed:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from groupoidalg import (
     poincare_convolve,
     poincare_convolve_agreement,
     poincare_decomposition,
+    prop1_equivalence,
     selection_to_groupoid,
     semidirect_convolve_pairform,
     subgroupoid_properties,
@@ -27,8 +29,10 @@ from groupoidalg import (
     verify_morphism,
     verify_poincare_decomposition,
 )
-from groupoidalg.errors import PreconditionError
+from groupoidalg.errors import PreconditionError, SizeCapError
+from groupoidalg.gauge import MAX_GAUGE_PAIRS
 from groupoidalg.groupoid import FiniteGroupoid, GroupoidMorphism
+from groupoidalg.semidirect import prop1_on_carrier
 
 
 def gauge_groupoid_raw(bundle: FinitePrincipalBundle):
@@ -239,6 +243,22 @@ class TestHaarSums:
         assert sorted(g.src[a] for a in into) == list(g.base())
 
 
+@pytest.mark.parametrize("n,name", [(10**6, "Z2"), (100, "S3"), (65, "D4")])
+def test_size_cap(n, name):
+    """Above MAX_GAUGE_PAIRS composable pairs the build stops before it
+    allocates anything; (32,D4), 2.1·10⁶ pairs, stays under the cap."""
+    assert 32**3 * 8**2 <= MAX_GAUGE_PAIRS < n**3 * builtin_group(name).order ** 2
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=r"^gauge groupoid too large: "):
+            gauge_groupoid(bundle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 class TestPoincareDecomposition:
     def test_all_z2_sections(self, bundle_2_z2):
         for sigma in itertools.product(range(2), repeat=2):
@@ -251,6 +271,19 @@ class TestPoincareDecomposition:
             s = Section.random(bundle_3_s3, rng)
             result = verify_poincare_decomposition(bundle_3_s3, s)
             assert result["passed"], result
+
+    def test_checks_on_the_decomposition(self, bundle_3_s3):
+        """The Prop 1 checks run on the carrier of poincare_decomposition and
+        agree with prop1_equivalence building its own."""
+        s = Section.random(bundle_3_s3, np.random.default_rng(5))
+        dec = poincare_decomposition(bundle_3_s3, s)
+        mine, theirs = prop1_on_carrier(dec.sd), prop1_equivalence(dec.gauge, dec.g0, dec.g1)
+        assert mine.sd is dec.sd
+        for field in ("j_exists", "J_is_iso", "i_map_verified"):
+            assert getattr(mine, field) is getattr(theirs, field) is True
+        assert mine.i_map.arrow_map == theirs.i_map.arrow_map
+        assert mine.rho.arrow_map == theirs.rho.arrow_map
+        assert verify_poincare_decomposition(bundle_3_s3, s)["passed"] is True
 
     def test_report_fields(self, bundle_2_z2):
         result = verify_poincare_decomposition(bundle_2_z2, Section.identity(bundle_2_z2))

@@ -1,17 +1,29 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidalg import (
+    FinitePrincipalBundle,
+    GroupoidFunction,
+    HaarWeights,
+    Section,
+    cyclic,
+    gauge_groupoid,
     group_groupoid,
+    groupoid_convolve,
     isotropy_subgroupoid,
     pair_groupoid,
     quotient_by_isotropy,
     selection_to_groupoid,
+    semidirect_product,
     subgroupoid_properties,
     symmetric,
+    translation_subgroupoid,
     validate_groupoid,
 )
+from groupoidalg import groupoid as groupoid_mod
 from groupoidalg.errors import PreconditionError, QuotientUndefinedError
 from groupoidalg.groupoid import (
     AXIOM_ASSOCIATIVITY,
@@ -162,6 +174,31 @@ class TestSubgroupoids:
         with pytest.raises(PreconditionError):
             subgroupoid_properties(fix_pair, sel)
 
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["pair", "S3", "gauge-2Z2", "gauge-3S3"]), data=st.data())
+    def test_properties_equal_loops(self, family, data):
+        """subgroupoid_properties against loops over the definitions, on
+        random selections closed under inverses and identities, so that
+        closure under composition decides is_closed."""
+        g = {
+            "pair": lambda: pair_groupoid(3),
+            "S3": lambda: group_groupoid(symmetric(3)),
+            "gauge-2Z2": lambda: gauge_groupoid(FinitePrincipalBundle(2, cyclic(2))),
+            "gauge-3S3": lambda: gauge_groupoid(FinitePrincipalBundle(3, symmetric(3))),
+        }[family]()
+        picked = data.draw(st.sets(st.sampled_from(list(g.arrows())), max_size=12))
+        arrows = set(picked) | {g.inv[a] for a in picked}
+        base = {g.src[a] for a in arrows} | {g.tgt[a] for a in arrows}
+        arrows |= {g.identity[x] for x in base}
+        pairs = [(a, b) for a in arrows for b in arrows if g.src[a] == g.tgt[b]]
+        closed = all(g.compose_table[p] in arrows for p in pairs)
+        ends = {(g.tgt[a], g.src[a]) for a in arrows}
+        assert subgroupoid_properties(g, SubgroupoidSelection(g, frozenset(arrows))) == {
+            "is_wide": base == set(g.base()),
+            "is_transitive": len(ends) == g.n_base**2,
+            "is_closed": closed,
+        }
+
     def test_selection_to_groupoid_valid(self, fix_gauge_2_z2):
         iso = isotropy_subgroupoid(fix_gauge_2_z2)
         sub, incl = selection_to_groupoid(iso)
@@ -234,6 +271,34 @@ class TestQuotient:
         assert exc.value.witnesses == (gamma,)
         assert "(0,e,1)" in str(exc.value)
 
+    def test_incomplete_table(self, fix_gauge_2_z2):
+        """Without its first compose entry the table fails the structure
+        check with the missing pair, not with a KeyError."""
+        g = fix_gauge_2_z2
+        comp = dict(g.compose_table)
+        del comp[next(iter(comp))]
+        bad = with_fields(g, compose_table=comp)
+        message = r"^compose table missing composable pair \(\(0,e,0\), \(0,e,0\)\)$"
+        with pytest.raises(PreconditionError, match=message):
+            quotient_by_isotropy(bad, isotropy_subgroupoid(bad))
+
+    def test_ambiguous_composition(self):
+        """With (0,e,1)∘(1,e,2) sent to (0,e,1) on the (3,Z2) gauge groupoid,
+        the orbits and conjugations are unchanged, but the classes
+        [(0,e,1)] and [(1,e,2)] compose to two classes; the witness is
+        their representatives."""
+        g = gauge_groupoid(FinitePrincipalBundle(3, cyclic(2)))
+        a, b = arrow_by_label(g, "(0,e,1)"), arrow_by_label(g, "(1,e,2)")
+        comp = dict(g.compose_table)
+        comp[(a, b)] = a
+        bad = with_fields(g, compose_table=comp)
+        with pytest.raises(QuotientUndefinedError) as exc:
+            quotient_by_isotropy(bad, isotropy_subgroupoid(bad))
+        assert exc.value.witnesses == (a, b)
+        assert str(exc.value) == (
+            "quotient undefined: classes [(0,e,1)] and [(1,e,2)] compose ambiguously"
+        )
+
     def test_non_wide_selection_rejected(self, fix_pair):
         sel = SubgroupoidSelection(fix_pair, frozenset({fix_pair.identity[0]}))
         with pytest.raises(PreconditionError):
@@ -243,3 +308,25 @@ class TestQuotient:
         sel = SubgroupoidSelection(fix_pair, frozenset(fix_pair.arrows()))
         with pytest.raises(PreconditionError):
             quotient_by_isotropy(fix_pair, sel)
+
+
+def test_one_structure_pass(monkeypatch, fix_gauge_2_z2, bundle_2_z2):
+    """validate_groupoid keeps the slot table it builds: the builders and
+    kernels that follow on the same groupoid read it. Built groupoids carry
+    the slot table their builder filled."""
+    passes = []
+    real = groupoid_mod._structure
+    monkeypatch.setattr(groupoid_mod, "_structure", lambda g: passes.append(g) or real(g))
+    g = with_fields(fix_gauge_2_z2)  # a fresh copy without a slot table
+    assert g._slots is None
+    assert validate_groupoid(g).ok
+    g1 = translation_subgroupoid(g, Section.identity(bundle_2_z2))
+    sd = semidirect_product(g, isotropy_subgroupoid(g), g1)
+    q, _ = quotient_by_isotropy(g, isotropy_subgroupoid(g))
+    f = GroupoidFunction.delta(g, 1)
+    # weights that are not all equal, so that the Haar checks read the slot table
+    groupoid_convolve(f, f, HaarWeights(g, [1.0 + (g.src[a] != g.tgt[a]) for a in g.arrows()]))
+    for built in (sd, q, group_groupoid(symmetric(3)), pair_groupoid(3)):
+        f = GroupoidFunction.delta(built, 0)
+        groupoid_convolve(f, f, HaarWeights.counting(built))
+    assert passes == [g]
