@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,44 @@ class TestSimpleExtension:
         assert not rep.ok
         with pytest.raises(PreconditionError):
             simple_extension(reg_s3, I, sd)
+
+
+class TestPartialRepresentations:
+    """A U0 without one of its isotropy arrows, or a U with a key outside
+    the groupoid, is refused with PreconditionError naming the arrow, not
+    with a KeyError or IndexError from inside a loop."""
+
+    @pytest.fixture
+    def partial(self, fix_gauge_2_z2, reg_z2, decomposition_2_z2):
+        U = {a: m for a, m in reg_z2.U.items() if a != 0}
+        sd = decomposition_2_z2.sd
+        I = identity_translations(fix_gauge_2_z2, sd.g1)
+        return UnitaryRep(fix_gauge_2_z2, reg_z2.bundle, U), I, sd
+
+    @staticmethod
+    def missing(g):
+        return f"U0 does not cover arrow {re.escape(g.arrow_label(0))}"
+
+    def test_check_commutation(self, partial, fix_gauge_2_z2):
+        U0, I, sd = partial
+        with pytest.raises(PreconditionError, match=self.missing(fix_gauge_2_z2)):
+            check_commutation(U0, I, sd)
+
+    def test_simple_extension(self, partial, fix_gauge_2_z2):
+        U0, I, sd = partial
+        with pytest.raises(PreconditionError, match=self.missing(fix_gauge_2_z2)):
+            simple_extension(U0, I, sd)
+
+    def test_check_equivariance(self, partial, fix_gauge_2_z2):
+        U0, I, sd = partial
+        w = HaarWeights.counting(fix_gauge_2_z2)
+        with pytest.raises(PreconditionError, match=self.missing(fix_gauge_2_z2)):
+            check_equivariance(GroupoidFunction.zero(fix_gauge_2_z2), U0, I, sd, w)
+
+    def test_validate_rep_key_outside_the_groupoid(self, fix_gauge_2_z2, reg_z2):
+        U = {**reg_z2.U, 999: np.eye(2)}
+        with pytest.raises(PreconditionError, match="arrow 999"):
+            validate_rep(UnitaryRep(fix_gauge_2_z2, reg_z2.bundle, U))
 
 
 class TestQuantize:

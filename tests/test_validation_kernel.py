@@ -1,7 +1,7 @@
-"""validate_groupoid and check_structure against the loop oracle in
-validation_oracle.py: the same reports, violations in the same order with
-the same witnesses and messages, on valid instances and on random
-corruptions of them."""
+"""validate_groupoid, check_structure and verify_morphism against the loop
+oracles in validation_oracle.py: the same reports, violations in the same
+order with the same witnesses and messages, on valid instances and on
+random corruptions of them."""
 
 import dataclasses
 from functools import lru_cache
@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from groupoidalg import (
     FinitePrincipalBundle,
     FiniteGroupoid,
+    GroupoidMorphism,
+    J_map,
     Section,
     builtin_group,
     gauge_groupoid,
@@ -21,11 +23,18 @@ from groupoidalg import (
     pair_groupoid,
     poincare_decomposition,
     quotient_by_isotropy,
+    selection_to_groupoid,
     validate_groupoid,
+    verify_morphism,
 )
 from groupoidalg.groupoid import check_structure
+from groupoidalg.semidirect import prop1_on_carrier
 from groupoidalg.groups import BUILTIN_GROUPS
-from validation_oracle import oracle_check_structure, oracle_validate_groupoid
+from validation_oracle import (
+    oracle_check_structure,
+    oracle_validate_groupoid,
+    oracle_verify_morphism,
+)
 
 
 def assert_same_reports(g):
@@ -207,3 +216,75 @@ class TestRandomCorruptions:
     @given(g=corrupted_groupoids())
     def test_reports_match_oracle(self, g):
         assert_same_reports(g)
+
+
+@lru_cache(maxsize=None)
+def _morphisms(n, name, seed):
+    """J, ρ, the inclusion of g1, j = ρ∘ι and the induced i of one
+    decomposition."""
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    dec = poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(seed)))
+    res = prop1_on_carrier(dec.sd)
+    _, inclusion = selection_to_groupoid(dec.g1)
+    j = GroupoidMorphism(inclusion.domain, res.quotient,
+                         tuple(res.rho.arrow_map[a] for a in inclusion.arrow_map),
+                         tuple(res.quotient.base()))
+    return J_map(dec.sd), res.rho, inclusion, j, res.i_map
+
+
+def _mutate(draw, m):
+    """One or two entries of the arrow map or the base map changed: set to
+    another id, to one out of range, or swapped with another entry."""
+    for _ in range(draw(st.integers(1, 2))):
+        field = draw(st.sampled_from(["arrow_map", "base_map"]))
+        values = list(getattr(m, field))
+        size = m.codomain.n_arrows if field == "arrow_map" else m.codomain.n_base
+        i, k = draw(st.integers(0, len(values) - 1)), draw(st.integers(0, len(values) - 1))
+        how = draw(st.sampled_from(["set", "swap", "range"]))
+        if how == "set":
+            values[i] = draw(st.integers(0, size - 1))
+        elif how == "swap":
+            values[i], values[k] = values[k], values[i]
+        else:
+            values[i] = draw(st.sampled_from([-1, size, 2**40, 2**70]))
+        m = dataclasses.replace(m, **{field: tuple(values)})
+    return m
+
+
+class TestVerifyMorphism:
+    @pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4")])
+    def test_ladder(self, n, name):
+        for m in _morphisms(n, name, n):
+            for iso in (False, True):
+                report = verify_morphism(m, iso).to_dict()
+                assert report == oracle_verify_morphism(m, iso).to_dict()
+                # ρ and the inclusion are functors but no isomorphisms
+                assert report["ok"] == (not iso or m.domain.n_arrows == m.codomain.n_arrows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_maps_match_oracle(self, data):
+        n = data.draw(st.integers(1, 3))
+        name = data.draw(st.sampled_from(["Z2", "Z3", "S3"]))
+        m = data.draw(st.sampled_from(_morphisms(n, name, data.draw(st.integers(0, 2)))))
+        m = _mutate(data.draw, m)
+        iso = data.draw(st.booleans())
+        assert verify_morphism(m, iso).to_dict() == oracle_verify_morphism(m, iso).to_dict()
+
+    def test_witnesses_in_compose_table_order(self):
+        """The composition witnesses follow the domain's compose table,
+        whatever its insertion order, and a map shorter than the domain is
+        not total."""
+        J = _morphisms(2, "Z2", 0)[0]
+        keys = list(J.domain.compose_table)
+        np.random.default_rng(0).shuffle(keys)
+        domain = dataclasses.replace(
+            J.domain, compose_table={k: J.domain.compose_table[k] for k in keys})
+        am = list(J.arrow_map)
+        am[1], am[2] = am[2], am[1]
+        m = GroupoidMorphism(domain, J.codomain, tuple(am), J.base_map)
+        report = verify_morphism(m).to_dict()
+        assert report == oracle_verify_morphism(m).to_dict()
+        assert [v["axiom"] for v in report["violations"]].count("composition") > 1
+        short = dataclasses.replace(J, arrow_map=J.arrow_map[:-1])
+        assert verify_morphism(short).to_dict() == oracle_verify_morphism(short).to_dict()

@@ -1,7 +1,8 @@
-"""The loop implementation of check_structure and validate_groupoid, kept as
-the oracle for the library's array kernel: one dict lookup per composable
-pair and per composable triple. Its reports are the reference, violations
-in the same order and with the same messages."""
+"""The loop implementations of check_structure, validate_groupoid and
+verify_morphism, kept as the oracles for the library's array kernels: one
+dict lookup per composable pair and per composable triple. Their reports
+are the reference, violations in the same order and with the same
+messages."""
 
 from groupoidalg.groupoid import (
     AXIOM_ASSOCIATIVITY,
@@ -118,4 +119,49 @@ def oracle_validate_groupoid(g):
                     f"associativity fails at ({g.arrow_label(a)}, "
                     f"{g.arrow_label(b)}, {g.arrow_label(c)})",
                 )
+    return rep
+
+
+def oracle_verify_morphism(m, require_iso=False):
+    """The loop over the definitions: per arrow, per base point and per
+    compose-table entry, with dict lookups in the codomain."""
+    rep = ValidationReport()
+    d, c = m.domain, m.codomain
+    am, bm = m.arrow_map, m.base_map
+    if len(am) != d.n_arrows or len(bm) != d.n_base:
+        rep.add("morphism", "totality", (), "arrow_map/base_map are not total")
+        return rep
+    if any(not (0 <= v < c.n_arrows) for v in am) or any(
+        not (0 <= v < c.n_base) for v in bm
+    ):
+        rep.add("morphism", "totality", (), "map values out of range")
+        return rep
+    for a in d.arrows():
+        if c.src[am[a]] != bm[d.src[a]]:
+            rep.add("morphism", "source", (a,), f"src not preserved at {d.arrow_label(a)}")
+        if c.tgt[am[a]] != bm[d.tgt[a]]:
+            rep.add("morphism", "target", (a,), f"tgt not preserved at {d.arrow_label(a)}")
+    for x in d.base():
+        if am[d.identity[x]] != c.identity[bm[x]]:
+            rep.add("morphism", "identity", (x,), f"identity at {d.base_label(x)} not preserved")
+    for (a, b), ab in d.compose_table.items():
+        if not c.composable(am[a], am[b]):
+            rep.add(
+                "morphism",
+                "composition",
+                (a, b),
+                f"image pair not composable at ({d.arrow_label(a)}, {d.arrow_label(b)})",
+            )
+        elif c.compose_table[(am[a], am[b])] != am[ab]:
+            rep.add(
+                "morphism",
+                "composition",
+                (a, b),
+                f"composition not preserved at ({d.arrow_label(a)}, {d.arrow_label(b)})",
+            )
+    if require_iso:
+        if len(set(bm)) != c.n_base or d.n_base != c.n_base:
+            rep.add("bijectivity", "base", (), "base_map is not a bijection")
+        if len(set(am)) != c.n_arrows or d.n_arrows != c.n_arrows:
+            rep.add("bijectivity", "arrows", (), "arrow_map is not a bijection")
     return rep
