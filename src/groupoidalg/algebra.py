@@ -360,7 +360,7 @@ def verify_theorem1(
         lhs = K_map(twisted_convolve(F1, F2, w_parent), sd)
         rhs = groupoid_convolve(K_map(F1, sd), K_map(F2, sd), w_carrier)
         dev = float(np.max(np.abs(lhs.values - rhs.values)))
-        max_dev = max(max_dev, dev)
+        max_dev = max(max_dev, dev) if dev == dev else dev  # max() drops a second NaN
     passed = pair_ok and max_dev <= tol
     if not passed and witness is None:
         witness = f"max deviation {max_dev:.3e} exceeds tolerance {tol:.1e}"

@@ -4,36 +4,75 @@ builders produce bit-identical output."""
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import MalformedTableError, PreconditionError
-from .groupoid import FiniteGroupoid
+from .groupoid import _PAIR_BLOCK, FiniteGroupoid
 
 
+@contextmanager
+def _gc_paused():
+    """Run with the cyclic GC paused and restore its state on exit, also on
+    error. The I/O steps make some 10⁵ short-lived containers that hold no
+    cycles; the collections they set off would cost as much as the work."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     """Groupoid description: keys base, arrows, compose, inv, identity,
-    in that order; arrow and base ids are their labels."""
+    in that order; arrow and base ids are their labels. The compose rows
+    are read off the slot table, in (a, b) id order, so a table that fails
+    the structure pass raises PreconditionError."""
     aid = [g.arrow_label(a) for a in g.arrows()]
     if len(set(aid)) != g.n_arrows:
         raise PreconditionError("arrow labels are not unique; cannot serialize")
+    s = g._product_slots()
+    rows = np.empty((s.n_slots, 3), dtype=np.intp)  # slot order is (a, b) order
+    for first, a, b in s.pairs(_PAIR_BLOCK):
+        rows[first:first + a.size, 0] = a
+        rows[first:first + a.size, 1] = b
+    rows[:, 2] = s.prod[:s.n_slots]
     bid = [g.base_label(x) for x in g.base()]
     return {
         "base": bid,
         "arrows": [
-            {"id": aid[a], "src": bid[g.src[a]], "tgt": bid[g.tgt[a]]}
-            for a in g.arrows()
+            {"id": a, "src": bid[x], "tgt": bid[y]} for a, x, y in zip(aid, g.src, g.tgt)
         ],
-        "compose": [
-            [aid[a], aid[b], aid[c]]
-            for (a, b), c in sorted(g.compose_table.items())
-        ],
-        "inv": {aid[a]: aid[g.inv[a]] for a in g.arrows()},
-        "identity": {bid[x]: aid[g.identity[x]] for x in g.base()},
+        "compose": np.fromiter(aid, dtype=object, count=len(aid))[rows].tolist(),
+        "inv": {a: aid[b] for a, b in zip(aid, g.inv)},
+        "identity": {x: aid[e] for x, e in zip(bid, g.identity)},
     }
 
 
+def _compose_table(compose: list, aidx: dict) -> dict | None:
+    """The compose table of the entries, when every entry is a list of
+    three known ids; None otherwise."""
+    if not (set(map(type, compose)) <= {list} and set(map(len, compose)) <= {3}):
+        return None
+    flat = chain.from_iterable
+    for labels in (flat(compose), map(str, flat(compose))):  # ids match as strings
+        ids = map(aidx.__getitem__, labels)
+        try:  # zip takes a, b, then a∘b off the one iterator
+            return dict(zip(zip(ids, ids), ids))
+        except (KeyError, TypeError):
+            continue
+    return None
+
+
+@_gc_paused()
 def groupoid_from_dict(data: dict) -> FiniteGroupoid:
     try:
         base = data["base"]
@@ -76,14 +115,16 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
             raise MalformedTableError(f"groupoid file: unknown arrow id {aid!r}")
         return aidx[aid]
 
-    comp = {}
-    for entry in compose:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise MalformedTableError(
-                f"groupoid file: compose entry {entry!r} is not [a, b, a∘b]"
-            )
-        a, b, c = entry
-        comp[(arrow(a), arrow(b))] = arrow(c)
+    comp = _compose_table(compose, aidx)
+    if comp is None:  # the entry loop raises for the first malformed entry in file order
+        comp = {}
+        for entry in compose:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise MalformedTableError(
+                    f"groupoid file: compose entry {entry!r} is not [a, b, a∘b]"
+                )
+            a, b, c = entry
+            comp[(arrow(a), arrow(b))] = arrow(c)
     inv_t = [None] * len(src)
     for a, b in inv.items():
         inv_t[arrow(a)] = arrow(b)
@@ -108,12 +149,68 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
     )
 
 
+_ROWS = 1 << 12  # rows per write of a row table; bounds the text held at once
+# the text between two items of a row, and between two rows, at indent level 1
+_INNER, _ROW = '",\n      "', '"\n    ],\n    [\n      "'
+
+
+def _row_table(value) -> dict | None:
+    """If value is a list of equal-length, non-empty lists of str: the
+    escaped text, without quotes, of each distinct string that json
+    escapes. None for any other value."""
+    if not (type(value) is list and value and type(value[0]) is list):
+        return None
+    if set(map(type, value)) != {list} or len(set(map(len, value))) != 1:
+        return None
+    try:
+        distinct = set(chain.from_iterable(value))
+    except TypeError:  # an unhashable item, so not a str
+        return None
+    if not (distinct and all(type(v) is str for v in distinct)):
+        return None
+    return {v: e[1:-1] for v in distinct if (e := encode_basestring_ascii(v))[1:-1] != v}
+
+
+def _write_rows(fh, rows, escaped: dict) -> None:
+    """Write a table of str rows at indent level 1 as json.dump(indent=2)
+    lays it out, a block of rows per join; rows are rewritten only where a
+    string needs escaping."""
+    fh.write('[\n    [\n      "')
+    for lo in range(0, len(rows), _ROWS):
+        block = rows[lo:lo + _ROWS]
+        if escaped:
+            block = [[escaped.get(v, v) for v in row] for row in block]
+        if lo:
+            fh.write(_ROW)
+        fh.write(_ROW.join(map(_INNER.join, block)))
+    fh.write('"\n    ]\n  ]')
+
+
+@_gc_paused()
 def dump_json(data: dict, path) -> None:
+    """Write data as json.dump(data, fh, indent=2) does, then a newline. In
+    a dict with str keys, each value that is a table of str rows is written
+    by joins, and every other value by json.dumps."""
+    tables = {}
+    if isinstance(data, dict) and all(isinstance(k, str) for k in data):
+        tables = {k: esc for k, v in data.items() if (esc := _row_table(v)) is not None}
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
+        if not tables:
+            fh.write(json.dumps(data, indent=2))
+        else:
+            sep = "{\n  "
+            for key, value in data.items():
+                fh.write(sep + encode_basestring_ascii(key) + ": ")
+                sep = ",\n  "
+                if key in tables:
+                    _write_rows(fh, value, tables[key])
+                else:
+                    fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+            fh.write("\n}")
         fh.write("\n")
 
 
+@_gc_paused()
 def load_json(path) -> dict:
     with open(path) as fh:
         return json.load(fh)

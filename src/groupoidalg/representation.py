@@ -66,15 +66,16 @@ class RepReport:
         self.violations.append((condition, witness, message))
 
     def _measure(self, devs, tol: float, condition: str, witness, message, held=None):
-        """Fold the deviations devs into max_deviation (a NaN is left out, as
-        a running max leaves it out); above tol they are violations, in
-        order, with witness(i) and message(i). Where held is False there is
-        no deviation to measure, and entry i is a violation of its own."""
+        """Fold the deviations devs into max_deviation, where a NaN stays
+        NaN; those not within tol, NaN included, are violations, in order,
+        with witness(i) and message(i). Where held is False there is no
+        deviation to measure, and entry i is a violation of its own."""
         if held is None:
             held = np.ones(devs.shape, dtype=bool)
-        self.max_deviation = float(np.fmax.reduce(devs[held], initial=self.max_deviation))
-        for i in np.flatnonzero(~held | (devs > tol)).tolist():
-            self.add(condition, witness(i), message(i))
+        self.max_deviation = float(np.max(devs[held], initial=self.max_deviation))
+        for i in np.flatnonzero(~held | ~(devs <= tol)).tolist():
+            text = message(i)
+            self.add(condition, witness(i), _nan_noted(text, devs[i]) if held[i] else text)
 
     def to_dict(self) -> dict:
         return {
@@ -126,6 +127,11 @@ def _dev(diff) -> np.ndarray:
     return np.abs(diff).max(axis=(-2, -1))
 
 
+def _nan_noted(message: str, dev) -> str:
+    """A violation's message, which names a deviation that is NaN."""
+    return f"{message} (deviation nan)" if np.isnan(dev) else message
+
+
 def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol: float):
     """validate_rep's checks on the stack S of the covered arrows keys."""
     s = g._product_slots()
@@ -164,16 +170,16 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
             prod = s.prod[s.off[a][:, None] + s.pos[C]]
             dev = _dev(S[prod] - uu.transpose(0, 2, 1, 3))
             held = covered[prod]
-            worst = float(np.fmax.reduce(dev[held], initial=worst))
-            i, j = np.nonzero(~held | (dev > tol))
-            fails.append((a[i], C[j], j, held[i, j]))
+            worst = float(np.max(dev[held], initial=worst))
+            i, j = np.nonzero(~held | ~(dev <= tol))
+            fails.append((a[i], C[j], j, held[i, j], dev[i, j]))
     report.max_deviation = worst
     if fails:
-        a, c, j, held = (np.concatenate(parts) for parts in zip(*fails))
+        a, c, j, held, dev = (np.concatenate(parts) for parts in zip(*fails))
         for k in np.lexsort((j, rank[a])).tolist():
             ak, ck = int(a[k]), int(c[k])
             report.add("composition", (ak, ck),
-                       f"U({label(ak)}∘{label(ck)}) != U·U" if held[k]
+                       _nan_noted(f"U({label(ak)}∘{label(ck)}) != U·U", dev[k]) if held[k]
                        else "covered arrows compose outside the covered set")
 
     inv = s.inv[keys]

@@ -14,11 +14,13 @@ from groupoidalg.semidirect import alpha
 
 
 def _measure(report, diff, tol, condition, witness, message):
-    """Fold max|diff| into max_deviation; above tol it is a violation."""
+    """Fold max|diff| into max_deviation, where a NaN stays NaN; a
+    deviation not within tol, NaN included, is a violation."""
     dev = float(np.max(np.abs(diff)))
-    report.max_deviation = max(report.max_deviation, dev)
-    if dev > tol:
-        report.add(condition, witness, message)
+    if np.isnan(dev) or dev > report.max_deviation:
+        report.max_deviation = dev
+    if not dev <= tol:
+        report.add(condition, witness, f"{message} (deviation nan)" if np.isnan(dev) else message)
 
 
 def oracle_validate_rep(rep, tol=1e-9):

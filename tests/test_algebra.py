@@ -289,6 +289,27 @@ class TestVerifyTheorem1:
         rep = verify_theorem1(decomposition_2_z2.sd, trials=10, seed=3, w_parent=w)
         assert rep.passed
 
+    def test_nan_deviation_fails(self, decomposition_2_z2, monkeypatch):
+        """A NaN deviation in a trial after the first is not dropped by the
+        running max: the check fails and names it. (GroupoidFunction holds
+        finite values only, so the NaN comes from a stand-in result.)"""
+        from types import SimpleNamespace
+
+        from groupoidalg import algebra
+
+        calls, convolve = [], algebra.groupoid_convolve
+
+        def nan_on_second_trial(f1, f2, w):
+            calls.append(None)
+            out = convolve(f1, f2, w)
+            return SimpleNamespace(values=out.values * np.nan) if len(calls) == 2 else out
+
+        monkeypatch.setattr(algebra, "groupoid_convolve", nan_on_second_trial)
+        rep = verify_theorem1(decomposition_2_z2.sd, trials=3, seed=1)
+        assert len(calls) == 3
+        assert not rep.passed and np.isnan(rep.max_deviation)
+        assert rep.witness == "max deviation nan exceeds tolerance 1.0e-09"
+
     def test_report_dict(self, decomposition_2_z2):
         d = verify_theorem1(decomposition_2_z2.sd, trials=5, seed=1).to_dict()
         assert d["passed"] is True

@@ -62,7 +62,10 @@ def same_outcome(kernel, oracle):
         return None
     got = kernel()
     assert got.violations == want.violations
-    assert abs(got.max_deviation - want.max_deviation) <= DEV_TOL
+    if np.isnan(want.max_deviation):
+        assert np.isnan(got.max_deviation)
+    else:
+        assert abs(got.max_deviation - want.max_deviation) <= DEV_TOL
     assert got.notes == want.notes
     return got
 
@@ -107,13 +110,15 @@ def representation(dec, kind, rng):
 
 
 def corrupt(U, how, rng):
-    """One matrix scaled, one arrow dropped, or one matrix replaced by
-    another arrow's."""
+    """One matrix scaled, one arrow dropped, one matrix replaced by another
+    arrow's, or one matrix made NaN."""
     U = dict(U)
     keys = list(U)
     k = keys[rng.integers(len(keys))]
     if how == "scale":
         U[k] = (1.5 + rng.random()) * U[k]
+    elif how == "nan":
+        U[k] = np.full(np.shape(U[k]), np.nan)
     elif how == "drop":
         del U[k]
     elif how == "replace" and len(keys) > 1:
@@ -136,7 +141,7 @@ def instances(draw):
     return dec, U0, I, rng
 
 
-CORRUPTIONS = [None, "scale", "drop", "replace"]
+CORRUPTIONS = [None, "scale", "drop", "replace", "nan"]
 
 
 def _weights(dec, rng):
@@ -166,6 +171,8 @@ class TestValidateRep:
         report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
         if how is None and report is not None and target != "I":
             assert report.ok
+        if how == "nan" and report is not None:
+            assert not report.ok
 
 
 class TestCommutationAndExtension:
@@ -244,3 +251,18 @@ def test_ladder(n, name):
     w = HaarWeights.counting(dec.gauge)
     assert same_outcome(lambda: check_equivariance(a, U0, I, dec.sd, w),
                         lambda: oracle_check_equivariance(a, U0, I, dec.sd, w)).ok
+
+
+def test_nan_matrix_is_a_violation(fix_gauge_2_z2):
+    """A NaN deviation is a violation that names it, and max_deviation is
+    NaN, in the kernel and the oracle alike; both used to pass the matrix
+    with max_deviation 0.0."""
+    g = fix_gauge_2_z2
+    U = {a: np.eye(2, dtype=complex) for a in g.arrows()}
+    U[1] = np.full((2, 2), np.nan)
+    rep = UnitaryRep(g, HilbertBundle((2, 2)), U)
+    report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
+    assert not report.ok and np.isnan(report.max_deviation)
+    assert f"U({g.arrow_label(1)}) is not unitary (deviation nan)" in [
+        m for _, _, m in report.violations
+    ]
