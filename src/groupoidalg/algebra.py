@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .groupoid import FiniteGroupoid, SubgroupoidSelection
-from .semidirect import SemidirectGroupoid, alpha
+from .semidirect import SemidirectGroupoid
 
 _BLOCK = 1 << 14  # slots per scatter-add block; bounds the temporaries
 
@@ -123,11 +123,13 @@ def fiber_convolve(
         raise PreconditionError("operands live on different groupoids")
     fiber = _require_fiber_support(a1, x)
     _require_fiber_support(a2, x)
+    s, at = g._product_slots(), np.array(fiber, dtype=np.intp)
+    prods = s.compose(s.inv[at][:, None], at).tolist()  # row gp, column g0
     out = np.zeros(g.n_arrows, dtype=complex)
-    for g0 in fiber:
+    for i, g0 in enumerate(fiber):
         acc = 0j
-        for gp in fiber:
-            acc += w[gp] * a1.values[gp] * a2.values[g.compose_table[(g.inv[gp], g0)]]
+        for gp, row in zip(fiber, prods):
+            acc += w[gp] * a1.values[gp] * a2.values[row[i]]
         out[g0] = acc
     return GroupoidFunction(g, out)
 
@@ -136,9 +138,10 @@ def beta(parent: FiniteGroupoid, g1: int, a: GroupoidFunction) -> GroupoidFuncti
     """Dual action: pull back a fiber function along the conjugation action.
     Maps functions on the fiber at r(g1) to functions on the fiber at d(g1)."""
     _require_fiber_support(a, parent.tgt[g1])
+    s = parent._product_slots()
+    fiber = np.array(parent.isotropy_fiber(parent.src[g1]), dtype=np.intp)
     out = np.zeros(parent.n_arrows, dtype=complex)
-    for g0 in parent.isotropy_fiber(parent.src[g1]):
-        out[g0] = a.values[alpha(parent, g1, g0)]
+    out[fiber] = a.values[s.conj(np.full(fiber.size, g1), fiber)]
     return GroupoidFunction(parent, out)
 
 

@@ -100,12 +100,12 @@ def gauge_groupoid(bundle: FinitePrincipalBundle) -> GaugeGroupoid:
             f"> cap {MAX_GAUGE_PAIRS}"
         )
     triples = [(y, g, x) for y in range(n) for g in range(k) for x in range(n)]
-    mul, inv = np.array(G.mul, dtype=np.intp).reshape(k, k), np.array(G.inverse, dtype=np.intp)
-    y, g, x = np.array(triples, dtype=np.intp).reshape(-1, 3).T
-    base = np.arange(n)
-    return _build(
+    mul, inv = np.array(G.mul, dtype=np.int32).reshape(-1), np.array(G.inverse, dtype=np.int32)
+    y, g, x = np.array(triples, dtype=np.int32).reshape(-1, 3).T
+    yk, gk, base = y * k, g * k, np.arange(n)
+    return _build(  # products by gathers on per-arrow int32 tables, not divisions
         GaugeGroupoid, n, x, y, (x * k + inv[g]) * n + y, (base * k + G.identity) * n + base,
-        lambda a, b: (a // (k * n) * k + mul[a // n % k, b // n % k]) * n + b % n,
+        lambda a, b: (yk[a] + mul[gk[a] + g[b]]) * n + x[b],
         arrow_labels=tuple(f"({y},{G.elements[g]},{x})" for (y, g, x) in triples),
         bundle=bundle,
         triples=tuple(triples),

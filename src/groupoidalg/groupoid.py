@@ -7,6 +7,8 @@ src(g) == tgt(xi), and then src(g∘xi) == src(xi), tgt(g∘xi) == tgt(g).
 
 from __future__ import annotations
 
+import operator
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
@@ -111,10 +113,15 @@ def _walk(ids, ptr, end, block: int):
 
 @dataclass(eq=False)
 class FiniteGroupoid:
+    """compose_table maps each composable pair (a, b) to a∘b. The builders
+    and the file reader give a read-only mapping over the slot table, in
+    slot order, or over the file's entries, in file order; a caller may
+    pass any mapping, such as a dict."""
+
     n_base: int
     src: tuple[int, ...]
     tgt: tuple[int, ...]
-    compose_table: dict[tuple[int, int], int]
+    compose_table: Mapping[tuple[int, int], int]
     inv: tuple[int, ...]
     identity: tuple[int, ...]  # per base point
     arrow_labels: tuple[str, ...] | None = None
@@ -150,12 +157,12 @@ class FiniteGroupoid:
         return self.src[g] == self.tgt[xi]
 
     def compose(self, g: int, xi: int) -> int:
-        try:
-            return self.compose_table[(g, xi)]
-        except KeyError:
+        c = self._product_slots().at(g, xi)
+        if c < 0:
             raise PreconditionError(
                 f"arrows {self.arrow_label(g)} and {self.arrow_label(xi)} are not composable"
-            ) from None
+            )
+        return c
 
     def arrows_into(self, x: int) -> list[int]:
         """The fiber over target x (all arrows with tgt == x)."""
@@ -182,23 +189,25 @@ class FiniteGroupoid:
         return str(x)
 
 
-class _Slots(NamedTuple):
+class _Slots:
     """A compose table as a slot array over the fiber index. The product of
     the composable pair (a, b) sits at prod[off[a] + pos[b]]: off[a] is the
     running sum of |into(src a)| and pos[b] the rank of b in into(tgt b), so
-    slots run in the order of _walk. A tail as long as the largest fiber
-    starts at slot n_slots; it holds -1, and non-composable lookups read
-    it. into(x) is into_ids[into_ptr[x]:into_ptr[x + 1]]."""
+    slots run in the order of _walk, which is (a, b) order. A tail as long
+    as the largest fiber starts at slot n_slots; it holds -1, and
+    non-composable lookups read it. into(x) is
+    into_ids[into_ptr[x]:into_ptr[x + 1]]. The pair arrays of the slots and
+    the lists behind scalar lookups are built on first use and kept."""
 
-    src: np.ndarray
-    tgt: np.ndarray
-    inv: np.ndarray
-    off: np.ndarray
-    pos: np.ndarray
-    prod: np.ndarray
-    n_slots: int
-    into_ids: np.ndarray
-    into_ptr: np.ndarray
+    __slots__ = ("src", "tgt", "inv", "off", "pos", "prod", "n_slots", "into_ids",
+                 "into_ptr", "_ab", "_lists")
+
+    def __init__(self, src, tgt, inv, off, pos, prod, n_slots, into_ids, into_ptr, ab=None):
+        for t in (prod, *(ab or ())):
+            t.flags.writeable = False
+        self.src, self.tgt, self.inv, self.off, self.pos = src, tgt, inv, off, pos
+        self.prod, self.n_slots, self.into_ids, self.into_ptr = prod, n_slots, into_ids, into_ptr
+        self._ab, self._lists = ab, None
 
     def get(self, a, b):
         """compose_table.get over arrays of arrow ids, with -1 for None."""
@@ -206,10 +215,34 @@ class _Slots(NamedTuple):
             np.where(self.src[a] == self.tgt[b], self.off[a], self.n_slots) + self.pos[b]
         ]
 
+    def at(self, a: int, b: int) -> int:
+        """The product of one pair of arrow ids; -1 when it is not composable."""
+        if self._lists is None:
+            self._lists = tuple(t.tolist() for t in (self.src, self.tgt, self.off, self.pos))
+        src, tgt, off, pos = self._lists
+        if 0 <= a < len(src) and 0 <= b < len(src) and src[a] == tgt[b]:
+            return self.prod.item(off[a] + pos[b])
+        return -1
+
+    def pair_arrays(self):
+        """The composable pairs as arrays a and b, in slot order; intp, so
+        that the kernels index with them without a cast."""
+        if self._ab is None:
+            a, b = np.empty((2, self.n_slots), dtype=np.intp)
+            for first, x, y in _walk(self.into_ids, self.into_ptr, self.src, _PAIR_BLOCK):
+                a[first:first + x.size], b[first:first + x.size] = x, y
+            a.flags.writeable = b.flags.writeable = False
+            self._ab = a, b
+        return self._ab
+
     def pairs(self, block: int, end=None):
-        """The walk over the pairs (a, b) with b in into(end[a]); by default
-        end = src, and these are the composable pairs in slot order."""
-        return _walk(self.into_ids, self.into_ptr, self.src if end is None else end, block)
+        """Blocks (first pair, a, b) of the pairs (a, b) with b in
+        into(end[a]), a ascending; by default end = src, and these are the
+        composable pairs in slot order, read off the pair arrays."""
+        if end is not None:
+            return _walk(self.into_ids, self.into_ptr, end, block)
+        a, b = self.pair_arrays()
+        return ((lo, a[lo:lo + block], b[lo:lo + block]) for lo in range(0, self.n_slots, block))
 
     def iso_pairs(self, block: int):
         """The walk over the pairs (γ, a) with a in the isotropy fiber at
@@ -230,6 +263,100 @@ class _Slots(NamedTuple):
         return self.compose(self.compose(g, a), self.inv[g])
 
 
+def _rows(*columns):
+    """The rows of equal-length arrays as tuples of ints, or the ints of
+    one array, converted a block at a time."""
+    blocks = (
+        [c[lo:lo + _PAIR_BLOCK].tolist() for c in columns]
+        for lo in range(0, len(columns[0]), _PAIR_BLOCK)
+    )
+    return chain.from_iterable(b[0] if len(b) == 1 else zip(*b) for b in blocks)
+
+
+class _ComposeTable(Mapping):
+    """A compose table (a, b) ↦ a∘b as a read-only mapping over arrays:
+    the slot table of a built groupoid, in slot order, or the entries of a
+    groupoid file, in file order."""
+
+    __slots__ = ("_slots", "_entries", "_keys")
+
+    def __init__(self, slots: _Slots | None = None, entries=None):
+        self._slots, self._entries, self._keys = slots, entries, None
+
+    @classmethod
+    def of_entries(cls, a, b, c) -> "_ComposeTable":
+        """The table dict(zip(zip(a, b), c)) holds, in its order: of equal
+        keys, the first position and the last value. a, b and c are int32
+        arrays of non-negative ids."""
+        table = cls(entries=(a, b, c))
+        keys, order = table._index()
+        if order is not None and (dup := keys[1:] == keys[:-1]).any():
+            first = np.flatnonzero(np.r_[True, ~dup])  # runs of equal keys, in key order
+            last = order[np.r_[first[1:], keys.size] - 1]
+            first = order[first]  # a stable sort keeps each run in file order
+            keep = np.argsort(first)
+            table = cls(entries=(a[first[keep]], b[first[keep]], c[last[keep]]))
+        return table
+
+    def entries(self):
+        """Arrays of a, b and a∘b, in the order of iteration."""
+        if self._entries is None:
+            s = self._slots
+            return (*s.pair_arrays(), s.prod[:s.n_slots])
+        return self._entries
+
+    def _index(self):
+        """The keys (a << 32) | b in ascending order, and the positions
+        that sort them, or None when the entries are in key order."""
+        if self._keys is None:
+            a, b, _ = self.entries()
+            keys, order = (a.astype(np.int64) << 32) | b, None
+            if not (keys[1:] > keys[:-1]).all():
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+            self._keys = keys, order
+        return self._keys
+
+    def __getitem__(self, key):
+        try:
+            a, b = map(operator.index, key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if self._slots is not None:
+            c = self._slots.at(a, b)
+        elif 0 <= a <= _INT32.max and 0 <= b <= _INT32.max:
+            keys, order = self._index()
+            i = int(keys.searchsorted((a << 32) | b))
+            hit = i < keys.size and keys[i] == (a << 32) | b
+            c = self._entries[2].item(i if order is None else order[i]) if hit else -1
+        else:
+            c = -1
+        if c < 0:
+            raise KeyError(key)
+        return c
+
+    def __len__(self) -> int:
+        return len(self._entries[2]) if self._slots is None else self._slots.n_slots
+
+    def __iter__(self):
+        a, b, _ = self.entries()
+        return _rows(a, b)
+
+    def items(self):
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"<compose table of {len(self)} entries>"
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        a, b, c = self._mapping.entries()
+        return zip(_rows(a, b), _rows(c))
+
+
 def _layout(n_base: int, src, tgt):
     """The slot layout of in-range src/tgt arrays: off, pos, into_ids,
     into_ptr, the slot count and the largest fiber."""
@@ -247,21 +374,18 @@ _PAIR_BLOCK = 1 << 14  # pairs per block of a walk; bounds the temporaries
 
 def _build(cls, n_base: int, src, tgt, inv, identity, product, **fields):
     """A groupoid of class cls from int arrays of its src, tgt, inv and
-    identity tables, its compose and slot tables filled from the walk, in
-    blocks; product(a, b) gives the products of arrays of arrow ids. The
-    keys share one int object per arrow, taken from one object array."""
+    identity tables, its slot table filled from the walk, in blocks;
+    product(a, b) gives the products of arrays of arrow ids. Its
+    compose_table is the mapping over that slot table."""
     off, pos, into_ids, into_ptr, n_slots, tail = _layout(n_base, src, tgt)
     prod = np.full(n_slots + tail, -1, dtype=np.int32)
-    ids = np.arange(len(src)).astype(object)
-    comp = {}
     for first, a, b in _walk(into_ids, into_ptr, src, _PAIR_BLOCK):
-        c = product(a, b)
-        prod[first:first + c.size] = c
-        comp.update(zip(zip(ids[a].tolist(), ids[b].tolist()), ids[c].tolist()))
-    g = cls(n_base, tuple(src.tolist()), tuple(tgt.tolist()), comp,
-            tuple(ids[inv].tolist()), tuple(ids[identity].tolist()), **fields)
-    src, tgt, inv = (np.asarray(t, dtype=np.int32) for t in (src, tgt, inv))
-    g._slots = _Slots(src, tgt, inv, off, pos, prod, n_slots, into_ids, into_ptr)
+        prod[first:first + a.size] = product(a, b)
+    slots = _Slots(*(np.asarray(t, dtype=np.int32) for t in (src, tgt, inv)),
+                   off, pos, prod, n_slots, into_ids, into_ptr)
+    g = cls(n_base, tuple(src.tolist()), tuple(tgt.tolist()), _ComposeTable(slots),
+            tuple(inv.tolist()), tuple(np.asarray(identity).tolist()), **fields)
+    g._slots = slots
     return g
 
 
@@ -281,7 +405,9 @@ def _ids(make, count: int) -> np.ndarray:
 
 def _structure(g: FiniteGroupoid):
     """check_structure's report; when it is clean, also the slot array and
-    the compose entries: arrays of a, b and a∘b in insertion order."""
+    the compose entries: arrays of a, b and a∘b in the compose table's
+    order, read directly off a _ComposeTable and entry by entry off any
+    other mapping."""
     rep = ValidationReport()
 
     def malformed(witness, message):
@@ -308,9 +434,12 @@ def _structure(g: FiniteGroupoid):
         return rep, None, None
 
     comp = g.compose_table
-    ab = _ids(lambda: chain.from_iterable(comp), 2 * len(comp)).reshape(-1, 2)
-    A, B = ab[:, 0], ab[:, 1]
-    C = _ids(comp.values, len(comp))
+    if isinstance(comp, _ComposeTable):
+        A, B, C = comp.entries()
+    else:
+        ab = _ids(lambda: chain.from_iterable(comp), 2 * len(comp)).reshape(-1, 2)
+        A, B = ab[:, 0], ab[:, 1]
+        C = _ids(comp.values, len(comp))
     pair_known = (A >= 0) & (A < n) & (B >= 0) & (B < n)
     known = pair_known & (C >= 0) & (C < n)
     composable = np.zeros(len(comp), dtype=bool)
@@ -344,7 +473,9 @@ def _structure(g: FiniteGroupoid):
         return rep, None, None
     prod = np.full(n_slots + tail, -1, dtype=np.int32)
     prod[slot] = C  # every entry is composable here, so slot covers them all
-    slots = _Slots(src, tgt, inv, off, pos, prod, n_slots, into_ids, into_ptr)
+    in_order = bool((slot[1:] > slot[:-1]).all())  # then A, B are the pair arrays
+    slots = _Slots(src, tgt, inv, off, pos, prod, n_slots, into_ids, into_ptr,
+                   (A.astype(np.intp), B.astype(np.intp)) if in_order else None)
     return rep, slots, (A, B, C)
 
 
@@ -535,15 +666,25 @@ def quotient_by_isotropy(
                 f"({g.arrow_label(int(gamma[bad[0]]))}, {g.arrow_label(int(a[bad[0]]))})"
             )
 
-    iso = g._fibers.iso
+    # the orbit g0∘γ of each γ, sorted: gathers over the pairs (γ, a) with
+    # a in g0 at tgt γ, in blocks; orbit γ is flat[bound[γ]:bound[γ + 1]]
+    sel = np.flatnonzero(inside)
+    at, ptr = _group(g.n_base, s.src[sel])
+    gammas, products = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int32)]
+    for _, gamma, a in _walk(sel[at], ptr, s.tgt, _PAIR_BLOCK):
+        gammas.append(gamma)
+        products.append(s.compose(a, gamma))
+    gammas, products = np.concatenate(gammas), np.concatenate(products)
+    flat = products[np.lexsort((products, gammas))].tolist()
+    bound = np.zeros(g.n_arrows + 1, dtype=np.int64)
+    np.cumsum(np.diff(ptr)[s.tgt], out=bound[1:])
+    bound = bound.tolist()
     class_of = [None] * g.n_arrows
     classes: list[list[int]] = []
     for gamma in g.arrows():
         if class_of[gamma] is not None:
             continue
-        orbit = sorted(
-            g.compose_table[(a, gamma)] for a in iso[g.tgt[gamma]] if a in g0.arrows
-        )
+        orbit = flat[bound[gamma]:bound[gamma + 1]]
         cid = len(classes)
         classes.append(orbit)
         for m in orbit:

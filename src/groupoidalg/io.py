@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import MalformedTableError, PreconditionError
-from .groupoid import _PAIR_BLOCK, FiniteGroupoid
+from .groupoid import FiniteGroupoid, _ComposeTable
 
 
 @contextmanager
@@ -40,11 +40,7 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     if len(set(aid)) != g.n_arrows:
         raise PreconditionError("arrow labels are not unique; cannot serialize")
     s = g._product_slots()
-    rows = np.empty((s.n_slots, 3), dtype=np.intp)  # slot order is (a, b) order
-    for first, a, b in s.pairs(_PAIR_BLOCK):
-        rows[first:first + a.size, 0] = a
-        rows[first:first + a.size, 1] = b
-    rows[:, 2] = s.prod[:s.n_slots]
+    rows = np.stack((*s.pair_arrays(), s.prod[:s.n_slots]), axis=1)  # in (a, b) order
     bid = [g.base_label(x) for x in g.base()]
     return {
         "base": bid,
@@ -57,16 +53,15 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     }
 
 
-def _compose_table(compose: list, aidx: dict) -> dict | None:
-    """The compose table of the entries, when every entry is a list of
-    three known ids; None otherwise."""
+def _compose_ids(compose: list, aidx: dict) -> np.ndarray | None:
+    """The ids of the entries as an int32 array, a, b and a∘b per entry,
+    when every entry is a list of three known ids; None otherwise."""
     if not (set(map(type, compose)) <= {list} and set(map(len, compose)) <= {3}):
         return None
     flat = chain.from_iterable
     for labels in (flat(compose), map(str, flat(compose))):  # ids match as strings
-        ids = map(aidx.__getitem__, labels)
-        try:  # zip takes a, b, then a∘b off the one iterator
-            return dict(zip(zip(ids, ids), ids))
+        try:
+            return np.fromiter(map(aidx.__getitem__, labels), np.int32, 3 * len(compose))
         except (KeyError, TypeError):
             continue
     return None
@@ -115,16 +110,18 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
             raise MalformedTableError(f"groupoid file: unknown arrow id {aid!r}")
         return aidx[aid]
 
-    comp = _compose_table(compose, aidx)
-    if comp is None:  # the entry loop raises for the first malformed entry in file order
-        comp = {}
+    ids = _compose_ids(compose, aidx)
+    if ids is None:  # the entry loop raises for the first malformed entry in file order
+        ids = []
         for entry in compose:
             if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise MalformedTableError(
                     f"groupoid file: compose entry {entry!r} is not [a, b, a∘b]"
                 )
             a, b, c = entry
-            comp[(arrow(a), arrow(b))] = arrow(c)
+            c = arrow(c)  # an unknown a∘b is reported before an unknown a or b
+            ids += (arrow(a), arrow(b), c)
+        ids = np.array(ids, dtype=np.int32)
     inv_t = [None] * len(src)
     for a, b in inv.items():
         inv_t[arrow(a)] = arrow(b)
@@ -141,7 +138,7 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
         n_base=len(base),
         src=tuple(src),
         tgt=tuple(tgt),
-        compose_table=comp,
+        compose_table=_ComposeTable.of_entries(*ids.reshape(-1, 3).T.copy()),
         inv=tuple(inv_t),
         identity=tuple(ident_t),
         arrow_labels=tuple(str(r["id"]) for r in arrows),

@@ -62,34 +62,42 @@ def verify_morphism(m: GroupoidMorphism, require_iso: bool = False) -> Validatio
     return rep
 
 
-def _self_power_order(g: FiniteGroupoid, a: int) -> int:
-    """Order of an isotropy arrow under repeated composition with itself."""
-    e = g.identity[g.src[a]]
-    k, x = 1, a
-    while x != e:
-        x = g.compose_table[(x, a)]
-        k += 1
-    return k
+def _signatures(g: FiniteGroupoid):
+    """Per arrow: (is identity, order under repeated composition with
+    itself) for an isotropy arrow, (False, 0) for any other. Per base
+    point: its fiber sizes and the sorted orders of its isotropy fiber.
+    The orders come from repeated gathers over the slot table."""
+    s = g._product_slots()
+    iso = np.flatnonzero(s.src == s.tgt)
+    e = np.asarray(g.identity, dtype=np.intp)[s.src[iso]]
+    x, order = iso.copy(), np.ones(iso.size, dtype=np.int64)
+    live = np.flatnonzero(x != e)
+    while live.size:
+        x[live] = s.compose(x[live], iso[live])
+        order[live] += 1
+        live = live[x[live] != e[live]]
+    arrow = [(False, 0)] * g.n_arrows
+    for a, is_e, k in zip(iso.tolist(), (iso == e).tolist(), order.tolist()):
+        arrow[a] = (is_e, k)
+    base = [
+        (len(g.arrows_into(y)), len(g.arrows_from(y)), len(g.isotropy_fiber(y)),
+         tuple(sorted(arrow[a][1] for a in g.isotropy_fiber(y))))
+        for y in g.base()
+    ]
+    return arrow, base
 
 
-def _base_signature(g: FiniteGroupoid, x: int):
-    iso = g.isotropy_fiber(x)
-    return (
-        len(g.arrows_into(x)),
-        len(g.arrows_from(x)),
-        len(iso),
-        tuple(sorted(_self_power_order(g, a) for a in iso)),
-    )
+def _products(g: FiniteGroupoid):
+    """(a, b) ↦ a∘b on the composable pairs of g: list lookups in its slot
+    table, converted once."""
+    s = g._product_slots()
+    prod, off, pos = s.prod.tolist(), s.off.tolist(), s.pos.tolist()
+    return lambda a, b: prod[off[a] + pos[b]]
 
 
-def _arrow_signature(g: FiniteGroupoid, a: int):
-    if g.src[a] == g.tgt[a]:
-        return (g.is_identity(a), _self_power_order(g, a))
-    return (False, 0)
-
-
-def _extend_arrows(g, h, base_map, cand, order):
-    """Backtracking arrow assignment with forced-product propagation."""
+def _extend_arrows(g, h, base_map, cand, order, sig_g, sig_h, prod_g, prod_h):
+    """Backtracking arrow assignment with forced-product propagation; sig_*
+    are the arrow signatures and prod_* the products."""
     amap: dict[int, int] = {}
     used: set[int] = set()
     # identities are forced
@@ -124,7 +132,7 @@ def _extend_arrows(g, h, base_map, cand, order):
                 return False
             if h.src[d] != base_map[g.src[a]] or h.tgt[d] != base_map[g.tgt[a]]:
                 return False
-            if _arrow_signature(g, a) != _arrow_signature(h, d):
+            if sig_g[a] != sig_h[d]:
                 return False
             forced = consistent(a, d)
             if forced is None:
@@ -137,10 +145,10 @@ def _extend_arrows(g, h, base_map, cand, order):
             # forced; the closure, and so the outcome, does not depend on order
             for b in g.arrows_into(g.src[a]):
                 if b in amap:
-                    queue.append((g.compose_table[(a, b)], h.compose_table[(d, amap[b])]))
+                    queue.append((prod_g(a, b), prod_h(d, amap[b])))
             for b in g.arrows_from(g.tgt[a]):
                 if b != a and b in amap:
-                    queue.append((g.compose_table[(b, a)], h.compose_table[(amap[b], d)]))
+                    queue.append((prod_g(b, a), prod_h(amap[b], d)))
         return True
 
     def undo(trail, n):
@@ -184,10 +192,11 @@ def find_isomorphism(
             f"instance too large for isomorphism search "
             f"({g.n_arrows} arrows > cap {max_arrows})"
         )
-    sig_g = [_base_signature(g, x) for x in g.base()]
-    sig_h = [_base_signature(h, x) for x in h.base()]
+    arrow_g, sig_g = _signatures(g)
+    arrow_h, sig_h = _signatures(h)
     if sorted(sig_g) != sorted(sig_h):
         return None
+    prod_g, prod_h = _products(g), _products(h)
 
     base_candidates = [
         [y for y in h.base() if sig_h[y] == sig_g[x]] for x in g.base()
@@ -214,7 +223,7 @@ def find_isomorphism(
                 d
                 for d in h.arrows_into(base_map[g.tgt[a]])
                 if h.src[d] == base_map[g.src[a]]
-                and _arrow_signature(h, d) == _arrow_signature(g, a)
+                and arrow_h[d] == arrow_g[a]
             ]
             if not cs:
                 feasible = False
@@ -223,7 +232,7 @@ def find_isomorphism(
         if not feasible:
             continue
         order = sorted(g.arrows(), key=lambda a: len(cand[a]))
-        amap = _extend_arrows(g, h, base_map, cand, order)
+        amap = _extend_arrows(g, h, base_map, cand, order, arrow_g, arrow_h, prod_g, prod_h)
         if amap is not None:
             m = GroupoidMorphism(domain=g, codomain=h, arrow_map=amap, base_map=base_map)
             if verify_morphism(m, require_iso=True).ok:

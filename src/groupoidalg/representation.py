@@ -441,9 +441,17 @@ def block_diagonal_generators(
     return gens
 
 
+_QR_COLUMNS = 25  # from k = 5 on, QR then SVD beat the SVD alone, when measured
+
+
 def _nullspace(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis of the null space (rows of the result); mat has at
-    least as many rows as columns, so the thin SVD gives the full vh."""
+    least as many rows as columns, so the thin SVD gives the full vh. A
+    taller mat of at least _QR_COLUMNS columns is first reduced to the
+    square R of its QR factorization, which has the same null space and
+    singular values: the SVD then never forms the tall U factor."""
+    if mat.shape[0] > mat.shape[1] >= _QR_COLUMNS:
+        mat = np.linalg.qr(mat, mode="r")
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
     return vh[rank:].conj()

@@ -165,6 +165,15 @@ def test_compose_table_equals_brute_force(instance):
     assert validate_groupoid(g).ok
 
 
+def test_dict_of_compose_table_equals_brute_force(instance):
+    """dict() reads the mapping key by key: its keys, in order, and one
+    lookup per key."""
+    g, product = instance
+    want = brute_table(g, product)
+    assert list(dict(g.compose_table).items()) == list(want.items())
+    assert len(g.compose_table) == len(want) and g.compose_table == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     name=st.sampled_from(sorted(BUILTIN_GROUPS)),
