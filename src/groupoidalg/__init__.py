@@ -8,9 +8,7 @@ from .algebra import (
     HaarWeights,
     K_inverse,
     K_map,
-    beta,
     carrier_weights,
-    fiber_convolve,
     groupoid_convolve,
     semidirect_convolve_pairform,
     twisted_convolve,

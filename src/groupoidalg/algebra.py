@@ -1,6 +1,6 @@
-"""Convolution algebras: fiber algebras, the dual action, twisted
-convolution on the crossed product, groupoid convolution, and the
-isomorphism between the two products.
+"""Convolution algebras: twisted convolution on the crossed product of the
+fiber algebras, groupoid convolution, and the isomorphism between the two
+products.
 
 All integrals are weighted finite sums over a Haar weight system
 (counting measure by default).
@@ -9,12 +9,14 @@ All integrals are weighted finite sums over a Haar weight system
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import PreconditionError
-from .groupoid import FiniteGroupoid, SubgroupoidSelection
+from .groupoid import FiniteGroupoid, SubgroupoidSelection, _group
 from .semidirect import SemidirectGroupoid
 
 _BLOCK = 1 << 14  # slots per scatter-add block; bounds the temporaries
@@ -85,12 +87,8 @@ class GroupoidFunction:
     @classmethod
     def random(cls, g: FiniteGroupoid, rng: np.random.Generator, support=None):
         """Values uniform in the complex unit square, optionally restricted."""
-        v = rng.random(g.n_arrows) + 1j * rng.random(g.n_arrows)
-        if support is not None:
-            mask = np.zeros(g.n_arrows, dtype=bool)
-            mask[list(support)] = True
-            v = np.where(mask, v, 0)
-        return cls(g, v)
+        v = cls(g, rng.random(g.n_arrows) + 1j * rng.random(g.n_arrows))
+        return v if support is None else v.restrict(support)
 
     def supported_on(self, arrows) -> bool:
         mask = np.ones(self.groupoid.n_arrows, dtype=bool)
@@ -103,72 +101,85 @@ class GroupoidFunction:
         return GroupoidFunction(self.groupoid, np.where(mask, self.values, 0))
 
 
-def _require_fiber_support(a: GroupoidFunction, x: int):
-    fiber = a.groupoid.isotropy_fiber(x)
-    if not a.supported_on(fiber):
-        raise PreconditionError(
-            f"function is not supported on the isotropy fiber at "
-            f"{a.groupoid.base_label(x)}"
-        )
-    return fiber
+def _layout(parent: FiniteGroupoid, g1: SubgroupoidSelection):
+    """The order of a BundleFunction's values, read off the fiber index: the
+    rows, sorted(g1.arrows); per row the isotropy fiber at its target, as
+    (|g1|, K); per parent arrow its row (-1 off g1) and its rank in its fiber."""
+    if g1.parent is not parent:
+        raise PreconditionError("g1 must be a selection of the parent groupoid")
+    rows = sorted(g1.arrows)
+    fibers = [parent.isotropy_fiber(parent.tgt[a1]) for a1 in rows]
+    if len({len(f) for f in fibers}) > 1:
+        raise PreconditionError("the isotropy fibers at the targets of g1 differ in size")
+    rows = np.array(rows, dtype=np.intp)
+    fiber = np.array(fibers, dtype=np.intp).reshape(rows.size, len(fibers[0]) if fibers else 0)
+    row, col = np.full(parent.n_arrows, -1, dtype=np.intp), np.zeros(parent.n_arrows, np.intp)
+    row[rows], col[fiber] = np.arange(rows.size), np.arange(fiber.shape[1])
+    return rows, fiber, row, col
 
 
-def fiber_convolve(
-    a1: GroupoidFunction, a2: GroupoidFunction, x: int, w: HaarWeights
-) -> GroupoidFunction:
-    """Convolution in the fiber algebra at x:
-    (a1 • a2)(g0) = sum over g0' of w(g0') a1(g0') a2(g0'⁻¹ ∘ g0)."""
-    g = a1.groupoid
-    if a2.groupoid is not g:
-        raise PreconditionError("operands live on different groupoids")
-    fiber = _require_fiber_support(a1, x)
-    _require_fiber_support(a2, x)
-    s, at = g._product_slots(), np.array(fiber, dtype=np.intp)
-    prods = s.compose(s.inv[at][:, None], at).tolist()  # row gp, column g0
-    out = np.zeros(g.n_arrows, dtype=complex)
-    for i, g0 in enumerate(fiber):
-        acc = 0j
-        for gp, row in zip(fiber, prods):
-            acc += w[gp] * a1.values[gp] * a2.values[row[i]]
-        out[g0] = acc
-    return GroupoidFunction(g, out)
-
-
-def beta(parent: FiniteGroupoid, g1: int, a: GroupoidFunction) -> GroupoidFunction:
-    """Dual action: pull back a fiber function along the conjugation action.
-    Maps functions on the fiber at r(g1) to functions on the fiber at d(g1)."""
-    _require_fiber_support(a, parent.tgt[g1])
-    s = parent._product_slots()
-    fiber = np.array(parent.isotropy_fiber(parent.src[g1]), dtype=np.intp)
-    out = np.zeros(parent.n_arrows, dtype=complex)
-    out[fiber] = a.values[s.conj(np.full(fiber.size, g1), fiber)]
-    return GroupoidFunction(parent, out)
-
-
-@dataclass(eq=False)
 class BundleFunction:
     """Element of the crossed product: for each arrow of the transitive
-    selection, a fiber-algebra element at its target."""
+    selection g1, a fiber-algebra element at its target.
 
-    parent: FiniteGroupoid
-    g1: SubgroupoidSelection
-    fibers: dict[int, GroupoidFunction]
+    Held as one complex array values of shape (|g1|, K): row i is the i-th
+    arrow of sorted(g1.arrows), column j the j-th arrow of the isotropy
+    fiber at its target. K is the fiber size, the same at every target.
+    These are the orders of the carrier's pair_of."""
 
-    def __post_init__(self):
-        if set(self.fibers) != set(self.g1.arrows):
+    def __init__(self, parent: FiniteGroupoid, g1: SubgroupoidSelection, fibers: Mapping):
+        _, fiber, row, _ = layout = _layout(parent, g1)
+        if set(fibers) != set(g1.arrows):
             raise PreconditionError("fiber family must cover exactly the g1 arrows")
-        for a1, f in self.fibers.items():
-            if f.groupoid is not self.parent:
-                raise PreconditionError("fiber values must live on the parent groupoid")
-            _require_fiber_support(f, self.parent.tgt[a1])
+        if any(f.groupoid is not parent for f in fibers.values()):
+            raise PreconditionError("fiber values must live on the parent groupoid")
+        keys = list(fibers)
+        full = np.array([f.values for f in fibers.values()]).reshape(len(keys), parent.n_arrows)
+        on = np.arange(len(keys))[:, None], fiber[row[keys]]
+        values = np.empty(fiber.shape, dtype=complex)
+        values[row[keys]] = full[on]
+        full[on] = 0  # what is left lies off the fibers
+        if (off := full.any(axis=1)).any():
+            x = parent.base_label(parent.tgt[keys[int(off.argmax())]])
+            raise PreconditionError(f"function is not supported on the isotropy fiber at {x}")
+        self._set(parent, g1, layout, values)
+
+    def _set(self, parent, g1, layout, values) -> "BundleFunction":
+        if values.shape != layout[1].shape:
+            raise PreconditionError("value array shape does not match the g1 arrows and fibers")
+        if not np.isfinite(values).all():
+            raise PreconditionError("function values must be finite")
+        self.parent, self.g1, self.values, self._layout, self._fibers = (
+            parent, g1, values, layout, None)
+        return self
+
+    @property
+    def fibers(self) -> Mapping[int, GroupoidFunction]:
+        """A read-only view: each g1 arrow, in g1's iteration order, to its
+        fiber element as a full-length GroupoidFunction with read-only
+        values, zero off the fiber. Built on first use and kept."""
+        if self._fibers is None:
+            rows, fiber, row, _ = self._layout
+            full = np.zeros((rows.size, self.parent.n_arrows), dtype=complex)
+            full[np.arange(rows.size)[:, None], fiber] = self.values
+            full.flags.writeable = False
+            self._fibers = MappingProxyType(
+                {a1: GroupoidFunction(self.parent, full[row[a1]]) for a1 in self.g1.arrows})
+        return self._fibers
 
     @classmethod
     def random(cls, parent, g1, rng: np.random.Generator):
-        fibers = {}
-        for a1 in sorted(g1.arrows):
-            fiber = parent.isotropy_fiber(parent.tgt[a1])
-            fibers[a1] = GroupoidFunction.random(parent, rng, support=fiber)
-        return cls(parent, g1, fibers)
+        """Fiber values uniform in the complex unit square, from the draws of
+        GroupoidFunction.random(parent, rng, support=fiber) per arrow of
+        sorted(g1.arrows): a real and an imaginary part per parent arrow."""
+        rows, fiber, _, _ = layout = _layout(parent, g1)
+        values = np.empty(fiber.shape, dtype=complex)
+        step = max(1, 4 * _BLOCK // max(1, 2 * parent.n_arrows))  # rows per draw
+        for lo in range(0, rows.size, step):
+            f = fiber[lo:lo + step, None]
+            d = np.take_along_axis(rng.random((len(f), 2, parent.n_arrows)), f, axis=2)
+            values[lo:lo + step] = d[:, 0] + 1j * d[:, 1]
+        return cls.__new__(cls)._set(parent, g1, layout, values)
 
 
 def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> BundleFunction:
@@ -176,60 +187,50 @@ def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> 
     (F1 ⊛ F2)(g1) = sum over g1' with r(g1') = r(g1) of
     w(g1') · F1(g1') • beta_{g1'⁻¹}(F2(g1'⁻¹ ∘ g1)).
 
-    Runs on the parent's slot table, one target x at a time: each fiber
-    product is a gather over the fiber at x, and beta an index permutation.
-    Sums run over g1' in g1's iteration order and over the fiber in fiber
-    order, so the values are bit-identical to the loop over the definition.
+    Runs on the parent's slot table over all targets x at once, in blocks
+    of the targets with the same number m of g1 arrows: each fiber product
+    is a gather over the fiber at x, and beta an index permutation. Sums
+    run over g1' in g1's iteration order and over the fiber in fiber order,
+    so the values are bit-identical to the loop over the definition.
     """
     if F1.parent is not F2.parent or F1.g1.arrows != F2.g1.arrows:
         raise PreconditionError("operands live on different crossed products")
     p = F1.parent
-    order = list(F1.g1.arrows)
-    if not order:
-        return BundleFunction(p, F1.g1, {})
-    s = p._product_slots()
-    into: dict[int, list[int]] = {}  # the g1 arrows by target, in g1 order
-    for b1 in order:
-        into.setdefault(p.tgt[b1], []).append(b1)
-    fiber = {x: np.array(p.isotropy_fiber(x), dtype=np.intp) for x in into}
-    rank = np.zeros(p.n_arrows, dtype=np.intp)  # of an isotropy arrow in its fiber
-    for f in fiber.values():
-        rank[f] = np.arange(f.size)
-    # each g1 arrow's values on the fiber at its target, laid end to end
-    sizes = np.array([fiber[p.tgt[a1]].size for a1 in order])
-    start = np.full(p.n_arrows, -1)
-    start[order] = np.cumsum(sizes) - sizes
-    v1, v2 = (
-        np.concatenate([F.fibers[a1].values[fiber[p.tgt[a1]]] for a1 in order])
-        for F in (F1, F2)
-    )
-    out = {}
-    for x, b1 in into.items():
-        f, b1 = fiber[x], np.array(b1)
-        ib = s.inv[b1]
-        c1 = s.compose(ib, b1[:, None])  # [r, k] = b1_k⁻¹ ∘ a1_r, and a1 runs over b1
-        if (start[c1] < 0).any():
-            raise PreconditionError("g1 is not closed under composition")
-        h = s.compose(s.inv[f][:, None], f)  # [j, i] = f_j⁻¹ ∘ f_i
-        beta_h = s.conj(ib[:, None, None], h)
-        u = v1[start[b1][:, None] + np.arange(f.size)]  # [k, j] = F1(b1_k)(f_j)
-        ur, ui = w.values[f] * u.real, w.values[f] * u.imag
-        v = v2[start[c1][:, :, None, None] + rank[beta_h]]  # [r, k, j, i]
-        vr, vi = v.real, v.imag
-        sr, si = np.zeros((2, b1.size, b1.size, f.size))
-        for j in range(f.size):
-            xr, xi = ur[:, j, None], ui[:, j, None]
-            sr += xr * vr[:, :, j] - xi * vi[:, :, j]
-            si += xr * vi[:, :, j] + xi * vr[:, :, j]
-        acc = np.zeros((b1.size, f.size), dtype=complex)
-        for k, wk in enumerate(w.values[b1]):
-            acc.real += wk * sr[:, k]
-            acc.imag += wk * si[:, k]
-        for a1, values in zip(b1.tolist(), acc):
-            full = np.zeros(p.n_arrows, dtype=complex)
-            full[f] = values
-            out[a1] = GroupoidFunction(p, full)
-    return BundleFunction(p, F1.g1, {a1: out[a1] for a1 in order})
+    if w.groupoid is not p:
+        raise PreconditionError("weights must live on the parent groupoid")
+    s, (_, fiber, row, rank) = p._product_slots(), F1._layout
+    n, K = fiber.shape
+    order = np.fromiter(F1.g1.arrows, dtype=np.intp, count=n)
+    at, ptr = _group(p.n_base, s.tgt[order])  # the g1 arrows by target, in g1 order
+    into, m_of = order[at], np.diff(ptr)
+    out = np.zeros((n, K), dtype=complex)
+    for m in np.unique(m_of[m_of > 0]).tolist():
+        targets = np.flatnonzero(m_of == m)
+        step = max(1, _BLOCK * 4 // (m * m * K * K))  # targets per block
+        for lo in range(0, targets.size, step):
+            b1 = into[ptr[targets[lo:lo + step], None] + np.arange(m)]  # [x, k]
+            ib = s.inv[b1]
+            c1 = row[s.compose(ib[:, :, None], b1[:, None, :])]  # [x, k, r]: b1_k⁻¹ ∘ b1_r
+            if (c1 < 0).any():
+                raise PreconditionError("g1 is not closed under composition")
+            f = fiber[row[b1[:, 0]]]  # [x, j]: the fiber at x
+            h = s.compose(s.inv[f][:, :, None], f[:, None, :])  # [x, j, i] = f_j⁻¹ ∘ f_i
+            beta_h = rank[s.conj(ib[:, None, :, None], h[:, :, None, :])]  # [x, j, k, i]
+            v = c1[:, None, :, :, None] * K + beta_h[:, :, :, None, :]  # [x, j, k, r, i]
+            vr, vi = F2.values.real.ravel()[v], F2.values.imag.ravel()[v]
+            u, wf = F1.values[row[b1]], w.values[f][:, None, :]  # u[x, k, j] = F1(b1_k)(f_j)
+            ur, ui = wf * u.real, wf * u.imag
+            sr, si = np.zeros((2, b1.shape[0], m, m, K))  # [x, k, r, i]
+            for j in range(K):
+                xr, xi = ur[:, :, j, None, None], ui[:, :, j, None, None]
+                sr += xr * vr[:, j] - xi * vi[:, j]
+                si += xr * vi[:, j] + xi * vr[:, j]
+            (acc_r, acc_i), wb = np.zeros((2, b1.shape[0], m, K)), w.values[b1]  # [x, r, i]
+            for k in range(m):
+                acc_r += wb[:, k, None, None] * sr[:, k]
+                acc_i += wb[:, k, None, None] * si[:, k]
+            out.real[row[b1]], out.imag[row[b1]] = acc_r, acc_i
+    return BundleFunction.__new__(BundleFunction)._set(p, F1.g1, F1._layout, out)
 
 
 def groupoid_convolve(
@@ -264,7 +265,7 @@ def carrier_weights(sd: SemidirectGroupoid, w_parent: HaarWeights) -> HaarWeight
     """Product weights on the semidirect carrier: w(g0, g1) = w(g0)·w(g1)."""
     if w_parent.groupoid is not sd.parent:
         raise PreconditionError("weights must live on the carrier's parent groupoid")
-    P0, P1 = np.array(sd.pair_of, dtype=np.intp).reshape(-1, 2).T
+    P0, P1 = sd.pair_ids
     return HaarWeights(sd, w_parent.values[P0] * w_parent.values[P1])
 
 
@@ -283,24 +284,22 @@ def semidirect_convolve_pairform(
 
 
 def K_map(F: BundleFunction, sd: SemidirectGroupoid) -> GroupoidFunction:
-    """(KF)(g0, g1) = (F(g1))(g0); linear, multiplicative, bijective."""
+    """(KF)(g0, g1) = (F(g1))(g0); linear, multiplicative, bijective. One
+    gather of F's values over the carrier's pairs."""
     if F.parent is not sd.parent or F.g1.arrows != sd.g1.arrows:
         raise PreconditionError("bundle function does not match the carrier")
-    vals = np.array([F.fibers[a1].values[a0] for (a0, a1) in sd.pair_of])
-    return GroupoidFunction(sd, vals)
+    (P0, P1), (_, _, row, col) = sd.pair_ids, F._layout
+    return GroupoidFunction(sd, F.values[row[P1], col[P0]])
 
 
 def K_inverse(f: GroupoidFunction, sd: SemidirectGroupoid) -> BundleFunction:
     if f.groupoid is not sd:
         raise PreconditionError("function does not live on the semidirect carrier")
-    p = sd.parent
-    fibers = {}
-    for a1 in sd.g1.arrows:
-        v = np.zeros(p.n_arrows, dtype=complex)
-        for a0 in p.isotropy_fiber(p.tgt[a1]):
-            v[a0] = f.values[sd.pair_index[(a0, a1)]]
-        fibers[a1] = GroupoidFunction(p, v)
-    return BundleFunction(p, sd.g1, fibers)
+    layout = _, fiber, row, col = _layout(sd.parent, sd.g1)
+    P0, P1 = sd.pair_ids
+    values = np.zeros(fiber.shape, dtype=complex)
+    values[row[P1], col[P0]] = f.values
+    return BundleFunction.__new__(BundleFunction)._set(sd.parent, sd.g1, layout, values)
 
 
 @dataclass
@@ -324,7 +323,7 @@ def _pair_identity_witness(sd: SemidirectGroupoid) -> str | None:
     throughout. Gathers over the carrier's slot table for the left side and
     over the parent's for the right."""
     cs, ps = sd._product_slots(), sd.parent._product_slots()
-    P0, P1 = np.array(sd.pair_of, dtype=np.intp).reshape(-1, 2).T
+    P0, P1 = sd.pair_ids
     for _, i, j in cs.pairs(_BLOCK, cs.tgt):
         via = cs.compose(cs.inv[j], i)
         ib1 = ps.inv[P1[j]]

@@ -307,7 +307,7 @@ def simple_extension(
             f"commutation relation fails at ({p.arrow_label(a0)}, {p.arrow_label(a1)}); "
             "the simple extension would not be functorial"
         )
-    P0, P1 = np.array(sd.pair_of, dtype=np.intp).reshape(-1, 2).T
+    P0, P1 = sd.pair_ids
     prods = S0[P0] @ SI[P1]
     dims, ps = np.asarray(b.dims), p._product_slots()
     shapes = zip(dims[ps.tgt[P0]].tolist(), dims[ps.src[P1]].tolist())

@@ -45,6 +45,7 @@ class SemidirectGroupoid(FiniteGroupoid):
     parent: FiniteGroupoid = None
     g0: SubgroupoidSelection = None
     g1: SubgroupoidSelection = None
+    pair_ids: np.ndarray = None  # pair_of as a (2, n) intp array: the a0, then the a1
 
 
 def semidirect_product(
@@ -94,14 +95,15 @@ def semidirect_product(
             f"({parent.arrow_label(a0)},{parent.arrow_label(a1)})" for (a0, a1) in pairs
         ),
         base_labels=parent.base_labels, pair_of=tuple(pairs),
-        pair_index={p: i for i, p in enumerate(pairs)}, parent=parent, g0=g0, g1=g1,
+        pair_index={p: i for i, p in enumerate(pairs)}, pair_ids=np.stack((P0, P1)),
+        parent=parent, g0=g0, g1=g1,
     )
 
 
 def J_map(sd: SemidirectGroupoid) -> GroupoidMorphism:
     """The comparison morphism (gamma0, gamma1) ↦ gamma0 ∘ gamma1 into the parent."""
     parent = sd.parent
-    P0, P1 = np.array(sd.pair_of, dtype=np.intp).reshape(-1, 2).T
+    P0, P1 = sd.pair_ids
     return GroupoidMorphism(
         domain=sd,
         codomain=parent,

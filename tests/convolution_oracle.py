@@ -1,22 +1,74 @@
-"""The loop implementations of groupoid_convolve, twisted_convolve and
-poincare_convolve, kept as the oracles for the library's array kernels: one
-dict lookup per composable pair, and per term of each fiber product. The
-kernels sum the same terms in the same order, so their outputs are equal to
-these bit for bit. Also the iterated pair-form sum, whose terms
-semidirect_convolve_pairform now sums with the generic kernel in another
-order; the loop over the carrier's pairs that verify_theorem1's pair
-identity check replaces; and the loop of HaarWeights' invariance check."""
+"""The fiber algebra's product (fiber_convolve) and the dual action (beta)
+on full-length functions, and the loop implementations of groupoid_convolve,
+twisted_convolve (over those two) and poincare_convolve, kept as the oracles
+for the library's array kernels: one dict lookup per composable pair, and
+per term of each fiber product. The kernels sum the same terms in the same
+order, so their outputs are equal to these bit for bit. Also the iterated
+pair-form sum, whose terms semidirect_convolve_pairform now sums with the
+generic kernel in another order; the loop over the carrier's pairs that
+verify_theorem1's pair identity check replaces; the loop of HaarWeights'
+invariance check; and the per-arrow draws of BundleFunction.random and the
+per-pair loop of K_map."""
 
 import numpy as np
 
-from groupoidalg.algebra import (
-    BundleFunction,
-    GroupoidFunction,
-    HaarWeights,
-    beta,
-    fiber_convolve,
-)
+from groupoidalg.algebra import BundleFunction, GroupoidFunction, HaarWeights
+from groupoidalg.errors import PreconditionError
 from groupoidalg.semidirect import alpha
+
+
+def _require_fiber_support(a, x):
+    fiber = a.groupoid.isotropy_fiber(x)
+    if not a.supported_on(fiber):
+        raise PreconditionError(
+            f"function is not supported on the isotropy fiber at "
+            f"{a.groupoid.base_label(x)}"
+        )
+    return fiber
+
+
+def fiber_convolve(a1, a2, x, w):
+    """Convolution in the fiber algebra at x:
+    (a1 • a2)(g0) = sum over g0' of w(g0') a1(g0') a2(g0'⁻¹ ∘ g0)."""
+    g = a1.groupoid
+    if a2.groupoid is not g:
+        raise PreconditionError("operands live on different groupoids")
+    fiber = _require_fiber_support(a1, x)
+    _require_fiber_support(a2, x)
+    out = np.zeros(g.n_arrows, dtype=complex)
+    for g0 in fiber:
+        acc = 0j
+        for gp in fiber:
+            acc += w[gp] * a1.values[gp] * a2.values[g.compose_table[(g.inv[gp], g0)]]
+        out[g0] = acc
+    return GroupoidFunction(g, out)
+
+
+def beta(parent, g1, a):
+    """Dual action: pull back a fiber function along the conjugation action.
+    Maps functions on the fiber at r(g1) to functions on the fiber at d(g1)."""
+    _require_fiber_support(a, parent.tgt[g1])
+    out = np.zeros(parent.n_arrows, dtype=complex)
+    for a0 in parent.isotropy_fiber(parent.src[g1]):
+        out[a0] = a.values[alpha(parent, g1, a0)]
+    return GroupoidFunction(parent, out)
+
+
+def oracle_bundle_random(p, g1, rng):
+    """The fibers BundleFunction.random draws: per arrow of sorted(g1.arrows),
+    a real and an imaginary part per parent arrow, zero off the fiber."""
+    fibers = {}
+    for a1 in sorted(g1.arrows):
+        v = rng.random(p.n_arrows) + 1j * rng.random(p.n_arrows)
+        off = np.ones(p.n_arrows, dtype=bool)
+        off[p.isotropy_fiber(p.tgt[a1])] = False
+        v[off] = 0
+        fibers[a1] = GroupoidFunction(p, v)
+    return fibers
+
+
+def oracle_K_map(F, sd):
+    return GroupoidFunction(sd, np.array([F.fibers[a1].values[a0] for (a0, a1) in sd.pair_of]))
 
 
 def oracle_groupoid_convolve(f1, f2, w):

@@ -7,9 +7,9 @@ kernels, so their values are the reference bit for bit."""
 
 import numpy as np
 
-from groupoidalg.representation import RandomOperator, RepReport, UnitaryRep
-from groupoidalg.algebra import beta
+from convolution_oracle import beta
 from groupoidalg.errors import PreconditionError
+from groupoidalg.representation import RandomOperator, RepReport, UnitaryRep
 from groupoidalg.semidirect import alpha
 
 

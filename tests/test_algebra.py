@@ -11,10 +11,8 @@ from groupoidalg import (
     K_inverse,
     K_map,
     Section,
-    beta,
     builtin_group,
     carrier_weights,
-    fiber_convolve,
     group_groupoid,
     groupoid_convolve,
     poincare_decomposition,
@@ -24,7 +22,7 @@ from groupoidalg import (
     verify_theorem1,
 )
 from conftest import relabeled_group
-from convolution_oracle import oracle_semidirect_convolve_pairform
+from convolution_oracle import beta, fiber_convolve, oracle_semidirect_convolve_pairform
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groups import BUILTIN_GROUPS
 
@@ -206,6 +204,50 @@ class TestGroupoidConvolve:
             lhs = semidirect_convolve_pairform(f1, f2, sd, w_parent)
             rhs = oracle_semidirect_convolve_pairform(f1, f2, sd, w_parent)
             assert max_dev(lhs, rhs) < 1e-12
+
+
+class TestBundleFunction:
+    def test_fibers_view(self, decomposition_3_s3, rng):
+        """fibers is a read-only mapping in g1's iteration order, of
+        full-length functions zero off the fiber, that compares equal to a
+        dict of its items."""
+        sd = decomposition_3_s3.sd
+        p = sd.parent
+        F = BundleFunction.random(p, sd.g1, rng)
+        view = F.fibers
+        assert list(view) == list(sd.g1.arrows) and len(view) == len(sd.g1.arrows)
+        assert view == dict(view) and view != {} and view is F.fibers
+        for r, a1 in enumerate(sorted(sd.g1.arrows)):
+            fiber = p.isotropy_fiber(p.tgt[a1])
+            f = view[a1]
+            assert f.groupoid is p and f.supported_on(fiber)
+            assert f.values[fiber].tobytes() == F.values[r].tobytes()
+        with pytest.raises(TypeError):
+            view[a1] = GroupoidFunction.zero(p)
+        with pytest.raises(ValueError):
+            view[a1].values[fiber[0]] = 1.0
+        with pytest.raises(KeyError):
+            view[next(a for a in p.arrows() if a not in sd.g1.arrows)]
+        assert BundleFunction(p, sd.g1, view).values.tobytes() == F.values.tobytes()
+
+    def test_constructor_messages(self, decomposition_2_z2):
+        sd = decomposition_2_z2.sd
+        p = sd.parent
+        zeros = {a1: GroupoidFunction.zero(p) for a1 in sd.g1.arrows}
+        a1 = next(iter(sd.g1.arrows))
+        with pytest.raises(PreconditionError, match="^fiber family must cover exactly"):
+            BundleFunction(p, sd.g1, {a: f for a, f in zeros.items() if a != a1})
+        with pytest.raises(PreconditionError, match="^fiber values must live on the parent"):
+            BundleFunction(p, sd.g1, {**zeros, a1: GroupoidFunction.zero(sd)})
+        off = next(a for a in p.arrows() if p.tgt[a] != p.tgt[a1] or p.src[a] != p.tgt[a1])
+        x = p.base_label(p.tgt[a1])
+        with pytest.raises(PreconditionError, match=f"^function is not supported on the "
+                                                    f"isotropy fiber at {x}$"):
+            BundleFunction(p, sd.g1, {**zeros, a1: GroupoidFunction.delta(p, off)})
+        bad = GroupoidFunction.delta(p, p.identity[p.tgt[a1]])
+        bad.values[p.identity[p.tgt[a1]]] = np.nan
+        with pytest.raises(PreconditionError, match="^function values must be finite$"):
+            BundleFunction(p, sd.g1, {**zeros, a1: bad})
 
 
 class TestKMap:

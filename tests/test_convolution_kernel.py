@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import relabeled_group
 from convolution_oracle import (
+    oracle_bundle_random,
     oracle_groupoid_convolve,
     oracle_haar_check,
+    oracle_K_map,
     oracle_pair_identity,
     oracle_poincare_convolve,
     oracle_semidirect_convolve_pairform,
@@ -22,14 +24,18 @@ from convolution_oracle import (
 )
 from groupoidalg import (
     BundleFunction,
+    FiniteGroupoid,
     FinitePrincipalBundle,
     GroupoidFunction,
     HaarWeights,
+    K_inverse,
+    K_map,
     Section,
     SubgroupoidSelection,
     builtin_group,
     carrier_weights,
     cyclic,
+    gauge_groupoid,
     group_groupoid,
     groupoid_convolve,
     pair_groupoid,
@@ -39,10 +45,14 @@ from groupoidalg import (
     selection_to_groupoid,
     semidirect_convolve_pairform,
     twisted_convolve,
+    validate_groupoid,
     verify_theorem1,
 )
+from groupoidalg import algebra
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groups import BUILTIN_GROUPS
+
+LADDER = [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"), (16, "D4")]
 
 
 def assert_same_convolution(f1, f2, w):
@@ -221,9 +231,13 @@ def test_endpoint_out_of_range():
         HaarWeights(g, [1.0, 2.0, 1.0, 1.0])
 
 
-def ladder_carrier(n, name):
+def ladder_decomposition(n, name):
     bundle = FinitePrincipalBundle(n, builtin_group(name))
-    return poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(n))).sd
+    return poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(n)))
+
+
+def ladder_carrier(n, name):
+    return ladder_decomposition(n, name).sd
 
 
 def pair_identity(sd):
@@ -312,3 +326,123 @@ def test_haar_constancy_is_exact():
     message = r"^weights are not constant on the isotropy fiber at \*$"
     with pytest.raises(PreconditionError, match=message):
         HaarWeights(group_groupoid(cyclic(4)), [1.0, 1.000009, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("n,name", LADDER)
+def test_bundle_random_equals_draw_loop(n, name):
+    """BundleFunction.random draws the stream of one GroupoidFunction.random
+    per g1 arrow: the same fiber values bit for bit, and the same state of
+    the generator after."""
+    dec = ladder_decomposition(n, name)
+    got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(2):
+        got = BundleFunction.random(dec.gauge, dec.g1, got_rng)
+        want = oracle_bundle_random(dec.gauge, dec.g1, want_rng)
+        assert got.values.tobytes() == BundleFunction(dec.gauge, dec.g1, want).values.tobytes()
+        for a1, f in want.items():
+            assert got.fibers[a1].values.tobytes() == f.values.tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("n,name", LADDER)
+def test_K_map_equals_pair_loop(n, name):
+    dec = ladder_decomposition(n, name)
+    F = BundleFunction.random(dec.gauge, dec.g1, np.random.default_rng(n))
+    assert K_map(F, dec.sd).values.tobytes() == oracle_K_map(F, dec.sd).values.tobytes()
+
+
+def test_K_inverse_round_trip():
+    """K_inverse(K_map(F)) is F and K_map(K_inverse(f)) is f, exactly, at
+    (12,S3), with exact zeros of either sign among the values."""
+    sd = ladder_carrier(12, "S3")
+    rng = np.random.default_rng(12)
+    F = BundleFunction.random(sd.parent, sd.g1, rng)
+    assert K_inverse(K_map(F, sd), sd).values.tobytes() == F.values.tobytes()
+    f = GroupoidFunction(sd, random_values(rng, sd.n_arrows, 0.3))
+    assert K_map(K_inverse(f, sd), sd).values.tobytes() == f.values.tobytes()
+
+
+def test_twisted_in_blocks_of_one_target(monkeypatch):
+    """Of the ladder, only (16,D4) has more targets than one block holds,
+    and the loop is slow there. With the block bound at 1, each block holds
+    one target, and the kernel still equals the loop at (4,D4)."""
+    dec = ladder_decomposition(4, "D4")
+    rng = np.random.default_rng(4)
+    F1, F2 = (random_bundle_function(dec.gauge, dec.g1, rng, 0.2) for _ in "12")
+    w = random_weights(dec.gauge, rng)
+    monkeypatch.setattr(algebra, "_BLOCK", 1)
+    assert_same_twisted(F1, F2, w)
+
+
+def test_twisted_over_targets_with_unequal_counts():
+    """A closed selection that is not transitive: two g1 arrows into each
+    of base points 0 and 1, one into 2, so the targets fall into two
+    groups. The kernel equals the loop."""
+    dec = ladder_decomposition(3, "S3")
+    t = dec.translation
+    g1 = SubgroupoidSelection(
+        dec.gauge, frozenset([t[(x, z)] for x in (0, 1) for z in (0, 1)] + [t[(2, 2)]])
+    )
+    rng = np.random.default_rng(3)
+    F1, F2 = (random_bundle_function(dec.gauge, g1, rng, 0.2) for _ in "12")
+    for w in (HaarWeights.counting(dec.gauge), random_weights(dec.gauge, rng)):
+        assert_same_twisted(F1, F2, w)
+    assert_same_twisted(
+        BundleFunction.random(dec.gauge, g1, rng), BundleFunction.random(dec.gauge, g1, rng), w
+    )
+
+
+def test_twisted_rejects_weights_on_another_groupoid():
+    """Weights of another groupoid used to be read as if they were the
+    parent's: those of a second (3,S3) gauge build and those of the
+    carrier (54 arrows each) silently, those of the (2,Z2) gauge groupoid
+    with an IndexError."""
+    dec = ladder_decomposition(3, "S3")
+    rng = np.random.default_rng(3)
+    F1, F2 = (BundleFunction.random(dec.gauge, dec.g1, rng) for _ in "12")
+    others = (
+        gauge_groupoid(FinitePrincipalBundle(3, builtin_group("S3"))),
+        dec.sd,
+        gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2"))),
+    )
+    for g in others:
+        with pytest.raises(PreconditionError, match="^weights must live on the parent groupoid$"):
+            twisted_convolve(F1, F2, HaarWeights.counting(g))
+
+
+def test_bundle_function_rejects_g1_of_another_groupoid():
+    dec, other = ladder_decomposition(3, "S3"), ladder_decomposition(3, "S3")
+    p, g1 = dec.gauge, other.g1
+    message = "^g1 must be a selection of the parent groupoid$"
+    with pytest.raises(PreconditionError, match=message):
+        BundleFunction.random(p, g1, np.random.default_rng(0))
+    with pytest.raises(PreconditionError, match=message):
+        BundleFunction(p, g1, {a1: GroupoidFunction.zero(p) for a1 in g1.arrows})
+
+
+def test_unequal_fiber_sizes():
+    """The trivial group at base point 0 and Z2 at 1: the fibers at the
+    targets of g1 = both identities have sizes 1 and 2, so no (|g1|, K)
+    array holds a function on them."""
+    g = FiniteGroupoid(
+        n_base=2, src=(0, 1, 1), tgt=(0, 1, 1),
+        compose_table={(0, 0): 0, (1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1},
+        inv=(0, 1, 2), identity=(0, 1),
+    )
+    assert validate_groupoid(g).ok
+    g1 = SubgroupoidSelection(g, frozenset({0, 1}))
+    message = "^the isotropy fibers at the targets of g1 differ in size$"
+    with pytest.raises(PreconditionError, match=message):
+        BundleFunction.random(g, g1, np.random.default_rng(0))
+    with pytest.raises(PreconditionError, match=message):
+        BundleFunction(g, g1, {0: GroupoidFunction.delta(g, 0), 1: GroupoidFunction.delta(g, 1)})
+
+
+def test_twisted_rejects_unclosed_selection():
+    """g1: the identities and one translation without its inverse."""
+    dec = ladder_decomposition(3, "S3")
+    t = dec.translation
+    g1 = SubgroupoidSelection(dec.gauge, frozenset([t[(x, x)] for x in range(3)] + [t[(0, 1)]]))
+    F = BundleFunction.random(dec.gauge, g1, np.random.default_rng(3))
+    with pytest.raises(PreconditionError, match="^g1 is not closed under composition$"):
+        twisted_convolve(F, F, HaarWeights.counting(dec.gauge))

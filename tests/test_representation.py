@@ -202,7 +202,7 @@ class TestQuantize:
             quantize(GroupoidFunction.delta(g, off), reg_z2, 0, w)
 
     def test_multiplicative_via_fiber_convolution(self, fix_gauge_3_s3, reg_s3, rng):
-        from groupoidalg import fiber_convolve
+        from convolution_oracle import fiber_convolve
 
         g = fix_gauge_3_s3
         w = HaarWeights.counting(g)
