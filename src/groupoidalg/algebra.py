@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .groupoid import FiniteGroupoid, SubgroupoidSelection, _group
-from .semidirect import SemidirectGroupoid
+from .semidirect import SemidirectGroupoid, _layout
 
 _BLOCK = 1 << 14  # slots per scatter-add block; bounds the temporaries
 
@@ -101,23 +101,6 @@ class GroupoidFunction:
         return GroupoidFunction(self.groupoid, np.where(mask, self.values, 0))
 
 
-def _layout(parent: FiniteGroupoid, g1: SubgroupoidSelection):
-    """The order of a BundleFunction's values, read off the fiber index: the
-    rows, sorted(g1.arrows); per row the isotropy fiber at its target, as
-    (|g1|, K); per parent arrow its row (-1 off g1) and its rank in its fiber."""
-    if g1.parent is not parent:
-        raise PreconditionError("g1 must be a selection of the parent groupoid")
-    rows = sorted(g1.arrows)
-    fibers = [parent.isotropy_fiber(parent.tgt[a1]) for a1 in rows]
-    if len({len(f) for f in fibers}) > 1:
-        raise PreconditionError("the isotropy fibers at the targets of g1 differ in size")
-    rows = np.array(rows, dtype=np.intp)
-    fiber = np.array(fibers, dtype=np.intp).reshape(rows.size, len(fibers[0]) if fibers else 0)
-    row, col = np.full(parent.n_arrows, -1, dtype=np.intp), np.zeros(parent.n_arrows, np.intp)
-    row[rows], col[fiber] = np.arange(rows.size), np.arange(fiber.shape[1])
-    return rows, fiber, row, col
-
-
 class BundleFunction:
     """Element of the crossed product: for each arrow of the transitive
     selection g1, a fiber-algebra element at its target.
@@ -125,7 +108,7 @@ class BundleFunction:
     Held as one complex array values of shape (|g1|, K): row i is the i-th
     arrow of sorted(g1.arrows), column j the j-th arrow of the isotropy
     fiber at its target. K is the fiber size, the same at every target.
-    These are the orders of the carrier's pair_of."""
+    This is semidirect._layout, the order of the carrier's arrows."""
 
     def __init__(self, parent: FiniteGroupoid, g1: SubgroupoidSelection, fibers: Mapping):
         _, fiber, row, _ = layout = _layout(parent, g1)
@@ -284,22 +267,19 @@ def semidirect_convolve_pairform(
 
 
 def K_map(F: BundleFunction, sd: SemidirectGroupoid) -> GroupoidFunction:
-    """(KF)(g0, g1) = (F(g1))(g0); linear, multiplicative, bijective. One
-    gather of F's values over the carrier's pairs."""
+    """(KF)(g0, g1) = (F(g1))(g0); linear, multiplicative, bijective. The
+    carrier's arrows are in F's row-major order, so this is a copy of F's
+    values."""
     if F.parent is not sd.parent or F.g1.arrows != sd.g1.arrows:
         raise PreconditionError("bundle function does not match the carrier")
-    (P0, P1), (_, _, row, col) = sd.pair_ids, F._layout
-    return GroupoidFunction(sd, F.values[row[P1], col[P0]])
+    return GroupoidFunction(sd, F.values.flatten())
 
 
 def K_inverse(f: GroupoidFunction, sd: SemidirectGroupoid) -> BundleFunction:
     if f.groupoid is not sd:
         raise PreconditionError("function does not live on the semidirect carrier")
-    layout = _, fiber, row, col = _layout(sd.parent, sd.g1)
-    P0, P1 = sd.pair_ids
-    values = np.zeros(fiber.shape, dtype=complex)
-    values[row[P1], col[P0]] = f.values
-    return BundleFunction.__new__(BundleFunction)._set(sd.parent, sd.g1, layout, values)
+    values = f.values.reshape(sd.layout[1].shape).copy()
+    return BundleFunction.__new__(BundleFunction)._set(sd.parent, sd.g1, sd.layout, values)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -196,7 +197,7 @@ def _random_op(args) -> list[dict]:
 def _max_entries() -> int:
     text = os.environ.get("GROUPOIDALG_MAX_ENTRIES", "4000000")
     try:
-        return _positive_int(text)
+        return _at_least(1)(text)
     except (ValueError, argparse.ArgumentTypeError):
         raise MalformedTableError(
             f"GROUPOIDALG_MAX_ENTRIES must be an integer of at least 1, got {text!r}"
@@ -258,11 +259,16 @@ def _convolve(args) -> list[dict]:
     ]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int, kind=int):
+    """An argparse type: a finite number of the given kind, at least low."""
+    def parse(text: str):
+        value = kind(text)
+        if low <= value < math.inf:  # false for NaN too
+            return value
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least {low}, got {text}")
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 @dataclass(frozen=True)
@@ -276,7 +282,7 @@ class Command:
 
 IN = ("--in", {"required": True})
 OUT = ("--out", {"required": True})
-TRIALS = ("--trials", {"type": _positive_int, "default": 50})
+TRIALS = ("--trials", {"type": _at_least(1), "default": 50})
 GAUGE = ("base", "group", "section")
 
 COMMANDS = (
@@ -336,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command.name, help=command.help)
         for flag, kwargs in command.args:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--tol", type=_at_least(0, float), default=1e-9)
         p.add_argument("--report", help="write the JSON report to this path")
         if "base" in command.config:  # a gauge subcommand
             p.add_argument(
-                "--base", type=_positive_int, required=True, help="number of base points"
+                "--base", type=_at_least(1), required=True, help="number of base points"
             )
             p.add_argument("--group", required=True, help="builtin group name or table file")
             p.add_argument("--section", default="identity", help="identity | random | section file")

@@ -10,7 +10,7 @@ measures of the motivating construction are replaced by counting measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,11 +80,12 @@ class Section:
 @dataclass(eq=False)
 class GaugeGroupoid(FiniteGroupoid):
     """Gauge groupoid in normal form: arrow i is the triple (y, g, x)
-    representing the class [(y, g), (x, e)]."""
+    representing the class [(y, g), (x, e)]; triple_index[y, g, x] is its
+    id, (y·|G| + g)·n + x, as an (n, |G|, n) array."""
 
     bundle: FinitePrincipalBundle = None
     triples: tuple[tuple[int, int, int], ...] = ()
-    triple_index: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    triple_index: np.ndarray = None
 
 
 def gauge_groupoid(bundle: FinitePrincipalBundle) -> GaugeGroupoid:
@@ -109,7 +110,7 @@ def gauge_groupoid(bundle: FinitePrincipalBundle) -> GaugeGroupoid:
         arrow_labels=tuple(f"({y},{G.elements[g]},{x})" for (y, g, x) in triples),
         bundle=bundle,
         triples=tuple(triples),
-        triple_index={t: i for i, t in enumerate(triples)},
+        triple_index=np.arange(n * k * n).reshape(n, k, n),
     )
 
 
@@ -120,22 +121,20 @@ def lorentz_subgroupoid(gauge: GaugeGroupoid) -> SubgroupoidSelection:
     return SubgroupoidSelection(gauge, sel)
 
 
-def _translations(gauge: GaugeGroupoid, s: Section) -> dict[tuple[int, int], int]:
-    """(y, x) ↦ the arrow [s(y), s(x)] = (y, sigma(y)·sigma(x)⁻¹, x)."""
+def _translations(gauge: GaugeGroupoid, s: Section) -> np.ndarray:
+    """[y, x] ↦ the arrow [s(y), s(x)] = (y, sigma(y)·sigma(x)⁻¹, x), as (n, n)."""
     G = gauge.bundle.group
     if len(s.sigma) != gauge.n_base:
         raise PreconditionError("section does not cover the base")
-    return {
-        (y, x): gauge.triple_index[(y, G.mul[s.sigma[y]][G.inverse[s.sigma[x]]], x)]
-        for y in range(gauge.n_base)
-        for x in range(gauge.n_base)
-    }
+    sigma, base = np.array(s.sigma), np.arange(gauge.n_base)
+    g = np.array(G.mul)[sigma[:, None], np.array(G.inverse)[sigma]]
+    return gauge.triple_index[base[:, None], g, base]
 
 
 def translation_subgroupoid(gauge: GaugeGroupoid, s: Section) -> SubgroupoidSelection:
     """The arrows [s(y), s(x)]: a wide transitive subgroupoid isomorphic to
     the pair groupoid over the base."""
-    return SubgroupoidSelection(gauge, frozenset(_translations(gauge, s).values()))
+    return SubgroupoidSelection(gauge, frozenset(_translations(gauge, s).ravel().tolist()))
 
 
 @dataclass(eq=False)
@@ -149,7 +148,7 @@ class PoincareDecomposition:
     g0: SubgroupoidSelection
     g1: SubgroupoidSelection
     sd: SemidirectGroupoid
-    translation: dict[tuple[int, int], int]  # (tgt, src) -> parent arrow id
+    translation: np.ndarray  # [tgt, src] -> parent arrow id, as (n, n)
 
 
 def poincare_decomposition(
@@ -158,7 +157,7 @@ def poincare_decomposition(
     gauge = gauge_groupoid(bundle)
     g0 = lorentz_subgroupoid(gauge)
     translation = _translations(gauge, s)
-    g1 = SubgroupoidSelection(gauge, frozenset(translation.values()))
+    g1 = SubgroupoidSelection(gauge, frozenset(translation.ravel().tolist()))
     return PoincareDecomposition(
         bundle=bundle,
         section=s,
@@ -195,12 +194,9 @@ def verify_poincare_decomposition(bundle: FinitePrincipalBundle, s: Section) -> 
     iota_ok = result.i_map is not None
     if iota_ok:
         # selection_to_groupoid indexes the selection's arrows in sorted order
-        inclusion = sorted(dec.g1.arrows)
-        iota_ok = all(
-            inclusion[result.i_map.arrow_map[result.rho.arrow_map[gamma]]]
-            == translation[(gauge.tgt[gamma], gauge.src[gamma])]
-            for gamma in gauge.arrows()
-        )
+        inclusion = np.array(sorted(dec.g1.arrows))
+        i_rho = np.array(result.i_map.arrow_map)[np.array(result.rho.arrow_map)]
+        iota_ok = bool((inclusion[i_rho] == translation[gauge.tgt, gauge.src]).all())
     checks["section_identity"] = iota_ok
     checks["measures"] = "counting (discrete stand-in for Haar/Lebesgue)"
     checks["passed"] = all(v is True for k, v in checks.items() if k != "measures")
@@ -231,21 +227,21 @@ def poincare_convolve(
     sd = dec.sd
     if f1.groupoid is not sd or f2.groupoid is not sd:
         raise PreconditionError("functions must live on the decomposition carrier")
-    gauge, G, s = dec.gauge, dec.bundle.group, dec.section
+    gauge, G, s, t = dec.gauge, dec.bundle.group, dec.section, dec.translation
     if w_parent is None:
         w_parent = HaarWeights.counting(gauge)
     if w_parent.groupoid is not gauge:
         raise PreconditionError("weights must live on the decomposition's gauge groupoid")
     n, k = gauge.n_base, G.order
     mul, inv, sigma = np.array(G.mul), np.array(G.inverse), np.array(s.sigma)
-    # iso[x][q] = iso_x(q), t[x][z] = t_xz, and ids[x, z, q] is the carrier
+    # iso[x, q] = iso_x(q), t[x, z] = t_xz, and ids[x, z, q] is the carrier
     # arrow (iso_x(q), t_xz), labelled (x, q, z)
-    conj = mul[mul[sigma[:, None], np.arange(k)], inv[sigma][:, None]].tolist()
-    iso = [[gauge.triple_index[(x, h, x)] for h in conj[x]] for x in range(n)]
-    t = [[dec.translation[(x, z)] for z in range(n)] for x in range(n)]
-    ids = np.array([[[sd.pair_index[(a0, a1)] for a0 in iso[x]] for a1 in t[x]] for x in range(n)])
+    conj = mul[mul[sigma[:, None], np.arange(k)], inv[sigma][:, None]]
+    iso = gauge.triple_index[np.arange(n)[:, None], conj, np.arange(n)[:, None]]
+    _, _, row, col = sd.layout
+    ids = (row[t] * k)[:, :, None] + col[iso][:, None, :]
     wv = w_parent.values
-    dm = wv[np.array(iso)][:, None, :] * wv[np.array(t)][:, :, None]  # [x, z, g'] = dg·mu
+    dm = wv[iso][:, None, :] * wv[t][:, :, None]  # [x, z, g'] = dg·mu
     # (dg·mu)·f1 as in the loop, where the real weight entered a complex
     # product: that differs only in the sign of a zero, which sums from +0.0 drop
     u = f1.values[ids]

@@ -3,7 +3,7 @@ isomorphism criterion relating the product to its parent."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,16 +36,35 @@ def alpha(parent: FiniteGroupoid, g1: int, g0: int) -> int:
     return parent.compose(parent.compose(g1, g0), parent.inv[g1])
 
 
+def _layout(parent: FiniteGroupoid, g1: SubgroupoidSelection):
+    """The crossed-product order of both sides of Theorem 1: the rows,
+    sorted(g1.arrows); per row the isotropy fiber at its target, as (|g1|, K);
+    per parent arrow its row (-1 off g1) and its column, its rank in its fiber.
+    Carrier arrow row·K + column is (fiber arrow, row arrow), and values[row, column]
+    of a BundleFunction."""
+    if g1.parent is not parent:
+        raise PreconditionError("g1 must be a selection of the parent groupoid")
+    rows = sorted(g1.arrows)
+    fibers = [parent.isotropy_fiber(parent.tgt[a1]) for a1 in rows]
+    if len({len(f) for f in fibers}) > 1:
+        raise PreconditionError("the isotropy fibers at the targets of g1 differ in size")
+    rows = np.array(rows, dtype=np.intp)
+    fiber = np.array(fibers, dtype=np.intp).reshape(rows.size, len(fibers[0]) if fibers else 0)
+    row, col = np.full(parent.n_arrows, -1, dtype=np.intp), np.zeros(parent.n_arrows, np.intp)
+    row[rows], col[fiber] = np.arange(rows.size), np.arange(fiber.shape[1])
+    return rows, fiber, row, col
+
+
 @dataclass(eq=False)
 class SemidirectGroupoid(FiniteGroupoid):
-    """Carrier of the semidirect product; arrow i is the pair pair_of[i]."""
+    """Carrier of the semidirect product; arrow i is the pair pair_of[i], in _layout order."""
 
     pair_of: tuple[tuple[int, int], ...] = ()
-    pair_index: dict[tuple[int, int], int] = field(default_factory=dict)
     parent: FiniteGroupoid = None
     g0: SubgroupoidSelection = None
     g1: SubgroupoidSelection = None
     pair_ids: np.ndarray = None  # pair_of as a (2, n) intp array: the a0, then the a1
+    layout: tuple = None  # _layout(parent, g1)
 
 
 def semidirect_product(
@@ -71,32 +90,28 @@ def semidirect_product(
     if not props["is_transitive"]:
         raise PreconditionError("g1 is not transitive")
 
-    # g0 is the full isotropy, so its arrows at r(a1) are one isotropy fiber
-    pairs = [
-        (a0, a1) for a1 in sorted(g1.arrows) for a0 in parent.isotropy_fiber(parent.tgt[a1])
-    ]
-    P0, P1 = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    rank = np.zeros(parent.n_arrows, dtype=np.intp)  # of an isotropy arrow in its fiber
-    rank[P0] = np.arange(P0.size) - np.searchsorted(P1, P1)
+    rows, fiber, row, col = layout = _layout(parent, g1)
+    K = fiber.shape[1]
+    P0, P1 = fiber.ravel(), np.repeat(rows, K)
     ps, ident = parent._product_slots(), np.asarray(parent.identity)
 
-    def carrier(c0, c1):  # the id of (c0, c1): the first pair on c1 plus the rank of c0
-        return np.searchsorted(P1, c1) + rank[c0]
+    def carrier(c0, c1):  # the id of (c0, c1)
+        return row[c1] * K + col[c0]
 
     def product(i, j):  # (a0, a1)∘(b0, b1) = (a0∘α_{a1}(b0), a1∘b1)
         a0, a1 = P0[i], P1[i]
         return carrier(ps.compose(a0, ps.conj(a1, P0[j])), ps.compose(a1, P1[j]))
 
     inv1 = ps.inv[P1]  # (a0, a1)⁻¹ = (α_{a1⁻¹}(a0⁻¹), a1⁻¹)
+    pairs = tuple(zip(P0.tolist(), P1.tolist()))
     return _build(
         SemidirectGroupoid, parent.n_base, ps.src[P1], ps.tgt[P0],
         carrier(ps.conj(inv1, ps.inv[P0]), inv1), carrier(ident, ident), product,
         arrow_labels=tuple(
             f"({parent.arrow_label(a0)},{parent.arrow_label(a1)})" for (a0, a1) in pairs
         ),
-        base_labels=parent.base_labels, pair_of=tuple(pairs),
-        pair_index={p: i for i, p in enumerate(pairs)}, pair_ids=np.stack((P0, P1)),
-        parent=parent, g0=g0, g1=g1,
+        base_labels=parent.base_labels, pair_of=pairs, pair_ids=np.stack((P0, P1)),
+        parent=parent, g0=g0, g1=g1, layout=layout,
     )
 
 
@@ -160,14 +175,14 @@ def prop1_on_carrier(sd: SemidirectGroupoid) -> Prop1Result:
     i_map = None
     i_verified = False
     if J_is_iso:
-        g1_index = {a: k for k, a in enumerate(inclusion.arrow_map)}
-        arrow_map = [0] * quotient.n_arrows
-        for (_, a1), gamma in zip(sd.pair_of, J.arrow_map):
-            arrow_map[rho.arrow_map[gamma]] = g1_index[a1]
+        # carrier arrow i lies on row i // K, the g1 arrow of that index
+        arrow_map = np.zeros(quotient.n_arrows, dtype=np.intp)
+        arrow_map[np.asarray(rho.arrow_map)[list(J.arrow_map)]] = (
+            np.arange(sd.n_arrows) // sd.layout[1].shape[1])
         i_map = GroupoidMorphism(
             domain=quotient,
             codomain=g1_groupoid,
-            arrow_map=tuple(arrow_map),
+            arrow_map=tuple(arrow_map.tolist()),
             base_map=tuple(quotient.base()),
         )
         i_verified = verify_morphism(i_map, require_iso=True).ok

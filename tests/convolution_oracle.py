@@ -7,8 +7,9 @@ order, so their outputs are equal to these bit for bit. Also the iterated
 pair-form sum, whose terms semidirect_convolve_pairform now sums with the
 generic kernel in another order; the loop over the carrier's pairs that
 verify_theorem1's pair identity check replaces; the loop of HaarWeights'
-invariance check; and the per-arrow draws of BundleFunction.random and the
-per-pair loop of K_map."""
+invariance check; the per-arrow draws of BundleFunction.random and the
+per-pair loop of K_map; and the dicts that the crossed-product layout and
+the gauge groupoid's id arithmetic replace."""
 
 import numpy as np
 
@@ -71,6 +72,38 @@ def oracle_K_map(F, sd):
     return GroupoidFunction(sd, np.array([F.fibers[a1].values[a0] for (a0, a1) in sd.pair_of]))
 
 
+def oracle_pair_of(parent, g1):
+    """The carrier's pairs (a0, a1): a1 in sorted order, a0 over the isotropy
+    fiber at the target of a1."""
+    return tuple(
+        (a0, a1) for a1 in sorted(g1.arrows) for a0 in parent.isotropy_fiber(parent.tgt[a1])
+    )
+
+
+def oracle_triple_index(gauge):
+    return {t: i for i, t in enumerate(gauge.triples)}
+
+
+def oracle_translations(gauge, s):
+    """(y, x) ↦ the id of the translation arrow (y, sigma(y)·sigma(x)⁻¹, x)."""
+    G, index = gauge.bundle.group, oracle_triple_index(gauge)
+    return {
+        (y, x): index[(y, G.mul[s.sigma[y]][G.inverse[s.sigma[x]]], x)]
+        for y in range(gauge.n_base)
+        for x in range(gauge.n_base)
+    }
+
+
+def oracle_i_map(sd, rho, J):
+    """The arrow map of the induced map from the quotient onto g1: the class
+    of J(a0, a1) goes to the index of a1 in sorted(g1.arrows)."""
+    g1_index = {a: k for k, a in enumerate(sorted(sd.g1.arrows))}
+    arrow_map = [0] * (max(rho.arrow_map) + 1)
+    for (_, a1), gamma in zip(sd.pair_of, J.arrow_map):
+        arrow_map[rho.arrow_map[gamma]] = g1_index[a1]
+    return tuple(arrow_map)
+
+
 def oracle_groupoid_convolve(f1, f2, w):
     g = f1.groupoid
     out = np.zeros(g.n_arrows, dtype=complex)
@@ -122,6 +155,7 @@ def oracle_semidirect_convolve_pairform(f1, f2, sd, w_parent):
     """The iterated double sum over the transitive selection and the isotropy
     fiber, under the product weights w(b0)·w(b1)."""
     p = sd.parent
+    pair_index = {pair: i for i, pair in enumerate(sd.pair_of)}
     out = np.zeros(sd.n_arrows, dtype=complex)
     for i, (a0, a1) in enumerate(sd.pair_of):
         x = p.tgt[a1]
@@ -130,7 +164,7 @@ def oracle_semidirect_convolve_pairform(f1, f2, sd, w_parent):
             if p.tgt[b1] != x:
                 continue
             for b0 in p.isotropy_fiber(x):
-                j = sd.pair_index[(b0, b1)]
+                j = pair_index[(b0, b1)]
                 k = sd.compose_table[(sd.inv[j], i)]
                 acc += w_parent[b0] * w_parent[b1] * f1.values[j] * f2.values[k]
         out[i] = acc
@@ -151,6 +185,7 @@ def oracle_poincare_convolve(f1, f2, dec, w_parent=None):
     def conj_by_sigma(x, g):
         return G.mul[G.mul[s.sigma[x]][g]][G.inverse[s.sigma[x]]]
 
+    pair_index = {pair: i for i, pair in enumerate(sd.pair_of)}
     out = np.zeros(sd.n_arrows, dtype=complex)
     for i, (a0, a1) in enumerate(sd.pair_of):
         x = gauge.tgt[a1]
@@ -166,8 +201,8 @@ def oracle_poincare_convolve(f1, f2, dec, w_parent=None):
             for gp in range(G.order):
                 iso_x = iso(x, conj_by_sigma(x, gp))
                 dg = w_parent[iso_x]
-                j = sd.pair_index[(iso_x, t_xz)]
-                k = sd.pair_index[
+                j = pair_index[(iso_x, t_xz)]
+                k = pair_index[
                     (iso(z, conj_by_sigma(z, G.mul[G.inverse[gp]][g])), t_zy)
                 ]
                 acc += dg * mu * f1.values[j] * f2.values[k]

@@ -438,6 +438,28 @@ class TestChecksCheck:
         assert main([cmd, *GAUGE_ARGS, "--trials", trials]) == 2
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cmd", ["convolve", "verify-prop1", "random-op", "verify-theorem1", "semidirect"])
+    def test_negative_seed_rejected(self, cmd, tmp_path, capsys):
+        # numpy's ValueError used to escape as a traceback
+        out = ["--out", str(tmp_path / "c.json")] if cmd == "semidirect" else []
+        assert main([cmd, *GAUGE_ARGS, "--section", "random", "--seed", "-1", *out]) == 2
+        assert "argument --seed: must be a finite number of at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "-1e-12"])
+    @pytest.mark.parametrize("cmd", ["convolve", "commutant", "rep-check"])
+    def test_tolerance_not_finite_or_negative_rejected(self, cmd, tol, capsys):
+        # NaN made every check fail silently; commutant --tol -1 reported
+        # an empty commutant basis
+        assert main([cmd, *GAUGE_ARGS, f"--tol={tol}"]) == 2
+        assert "argument --tol: must be a finite number of at least 0" in capsys.readouterr().err
+
+    def test_zero_seed_and_tolerance_accepted(self, tmp_path):
+        argv = ["convolve", *GAUGE_ARGS, "--section", "random", "--seed", "0", "--tol", "0"]
+        code, data = run_report(argv, tmp_path)
+        assert (data["config"]["seed"], data["config"]["tol"]) == (0, 0.0)
+        assert code == 0  # the two kernels agree exactly at (2,Z2)
+
     def test_random_op_norm_tolerance(self, monkeypatch, tmp_path):
         import groupoidalg.cli as cli
 

@@ -16,10 +16,14 @@ from convolution_oracle import (
     oracle_bundle_random,
     oracle_groupoid_convolve,
     oracle_haar_check,
+    oracle_i_map,
     oracle_K_map,
     oracle_pair_identity,
+    oracle_pair_of,
     oracle_poincare_convolve,
     oracle_semidirect_convolve_pairform,
+    oracle_translations,
+    oracle_triple_index,
     oracle_twisted_convolve,
 )
 from groupoidalg import (
@@ -38,6 +42,7 @@ from groupoidalg import (
     gauge_groupoid,
     group_groupoid,
     groupoid_convolve,
+    J_map,
     pair_groupoid,
     poincare_convolve,
     poincare_decomposition,
@@ -51,6 +56,7 @@ from groupoidalg import (
 from groupoidalg import algebra
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groups import BUILTIN_GROUPS
+from groupoidalg.semidirect import prop1_on_carrier
 
 LADDER = [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"), (16, "D4")]
 
@@ -349,6 +355,50 @@ def test_K_map_equals_pair_loop(n, name):
     dec = ladder_decomposition(n, name)
     F = BundleFunction.random(dec.gauge, dec.g1, np.random.default_rng(n))
     assert K_map(F, dec.sd).values.tobytes() == oracle_K_map(F, dec.sd).values.tobytes()
+
+
+@pytest.mark.parametrize("section", ["identity", "random"])
+@pytest.mark.parametrize("n,name", LADDER)
+def test_layout_and_gauge_ids_equal_their_dicts(n, name, section):
+    """The carrier's pairs are the comprehension over sorted(g1) and the
+    fibers; triple_index and the translations hold the ids of the dicts
+    they replace, and the selections built from them hold Python ints."""
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    rng = np.random.default_rng(n)
+    s = Section.identity(bundle) if section == "identity" else Section.random(bundle, rng)
+    dec = poincare_decomposition(bundle, s)
+    gauge, sd, k = dec.gauge, dec.sd, bundle.group.order
+    pairs = oracle_pair_of(gauge, dec.g1)
+    assert sd.pair_of == pairs
+    assert sd.pair_ids.tolist() == [[a0 for a0, _ in pairs], [a1 for _, a1 in pairs]]
+    assert gauge.triple_index.shape == (n, k, n)
+    assert {t: gauge.triple_index[t] for t in gauge.triples} == oracle_triple_index(gauge)
+    assert dec.translation.shape == (n, n)
+    assert {(y, x): dec.translation[(y, x)] for y in range(n) for x in range(n)} == (
+        oracle_translations(gauge, s))
+    assert all(type(a) is int for a in dec.g1.arrows)
+
+
+@pytest.mark.parametrize("n,name", LADDER[:4])
+def test_i_map_equals_pair_loop(n, name):
+    dec = ladder_decomposition(n, name)
+    result = prop1_on_carrier(dec.sd)
+    want = oracle_i_map(dec.sd, result.rho, J_map(dec.sd))
+    assert result.i_map.arrow_map == want
+    assert all(type(a) is int for a in result.i_map.arrow_map)
+
+
+def test_K_map_and_K_inverse_copy_their_input():
+    """Writing into the result of K_map or K_inverse leaves the input as it was."""
+    sd = ladder_carrier(3, "S3")
+    rng = np.random.default_rng(3)
+    F = BundleFunction.random(sd.parent, sd.g1, rng)
+    f = GroupoidFunction(sd, random_values(rng, sd.n_arrows, 0.3))
+    F_before, f_before = F.values.copy(), f.values.copy()
+    K_map(F, sd).values[:] = 7
+    K_inverse(f, sd).values[:] = 7
+    assert F.values.tobytes() == F_before.tobytes()
+    assert f.values.tobytes() == f_before.tobytes()
 
 
 def test_K_inverse_round_trip():

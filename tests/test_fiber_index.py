@@ -82,10 +82,11 @@ def _gauge(n, name, dec=None):
 def _carrier(n, name, dec=None):
     sd = (dec or _decomposition(n, name)).sd
     p = sd.parent
+    pair_index = {pair: i for i, pair in enumerate(sd.pair_of)}
 
     def product(i, j):
         (a0, a1), (b0, b1) = sd.pair_of[i], sd.pair_of[j]
-        return sd.pair_index[(p.compose(a0, alpha(p, a1, b0)), p.compose(a1, b1))]
+        return pair_index[(p.compose(a0, alpha(p, a1, b0)), p.compose(a1, b1))]
 
     return sd, product
 

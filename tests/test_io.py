@@ -177,7 +177,12 @@ def test_malformed_table_is_not_serialized():
 
 BASE_FILE = oracle_groupoid_to_dict(gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2"))))
 KEYS_OF_FILE = ("base", "arrows", "compose", "inv", "identity")
-JUNK = st.sampled_from([[], {}, "x", 3, None, ["x"], {"x": 1}, True, 2.5])
+JUNK_VALUES = ([], {}, "x", 3, None, ["x"], {"x": 1}, True, 2.5)
+# fresh copies per draw: the mutations edit a drawn value in place, and a
+# shared list or dict would carry those edits into later examples
+JUNK = st.sampled_from(JUNK_VALUES).map(copy.deepcopy)
+RECORD = st.just({"id": "x"}).map(copy.deepcopy)
+PRISTINE_JUNK = copy.deepcopy(JUNK_VALUES)
 
 
 def _rows(d):
@@ -222,7 +227,7 @@ def _record_edit(d, draw, i):
     rec, other = recs[i % len(recs)], recs[(i + 1) % len(recs)]
     kind = draw(st.sampled_from(["duplicate", "junk", "endpoint"]))
     if kind == "junk":
-        recs[i % len(recs)] = draw(st.one_of(JUNK, st.just({"id": "x"})))
+        recs[i % len(recs)] = draw(st.one_of(JUNK, RECORD))
     elif isinstance(rec, dict) and kind == "duplicate" and isinstance(other, dict):
         rec["id"] = other.get("id")
     elif isinstance(rec, dict) and kind == "endpoint":
@@ -290,6 +295,19 @@ def mutated_files(draw):
     for _ in range(draw(st.integers(1, 3))):
         MUTATIONS[draw(st.sampled_from(sorted(MUTATIONS)))](d, draw, draw(st.integers(0, 63)))
     return d
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(vs=st.lists(st.one_of(JUNK, RECORD), min_size=30, max_size=30))
+def test_drawn_junk_is_fresh(vs):
+    """Editing drawn values in place, as the mutations do, leaves the
+    values of later draws as they were."""
+    for v in vs:
+        assert v in [*PRISTINE_JUNK, {"id": "x"}]
+        if isinstance(v, list):
+            v.append("edited")
+        elif isinstance(v, dict):
+            v["edited"] = 1
 
 
 def same_groupoid(got, want):

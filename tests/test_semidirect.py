@@ -16,6 +16,7 @@ from groupoidalg import (
     prop1_equivalence,
     selection_to_groupoid,
     semidirect_product,
+    translation_subgroupoid,
     validate_groupoid,
     verify_morphism,
 )
@@ -134,6 +135,14 @@ class TestSemidirectProduct:
         g1 = SubgroupoidSelection(fix_pair, frozenset(fix_pair.identity))
         with pytest.raises(PreconditionError):
             semidirect_product(fix_pair, g0, g1)
+
+    def test_g1_of_another_groupoid_rejected(self, bundle_3_s3):
+        """A second build of the same gauge groupoid has the same arrow ids;
+        its translations used to be read as the parent's."""
+        g, other = gauge_groupoid(bundle_3_s3), gauge_groupoid(bundle_3_s3)
+        g1 = translation_subgroupoid(other, Section.identity(bundle_3_s3))
+        with pytest.raises(PreconditionError, match="^g1 must be a selection of the parent"):
+            semidirect_product(g, lorentz_subgroupoid(g), g1)
 
     def test_inverse_rule(self, decomposition_3_s3):
         sd = decomposition_3_s3.sd
