@@ -16,7 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import PreconditionError
-from .groupoid import FiniteGroupoid, SubgroupoidSelection, _group
+from .groupoid import FiniteGroupoid, SubgroupoidSelection, _group, _walk
 from .semidirect import SemidirectGroupoid, _layout
 
 _BLOCK = 1 << 14  # slots per scatter-add block; bounds the temporaries
@@ -41,14 +41,13 @@ class HaarWeights:
         if (self.values == self.values[:1]).all():
             return
         # constancy on each isotropy fiber, exactly: w(a) = w(identity at src a)
-        s = g._product_slots()
-        iso = np.flatnonzero(s.src == s.tgt)
-        bad = iso[self.values[iso] != self.values[np.asarray(g.identity)[s.src[iso]]]]
+        s, iso = g._product_slots(), g._arrays.iso[0]
+        bad = iso[self.values[iso] != self.values[g._arrays.identity[s.src[iso]]]]
         if bad.size:
             x = g.base_label(int(s.src[bad].min()))
             raise PreconditionError(f"weights are not constant on the isotropy fiber at {x}")
         # w(γ∘a∘γ⁻¹) = w(a) for every arrow γ and every a in the fiber at src γ
-        for _, gamma, a in s.iso_pairs(_BLOCK):
+        for _, gamma, a in _walk(*s.iso, s.src, _BLOCK):
             if (self.values[s.conj(gamma, a)] != self.values[a]).any():
                 raise PreconditionError("weights are not invariant under the conjugation action")
 

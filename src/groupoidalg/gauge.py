@@ -117,8 +117,7 @@ def gauge_groupoid(bundle: FinitePrincipalBundle) -> GaugeGroupoid:
 def lorentz_subgroupoid(gauge: GaugeGroupoid) -> SubgroupoidSelection:
     """The arrows (x, g, x): classes of fiber-preserving transformations;
     coincides with the isotropy subgroupoid."""
-    sel = frozenset(i for i, (y, _, x) in enumerate(gauge.triples) if y == x)
-    return SubgroupoidSelection(gauge, sel)
+    return isotropy_subgroupoid(gauge)
 
 
 def _translations(gauge: GaugeGroupoid, s: Section) -> np.ndarray:
@@ -196,7 +195,8 @@ def verify_poincare_decomposition(bundle: FinitePrincipalBundle, s: Section) -> 
         # selection_to_groupoid indexes the selection's arrows in sorted order
         inclusion = np.array(sorted(dec.g1.arrows))
         i_rho = np.array(result.i_map.arrow_map)[np.array(result.rho.arrow_map)]
-        iota_ok = bool((inclusion[i_rho] == translation[gauge.tgt, gauge.src]).all())
+        ends = gauge._arrays
+        iota_ok = bool((inclusion[i_rho] == translation[ends.tgt, ends.src]).all())
     checks["section_identity"] = iota_ok
     checks["measures"] = "counting (discrete stand-in for Haar/Lebesgue)"
     checks["passed"] = all(v is True for k, v in checks.items() if k != "measures")

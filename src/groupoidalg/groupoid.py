@@ -8,10 +8,10 @@ src(g) == tgt(xi), and then src(g∘xi) == src(xi), tgt(g∘xi) == tgt(g).
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import NamedTuple
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -61,36 +61,37 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_dict() for v in self.violations]}
 
 
-class _Fibers(NamedTuple):
-    """Per base point x, in arrow-id order: the arrows with tgt == x (into),
-    with src == x (out), and with both (iso)."""
-
-    into: tuple[tuple[int, ...], ...]
-    out: tuple[tuple[int, ...], ...]
-    iso: tuple[tuple[int, ...], ...]
-
-
-def _fiber_index(n_base: int, src, tgt) -> _Fibers:
-    """The fiber index of src/tgt tables. An endpoint outside the base is
-    left out of every fiber, so malformed tables index without error."""
-    into, out, iso = ([[] for _ in range(n_base)] for _ in range(3))
-    for a, (s, t) in enumerate(zip(src, tgt)):
-        if 0 <= t < n_base:
-            into[t].append(a)
-        if 0 <= s < n_base:
-            out[s].append(a)
-            if s == t:
-                iso[s].append(a)
-    return _Fibers(*(tuple(map(tuple, lists)) for lists in (into, out, iso)))
-
-
 def _group(n_base: int, ends):
     """The positions 0..len(ends)-1 grouped by their value in ends, in
-    order: group x is at[ptr[x]:ptr[x + 1]]. ends must lie in the base."""
+    order: group x is at[ptr[x]:ptr[x + 1]]. A value outside the base is
+    in no group."""
     at = np.argsort(ends, kind="stable")
-    ptr = np.zeros(n_base + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ends, minlength=n_base), out=ptr[1:])
-    return at, ptr
+    ptr = ends[at].searchsorted(np.arange(n_base + 1, dtype=ends.dtype))
+    return at[ptr[0]:ptr[-1]], ptr - ptr[0]
+
+
+_Arrays = namedtuple("_Arrays", "src tgt inv identity into out iso")
+
+
+def _array_form(g) -> _Arrays:
+    """The array form of g's tables, read-only: src, tgt, inv and identity
+    as int32, an id beyond int32 as -1; and the fiber index into, out and
+    iso, each a pair (ids, ptr) with fiber x at ids[ptr[x]:ptr[x + 1]], in
+    arrow-id order. An endpoint outside the base, or missing where src and
+    tgt differ in length, is in no fiber."""
+    tables = (g.src, g.tgt, g.inv, g.identity)
+    ends = list(accumulate(map(len, tables), initial=0))
+    flat = _ids(lambda: chain(*tables), ends[-1])  # one conversion, one read-only flag
+    flat.setflags(write=False)
+    tables = [flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
+    src, tgt = (t[:min(len(g.src), len(g.tgt))] for t in tables[:2])
+    into, (ids, ptr) = _group(g.n_base, tgt), _group(g.n_base, src)
+    iso = ids[src[ids] == tgt[ids]]  # grouped by base point, as ids is
+    xs = np.arange(g.n_base + 1, dtype=np.int32)
+    fibers = into, (ids, ptr), (iso, src[iso].searchsorted(xs))
+    for t in (t for pair in fibers for t in pair):
+        t.setflags(write=False)
+    return _Arrays(*tables, *fibers)
 
 
 def _walk(ids, ptr, end, block: int):
@@ -130,7 +131,7 @@ class FiniteGroupoid:
     def __post_init__(self):
         # set during __init__, not added on first use: an attribute added
         # later makes every attribute load on the instance slower
-        self._fibers = _fiber_index(self.n_base, self.src, self.tgt)
+        self._arrays = _array_form(self)
         self._slots = None
 
     def _product_slots(self) -> "_Slots":
@@ -166,14 +167,17 @@ class FiniteGroupoid:
 
     def arrows_into(self, x: int) -> list[int]:
         """The fiber over target x (all arrows with tgt == x)."""
-        return list(self._fibers.into[x])
+        ids, ptr = self._arrays.into
+        return ids[ptr[x]:ptr[x + 1]].tolist()
 
     def arrows_from(self, x: int) -> list[int]:
         """The fiber over source x (all arrows with src == x)."""
-        return list(self._fibers.out[x])
+        ids, ptr = self._arrays.out
+        return ids[ptr[x]:ptr[x + 1]].tolist()
 
     def isotropy_fiber(self, x: int) -> list[int]:
-        return list(self._fibers.iso[x])
+        ids, ptr = self._arrays.iso
+        return ids[ptr[x]:ptr[x + 1]].tolist()
 
     def is_identity(self, a: int) -> bool:
         return a == self.identity[self.src[a]]
@@ -190,23 +194,24 @@ class FiniteGroupoid:
 
 
 class _Slots:
-    """A compose table as a slot array over the fiber index. The product of
-    the composable pair (a, b) sits at prod[off[a] + pos[b]]: off[a] is the
-    running sum of |into(src a)| and pos[b] the rank of b in into(tgt b), so
-    slots run in the order of _walk, which is (a, b) order. A tail as long
-    as the largest fiber starts at slot n_slots; it holds -1, and
-    non-composable lookups read it. into(x) is
-    into_ids[into_ptr[x]:into_ptr[x + 1]]. The pair arrays of the slots and
-    the lists behind scalar lookups are built on first use and kept."""
+    """A compose table as a slot array over the array form, whose tables
+    and fibers it holds. The product of the composable pair (a, b) sits at
+    prod[off[a] + pos[b]]: off[a] is the running sum of |into(src a)| and
+    pos[b] the rank of b in into(tgt b), so slots run in the order of
+    _walk, which is (a, b) order. A tail as long as the largest fiber
+    starts at slot n_slots; it holds -1, and non-composable lookups read
+    it. The pair arrays of the slots and the lists behind scalar lookups
+    are built on first use and kept."""
 
-    __slots__ = ("src", "tgt", "inv", "off", "pos", "prod", "n_slots", "into_ids",
-                 "into_ptr", "_ab", "_lists")
+    __slots__ = ("src", "tgt", "inv", "into_ids", "into_ptr", "iso", "off", "pos", "prod",
+                 "n_slots", "_ab", "_lists")
 
-    def __init__(self, src, tgt, inv, off, pos, prod, n_slots, into_ids, into_ptr, ab=None):
+    def __init__(self, arrays: _Arrays, off, pos, prod, n_slots, ab=None):
         for t in (prod, *(ab or ())):
             t.flags.writeable = False
-        self.src, self.tgt, self.inv, self.off, self.pos = src, tgt, inv, off, pos
-        self.prod, self.n_slots, self.into_ids, self.into_ptr = prod, n_slots, into_ids, into_ptr
+        self.src, self.tgt, self.inv, (self.into_ids, self.into_ptr), self.iso = (
+            arrays.src, arrays.tgt, arrays.inv, arrays.into, arrays.iso)
+        self.off, self.pos, self.prod, self.n_slots = off, pos, prod, n_slots
         self._ab, self._lists = ab, None
 
     def get(self, a, b):
@@ -243,13 +248,6 @@ class _Slots:
             return _walk(self.into_ids, self.into_ptr, end, block)
         a, b = self.pair_arrays()
         return ((lo, a[lo:lo + block], b[lo:lo + block]) for lo in range(0, self.n_slots, block))
-
-    def iso_pairs(self, block: int):
-        """The walk over the pairs (γ, a) with a in the isotropy fiber at
-        src γ: γ ascending, then a ascending."""
-        iso = np.flatnonzero(self.src == self.tgt)
-        at, ptr = _group(len(self.into_ptr) - 1, self.src[iso])
-        return _walk(iso[at], ptr, self.src, block)
 
     def compose(self, a, b):
         """The products of arrays of arrow ids, which must be composable."""
@@ -357,16 +355,16 @@ class _Items(ItemsView):
         return zip(_rows(a, b), _rows(c))
 
 
-def _layout(n_base: int, src, tgt):
-    """The slot layout of in-range src/tgt arrays: off, pos, into_ids,
-    into_ptr, the slot count and the largest fiber."""
-    into_ids, into_ptr = _group(n_base, tgt)
+def _layout(a: _Arrays):
+    """The slot layout over the array form of in-range tables: off, pos,
+    the slot count and the largest fiber."""
+    into_ids, into_ptr = a.into
     sizes = np.diff(into_ptr)
-    pos = np.empty(len(src), dtype=np.int32)
-    pos[into_ids] = np.arange(len(src)) - np.repeat(into_ptr[:-1], sizes)
-    span = sizes[src]
+    pos = np.empty(len(a.src), dtype=np.int32)
+    pos[into_ids] = np.arange(len(a.src)) - np.repeat(into_ptr[:-1], sizes)
+    span = sizes[a.src]
     off = np.cumsum(span) - span
-    return off, pos, into_ids, into_ptr, int(span.sum()), int(sizes.max(initial=0))
+    return off, pos, int(span.sum()), int(sizes.max(initial=0))
 
 
 _PAIR_BLOCK = 1 << 14  # pairs per block of a walk; bounds the temporaries
@@ -374,18 +372,18 @@ _PAIR_BLOCK = 1 << 14  # pairs per block of a walk; bounds the temporaries
 
 def _build(cls, n_base: int, src, tgt, inv, identity, product, **fields):
     """A groupoid of class cls from int arrays of its src, tgt, inv and
-    identity tables, its slot table filled from the walk, in blocks;
-    product(a, b) gives the products of arrays of arrow ids. Its
-    compose_table is the mapping over that slot table."""
-    off, pos, into_ids, into_ptr, n_slots, tail = _layout(n_base, src, tgt)
-    prod = np.full(n_slots + tail, -1, dtype=np.int32)
-    for first, a, b in _walk(into_ids, into_ptr, src, _PAIR_BLOCK):
-        prod[first:first + a.size] = product(a, b)
-    slots = _Slots(*(np.asarray(t, dtype=np.int32) for t in (src, tgt, inv)),
-                   off, pos, prod, n_slots, into_ids, into_ptr)
-    g = cls(n_base, tuple(src.tolist()), tuple(tgt.tolist()), _ComposeTable(slots),
+    identity tables, its slot table filled from the walk over its array
+    form, in blocks; product(a, b) gives the products of arrays of arrow
+    ids. Its compose_table is the mapping over that slot table."""
+    table = _ComposeTable()
+    g = cls(n_base, tuple(src.tolist()), tuple(tgt.tolist()), table,
             tuple(inv.tolist()), tuple(np.asarray(identity).tolist()), **fields)
-    g._slots = slots
+    a = g._arrays
+    off, pos, n_slots, tail = _layout(a)
+    prod = np.full(n_slots + tail, -1, dtype=np.int32)
+    for first, x, y in _walk(*a.into, a.src, _PAIR_BLOCK):
+        prod[first:first + x.size] = product(x, y)
+    g._slots = table._slots = _Slots(a, off, pos, prod, n_slots)
     return g
 
 
@@ -413,14 +411,14 @@ def _structure(g: FiniteGroupoid):
     def malformed(witness, message):
         rep.add("malformed", "tables", witness, message)
 
-    n, nb = g.n_arrows, g.n_base
-    if len(g.tgt) != n or len(g.inv) != n:
+    n, nb, arrays = g.n_arrows, g.n_base, g._arrays
+    src, tgt, inv, ident = arrays.src, arrays.tgt, arrays.inv, arrays.identity
+    if len(tgt) != n or len(inv) != n:
         malformed((), "src/tgt/inv tables have inconsistent lengths")
         return rep, None, None
-    if len(g.identity) != nb:
+    if len(ident) != nb:
         malformed((), "identity table does not cover the base")
         return rep, None, None
-    src, tgt, inv, ident = (_ids(t.__iter__, len(t)) for t in (g.src, g.tgt, g.inv, g.identity))
     bad_ends = (src < 0) | (src >= nb) | (tgt < 0) | (tgt >= nb)
     bad_inv = (inv < 0) | (inv >= n)
     for a in np.flatnonzero(bad_ends | bad_inv).tolist():
@@ -456,7 +454,8 @@ def _structure(g: FiniteGroupoid):
                 f"compose entry on non-composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
             )
 
-    off, pos, into_ids, into_ptr, n_slots, tail = _layout(nb, src, tgt)
+    off, pos, n_slots, tail = _layout(arrays)
+    into_ids, into_ptr = arrays.into
     slot = off[A[composable]]
     slot += pos[B[composable]]
     filled = np.zeros(n_slots, dtype=bool)
@@ -474,7 +473,7 @@ def _structure(g: FiniteGroupoid):
     prod = np.full(n_slots + tail, -1, dtype=np.int32)
     prod[slot] = C  # every entry is composable here, so slot covers them all
     in_order = bool((slot[1:] > slot[:-1]).all())  # then A, B are the pair arrays
-    slots = _Slots(src, tgt, inv, off, pos, prod, n_slots, into_ids, into_ptr,
+    slots = _Slots(arrays, off, pos, prod, n_slots,
                    (A.astype(np.intp), B.astype(np.intp)) if in_order else None)
     return rep, slots, (A, B, C)
 
@@ -497,8 +496,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     if g._slots is None:  # the one structure pass; builders and kernels reuse it
         g._slots = s
     A, B, C = entries
-    src, tgt = s.src, s.tgt
-    ident = np.asarray(g.identity, dtype=np.int64)
+    src, tgt, ident = s.src, s.tgt, g._arrays.identity
 
     base = np.arange(g.n_base)
     for x in np.flatnonzero((src[ident] != base) | (tgt[ident] != base)).tolist():
@@ -569,8 +567,9 @@ class SubgroupoidSelection:
 
 
 def isotropy_subgroupoid(g: FiniteGroupoid) -> SubgroupoidSelection:
-    """All arrows with equal source and target; always wide and closed."""
-    return SubgroupoidSelection(g, frozenset(a for a in g.arrows() if g.src[a] == g.tgt[a]))
+    """All arrows with equal source and target; always wide and closed. The
+    ids go into the frozenset in ascending order."""
+    return SubgroupoidSelection(g, frozenset(np.sort(g._arrays.iso[0]).tolist()))
 
 
 def subgroupoid_properties(g: FiniteGroupoid, h: SubgroupoidSelection) -> dict:
@@ -587,7 +586,7 @@ def subgroupoid_properties(g: FiniteGroupoid, h: SubgroupoidSelection) -> dict:
     closed = (
         inside[s.inv[sel]].all()
         and all(inside[s.compose(sel[a], b)].all() for _, a, b in pairs)
-        and inside[np.asarray(g.identity)[touched]].all()
+        and inside[g._arrays.identity[touched]].all()
     )
     ends = np.unique(s.tgt[sel].astype(np.int64) * g.n_base + s.src[sel])
     return {"is_wide": bool(touched.all()), "is_transitive": ends.size == g.n_base**2,
@@ -621,7 +620,7 @@ def selection_to_groupoid(sel: SubgroupoidSelection) -> tuple[FiniteGroupoid, Gr
     base_rank[base_pts] = np.arange(len(base_pts))
     sub = _build(
         FiniteGroupoid, len(base_pts), base_rank[s.src[at]], base_rank[s.tgt[at]],
-        rank[s.inv[at]], rank[np.asarray(p.identity)[base_pts]],
+        rank[s.inv[at]], rank[p._arrays.identity[base_pts]],
         lambda a, b: rank[s.compose(at[a], at[b])],
         arrow_labels=tuple(p.arrow_label(a) for a in arrows),
         base_labels=tuple(p.base_label(x) for x in base_pts),
@@ -656,7 +655,7 @@ def quotient_by_isotropy(
     s = g._product_slots()
     inside = np.zeros(g.n_arrows, dtype=bool)
     inside[list(g0.arrows)] = True
-    for _, gamma, a in s.iso_pairs(_PAIR_BLOCK):
+    for _, gamma, a in _walk(*s.iso, s.src, _PAIR_BLOCK):  # a in the fiber at src γ
         keep = inside[a]
         gamma, a = gamma[keep], a[keep]
         bad = np.flatnonzero(~inside[s.conj(gamma, a)])
@@ -723,7 +722,7 @@ def quotient_by_isotropy(
 
     quotient = _build(
         FiniteGroupoid, g.n_base, s.src[rep], s.tgt[rep], cls[s.inv[rep]],
-        cls[np.asarray(g.identity)], lambda c1, c2: cls[s.compose(rep[c1], rep[c2])],
+        cls[g._arrays.identity], lambda c1, c2: cls[s.compose(rep[c1], rep[c2])],
         arrow_labels=tuple(f"[{g.arrow_label(r)}]" for r in reps),
         base_labels=g.base_labels,
     )

@@ -235,4 +235,6 @@ def function_from_dict(g: FiniteGroupoid, data: dict) -> np.ndarray:
             raise MalformedTableError(
                 f"function file: value of {aid!r} is {pair!r}, not [re, im]"
             ) from None
+        if not np.isfinite(out[ids[aid]]):
+            raise MalformedTableError(f"function file: value of {aid!r} is {pair!r}, not finite")
     return out

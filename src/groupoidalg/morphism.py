@@ -41,8 +41,7 @@ def verify_morphism(m: GroupoidMorphism, require_iso: bool = False) -> Validatio
             rep.add("morphism", "source", (a,), f"src not preserved at {d.arrow_label(a)}")
         if bad_tgt[a]:
             rep.add("morphism", "target", (a,), f"tgt not preserved at {d.arrow_label(a)}")
-    ident = np.asarray(d.identity, dtype=np.intp)
-    for x in np.flatnonzero(AM[ident] != np.asarray(c.identity)[BM]).tolist():
+    for x in np.flatnonzero(AM[d._arrays.identity] != c._arrays.identity[BM]).tolist():
         rep.add("morphism", "identity", (x,), f"identity at {d.base_label(x)} not preserved")
     fails = set()
     for first, a, b in ds.pairs(_PAIR_BLOCK):
@@ -67,9 +66,9 @@ def _signatures(g: FiniteGroupoid):
     itself) for an isotropy arrow, (False, 0) for any other. Per base
     point: its fiber sizes and the sorted orders of its isotropy fiber.
     The orders come from repeated gathers over the slot table."""
-    s = g._product_slots()
-    iso = np.flatnonzero(s.src == s.tgt)
-    e = np.asarray(g.identity, dtype=np.intp)[s.src[iso]]
+    s, arrays = g._product_slots(), g._arrays
+    iso, ptr = arrays.iso
+    e = arrays.identity[s.src[iso]]
     x, order = iso.copy(), np.ones(iso.size, dtype=np.int64)
     live = np.flatnonzero(x != e)
     while live.size:
@@ -77,13 +76,12 @@ def _signatures(g: FiniteGroupoid):
         order[live] += 1
         live = live[x[live] != e[live]]
     arrow = [(False, 0)] * g.n_arrows
-    for a, is_e, k in zip(iso.tolist(), (iso == e).tolist(), order.tolist()):
+    orders = order.tolist()
+    for a, is_e, k in zip(iso.tolist(), (iso == e).tolist(), orders):
         arrow[a] = (is_e, k)
-    base = [
-        (len(g.arrows_into(y)), len(g.arrows_from(y)), len(g.isotropy_fiber(y)),
-         tuple(sorted(arrow[a][1] for a in g.isotropy_fiber(y))))
-        for y in g.base()
-    ]
+    sizes = ((p[1:] - p[:-1]).tolist() for p in (arrays.into[1], arrays.out[1], ptr))
+    base = [(*n, tuple(sorted(orders[lo:hi])))
+            for *n, lo, hi in zip(*sizes, ptr[:-1].tolist(), ptr[1:].tolist())]
     return arrow, base
 
 
@@ -98,6 +96,7 @@ def _products(g: FiniteGroupoid):
 def _extend_arrows(g, h, base_map, cand, order, sig_g, sig_h, prod_g, prod_h):
     """Backtracking arrow assignment with forced-product propagation; sig_*
     are the arrow signatures and prod_* the products."""
+    into, out = ([fiber(x) for x in g.base()] for fiber in (g.arrows_into, g.arrows_from))
     amap: dict[int, int] = {}
     used: set[int] = set()
     # identities are forced
@@ -143,10 +142,10 @@ def _extend_arrows(g, h, base_map, cand, order, sig_g, sig_h, prod_g, prod_h):
             queue.extend(forced)
             # products with already-assigned partners (a itself included) are
             # forced; the closure, and so the outcome, does not depend on order
-            for b in g.arrows_into(g.src[a]):
+            for b in into[g.src[a]]:
                 if b in amap:
                     queue.append((prod_g(a, b), prod_h(d, amap[b])))
-            for b in g.arrows_from(g.tgt[a]):
+            for b in out[g.tgt[a]]:
                 if b != a and b in amap:
                     queue.append((prod_g(b, a), prod_h(amap[b], d)))
         return True
@@ -197,6 +196,7 @@ def find_isomorphism(
     if sorted(sig_g) != sorted(sig_h):
         return None
     prod_g, prod_h = _products(g), _products(h)
+    into_h = [h.arrows_into(y) for y in h.base()]
 
     base_candidates = [
         [y for y in h.base() if sig_h[y] == sig_g[x]] for x in g.base()
@@ -221,7 +221,7 @@ def find_isomorphism(
         for a in g.arrows():
             cs = [
                 d
-                for d in h.arrows_into(base_map[g.tgt[a]])
+                for d in into_h[base_map[g.tgt[a]]]
                 if h.src[d] == base_map[g.src[a]]
                 and arrow_h[d] == arrow_g[a]
             ]

@@ -143,7 +143,7 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
     report._measure(_dev(MH @ M - _eyes(dims[s.src[keys]], D)), tol, "unitarity",
                     lambda i: (int(keys[i]),), lambda i: f"U({label(keys[i])}) is not unitary")
 
-    ident = np.asarray(g.identity, dtype=np.intp)
+    ident = g._arrays.identity
     xs = np.flatnonzero(covered[ident])
     report._measure(_dev(S[ident[xs]] - _eyes(dims[xs], D)), tol, "identity",
                     lambda i: (int(ident[xs[i]]),),
@@ -215,13 +215,13 @@ def trivial_rep(g: FiniteGroupoid, arrows=None) -> UnitaryRep:
 def _iso_table(g: FiniteGroupoid):
     """The isotropy fibers as the rows of an (n_base, K) table of arrow ids
     in id order, K the largest fiber; a shorter row repeats its first arrow
-    after its end. Also the fiber sizes and the arrows in row order."""
-    iso = g._fibers.iso
-    size = np.array([len(f) for f in iso], dtype=np.intp)
-    table = np.zeros((g.n_base, int(size.max(initial=0))), dtype=np.intp)
-    for x, f in enumerate(iso):
-        table[x] = f + f[:1] * (table.shape[1] - len(f)) if f else 0
-    return table, size, [a for f in iso for a in f]
+    after its end, and an empty one holds some arrow id. Also the fiber
+    sizes and the arrows in row order."""
+    ids, ptr = g._arrays.iso
+    size = ptr[1:] - ptr[:-1]
+    k = np.arange(size.max(initial=0))
+    at = ptr[:-1, None] + k * (k < size[:, None])
+    return ids[np.minimum(at, ids.size - 1)], size, ids.tolist()
 
 
 def _fiber_sums(terms, size) -> np.ndarray:
@@ -260,11 +260,9 @@ def _check_commutation(report: RepReport, sd: SemidirectGroupoid, S0, SI, order,
     with the right-hand side U0 at the conjugate a1∘a0∘a1⁻¹."""
     p = sd.parent
     s = p._product_slots()
-    _, size, iso = _iso_table(p)
-    ids, ptr = np.array(iso, dtype=np.intp), np.concatenate(([0], np.cumsum(size)))
     order = np.array(order, dtype=np.intp)
     D = S0.shape[1]
-    for _, pos, a0 in _walk(ids, ptr, s.src[order], max(1, _ENTRIES // (D * D))):
+    for _, pos, a0 in _walk(*s.iso, s.src[order], max(1, _ENTRIES // (D * D))):
         a1 = order[pos]
         lhs = SI[a1] @ S0[a0] @ SI[s.inv[a1]]
         report._measure(_dev(lhs - S0[s.conj(a1, a0)]), tol, "commutation",

@@ -44,12 +44,12 @@ def _layout(parent: FiniteGroupoid, g1: SubgroupoidSelection):
     of a BundleFunction."""
     if g1.parent is not parent:
         raise PreconditionError("g1 must be a selection of the parent groupoid")
-    rows = sorted(g1.arrows)
-    fibers = [parent.isotropy_fiber(parent.tgt[a1]) for a1 in rows]
-    if len({len(f) for f in fibers}) > 1:
+    rows = np.array(sorted(g1.arrows), dtype=np.intp)
+    (ids, ptr), x = parent._arrays.iso, parent._arrays.tgt[rows]
+    size = ptr[x + 1] - ptr[x]
+    if (size != size[:1]).any():
         raise PreconditionError("the isotropy fibers at the targets of g1 differ in size")
-    rows = np.array(rows, dtype=np.intp)
-    fiber = np.array(fibers, dtype=np.intp).reshape(rows.size, len(fibers[0]) if fibers else 0)
+    fiber = ids[ptr[x][:, None] + np.arange(size[0] if size.size else 0)]
     row, col = np.full(parent.n_arrows, -1, dtype=np.intp), np.zeros(parent.n_arrows, np.intp)
     row[rows], col[fiber] = np.arange(rows.size), np.arange(fiber.shape[1])
     return rows, fiber, row, col
@@ -93,7 +93,7 @@ def semidirect_product(
     rows, fiber, row, col = layout = _layout(parent, g1)
     K = fiber.shape[1]
     P0, P1 = fiber.ravel(), np.repeat(rows, K)
-    ps, ident = parent._product_slots(), np.asarray(parent.identity)
+    ps, ident = parent._product_slots(), parent._arrays.identity
 
     def carrier(c0, c1):  # the id of (c0, c1)
         return row[c1] * K + col[c0]

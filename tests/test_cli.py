@@ -11,6 +11,7 @@ from groupoidalg import (
     gauge_groupoid,
     lorentz_subgroupoid,
     pair_groupoid,
+    poincare_decomposition,
     translation_subgroupoid,
     validate_groupoid,
 )
@@ -504,6 +505,24 @@ class TestMalformedInput:
         fn = tmp_path / "f.json"
         fn.write_text(json.dumps({"(0,e,0)": [1]}))
         assert main(["random-op", *GAUGE_ARGS, "--fn", str(fn)]) == 2
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("cmd", ["convolve", "random-op"])
+    def test_function_value_not_finite(self, cmd, value, tmp_path, capsys):
+        # NaN and Infinity parse as JSON numbers; they used to exit 1, "a
+        # check failed", though no check ran
+        bundle = FinitePrincipalBundle(2, builtin_group("Z2"))
+        dec = poincare_decomposition(bundle, Section.identity(bundle))
+        g = dec.sd if cmd == "convolve" else dec.gauge
+        values, aid = gio.function_to_dict(g, np.zeros(g.n_arrows)), g.arrow_label(1)
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(json.dumps({**values, aid: [value, 0.0]}))
+        good.write_text(json.dumps(values))
+        argv = (["convolve", *GAUGE_ARGS, "--f1", str(bad), "--f2", str(good)]
+                if cmd == "convolve" else ["random-op", *GAUGE_ARGS, "--fn", str(bad)])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"value of {aid!r}" in err and "not finite" in err
 
     def test_function_file_not_a_map(self, tmp_path):
         fn = tmp_path / "f.json"

@@ -20,6 +20,7 @@ from groupoidalg import (
     alpha,
     builtin_group,
     group_groupoid,
+    isotropy_subgroupoid,
     pair_groupoid,
     poincare_decomposition,
     quotient_by_isotropy,
@@ -31,16 +32,25 @@ from groupoidalg.groups import BUILTIN_GROUPS
 from validation_oracle import oracle_validate_groupoid
 
 
+# an arrow is in a fiber only with both endpoints: where src and tgt differ
+# in length, the scans run over the shorter
 def scan_into(g, x):
-    return [a for a in g.arrows() if g.tgt[a] == x]
+    return [a for a, (_, t) in enumerate(zip(g.src, g.tgt)) if t == x]
 
 
 def scan_from(g, x):
-    return [a for a in g.arrows() if g.src[a] == x]
+    return [a for a, (s, _) in enumerate(zip(g.src, g.tgt)) if s == x]
 
 
 def scan_isotropy(g, x):
-    return [a for a in g.arrows() if g.src[a] == x and g.tgt[a] == x]
+    return [a for a, (s, t) in enumerate(zip(g.src, g.tgt)) if s == x and t == x]
+
+
+def assert_fibers_equal_scans(g):
+    for x in g.base():
+        assert g.arrows_into(x) == scan_into(g, x)
+        assert g.arrows_from(x) == scan_from(g, x)
+        assert g.isotropy_fiber(x) == scan_isotropy(g, x)
 
 
 def brute_table(g, product):
@@ -145,11 +155,23 @@ def instance(request, tmp_path_factory):
 
 
 def test_fibers_equal_scans(instance):
+    assert_fibers_equal_scans(instance[0])
+
+
+def test_one_array_form(instance):
+    """The tables as read-only int32 arrays, built once: the slot table
+    holds the same array objects."""
     g, _ = instance
-    for x in g.base():
-        assert g.arrows_into(x) == scan_into(g, x)
-        assert g.arrows_from(x) == scan_from(g, x)
-        assert g.isotropy_fiber(x) == scan_isotropy(g, x)
+    arrays, slots = g._arrays, g._product_slots()
+    for name in ("src", "tgt", "inv", "identity"):
+        table = getattr(arrays, name)
+        assert table.dtype == np.int32 and not table.flags.writeable
+        assert table.tolist() == list(getattr(g, name))
+    assert all(getattr(slots, name) is getattr(arrays, name) for name in ("src", "tgt", "inv"))
+    assert slots.into_ids is arrays.into[0] and slots.into_ptr is arrays.into[1]
+    assert slots.iso is arrays.iso
+    for fibers in (arrays.into, arrays.out, arrays.iso):
+        assert not any(t.flags.writeable for t in fibers)
 
 
 def test_fibers_are_copies(instance):
@@ -224,6 +246,36 @@ class TestMalformed:
         report = validate_groupoid(bad)
         assert report.to_dict() == oracle_validate_groupoid(bad).to_dict()
         assert [v.to_dict()["witness"] for v in report.violations] == [[2]]
+
+    @pytest.mark.parametrize("end", [2**70, 2**64, -1, "n_base"])
+    @pytest.mark.parametrize("where", [("src",), ("tgt",), ("src", "tgt")])
+    def test_endpoint_outside_the_base(self, where, end):
+        """Arrow 1 of the pair groupoid, from 1 to 0, with one or both of its
+        endpoints outside the base: in no fiber, even where both are equal."""
+        g = pair_groupoid(2)
+        fields = {}
+        for table in where:
+            fields[table] = list(getattr(g, table))
+            fields[table][1] = g.n_base if end == "n_base" else end
+        bad = dataclasses.replace(g, **{k: tuple(v) for k, v in fields.items()})
+        assert_fibers_equal_scans(bad)
+        for table, fiber in (("src", bad.arrows_from), ("tgt", bad.arrows_into)):
+            assert (1 in [a for x in bad.base() for a in fiber(x)]) == (table not in where)
+        assert isotropy_subgroupoid(bad).arrows == {0, 3}
+        assert validate_groupoid(bad).to_dict() == oracle_validate_groupoid(bad).to_dict()
+
+    @pytest.mark.parametrize(
+        "fields, indexed",
+        [({"tgt": (0, 0, 1, 1, 0)}, 4), ({"tgt": (0, 0, 1)}, 3), ({"src": (0, 1, 0)}, 3)],
+        ids=["tgt-longer", "tgt-shorter", "src-shorter"],
+    )
+    def test_src_and_tgt_of_unequal_length(self, fields, indexed):
+        """Only the arrows with both endpoints are indexed."""
+        bad = dataclasses.replace(pair_groupoid(2), **fields)
+        assert_fibers_equal_scans(bad)
+        for fiber in (bad.arrows_into, bad.arrows_from):
+            assert sorted(a for x in bad.base() for a in fiber(x)) == list(range(indexed))
+        assert validate_groupoid(bad).to_dict() == oracle_validate_groupoid(bad).to_dict()
 
     def test_missing_composable_pairs(self):
         g = pair_groupoid(2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from groupoidalg import (
+    FiniteGroupoid,
     GroupoidFunction,
     HaarWeights,
     HilbertBundle,
@@ -246,6 +247,13 @@ class TestNorms:
             a = GroupoidFunction.random(g, rng, support=iso)
             ro = random_operator_from(a, reg_s3, w)
             assert operator_norm(ro) <= norm_bound(a, w)
+
+    def test_bound_with_an_empty_isotropy_fiber(self):
+        """Arrow 1 runs from base point 1 to 0, and no arrow sits at 1: the
+        tables pass the structure pass, and the fiber at 1 sums to 0."""
+        g = FiniteGroupoid(2, (0, 1), (0, 0), {(0, 0): 0, (0, 1): 1}, (0, 1), (0, 1))
+        assert g.isotropy_fiber(1) == []
+        assert norm_bound(GroupoidFunction(g, [3.0, 5.0]), HaarWeights.counting(g)) == 3.0
 
     def test_non_isotropy_support_rejected(self, fix_gauge_2_z2, reg_z2):
         g = fix_gauge_2_z2

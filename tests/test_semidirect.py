@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoidalg import (
+    BundleFunction,
+    FiniteGroupoid,
     FinitePrincipalBundle,
+    GroupoidFunction,
     J_map,
     Section,
     alpha,
@@ -13,7 +16,9 @@ from groupoidalg import (
     gauge_groupoid,
     isotropy_subgroupoid,
     lorentz_subgroupoid,
+    poincare_decomposition,
     prop1_equivalence,
+    quotient_by_isotropy,
     selection_to_groupoid,
     semidirect_product,
     translation_subgroupoid,
@@ -143,6 +148,33 @@ class TestSemidirectProduct:
         g1 = translation_subgroupoid(other, Section.identity(bundle_3_s3))
         with pytest.raises(PreconditionError, match="^g1 must be a selection of the parent"):
             semidirect_product(g, lorentz_subgroupoid(g), g1)
+
+    def test_isotropy_fibers_from_the_index(self):
+        """Z2 at base point 0 and Z3 at 1, with a dict compose table: the
+        fibers at the targets of g1 = both identities have sizes 2 and 3.
+        And the isotropy selections hold the arrows the endpoint filter
+        finds, in its iteration order."""
+        z2 = [(a, b, (a + b) % 2) for a in range(2) for b in range(2)]
+        z3 = [(2 + a, 2 + b, 2 + (a + b) % 3) for a in range(3) for b in range(3)]
+        g = FiniteGroupoid(2, (0, 0, 1, 1, 1), (0, 0, 1, 1, 1),
+                           {(a, b): c for a, b, c in z2 + z3}, (0, 1, 2, 4, 3), (0, 2))
+        assert validate_groupoid(g).ok
+        g1 = SubgroupoidSelection(g, frozenset({0, 2}))
+        message = "^the isotropy fibers at the targets of g1 differ in size$"
+        with pytest.raises(PreconditionError, match=message):
+            BundleFunction(g, g1, {a: GroupoidFunction.delta(g, a) for a in (0, 2)})
+        with pytest.raises(PreconditionError, match=message):
+            BundleFunction.random(g, g1, np.random.default_rng(0))
+
+        bundle = FinitePrincipalBundle(8, builtin_group("Z4"))
+        dec = poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(5)))
+        quotient = quotient_by_isotropy(dec.gauge, dec.g0)[0]
+        for h in (g, dec.gauge, dec.sd, quotient):
+            want = frozenset(a for a in h.arrows() if h.src[a] == h.tgt[a])
+            assert list(isotropy_subgroupoid(h).arrows) == list(want)
+        gauge = dec.gauge
+        want = frozenset(i for i, (y, _, x) in enumerate(gauge.triples) if y == x)
+        assert list(lorentz_subgroupoid(gauge).arrows) == list(want)
 
     def test_inverse_rule(self, decomposition_3_s3):
         sd = decomposition_3_s3.sd
