@@ -63,13 +63,11 @@ from .representation import (
     random_operator_from,
     simple_extension,
     spectral_norm,
-    trivial_rep,
     validate_rep,
 )
 from .semidirect import (
     J_map,
     SemidirectGroupoid,
-    alpha,
     prop1_equivalence,
     semidirect_product,
 )

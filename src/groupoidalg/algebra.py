@@ -303,7 +303,7 @@ def _pair_identity_witness(sd: SemidirectGroupoid) -> str | None:
     over the parent's for the right."""
     cs, ps = sd._product_slots(), sd.parent._product_slots()
     P0, P1 = sd.pair_ids
-    for _, i, j in cs.pairs(_BLOCK, cs.tgt):
+    for _, i, j in _walk(cs.into_ids, cs.into_ptr, cs.tgt, _BLOCK):
         via = cs.compose(cs.inv[j], i)
         ib1 = ps.inv[P1[j]]
         bad = (P0[via] != ps.conj(ib1, ps.compose(ps.inv[P0[j]], P0[i]))) | (

@@ -36,9 +36,9 @@ from .groupoid import isotropy_subgroupoid, quotient_by_isotropy, validate_group
 from .groups import builtin_group, group_from_table
 from .morphism import verify_morphism
 from .representation import (
-    HilbertBundle, UnitaryRep, block_diagonal_generators, check_commutation, commutant,
-    contains_in_span, norm_bound, operator_norm, random_operator_from, simple_extension,
-    validate_rep,
+    MAX_COMMUTANT_ENTRIES, HilbertBundle, UnitaryRep, block_diagonal_generators,
+    check_commutation, commutant, contains_in_span, norm_bound, operator_norm,
+    random_operator_from, simple_extension, validate_rep,
 )
 from .semidirect import prop1_equivalence
 
@@ -174,8 +174,9 @@ def _random_op(args) -> list[dict]:
     w = HaarWeights.counting(gauge)
     iso = sorted(lorentz_subgroupoid(gauge).arrows)
     rng = np.random.default_rng(args.seed)
+    args.trials = 1 if args.fn else args.trials  # the report echoes the trials run
     checks = []
-    for t in range(1 if args.fn else args.trials):
+    for t in range(args.trials):
         if args.fn:
             values = gio.function_from_dict(gauge, gio.load_json(args.fn))
             a = GroupoidFunction(gauge, values).restrict(iso)
@@ -195,7 +196,7 @@ def _random_op(args) -> list[dict]:
 
 
 def _max_entries() -> int:
-    text = os.environ.get("GROUPOIDALG_MAX_ENTRIES", "4000000")
+    text = os.environ.get("GROUPOIDALG_MAX_ENTRIES", str(MAX_COMMUTANT_ENTRIES))
     try:
         return _at_least(1)(text)
     except (ValueError, argparse.ArgumentTypeError):
@@ -342,8 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command.name, help=command.help)
         for flag, kwargs in command.args:
             p.add_argument(flag, **kwargs)
-        p.add_argument("--seed", type=_at_least(0), default=0)
-        p.add_argument("--tol", type=_at_least(0, float), default=1e-9)
+        if "seed" in command.config:
+            p.add_argument("--seed", type=_at_least(0), default=0)
+        if "tol" in command.config:
+            p.add_argument("--tol", type=_at_least(0, float), default=1e-9)
         p.add_argument("--report", help="write the JSON report to this path")
         if "base" in command.config:  # a gauge subcommand
             p.add_argument(

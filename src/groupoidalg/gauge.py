@@ -179,7 +179,9 @@ def verify_poincare_decomposition(bundle: FinitePrincipalBundle, s: Section) -> 
     dec = poincare_decomposition(bundle, s)
     gauge, translation = dec.gauge, dec.translation
     checks = {"gauge_valid": validate_groupoid(gauge).ok}
-    checks["lorentz_is_isotropy"] = dec.g0.arrows == isotropy_subgroupoid(gauge).arrows
+    base = np.arange(gauge.n_base)  # the arrows (x, g, x), read off the normal form
+    fixed = frozenset(gauge.triple_index[base, :, base].ravel().tolist())
+    checks["lorentz_is_isotropy"] = dec.g0.arrows == fixed
     checks["translation_wide_transitive_closed"] = all(
         subgroupoid_properties(gauge, dec.g1).values()
     )

@@ -240,12 +240,9 @@ class _Slots:
             self._ab = a, b
         return self._ab
 
-    def pairs(self, block: int, end=None):
-        """Blocks (first pair, a, b) of the pairs (a, b) with b in
-        into(end[a]), a ascending; by default end = src, and these are the
-        composable pairs in slot order, read off the pair arrays."""
-        if end is not None:
-            return _walk(self.into_ids, self.into_ptr, end, block)
+    def pairs(self, block: int):
+        """Blocks (first pair, a, b) of the composable pairs in slot order,
+        read off the pair arrays."""
         a, b = self.pair_arrays()
         return ((lo, a[lo:lo + block], b[lo:lo + block]) for lo in range(0, self.n_slots, block))
 

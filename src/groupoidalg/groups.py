@@ -8,6 +8,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import MalformedTableError
 
 
@@ -23,37 +25,29 @@ class FiniteGroup:
         n = len(self.elements)
         if len(self.mul) != n or any(len(row) != n for row in self.mul):
             raise MalformedTableError(f"group {self.name}: mul table is not {n}x{n}")
-        if any(v < 0 or v >= n for row in self.mul for v in row):
+        t = np.array(self.mul).reshape(n, n)
+        if not ((0 <= t) & (t < n)).all():
             raise MalformedTableError(f"group {self.name}: mul entry out of range")
-        ident = None
-        for e in range(n):
-            if all(self.mul[e][a] == a and self.mul[a][e] == a for a in range(n)):
-                ident = e
-                break
-        if ident is None:
+        t = t.astype(np.intp)
+        # each check finds the witness the loops over a, b, c in order find first
+        ident = np.flatnonzero((t == np.arange(n)).all(1) & (t.T == np.arange(n)).all(1))
+        if not ident.size:
             raise MalformedTableError(f"group {self.name}: no identity element")
-        self.identity = ident
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.mul[a][b] == ident and self.mul[b][a] == ident:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise MalformedTableError(
-                    f"group {self.name}: element {self.elements[a]} has no inverse"
-                )
-        self.inverse = tuple(inv)
-        # associativity, checked once at construction
-        for a in range(n):
-            for b in range(n):
-                ab = self.mul[a][b]
-                for c in range(n):
-                    if self.mul[ab][c] != self.mul[a][self.mul[b][c]]:
-                        raise MalformedTableError(
-                            f"group {self.name}: not associative at "
-                            f"({self.elements[a]},{self.elements[b]},{self.elements[c]})"
-                        )
+        self.identity = int(ident[0])
+        both = (t == self.identity) & (t.T == self.identity)
+        if not both.any(1).all():
+            a = int(np.argmin(both.any(1)))
+            raise MalformedTableError(
+                f"group {self.name}: element {self.elements[a]} has no inverse"
+            )
+        self.inverse = tuple(both.argmax(1).tolist())
+        bad = t[t] != t[np.arange(n)[:, None, None], t]  # [a, b, c]: (ab)c != a(bc)
+        if bad.any():
+            a, b, c = np.unravel_index(np.argmax(bad), bad.shape)
+            raise MalformedTableError(
+                f"group {self.name}: not associative at "
+                f"({self.elements[a]},{self.elements[b]},{self.elements[c]})"
+            )
 
     @property
     def order(self) -> int:

@@ -206,12 +206,6 @@ def validate_rep(rep: UnitaryRep, tol: float = 1e-9) -> RepReport:
     return report
 
 
-def trivial_rep(g: FiniteGroupoid, arrows=None) -> UnitaryRep:
-    bundle = HilbertBundle((1,) * g.n_base)
-    cover = g.arrows() if arrows is None else arrows
-    return UnitaryRep(g, bundle, {a: np.eye(1) for a in cover})
-
-
 def _iso_table(g: FiniteGroupoid):
     """The isotropy fibers as the rows of an (n_base, K) table of arrow ids
     in id order, K the largest fiber; a shorter row repeats its first arrow
@@ -439,6 +433,7 @@ def block_diagonal_generators(
     return gens
 
 
+MAX_COMMUTANT_ENTRIES = 4_000_000  # commutant's default cap on a stacked system
 _QR_COLUMNS = 25  # from k = 5 on, QR then SVD beat the SVD alone, when measured
 
 
@@ -464,7 +459,7 @@ class CommutantResult:
 def commutant(
     generators: list[np.ndarray],
     levels: int = 1,
-    max_entries: int = 4_000_000,
+    max_entries: int = MAX_COMMUTANT_ENTRIES,
     tol: float = 1e-9,
 ) -> CommutantResult:
     """All matrices commuting with every generator (levels=1), or the

@@ -1,5 +1,6 @@
-"""Conjugation action, semidirect product of groupoids, and the
-isomorphism criterion relating the product to its parent."""
+"""Semidirect product of groupoids, twisted by the conjugation action
+_Slots.conj, and the isomorphism criterion relating the product to its
+parent."""
 
 from __future__ import annotations
 
@@ -19,21 +20,6 @@ from .groupoid import (
     subgroupoid_properties,
 )
 from .morphism import verify_morphism
-
-
-def alpha(parent: FiniteGroupoid, g1: int, g0: int) -> int:
-    """Conjugation action: g1 ∘ g0 ∘ g1⁻¹.
-
-    g0 must be an isotropy arrow at the source of g1; the result is an
-    isotropy arrow at the target of g1.
-    """
-    if parent.src[g0] != parent.tgt[g0]:
-        raise PreconditionError(f"{parent.arrow_label(g0)} is not an isotropy arrow")
-    if parent.src[g0] != parent.src[g1]:
-        raise PreconditionError(
-            f"{parent.arrow_label(g0)} does not sit at the source of {parent.arrow_label(g1)}"
-        )
-    return parent.compose(parent.compose(g1, g0), parent.inv[g1])
 
 
 def _layout(parent: FiniteGroupoid, g1: SubgroupoidSelection):

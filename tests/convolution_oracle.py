@@ -1,5 +1,5 @@
-"""The fiber algebra's product (fiber_convolve) and the dual action (beta)
-on full-length functions, and the loop implementations of groupoid_convolve,
+"""The scalar conjugation action (alpha), the fiber algebra's product
+(fiber_convolve) and the dual action (beta) on full-length functions, and the loop implementations of groupoid_convolve,
 twisted_convolve (over those two) and poincare_convolve, kept as the oracles
 for the library's array kernels: one dict lookup per composable pair, and
 per term of each fiber product. The kernels sum the same terms in the same
@@ -15,7 +15,22 @@ import numpy as np
 
 from groupoidalg.algebra import BundleFunction, GroupoidFunction, HaarWeights
 from groupoidalg.errors import PreconditionError
-from groupoidalg.semidirect import alpha
+
+
+def alpha(parent, g1, g0):
+    """Conjugation action: g1 ∘ g0 ∘ g1⁻¹, one pair of arrow ids at a time;
+    the library's is _Slots.conj over arrays.
+
+    g0 must be an isotropy arrow at the source of g1; the result is an
+    isotropy arrow at the target of g1.
+    """
+    if parent.src[g0] != parent.tgt[g0]:
+        raise PreconditionError(f"{parent.arrow_label(g0)} is not an isotropy arrow")
+    if parent.src[g0] != parent.src[g1]:
+        raise PreconditionError(
+            f"{parent.arrow_label(g0)} does not sit at the source of {parent.arrow_label(g1)}"
+        )
+    return parent.compose(parent.compose(g1, g0), parent.inv[g1])
 
 
 def _require_fiber_support(a, x):

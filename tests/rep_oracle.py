@@ -3,14 +3,22 @@ for the library's array kernels: one small matmul and one max|diff| per
 composable pair, per isotropy arrow or per fiber element. Their reports
 are the reference, violations in the same order with the same witnesses
 and messages; quantize and norm_bound sum in the same order as the
-kernels, so their values are the reference bit for bit."""
+kernels, so their values are the reference bit for bit. Also trivial_rep,
+the one-dimensional identity representation."""
 
 import numpy as np
 
-from convolution_oracle import beta
+from convolution_oracle import alpha, beta
 from groupoidalg.errors import PreconditionError
-from groupoidalg.representation import RandomOperator, RepReport, UnitaryRep
-from groupoidalg.semidirect import alpha
+from groupoidalg.representation import HilbertBundle, RandomOperator, RepReport, UnitaryRep
+
+
+def trivial_rep(g, arrows=None):
+    """The 1×1 identity on every arrow (on the given arrows), over the
+    bundle of one-dimensional fibers."""
+    bundle = HilbertBundle((1,) * g.n_base)
+    cover = g.arrows() if arrows is None else arrows
+    return UnitaryRep(g, bundle, {a: np.eye(1) for a in cover})
 
 
 def _measure(report, diff, tol, condition, witness, message):

@@ -587,3 +587,31 @@ class TestMalformedInput:
         table.write_text(json.dumps({"elements": "ea", "mul": [["e", "a"], ["a", "e"]]}))
         assert main(["verify-prop1", "--base", "2", "--group", str(table)]) == 2
         assert "elements is not a list" in capsys.readouterr().err
+
+
+class TestEchoedOptions:
+    @pytest.mark.parametrize("cmd, flag", [
+        ("verify-groupoid", "--seed"), ("verify-groupoid", "--tol"), ("quotient", "--seed"),
+        ("quotient", "--tol"), ("semidirect", "--tol"), ("verify-prop1", "--tol"),
+    ])
+    def test_unread_flag_rejected(self, cmd, flag, pair_file, tmp_path, capsys):
+        # a subcommand takes --seed and --tol only when its config echoes
+        # them; these six were parsed, never read, and exited 0
+        out = str(tmp_path / "out.json")
+        args = {"verify-groupoid": ["--in", pair_file],
+                "quotient": ["--in", pair_file, "--out", out],
+                "semidirect": [*GAUGE_ARGS, "--out", out], "verify-prop1": GAUGE_ARGS}[cmd]
+        report = tmp_path / "r.json"
+        assert main([cmd, *args, flag, "5", "--report", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: groupoidalg")
+        assert err.endswith(f"error: unrecognized arguments: {flag} 5\n")
+        assert not report.exists()
+
+    def test_random_op_function_file_echoes_one_trial(self, tmp_path):
+        # the report echoed the default 50 trials and ran one check
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"(0,e,0)": [1.0, 0.0]}))
+        code, data = run_report(["random-op", *GAUGE_ARGS, "--fn", str(fn)], tmp_path)
+        assert code == 0
+        assert data["config"]["trials"] == len(data["checks"]) == 1

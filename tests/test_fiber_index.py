@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import relabeled_group
+from convolution_oracle import alpha
 from groupoidalg import (
     FinitePrincipalBundle,
     Section,
-    alpha,
     builtin_group,
     group_groupoid,
     isotropy_subgroupoid,

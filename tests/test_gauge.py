@@ -285,6 +285,24 @@ class TestPoincareDecomposition:
         assert mine.rho.arrow_map == theirs.rho.arrow_map
         assert verify_poincare_decomposition(bundle_3_s3, s)["passed"] is True
 
+    def test_lorentz_check_reads_the_normal_form(self, monkeypatch):
+        """An isotropy selection that drops the arrow (0, a, 0) of the one
+        point Z2 bundle, still wide and closed, as the semidirect product
+        and the decomposition read it: the check compares with the arrows
+        (x, g, x) and fails. It used to compare that selection with itself."""
+        from groupoidalg import gauge, semidirect
+        from groupoidalg.groupoid import SubgroupoidSelection
+
+        def dropped(g):
+            return SubgroupoidSelection(g, isotropy_subgroupoid(g).arrows - {1})
+
+        for module in (gauge, semidirect):
+            monkeypatch.setattr(module, "isotropy_subgroupoid", dropped)
+        bundle = FinitePrincipalBundle(1, builtin_group("Z2"))
+        result = verify_poincare_decomposition(bundle, Section.identity(bundle))
+        assert result["lorentz_is_isotropy"] is False
+        assert result["passed"] is False
+
     def test_report_fields(self, bundle_2_z2):
         result = verify_poincare_decomposition(bundle_2_z2, Section.identity(bundle_2_z2))
         assert result["lorentz_is_isotropy"] is True

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from group_oracle import oracle_check_group
 from groupoidalg.errors import MalformedTableError
 from groupoidalg.groups import (
+    FiniteGroup,
     builtin_group,
     cyclic,
     dihedral,
@@ -61,3 +64,60 @@ def test_bad_table_rejected():
 def test_unknown_builtin():
     with pytest.raises(MalformedTableError):
         builtin_group("E8")
+
+
+def _outcome(make):
+    """What make() returns, or the message of the MalformedTableError it raises."""
+    try:
+        return make()
+    except MalformedTableError as exc:
+        return str(exc)
+
+
+def _checked(name, elements, mul):
+    g = FiniteGroup(name, elements, mul)
+    return g.identity, g.inverse
+
+
+@pytest.mark.parametrize(
+    "mul, error",
+    [
+        ([[0, 1]], "mul table is not 2x2"),
+        ([[0, 1], [1, 2]], "mul entry out of range"),
+        ([[0, 1], [-1, 0]], "mul entry out of range"),
+        ([[0, 0], [0, 0]], "no identity element"),
+        ([[0, 1], [1, 1]], "element a has no inverse"),
+        ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], "not associative at (a,a,b)"),
+    ],
+)
+def test_table_errors_match_the_loops(mul, error):
+    elements = ("e", "a", "b")[:len(mul[0])]
+    got = _outcome(lambda: _checked("T", elements, mul))
+    assert got == _outcome(lambda: oracle_check_group("T", elements, mul))
+    assert got == f"group T: {error}"
+
+
+def test_perturbed_tables_match_the_loops():
+    """Tables one to three edits away from a group: an entry set to a value
+    in [-1, n], or two rows or two columns swapped."""
+    rng = np.random.default_rng(16)
+    groups = [cyclic(5), cyclic(6), symmetric(3), dihedral(4)]
+    kinds, seen = ("out of range", "no identity", "no inverse", "not associative"), set()
+    for _ in range(1500):
+        G = groups[rng.integers(len(groups))]
+        n = G.order
+        mul = [list(row) for row in G.mul]
+        for _ in range(rng.integers(1, 4)):
+            i, j = rng.integers(n, size=2).tolist()
+            edit = rng.integers(3)
+            if edit == 0:
+                mul[i][j] = int(rng.integers(-1, n + 1))
+            elif edit == 1:
+                mul[i], mul[j] = mul[j], mul[i]
+            else:
+                for row in mul:
+                    row[i], row[j] = row[j], row[i]
+        want = _outcome(lambda: oracle_check_group(G.name, G.elements, mul))
+        assert _outcome(lambda: _checked(G.name, G.elements, mul)) == want
+        seen.add(next((k for k in kinds if k in want), None) if isinstance(want, str) else "group")
+    assert seen == {*kinds, "group"}

@@ -173,6 +173,16 @@ def test_malformed_table_is_not_serialized():
     assert str(info.value) == first
 
 
+def test_repeated_arrow_labels_are_not_serialized():
+    """Arrow ids in the file are the labels: two arrows with one label
+    would be one arrow on reading back."""
+    p = pair_groupoid(2)
+    g = FiniteGroupoid(p.n_base, p.src, p.tgt, p.compose_table, p.inv, p.identity,
+                       arrow_labels=("e0", "t", "t", "e1"))
+    with pytest.raises(PreconditionError, match="^arrow labels are not unique; cannot serialize$"):
+        gio.groupoid_to_dict(g)
+
+
 # --- the reader -------------------------------------------------------------
 
 BASE_FILE = oracle_groupoid_to_dict(gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2"))))

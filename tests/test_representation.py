@@ -19,12 +19,12 @@ from groupoidalg import (
     random_operator_from,
     simple_extension,
     spectral_norm,
-    trivial_rep,
     validate_rep,
 )
 from conftest import identity_translations
 from groupoidalg.cli import _regular_rep
 from groupoidalg.errors import PreconditionError
+from rep_oracle import trivial_rep
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +365,43 @@ class TestCommutant:
         res = commutant([m])
         for b in res.basis:
             assert np.max(np.abs(b @ m - m @ b)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "gens, levels, message",
+        [
+            ([np.eye(2)], 3, "levels must be 1 or 2"),
+            ([], 1, "at least one generator is required"),
+            ([np.eye(2), np.eye(3)], 1, "generators must be square matrices of equal size"),
+            ([np.ones((2, 3))], 1, "generators must be square matrices of equal size"),
+        ],
+        ids=["levels", "no-generators", "unequal", "not-square"],
+    )
+    def test_preconditions(self, gens, levels, message):
+        with pytest.raises(PreconditionError, match=message):
+            commutant(gens, levels=levels)
+
+    @pytest.mark.parametrize("name", ["Z5", "S3"])
+    def test_qr_reduction_matches_svd_alone(self, name, monkeypatch):
+        """The regular representation at k = 5 and 6 stacks 25 and 36
+        columns, from _QR_COLUMNS on: the null spaces found through R span
+        what the SVD of the whole stack finds."""
+        from groupoidalg import cyclic, representation, symmetric
+
+        G = {"Z5": cyclic(5), "S3": symmetric(3)}[name]
+        eye = np.eye(G.order, dtype=complex)
+        gens = [eye[:, G.mul[g]] for g in range(G.order)]
+        qr, calls = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **kw: calls.append(1) or qr(*a, **kw))
+        reduced = commutant(gens, levels=2)
+        assert len(calls) == 2  # one stack per level
+        monkeypatch.setattr(representation, "_QR_COLUMNS", 10**9)
+        whole = commutant(gens, levels=2)
+        assert len(calls) == 2
+        assert reduced.dimension == whole.dimension == G.order
+
+        def projector(basis):
+            V = np.array([b.ravel() for b in basis])
+            return V.T @ V.conj()
+
+        dev = np.max(np.abs(projector(reduced.basis) - projector(whole.basis)))
+        assert dev < 1e-9

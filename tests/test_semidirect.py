@@ -10,7 +10,6 @@ from groupoidalg import (
     GroupoidFunction,
     J_map,
     Section,
-    alpha,
     builtin_group,
     find_isomorphism,
     gauge_groupoid,
@@ -26,6 +25,7 @@ from groupoidalg import (
     verify_morphism,
 )
 from conftest import relabeled_group
+from convolution_oracle import alpha
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import SubgroupoidSelection
 from groupoidalg.groups import BUILTIN_GROUPS
@@ -140,6 +140,24 @@ class TestSemidirectProduct:
         g1 = SubgroupoidSelection(fix_pair, frozenset(fix_pair.identity))
         with pytest.raises(PreconditionError):
             semidirect_product(fix_pair, g0, g1)
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            # all translations but the one from 1 to 0: 0 → 1 lost its inverse
+            (lambda y, x: (y, x) != (0, 1), "g1 is not closed under composition/inverses"),
+            # the translations among 0 and 1: closed, but 2 is not touched
+            (lambda y, x: y < 2 and x < 2, "g1 is not wide"),
+        ],
+        ids=["not-closed", "not-wide"],
+    )
+    def test_g1_not_closed_or_not_wide_rejected(self, fix_gauge_3_s3, keep, message):
+        g = fix_gauge_3_s3
+        t = g.triple_index[:, g.bundle.group.identity, :]  # [y, x]: the translation x → y
+        g1 = SubgroupoidSelection(g, frozenset(
+            int(t[y, x]) for y in g.base() for x in g.base() if keep(y, x)))
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            semidirect_product(g, isotropy_subgroupoid(g), g1)
 
     def test_g1_of_another_groupoid_rejected(self, bundle_3_s3):
         """A second build of the same gauge groupoid has the same arrow ids;
