@@ -305,7 +305,7 @@ COMMANDS = (
     Command("commutant", "commutant/bicommutant of the quantized algebra",
             _commutant, GAUGE + ("seed", "tol")),
     Command("verify-poincare", "full gauge decomposition check",
-            _verify_poincare, GAUGE + ("seed", "tol")),
+            _verify_poincare, GAUGE + ("seed",)),
     Command("convolve", "explicit formula vs generic convolution",
             _convolve, GAUGE + ("f1", "f2", "seed", "tol", "out"),
             (("--f1", {}), ("--f2", {}), ("--out", {}))),

@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import MalformedTableError, PreconditionError
+from .errors import MalformedTableError, PreconditionError, SizeCapError
+from .gauge import MAX_GAUGE_PAIRS
 from .groupoid import FiniteGroupoid, _ComposeTable
 
 
@@ -207,9 +209,23 @@ def dump_json(data: dict, path) -> None:
         fh.write("\n")
 
 
+# the fewest bytes of a compose row as dump_json writes it, ids of one
+# character: "    [\n", three indented ids and "    ],\n"
+_ROW_BYTES = 45
+
+
 @_gc_paused()
 def load_json(path) -> dict:
+    """The parsed file. A file larger than MAX_GAUGE_PAIRS compose rows of
+    the smallest written size raises SizeCapError before it is parsed:
+    parsing takes memory in proportion to the bytes read."""
     with open(path) as fh:
+        size, cap = os.fstat(fh.fileno()).st_size, MAX_GAUGE_PAIRS * _ROW_BYTES
+        if size > cap:
+            raise SizeCapError(
+                f"{path}: file too large to read: {size} bytes > cap {cap} bytes, "
+                f"MAX_GAUGE_PAIRS = {MAX_GAUGE_PAIRS} compose rows of {_ROW_BYTES} bytes"
+            )
         return json.load(fh)
 
 

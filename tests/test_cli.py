@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -328,7 +329,7 @@ class TestConfigKeys:
             (["random-op", *GAUGE_ARGS, "--trials", "2"],
              ["base", "group", "section", "fn", "trials", "seed", "tol"]),
             (["commutant", *GAUGE_ARGS], ["base", "group", "section", "seed", "tol"]),
-            (["verify-poincare", *GAUGE_ARGS], ["base", "group", "section", "seed", "tol"]),
+            (["verify-poincare", *GAUGE_ARGS], ["base", "group", "section", "seed"]),
             (["convolve", *GAUGE_ARGS],
              ["base", "group", "section", "f1", "f2", "seed", "tol", "out"]),
         ],
@@ -593,14 +594,17 @@ class TestEchoedOptions:
     @pytest.mark.parametrize("cmd, flag", [
         ("verify-groupoid", "--seed"), ("verify-groupoid", "--tol"), ("quotient", "--seed"),
         ("quotient", "--tol"), ("semidirect", "--tol"), ("verify-prop1", "--tol"),
+        ("verify-poincare", "--tol"),
     ])
     def test_unread_flag_rejected(self, cmd, flag, pair_file, tmp_path, capsys):
         # a subcommand takes --seed and --tol only when its config echoes
-        # them; these six were parsed, never read, and exited 0
+        # them; these seven were parsed, never read, and exited 0 (the
+        # checks of verify-poincare are exact: --tol 1e300 passed them too)
         out = str(tmp_path / "out.json")
         args = {"verify-groupoid": ["--in", pair_file],
                 "quotient": ["--in", pair_file, "--out", out],
-                "semidirect": [*GAUGE_ARGS, "--out", out], "verify-prop1": GAUGE_ARGS}[cmd]
+                "semidirect": [*GAUGE_ARGS, "--out", out], "verify-prop1": GAUGE_ARGS,
+                "verify-poincare": GAUGE_ARGS}[cmd]
         report = tmp_path / "r.json"
         assert main([cmd, *args, flag, "5", "--report", str(report)]) == 2
         err = capsys.readouterr().err
@@ -615,3 +619,40 @@ class TestEchoedOptions:
         code, data = run_report(["random-op", *GAUGE_ARGS, "--fn", str(fn)], tmp_path)
         assert code == 0
         assert data["config"]["trials"] == len(data["checks"]) == 1
+
+
+class TestReaderCap:
+    """load_json refuses a file larger than MAX_GAUGE_PAIRS compose rows of
+    the smallest size dump_json writes, before parsing it; the cap is
+    patched down to the size of a small file."""
+
+    @staticmethod
+    def _cap_rows(monkeypatch, path, extra_bytes):
+        rows = (os.path.getsize(path) + extra_bytes) // gio._ROW_BYTES
+        monkeypatch.setattr(gio, "MAX_GAUGE_PAIRS", rows)
+        return rows
+
+    @pytest.mark.parametrize("cmd", ["verify-groupoid", "quotient"])
+    def test_file_above_the_cap_exits_3_unparsed(self, cmd, pair_file, monkeypatch, capsys,
+                                                 tmp_path):
+        rows = self._cap_rows(monkeypatch, pair_file, -1)
+        monkeypatch.setattr(json, "load", lambda fh: pytest.fail("the file was parsed"))
+        out = ["--out", str(tmp_path / "q.json")] if cmd == "quotient" else []
+        assert main([cmd, "--in", pair_file, *out]) == 3
+        err = capsys.readouterr().err
+        size = os.path.getsize(pair_file)
+        assert err == (f"error: {pair_file}: file too large to read: {size} bytes > cap "
+                       f"{rows * gio._ROW_BYTES} bytes, MAX_GAUGE_PAIRS = {rows} compose rows "
+                       f"of {gio._ROW_BYTES} bytes\n")
+
+    def test_file_at_the_cap_is_read(self, pair_file, monkeypatch, tmp_path):
+        self._cap_rows(monkeypatch, pair_file, gio._ROW_BYTES - 1)
+        assert main(["verify-groupoid", "--in", pair_file, "--report",
+                     str(tmp_path / "r.json")]) == 0
+
+    def test_every_file_argument_is_capped(self, monkeypatch, tmp_path, capsys):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"(0,e,0)": [1.0, 0.0]}))
+        self._cap_rows(monkeypatch, fn, -1)
+        assert main(["random-op", *GAUGE_ARGS, "--fn", str(fn)]) == 3
+        assert "MAX_GAUGE_PAIRS" in capsys.readouterr().err

@@ -4,11 +4,13 @@ order with the same witnesses and messages, on valid instances and on
 random corruptions of them."""
 
 import dataclasses
+from contextlib import contextmanager
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from groupoidalg import (
@@ -20,6 +22,7 @@ from groupoidalg import (
     builtin_group,
     gauge_groupoid,
     group_groupoid,
+    isotropy_subgroupoid,
     pair_groupoid,
     poincare_decomposition,
     quotient_by_isotropy,
@@ -27,6 +30,7 @@ from groupoidalg import (
     validate_groupoid,
     verify_morphism,
 )
+from groupoidalg import groupoid
 from groupoidalg.groupoid import check_structure
 from groupoidalg.semidirect import prop1_on_carrier
 from groupoidalg.groups import BUILTIN_GROUPS
@@ -288,3 +292,248 @@ class TestVerifyMorphism:
         assert [v["axiom"] for v in report["violations"]].count("composition") > 1
         short = dataclasses.replace(J, arrow_map=J.arrow_map[:-1])
         assert verify_morphism(short).to_dict() == oracle_verify_morphism(short).to_dict()
+
+
+# --- Light's associativity test ---------------------------------------------
+#
+# validate_groupoid checks associativity on the arrows c of a generating set
+# S when the source-target axiom holds and the full scan would take more than
+# one block; any failure, and a table on which S is not seen to generate,
+# goes to the full scan. The tests below set the one-block rule to 0, so that
+# small tables take the generating-set path too, and record the scans run.
+
+
+@contextmanager
+def recorded_scans(direct_scan=0):
+    """validate_groupoid with the one-block rule set to direct_scan, by
+    default the generating-set path at every size. Yields the record of
+    the calls: "S" for the scan over S, "all" for the full scan, and "no S"
+    for a generating-set search that gave up."""
+    calls = []
+    scan, search = groupoid._associativity, groupoid._generators
+
+    def spy_scan(s, A, B, C, cols=None):
+        calls.append("all" if cols is None else "S")
+        return scan(s, A, B, C, cols)
+
+    def spy_search(s):
+        gens = search(s)
+        if gens is None:
+            calls.append("no S")
+        return gens
+
+    with mock.patch.object(groupoid, "_DIRECT_SCAN", direct_scan), \
+            mock.patch.object(groupoid, "_associativity", spy_scan), \
+            mock.patch.object(groupoid, "_generators", spy_search):
+        yield calls
+
+
+def forced_report(g):
+    """validate_groupoid's report on the generating-set path, equal to the
+    loop oracle's, and the scans it ran. A scan over S that finds a failure
+    is followed by the full scan; when S is found and the report has no
+    associativity violation, the scan over S is the only scan."""
+    with recorded_scans() as calls:
+        report = validate_groupoid(g).to_dict()
+    assert report == oracle_validate_groupoid(g).to_dict()
+    if "S" in calls:
+        assoc = any(v["axiom"] == "associativity" for v in report["violations"])
+        assert calls == (["S", "all"] if assoc else ["S"])
+    return report, calls
+
+
+def _disjoint_union(*parts):
+    """The disjoint union of groupoids, ids shifted part by part, with a dict
+    compose table."""
+    src, tgt, inv, ident, comp = [], [], [], [], {}
+    n_base = n_arrows = 0
+    for p in parts:
+        src += [x + n_base for x in p.src]
+        tgt += [x + n_base for x in p.tgt]
+        inv += [a + n_arrows for a in p.inv]
+        ident += [a + n_arrows for a in p.identity]
+        comp.update({(a + n_arrows, b + n_arrows): c + n_arrows
+                     for (a, b), c in p.compose_table.items()})
+        n_base, n_arrows = n_base + p.n_base, n_arrows + p.n_arrows
+    return FiniteGroupoid(n_base, tuple(src), tuple(tgt), comp, tuple(inv), tuple(ident))
+
+
+def _gauge(n, name):
+    return gauge_groupoid(FinitePrincipalBundle(n, builtin_group(name)))
+
+
+@lru_cache(maxsize=None)
+def _non_transitive(kind):
+    if kind == "union":
+        return _disjoint_union(_gauge(2, "Z2"), _gauge(3, "S3"))
+    if kind == "isotropy":
+        g = _gauge(3, "S3")
+        return selection_to_groupoid(isotropy_subgroupoid(g))[0]
+    return _disjoint_union(*(group_groupoid(builtin_group(k)) for k in ("Z2", "S3", "D4")))
+
+
+def _one_product(draw, g):
+    """One compose entry redirected to another arrow with the same endpoints,
+    or left as it is when its endpoints hold no other arrow."""
+    comp = dict(g.compose_table)
+    key = draw(st.sampled_from(sorted(comp)))
+    c = comp[key]
+    same = [d for d in g.arrows() if d != c and (g.src[d], g.tgt[d]) == (g.src[c], g.tgt[c])]
+    comp[key] = draw(st.sampled_from(same)) if same else c
+    return dataclasses.replace(g, compose_table=comp)
+
+
+def _wrong_ends(draw, g):
+    """One compose entry redirected to an arrow with other endpoints."""
+    comp = dict(g.compose_table)
+    key = draw(st.sampled_from(sorted(comp)))
+    c = comp[key]
+    other = [d for d in g.arrows() if (g.src[d], g.tgt[d]) != (g.src[c], g.tgt[c])]
+    assume(other)  # a one-point base has no other endpoints
+    comp[key] = draw(st.sampled_from(other))
+    return dataclasses.replace(g, compose_table=comp)
+
+
+@st.composite
+def light_instances(draw):
+    kind = draw(st.sampled_from(["pair", "group", "gauge", "union", "isotropy", "bundle"]))
+    if kind in ("union", "isotropy", "bundle"):
+        return _non_transitive(kind)
+    name = draw(st.sampled_from(sorted(BUILTIN_GROUPS)))
+    return _base_instance(kind, draw(st.integers(1, 3)), None if kind == "pair" else name)
+
+
+class TestLightsTest:
+    @pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4")])
+    def test_ladder_takes_the_generating_set(self, n, name):
+        bundle = FinitePrincipalBundle(n, builtin_group(name))
+        dec = poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(5)))
+        quotient, _ = quotient_by_isotropy(dec.gauge, dec.g0)
+        for g in (dec.gauge, dec.sd, quotient):
+            assert forced_report(g) == ({"ok": True, "violations": []}, ["S"])
+
+    @pytest.mark.parametrize("kind", ["union", "isotropy", "bundle"])
+    def test_non_transitive_takes_the_generating_set(self, kind):
+        assert forced_report(_non_transitive(kind)) == ({"ok": True, "violations": []}, ["S"])
+
+    def test_one_block_rule(self):
+        """At the library's own rule, tables whose full scan fits in one
+        block, n_slots · max |into(x)| ≤ _BLOCK, run the full scan only."""
+        for n, name, path in [(2, "Z2", "all"), (3, "S3", "all"), (4, "D4", "S"),
+                              (8, "Z4", "S")]:
+            with recorded_scans(groupoid._DIRECT_SCAN) as calls:
+                assert validate_groupoid(_gauge(n, name)).ok
+            assert calls == [path]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_product_mutants(self, data):
+        """Endpoints kept, so the generating-set path runs, and only
+        associativity (and with it the identity and inverse laws) can fail."""
+        g = data.draw(light_instances())
+        for _ in range(data.draw(st.integers(1, 2))):
+            g = _one_product(data.draw, g)
+        report, calls = forced_report(g)
+        assert calls[0] in ("S", "no S")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_mutants(self, data):
+        g = data.draw(light_instances())
+        for corrupt in data.draw(st.lists(st.sampled_from(CORRUPTIONS + [_one_product]),
+                                          min_size=1, max_size=3)):
+            if g.compose_table:
+                g = corrupt(data.draw, g)
+        forced_report(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_wrong_endpoints_skip_the_generating_set(self, data):
+        g = _wrong_ends(data.draw, data.draw(light_instances()))
+        report, calls = forced_report(g)
+        assert any(v["axiom"] == "source-target" for v in report["violations"])
+        assert calls == ["all"]
+
+    def test_no_generating_set_falls_back_to_the_scan(self):
+        """The inv entry of a star arrow points back at the star arrow, so
+        h∘inv[star x] is not composable: S is not seen to generate, and the
+        full scan decides, with only the inverse law failing."""
+        g = _gauge(3, "S3")
+        star = next(a for a in g.arrows_from(0) if g.tgt[a] == 1)
+        inv = list(g.inv)
+        inv[star] = star
+        report, calls = forced_report(dataclasses.replace(g, inv=tuple(inv)))
+        assert calls == ["no S", "all"]
+        assert {v["axiom"] for v in report["violations"]} == {"inverse"}
+
+    def test_generating_set_that_misses_arrows_falls_back_to_the_scan(self):
+        """Base {0, 1}: e0, z0 at 0 with z0 absorbing, f: 0 → 1, g: 1 → 0 and
+        four arrows at 1 that compose as a right-zero band (x∘y = y), with
+        f∘g the first of them. Associativity holds at every c of S = {e0,
+        z0, f, g} but fails at (f, g, c) for the other three arrows at 1,
+        which are no products of S; so S must not be taken as generating."""
+        src, tgt = (0, 0, 0, 1, 1, 1, 1, 1), (0, 0, 1, 0, 1, 1, 1, 1)
+
+        def product(a, b):
+            ends = (src[b], tgt[a])
+            if ends in ((0, 1), (1, 0)):
+                return 2 if ends == (0, 1) else 3
+            if ends == (0, 0):
+                return b if a == 0 else (a if b == 0 else 1)
+            return b if b >= 4 else 4
+
+        comp = {(a, b): product(a, b) for a in range(8) for b in range(8) if src[a] == tgt[b]}
+        g = FiniteGroupoid(2, src, tgt, comp, (0, 1, 3, 2, 4, 5, 6, 7), (0, 4))
+        _, s, (A, B, C) = groupoid._structure(g)
+        by_tgt, ptr = groupoid._group(2, s.tgt[:4])
+        assert not groupoid._associativity(s, A, B, C, (s.pos[:4][by_tgt], ptr))
+        report, calls = forced_report(g)
+        assert calls == ["no S", "all"]
+        assert [v["witness"] for v in report["violations"] if v["axiom"] == "associativity"] == [
+            [2, 3, 5], [2, 3, 6], [2, 3, 7]]
+
+    def test_more_arrows_than_orbit_products_falls_back_to_the_scan(self):
+        """e0 at 0, f: 0 → 1, g: 1 → 0 and e1, z1 at 1 composing as a
+        right-zero band, with f∘g = e1: five arrows, but an orbit of two
+        points over a trivial isotropy group has four. Associativity fails
+        only at (f, g, z1), outside S = {e0, f, g}."""
+        src, tgt = (0, 0, 1, 1, 1), (0, 1, 0, 1, 1)
+        ends = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
+        comp = {(a, b): ends.get((src[b], tgt[a]), 3 if (a, b) == (1, 2) else b)
+                for a in range(5) for b in range(5) if src[a] == tgt[b]}
+        report, calls = forced_report(FiniteGroupoid(2, src, tgt, comp, (0, 2, 1, 3, 4), (0, 3)))
+        assert calls == ["no S", "all"]
+        assert [v["witness"] for v in report["violations"] if v["axiom"] == "associativity"] == [
+            [1, 2, 4]]
+
+    def test_base_point_without_arrows_into_it_has_no_star_arrow(self):
+        g = FiniteGroupoid(2, (0, 1), (0, 0), {(0, 0): 0, (0, 1): 1}, (0, 1), (0, 1))
+        assert forced_report(g)[1] == ["no S", "all"]
+
+
+def _closure(g, gens):
+    """Every product of arrows of gens, by a left-multiplication walk over
+    the compose table."""
+    seen, todo = set(gens), list(gens)
+    while todo:
+        e = todo.pop()
+        for s in gens:
+            if g.src[s] == g.tgt[e] and (p := g.compose(s, e)) not in seen:
+                seen.add(p)
+                todo.append(p)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"), (16, "D4")])
+def test_generating_set_generates_the_ladder(n, name):
+    """S generates every arrow of the gauge groupoid, the carrier and the
+    quotient; it has 2(n − 1) + |iso| arrows: the star arrows off the root,
+    their inverses and the root's isotropy fiber."""
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    dec = poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(n)))
+    quotient, _ = quotient_by_isotropy(dec.gauge, dec.g0)
+    for g, iso in ((dec.gauge, bundle.group.order), (dec.sd, bundle.group.order), (quotient, 1)):
+        gens = groupoid._generators(g._product_slots())
+        assert gens is not None and len(gens) == 2 * (n - 1) + iso
+        assert _closure(g, gens.tolist()) == set(g.arrows())
