@@ -41,8 +41,9 @@ class HaarWeights:
         if (self.values == self.values[:1]).all():
             return
         # constancy on each isotropy fiber, exactly: w(a) = w(identity at src a)
-        s, iso = g._product_slots(), g._arrays.iso[0]
-        bad = iso[self.values[iso] != self.values[g._arrays.identity[s.src[iso]]]]
+        s = g._product_slots()
+        iso = s.iso[0]
+        bad = iso[self.values[iso] != self.values[s.identity[s.src[iso]]]]
         if bad.size:
             x = g.base_label(int(s.src[bad].min()))
             raise PreconditionError(f"weights are not constant on the isotropy fiber at {x}")
@@ -230,11 +231,9 @@ def groupoid_convolve(
     g = f1.groupoid
     if f2.groupoid is not g or w.groupoid is not g:
         raise PreconditionError("operands live on different groupoids")
-    s = g._product_slots()
     wr, wi = w.values * f1.values.real, w.values * f1.values.imag
     out_r, out_i = np.zeros((2, g.n_arrows))
-    for first, a, b in s.pairs(_BLOCK):
-        bins = s.prod[first:first + a.size]
+    for a, b, bins in g._product_slots().pairs(_BLOCK):
         xr, xi, y = wr[a], wi[a], f2.values[b]
         np.add.at(out_r, bins, xr * y.real - xi * y.imag)
         np.add.at(out_i, bins, xr * y.imag + xi * y.real)
@@ -303,7 +302,7 @@ def _pair_identity_witness(sd: SemidirectGroupoid) -> str | None:
     over the parent's for the right."""
     cs, ps = sd._product_slots(), sd.parent._product_slots()
     P0, P1 = sd.pair_ids
-    for _, i, j in _walk(cs.into_ids, cs.into_ptr, cs.tgt, _BLOCK):
+    for _, i, j in _walk(*cs.into, cs.tgt, _BLOCK):
         via = cs.compose(cs.inv[j], i)
         ib1 = ps.inv[P1[j]]
         bad = (P0[via] != ps.conj(ib1, ps.compose(ps.inv[P0[j]], P0[i]))) | (

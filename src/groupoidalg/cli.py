@@ -2,7 +2,8 @@
 
 Every subcommand maps onto one library operation and writes a JSON report
 with stable key order. Exit codes: 0 all checks passed, 1 a check failed,
-2 input could not be parsed, 3 a size cap was exceeded.
+2 input could not be read or parsed (or a file not written), 3 a size cap
+was exceeded.
 
 The subcommands are the rows of ``COMMANDS``: each row names its extra
 arguments, the argument names echoed in the report's ``config`` (in that
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_CAP
-    except (MalformedTableError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (MalformedTableError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except GroupoidError as exc:

@@ -26,7 +26,6 @@ from .groupoid import (
     SubgroupoidSelection,
     _build,
     isotropy_subgroupoid,
-    subgroupoid_properties,
     validate_groupoid,
 )
 from .groups import FiniteGroup
@@ -171,10 +170,12 @@ def poincare_decomposition(
 def verify_poincare_decomposition(bundle: FinitePrincipalBundle, s: Section) -> dict:
     """Full decomposition check for one bundle and section.
 
-    Builds the decomposition, validates the gauge groupoid, checks both
-    subgroupoids, verifies the semidirect product decomposition in both
-    directions on its carrier, and reproduces the identity
-    i(rho([s(x)g, s(y)])) = [s(x), s(y)] on every arrow.
+    Builds the decomposition, validates the gauge groupoid, checks the
+    Lorentz subgroupoid, verifies the semidirect product decomposition in
+    both directions on its carrier, and reproduces the identity
+    i(rho([s(x)g, s(y)])) = [s(x), s(y)] on every arrow. The translation
+    subgroupoid needs no check: semidirect_product raises unless it is
+    wide, transitive and closed.
     """
     dec = poincare_decomposition(bundle, s)
     gauge, translation = dec.gauge, dec.translation
@@ -182,9 +183,6 @@ def verify_poincare_decomposition(bundle: FinitePrincipalBundle, s: Section) -> 
     base = np.arange(gauge.n_base)  # the arrows (x, g, x), read off the normal form
     fixed = frozenset(gauge.triple_index[base, :, base].ravel().tolist())
     checks["lorentz_is_isotropy"] = dec.g0.arrows == fixed
-    checks["translation_wide_transitive_closed"] = all(
-        subgroupoid_properties(gauge, dec.g1).values()
-    )
     result = prop1_on_carrier(dec.sd)
     checks["J_is_iso"] = result.J_is_iso
     checks["j_exists"] = result.j_exists
@@ -197,7 +195,7 @@ def verify_poincare_decomposition(bundle: FinitePrincipalBundle, s: Section) -> 
         # selection_to_groupoid indexes the selection's arrows in sorted order
         inclusion = np.array(sorted(dec.g1.arrows))
         i_rho = np.array(result.i_map.arrow_map)[np.array(result.rho.arrow_map)]
-        ends = gauge._arrays
+        ends = gauge._product_slots()
         iota_ok = bool((inclusion[i_rho] == translation[ends.tgt, ends.src]).all())
     checks["section_identity"] = iota_ok
     checks["measures"] = "counting (discrete stand-in for Haar/Lebesgue)"

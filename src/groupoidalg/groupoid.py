@@ -8,7 +8,6 @@ src(g) == tgt(xi), and then src(g∘xi) == src(xi), tgt(g∘xi) == tgt(g).
 from __future__ import annotations
 
 import operator
-from collections import namedtuple
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
@@ -73,30 +72,6 @@ def _group(n_base: int, ends):
     return at[ptr[0]:ptr[-1]], ptr - ptr[0]
 
 
-_Arrays = namedtuple("_Arrays", "src tgt inv identity into out iso")
-
-
-def _array_form(g) -> _Arrays:
-    """The array form of g's tables, read-only: src, tgt, inv and identity
-    as int32, an id beyond int32 as -1; and the fiber index into, out and
-    iso, each a pair (ids, ptr) with fiber x at ids[ptr[x]:ptr[x + 1]], in
-    arrow-id order. An endpoint outside the base, or missing where src and
-    tgt differ in length, is in no fiber."""
-    tables = (g.src, g.tgt, g.inv, g.identity)
-    ends = list(accumulate(map(len, tables), initial=0))
-    flat = _ids(lambda: chain(*tables), ends[-1])  # one conversion, one read-only flag
-    flat.setflags(write=False)
-    tables = [flat[lo:hi] for lo, hi in zip(ends, ends[1:])]
-    src, tgt = (t[:min(len(g.src), len(g.tgt))] for t in tables[:2])
-    into, (ids, ptr) = _group(g.n_base, tgt), _group(g.n_base, src)
-    iso = ids[src[ids] == tgt[ids]]  # grouped by base point, as ids is
-    xs = np.arange(g.n_base + 1, dtype=np.int32)
-    fibers = into, (ids, ptr), (iso, src[iso].searchsorted(xs))
-    for t in (t for pair in fibers for t in pair):
-        t.setflags(write=False)
-    return _Arrays(*tables, *fibers)
-
-
 def _walk(ids, ptr, end, block: int):
     """The pairs (a, b) with b in ids[ptr[end[a]]:ptr[end[a] + 1]], a
     ascending, then b in that order. With ids, ptr the arrows grouped by
@@ -134,18 +109,18 @@ class FiniteGroupoid:
     def __post_init__(self):
         # set during __init__, not added on first use: an attribute added
         # later makes every attribute load on the instance slower
-        self._arrays = _array_form(self)
-        self._slots = None
+        self._tables = _Tables(self)
 
-    def _product_slots(self) -> "_Slots":
-        """The compose table as a slot array, built on first use and kept:
-        the tables are not to change after that. Malformed tables raise
-        PreconditionError with the first violation check_structure finds."""
-        if self._slots is None:
-            rep, self._slots, _ = _structure(self)
+    def _product_slots(self) -> "_Tables":
+        """The table object with its products, which the structure pass of
+        check_structure fills on first use unless a builder did: the tables
+        are not to change after that. Malformed tables raise
+        PreconditionError with the first violation that pass finds."""
+        if self._tables.prod is None:
+            rep, _ = _structure(self)
             if not rep.ok:
                 raise PreconditionError(rep.violations[0].message)
-        return self._slots
+        return self._tables
 
     @property
     def n_arrows(self) -> int:
@@ -170,16 +145,16 @@ class FiniteGroupoid:
 
     def arrows_into(self, x: int) -> list[int]:
         """The fiber over target x (all arrows with tgt == x)."""
-        ids, ptr = self._arrays.into
+        ids, ptr = self._tables.into
         return ids[ptr[x]:ptr[x + 1]].tolist()
 
     def arrows_from(self, x: int) -> list[int]:
         """The fiber over source x (all arrows with src == x)."""
-        ids, ptr = self._arrays.out
+        ids, ptr = self._tables.out
         return ids[ptr[x]:ptr[x + 1]].tolist()
 
     def isotropy_fiber(self, x: int) -> list[int]:
-        ids, ptr = self._arrays.iso
+        ids, ptr = self._tables.iso
         return ids[ptr[x]:ptr[x + 1]].tolist()
 
     def is_identity(self, a: int) -> bool:
@@ -196,26 +171,57 @@ class FiniteGroupoid:
         return str(x)
 
 
-class _Slots:
-    """A compose table as a slot array over the array form, whose tables
-    and fibers it holds. The product of the composable pair (a, b) sits at
-    prod[off[a] + pos[b]]: off[a] is the running sum of |into(src a)| and
-    pos[b] the rank of b in into(tgt b), so slots run in the order of
-    _walk, which is (a, b) order. A tail as long as the largest fiber
-    starts at slot n_slots; it holds -1, and non-composable lookups read
-    it. The pair arrays of the slots and the lists behind scalar lookups
-    are built on first use and kept."""
+class _Tables:
+    """One groupoid's tables as read-only arrays, built once. The id
+    tables src, tgt, inv and identity are int32, an id beyond int32 -1.
+    The fiber index into, out and iso holds pairs (ids, ptr) with fiber x
+    at ids[ptr[x]:ptr[x + 1]], in arrow-id order; an endpoint outside the
+    base, or missing where src and tgt differ in length, is in no fiber.
 
-    __slots__ = ("src", "tgt", "inv", "into_ids", "into_ptr", "iso", "off", "pos", "prod",
-                 "n_slots", "_ab", "_lists")
+    The products, once a builder or the structure pass has filled them,
+    are a slot array; only this module reads its layout. The product of
+    the composable pair (a, b) sits at prod[off[a] + pos[b]]: off[a] is
+    the running sum of |into(src a)| and pos[b] the rank of b in into(tgt
+    b), so slots run in the order of _walk, which is (a, b) order. A tail
+    as long as the largest fiber starts at slot n_slots; it holds -1, and
+    non-composable lookups read it. The pair arrays of the slots and the
+    lists behind scalar lookups are built on first use and kept."""
 
-    def __init__(self, arrays: _Arrays, off, pos, prod, n_slots, ab=None):
+    __slots__ = ("src", "tgt", "inv", "identity", "into", "out", "iso",
+                 "off", "pos", "n_slots", "prod", "_ab", "_lists")
+
+    def __init__(self, g):
+        tables = (g.src, g.tgt, g.inv, g.identity)
+        ends = list(accumulate(map(len, tables), initial=0))
+        flat = _ids(lambda: chain(*tables), ends[-1])  # one conversion, one read-only flag
+        flat.setflags(write=False)
+        self.src, self.tgt, self.inv, self.identity = (
+            flat[lo:hi] for lo, hi in zip(ends, ends[1:]))
+        src, tgt = (t[:min(len(g.src), len(g.tgt))] for t in (self.src, self.tgt))
+        self.into, (ids, ptr) = _group(g.n_base, tgt), _group(g.n_base, src)
+        self.out, iso = (ids, ptr), ids[src[ids] == tgt[ids]]  # grouped by base point, as ids is
+        self.iso = iso, src[iso].searchsorted(np.arange(g.n_base + 1, dtype=np.int32))
+        for t in (*self.into, *self.out, *self.iso):
+            t.setflags(write=False)
+        self.off = self.pos = self.n_slots = self.prod = self._ab = self._lists = None
+
+    def _lay_out(self) -> int:
+        """Lay out the slots of in-range tables, on the first call; the
+        length of the product array, its tail included."""
+        ids, ptr = self.into
+        sizes = np.diff(ptr)
+        if self.off is None:
+            self.pos = np.empty(len(self.src), dtype=np.int32)
+            self.pos[ids] = np.arange(len(self.src)) - np.repeat(ptr[:-1], sizes)
+            span = sizes[self.src]
+            self.off, self.n_slots = np.cumsum(span) - span, int(span.sum())
+        return self.n_slots + int(sizes.max(initial=0))
+
+    def _keep(self, prod, ab=None):
+        """Hold the products, and the pair arrays when known, read-only."""
         for t in (prod, *(ab or ())):
             t.flags.writeable = False
-        self.src, self.tgt, self.inv, (self.into_ids, self.into_ptr), self.iso = (
-            arrays.src, arrays.tgt, arrays.inv, arrays.into, arrays.iso)
-        self.off, self.pos, self.prod, self.n_slots = off, pos, prod, n_slots
-        self._ab, self._lists = ab, None
+        self.prod, self._ab = prod, ab
 
     def get(self, a, b):
         """compose_table.get over arrays of arrow ids, with -1 for None."""
@@ -232,22 +238,11 @@ class _Slots:
             return self.prod.item(off[a] + pos[b])
         return -1
 
-    def pair_arrays(self):
-        """The composable pairs as arrays a and b, in slot order; intp, so
-        that the kernels index with them without a cast."""
-        if self._ab is None:
-            a, b = np.empty((2, self.n_slots), dtype=np.intp)
-            for first, x, y in _walk(self.into_ids, self.into_ptr, self.src, _PAIR_BLOCK):
-                a[first:first + x.size], b[first:first + x.size] = x, y
-            a.flags.writeable = b.flags.writeable = False
-            self._ab = a, b
-        return self._ab
-
-    def pairs(self, block: int):
-        """Blocks (first pair, a, b) of the composable pairs in slot order,
-        read off the pair arrays."""
-        a, b = self.pair_arrays()
-        return ((lo, a[lo:lo + block], b[lo:lo + block]) for lo in range(0, self.n_slots, block))
+    def lookup(self):
+        """(a, b) ↦ a∘b on the composable pairs, unchecked: list lookups,
+        converted once, for scalar loops over a small table."""
+        prod, off, pos = self.prod.tolist(), self.off.tolist(), self.pos.tolist()
+        return lambda a, b: prod[off[a] + pos[b]]
 
     def compose(self, a, b):
         """The products of arrays of arrow ids, which must be composable."""
@@ -259,6 +254,27 @@ class _Slots:
     def conj(self, g, a):
         """The conjugation action g∘a∘g⁻¹ over arrays of arrow ids."""
         return self.compose(self.compose(g, a), self.inv[g])
+
+    def pair_arrays(self):
+        """The composable pairs as arrays a and b, in slot order; intp, so
+        that the kernels index with them without a cast."""
+        if self._ab is None:
+            a, b = np.empty((2, self.n_slots), dtype=np.intp)
+            for first, x, y in _walk(*self.into, self.src, _PAIR_BLOCK):
+                a[first:first + x.size], b[first:first + x.size] = x, y
+            a.flags.writeable = b.flags.writeable = False
+            self._ab = a, b
+        return self._ab
+
+    def entries(self):
+        """The arrays a, b and a∘b of the composable pairs, in slot order."""
+        return (*self.pair_arrays(), self.prod[:self.n_slots])
+
+    def pairs(self, block: int):
+        """The entries in blocks (a, b, a∘b) of at most block pairs."""
+        a, b, c = self.entries()
+        return ((a[lo:lo + block], b[lo:lo + block], c[lo:lo + block])
+                for lo in range(0, self.n_slots, block))
 
 
 def _rows(*columns):
@@ -276,10 +292,10 @@ class _ComposeTable(Mapping):
     the slot table of a built groupoid, in slot order, or the entries of a
     groupoid file, in file order."""
 
-    __slots__ = ("_slots", "_entries", "_keys")
+    __slots__ = ("_tables", "_entries", "_keys")
 
-    def __init__(self, slots: _Slots | None = None, entries=None):
-        self._slots, self._entries, self._keys = slots, entries, None
+    def __init__(self, entries=None):  # a builder sets _tables
+        self._tables, self._entries, self._keys = None, entries, None
 
     @classmethod
     def of_entries(cls, a, b, c) -> "_ComposeTable":
@@ -298,10 +314,7 @@ class _ComposeTable(Mapping):
 
     def entries(self):
         """Arrays of a, b and a∘b, in the order of iteration."""
-        if self._entries is None:
-            s = self._slots
-            return (*s.pair_arrays(), s.prod[:s.n_slots])
-        return self._entries
+        return self._tables.entries() if self._entries is None else self._entries
 
     def _index(self):
         """The keys (a << 32) | b in ascending order, and the positions
@@ -320,8 +333,8 @@ class _ComposeTable(Mapping):
             a, b = map(operator.index, key)
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        if self._slots is not None:
-            c = self._slots.at(a, b)
+        if self._tables is not None:
+            c = self._tables.at(a, b)
         elif 0 <= a <= _INT32.max and 0 <= b <= _INT32.max:
             keys, order = self._index()
             i = int(keys.searchsorted((a << 32) | b))
@@ -334,7 +347,7 @@ class _ComposeTable(Mapping):
         return c
 
     def __len__(self) -> int:
-        return len(self._entries[2]) if self._slots is None else self._slots.n_slots
+        return len(self._entries[2]) if self._tables is None else self._tables.n_slots
 
     def __iter__(self):
         a, b, _ = self.entries()
@@ -355,35 +368,22 @@ class _Items(ItemsView):
         return zip(_rows(a, b), _rows(c))
 
 
-def _layout(a: _Arrays):
-    """The slot layout over the array form of in-range tables: off, pos,
-    the slot count and the largest fiber."""
-    into_ids, into_ptr = a.into
-    sizes = np.diff(into_ptr)
-    pos = np.empty(len(a.src), dtype=np.int32)
-    pos[into_ids] = np.arange(len(a.src)) - np.repeat(into_ptr[:-1], sizes)
-    span = sizes[a.src]
-    off = np.cumsum(span) - span
-    return off, pos, int(span.sum()), int(sizes.max(initial=0))
-
-
 _PAIR_BLOCK = 1 << 14  # pairs per block of a walk; bounds the temporaries
 
 
 def _build(cls, n_base: int, src, tgt, inv, identity, product, **fields):
     """A groupoid of class cls from int arrays of its src, tgt, inv and
-    identity tables, its slot table filled from the walk over its array
-    form, in blocks; product(a, b) gives the products of arrays of arrow
-    ids. Its compose_table is the mapping over that slot table."""
+    identity tables, its products filled from the walk over its fiber
+    index, in blocks; product(a, b) gives the products of arrays of arrow
+    ids. Its compose_table is the mapping over its table object."""
     table = _ComposeTable()
     g = cls(n_base, tuple(src.tolist()), tuple(tgt.tolist()), table,
             tuple(inv.tolist()), tuple(np.asarray(identity).tolist()), **fields)
-    a = g._arrays
-    off, pos, n_slots, tail = _layout(a)
-    prod = np.full(n_slots + tail, -1, dtype=np.int32)
-    for first, x, y in _walk(*a.into, a.src, _PAIR_BLOCK):
+    t = table._tables = g._tables
+    prod = np.full(t._lay_out(), -1, dtype=np.int32)
+    for first, x, y in _walk(*t.into, t.src, _PAIR_BLOCK):
         prod[first:first + x.size] = product(x, y)
-    g._slots = table._slots = _Slots(a, off, pos, prod, n_slots)
+    t._keep(prod)
     return g
 
 
@@ -402,23 +402,23 @@ def _ids(make, count: int) -> np.ndarray:
 
 
 def _structure(g: FiniteGroupoid):
-    """check_structure's report; when it is clean, also the slot array and
-    the compose entries: arrays of a, b and a∘b in the compose table's
-    order, read directly off a _ComposeTable and entry by entry off any
-    other mapping."""
+    """check_structure's report, and when it is clean the compose entries:
+    arrays of a, b and a∘b in the compose table's order, read directly off
+    a _ComposeTable and entry by entry off any other mapping. A clean pass
+    fills g's products from the entries unless they are filled."""
     rep = ValidationReport()
 
     def malformed(witness, message):
         rep.add("malformed", "tables", witness, message)
 
-    n, nb, arrays = g.n_arrows, g.n_base, g._arrays
-    src, tgt, inv, ident = arrays.src, arrays.tgt, arrays.inv, arrays.identity
+    n, nb, t = g.n_arrows, g.n_base, g._tables
+    src, tgt, inv, ident = t.src, t.tgt, t.inv, t.identity
     if len(tgt) != n or len(inv) != n:
         malformed((), "src/tgt/inv tables have inconsistent lengths")
-        return rep, None, None
+        return rep, None
     if len(ident) != nb:
         malformed((), "identity table does not cover the base")
-        return rep, None, None
+        return rep, None
     bad_ends = (src < 0) | (src >= nb) | (tgt < 0) | (tgt >= nb)
     bad_inv = (inv < 0) | (inv >= n)
     for a in np.flatnonzero(bad_ends | bad_inv).tolist():
@@ -429,7 +429,7 @@ def _structure(g: FiniteGroupoid):
     for x in np.flatnonzero((ident < 0) | (ident >= n)).tolist():
         malformed((x,), f"base point {x}: identity out of range")
     if not rep.ok:
-        return rep, None, None
+        return rep, None
 
     comp = g.compose_table
     if isinstance(comp, _ComposeTable):
@@ -454,11 +454,11 @@ def _structure(g: FiniteGroupoid):
                 f"compose entry on non-composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
             )
 
-    off, pos, n_slots, tail = _layout(arrays)
-    into_ids, into_ptr = arrays.into
+    size = t._lay_out()
+    off, into_ids, into_ptr = t.off, *t.into
     slot = off[A[composable]]
-    slot += pos[B[composable]]
-    filled = np.zeros(n_slots, dtype=bool)
+    slot += t.pos[B[composable]]
+    filled = np.zeros(t.n_slots, dtype=bool)
     filled[slot] = True
     missing = np.flatnonzero(~filled)
     ma = np.searchsorted(off, missing, side="right") - 1
@@ -469,22 +469,22 @@ def _structure(g: FiniteGroupoid):
             f"compose table missing composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
         )
     if not rep.ok:
-        return rep, None, None
-    prod = np.full(n_slots + tail, -1, dtype=np.int32)
-    prod[slot] = C  # every entry is composable here, so slot covers them all
-    in_order = bool((slot[1:] > slot[:-1]).all())  # then A, B are the pair arrays
-    slots = _Slots(arrays, off, pos, prod, n_slots,
-                   (A.astype(np.intp), B.astype(np.intp)) if in_order else None)
-    return rep, slots, (A, B, C)
+        return rep, None
+    if t.prod is None:  # filled once: a built or checked groupoid keeps its products
+        prod = np.full(size, -1, dtype=np.int32)
+        prod[slot] = C  # every entry is composable here, so slot covers them all
+        in_order = bool((slot[1:] > slot[:-1]).all())  # then A, B are the pair arrays
+        t._keep(prod, (A.astype(np.intp), B.astype(np.intp)) if in_order else None)
+    return rep, (A, B, C)
 
 
-def _associativity(s: _Slots, A, B, C, cols=None) -> list:
+def _associativity(s: _Tables, A, B, C, cols=None) -> list:
     """The triples where (a∘b)∘c ≠ a∘(b∘c), as blocks (entry i of A, B, C;
-    slot id of c in into_ids). Per base point x, the entries (a, b) with
+    position of c in into ids). Per base point x, the entries (a, b) with
     src b = x run against the arrows c into x by their slot columns j =
     pos c: all of them, or with cols = (columns, ptr) those at
     columns[ptr[x]:ptr[x + 1]]. In blocks of at most _BLOCK triples."""
-    src, into_ptr = s.src, s.into_ptr
+    src, into_ptr = s.src, s.into[1]
     by_x = np.argsort(src[B], kind="stable")
     bounds = np.searchsorted(src[B][by_x], np.arange(len(into_ptr)))
     fails = []
@@ -505,14 +505,14 @@ def _associativity(s: _Slots, A, B, C, cols=None) -> list:
     return fails
 
 
-def _generators(s: _Slots):
+def _generators(s: _Tables):
     """Light's generating set S as sorted arrow ids, or None when S is not
     seen to generate every arrow literally in the table. Per orbit, with
     root r its lowest base point: the star arrows star[x], the first arrow
     r → x; their inv entries; and the isotropy fiber at r. Each arrow must
     be star[y]∘(h∘inv[star[x]]) for some x, y with root r and h in iso(r):
     two gathers, which in a groupoid give each arrow once."""
-    ids, ptr = s.into_ids, s.into_ptr
+    ids, ptr = s.into
     sizes = np.diff(ptr)
     if not sizes.all():
         return None  # a base point with no star arrow
@@ -553,13 +553,11 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     Associativity is proved by Light's test on a generating set where it
     applies; the full scan runs otherwise and gives the witnesses.
     """
-    rep, s, entries = _structure(g)
+    rep, entries = _structure(g)
     if not rep.ok:
         return rep
-    if g._slots is None:  # the one structure pass; builders and kernels reuse it
-        g._slots = s
-    A, B, C = entries
-    src, tgt, ident = s.src, s.tgt, g._arrays.identity
+    s, (A, B, C) = g._tables, entries  # the products the pass found, or filled
+    src, tgt, ident = s.src, s.tgt, s.identity
 
     base = np.arange(g.n_base)
     for x in np.flatnonzero((src[ident] != base) | (tgt[ident] != base)).tolist():
@@ -598,7 +596,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     # all. Any failure, and any table the test does not apply to, goes to
     # the full scan, which gives the witnesses.
     proved = False
-    if not wrong_ends.size and s.n_slots * int(np.diff(s.into_ptr).max(initial=0)) > _DIRECT_SCAN:
+    if not wrong_ends.size and s.n_slots * int(np.diff(s.into[1]).max(initial=0)) > _DIRECT_SCAN:
         gens = _generators(s)
         if gens is not None:
             at, ptr = _group(g.n_base, tgt[gens])
@@ -607,7 +605,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     if fails:
         entry, at = (np.concatenate(parts) for parts in zip(*fails))
         order = np.lexsort((at, entry))
-        for i, c in zip(entry[order].tolist(), s.into_ids[at[order]].tolist()):
+        for i, c in zip(entry[order].tolist(), s.into[0][at[order]].tolist()):
             a, b = int(A[i]), int(B[i])
             rep.add(
                 "axiom",
@@ -628,7 +626,7 @@ class SubgroupoidSelection:
 def isotropy_subgroupoid(g: FiniteGroupoid) -> SubgroupoidSelection:
     """All arrows with equal source and target; always wide and closed. The
     ids go into the frozenset in ascending order."""
-    return SubgroupoidSelection(g, frozenset(np.sort(g._arrays.iso[0]).tolist()))
+    return SubgroupoidSelection(g, frozenset(np.sort(g._tables.iso[0]).tolist()))
 
 
 def subgroupoid_properties(g: FiniteGroupoid, h: SubgroupoidSelection) -> dict:
@@ -645,7 +643,7 @@ def subgroupoid_properties(g: FiniteGroupoid, h: SubgroupoidSelection) -> dict:
     closed = (
         inside[s.inv[sel]].all()
         and all(inside[s.compose(sel[a], b)].all() for _, a, b in pairs)
-        and inside[g._arrays.identity[touched]].all()
+        and inside[s.identity[touched]].all()
     )
     ends = np.unique(s.tgt[sel].astype(np.int64) * g.n_base + s.src[sel])
     return {"is_wide": bool(touched.all()), "is_transitive": ends.size == g.n_base**2,
@@ -679,7 +677,7 @@ def selection_to_groupoid(sel: SubgroupoidSelection) -> tuple[FiniteGroupoid, Gr
     base_rank[base_pts] = np.arange(len(base_pts))
     sub = _build(
         FiniteGroupoid, len(base_pts), base_rank[s.src[at]], base_rank[s.tgt[at]],
-        rank[s.inv[at]], rank[p._arrays.identity[base_pts]],
+        rank[s.inv[at]], rank[s.identity[base_pts]],
         lambda a, b: rank[s.compose(at[a], at[b])],
         arrow_labels=tuple(p.arrow_label(a) for a in arrows),
         base_labels=tuple(p.base_label(x) for x in base_pts),
@@ -737,15 +735,17 @@ def quotient_by_isotropy(
     bound = np.zeros(g.n_arrows + 1, dtype=np.int64)
     np.cumsum(np.diff(ptr)[s.tgt], out=bound[1:])
     bound = bound.tolist()
+    # a class opens at an arrow in no class and takes its orbit, whose
+    # members must all be in no class yet, so the arrow that opens it is
+    # its smallest member: its representative
     class_of = [None] * g.n_arrows
-    classes: list[list[int]] = []
+    reps: list[int] = []
     for gamma in g.arrows():
         if class_of[gamma] is not None:
             continue
-        orbit = flat[bound[gamma]:bound[gamma + 1]]
-        cid = len(classes)
-        classes.append(orbit)
-        for m in orbit:
+        cid = len(reps)
+        reps.append(gamma)
+        for m in flat[bound[gamma]:bound[gamma + 1]]:
             if class_of[m] is not None and class_of[m] != cid:
                 raise QuotientUndefinedError(
                     "orbit structure inconsistent", witnesses=(gamma, m)
@@ -755,21 +755,15 @@ def quotient_by_isotropy(
             raise QuotientUndefinedError(
                 f"arrow {g.arrow_label(gamma)} lies in no orbit", witnesses=(gamma,)
             )
-    # deterministic representative: smallest arrow id; reorder classes by it
-    order = sorted(range(len(classes)), key=lambda c: classes[c][0])
-    rank = {c: i for i, c in enumerate(order)}
-    class_of = [rank[c] for c in class_of]
-    classes = [classes[c] for c in order]
-    reps = [members[0] for members in classes]
 
     # well-definedness: every composable pair (a, b) lands in the class of
     # the product of its classes' representatives; the witness is the first
     # pair of classes (c1, c2), c1 ascending, then c2, that does not
     cls, rep, m = np.array(class_of), np.array(reps), len(reps)
     worst = m * m
-    for first, a, b in s.pairs(_PAIR_BLOCK):
+    for a, b, c in s.pairs(_PAIR_BLOCK):
         ca, cb = cls[a], cls[b]
-        bad = cls[s.prod[first:first + a.size]] != cls[s.compose(rep[ca], rep[cb])]
+        bad = cls[c] != cls[s.compose(rep[ca], rep[cb])]
         worst = min(worst, int((ca[bad] * m + cb[bad]).min(initial=worst)))
     if worst < m * m:
         c1, c2 = divmod(worst, m)
@@ -781,7 +775,7 @@ def quotient_by_isotropy(
 
     quotient = _build(
         FiniteGroupoid, g.n_base, s.src[rep], s.tgt[rep], cls[s.inv[rep]],
-        cls[g._arrays.identity], lambda c1, c2: cls[s.compose(rep[c1], rep[c2])],
+        cls[s.identity], lambda c1, c2: cls[s.compose(rep[c1], rep[c2])],
         arrow_labels=tuple(f"[{g.arrow_label(r)}]" for r in reps),
         base_labels=g.base_labels,
     )

@@ -41,8 +41,7 @@ def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     aid = [g.arrow_label(a) for a in g.arrows()]
     if len(set(aid)) != g.n_arrows:
         raise PreconditionError("arrow labels are not unique; cannot serialize")
-    s = g._product_slots()
-    rows = np.stack((*s.pair_arrays(), s.prod[:s.n_slots]), axis=1)  # in (a, b) order
+    rows = np.stack(g._product_slots().entries(), axis=1)  # in (a, b) order
     bid = [g.base_label(x) for x in g.base()]
     return {
         "base": bid,
@@ -216,17 +215,28 @@ _ROW_BYTES = 45
 
 @_gc_paused()
 def load_json(path) -> dict:
-    """The parsed file. A file larger than MAX_GAUGE_PAIRS compose rows of
-    the smallest written size raises SizeCapError before it is parsed:
-    parsing takes memory in proportion to the bytes read."""
-    with open(path) as fh:
-        size, cap = os.fstat(fh.fileno()).st_size, MAX_GAUGE_PAIRS * _ROW_BYTES
-        if size > cap:
-            raise SizeCapError(
-                f"{path}: file too large to read: {size} bytes > cap {cap} bytes, "
-                f"MAX_GAUGE_PAIRS = {MAX_GAUGE_PAIRS} compose rows of {_ROW_BYTES} bytes"
-            )
-        return json.load(fh)
+    """The parsed UTF-8 file. Parsing takes memory in proportion to the
+    bytes read, so more than MAX_GAUGE_PAIRS compose rows of the smallest
+    written size raise SizeCapError: a file before it is read, a stream,
+    which has no size, once it gives more. Text that is not UTF-8, an int
+    of too many digits or too deep a nesting raise MalformedTableError."""
+    cap = MAX_GAUGE_PAIRS * _ROW_BYTES
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe or a device
+        data = fh.read(cap + 1) if size <= cap else b""
+    if size > cap or len(data) > cap:
+        over = f"{size} bytes > cap" if size > cap else "a stream over the cap of"
+        raise SizeCapError(
+            f"{path}: file too large to read: {over} {cap} bytes, "
+            f"MAX_GAUGE_PAIRS = {MAX_GAUGE_PAIRS} compose rows of {_ROW_BYTES} bytes"
+        )
+    try:
+        data = data.decode("utf-8")  # the bytes go once decoded
+        return json.loads(data)
+    except json.JSONDecodeError:  # a ValueError that keeps its type and message
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise MalformedTableError(f"{path}: not readable as JSON: {exc}") from None
 
 
 def function_to_dict(g: FiniteGroupoid, values: np.ndarray) -> dict:
@@ -251,6 +261,8 @@ def function_from_dict(g: FiniteGroupoid, data: dict) -> np.ndarray:
             raise MalformedTableError(
                 f"function file: value of {aid!r} is {pair!r}, not [re, im]"
             ) from None
+        except OverflowError:  # an int beyond the float range
+            out[ids[aid]] = np.inf
         if not np.isfinite(out[ids[aid]]):
             raise MalformedTableError(f"function file: value of {aid!r} is {pair!r}, not finite")
     return out

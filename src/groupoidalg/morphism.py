@@ -41,11 +41,11 @@ def verify_morphism(m: GroupoidMorphism, require_iso: bool = False) -> Validatio
             rep.add("morphism", "source", (a,), f"src not preserved at {d.arrow_label(a)}")
         if bad_tgt[a]:
             rep.add("morphism", "target", (a,), f"tgt not preserved at {d.arrow_label(a)}")
-    for x in np.flatnonzero(AM[d._arrays.identity] != c._arrays.identity[BM]).tolist():
+    for x in np.flatnonzero(AM[ds.identity] != cs.identity[BM]).tolist():
         rep.add("morphism", "identity", (x,), f"identity at {d.base_label(x)} not preserved")
     fails = set()
-    for first, a, b in ds.pairs(_PAIR_BLOCK):
-        hit = cs.get(AM[a], AM[b]) != AM[ds.prod[first:first + a.size]]
+    for a, b, ab in ds.pairs(_PAIR_BLOCK):
+        hit = cs.get(AM[a], AM[b]) != AM[ab]
         fails.update(zip(a[hit].tolist(), b[hit].tolist()))
     if fails:  # only a failure walks the compose table, for its witness order
         for a, b in (ab for ab in d.compose_table if ab in fails):
@@ -66,9 +66,9 @@ def _signatures(g: FiniteGroupoid):
     itself) for an isotropy arrow, (False, 0) for any other. Per base
     point: its fiber sizes and the sorted orders of its isotropy fiber.
     The orders come from repeated gathers over the slot table."""
-    s, arrays = g._product_slots(), g._arrays
-    iso, ptr = arrays.iso
-    e = arrays.identity[s.src[iso]]
+    s = g._product_slots()
+    iso, ptr = s.iso
+    e = s.identity[s.src[iso]]
     x, order = iso.copy(), np.ones(iso.size, dtype=np.int64)
     live = np.flatnonzero(x != e)
     while live.size:
@@ -79,18 +79,10 @@ def _signatures(g: FiniteGroupoid):
     orders = order.tolist()
     for a, is_e, k in zip(iso.tolist(), (iso == e).tolist(), orders):
         arrow[a] = (is_e, k)
-    sizes = ((p[1:] - p[:-1]).tolist() for p in (arrays.into[1], arrays.out[1], ptr))
+    sizes = ((p[1:] - p[:-1]).tolist() for p in (s.into[1], s.out[1], ptr))
     base = [(*n, tuple(sorted(orders[lo:hi])))
             for *n, lo, hi in zip(*sizes, ptr[:-1].tolist(), ptr[1:].tolist())]
     return arrow, base
-
-
-def _products(g: FiniteGroupoid):
-    """(a, b) ↦ a∘b on the composable pairs of g: list lookups in its slot
-    table, converted once."""
-    s = g._product_slots()
-    prod, off, pos = s.prod.tolist(), s.off.tolist(), s.pos.tolist()
-    return lambda a, b: prod[off[a] + pos[b]]
 
 
 def _extend_arrows(g, h, base_map, cand, order, sig_g, sig_h, prod_g, prod_h):
@@ -195,7 +187,7 @@ def find_isomorphism(
     arrow_h, sig_h = _signatures(h)
     if sorted(sig_g) != sorted(sig_h):
         return None
-    prod_g, prod_h = _products(g), _products(h)
+    prod_g, prod_h = g._product_slots().lookup(), h._product_slots().lookup()
     into_h = [h.arrows_into(y) for y in h.base()]
 
     base_candidates = [

@@ -143,7 +143,7 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
     report._measure(_dev(MH @ M - _eyes(dims[s.src[keys]], D)), tol, "unitarity",
                     lambda i: (int(keys[i]),), lambda i: f"U({label(keys[i])}) is not unitary")
 
-    ident = g._arrays.identity
+    ident = s.identity
     xs = np.flatnonzero(covered[ident])
     report._measure(_dev(S[ident[xs]] - _eyes(dims[xs], D)), tol, "identity",
                     lambda i: (int(ident[xs[i]]),),
@@ -155,7 +155,7 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
     rank = np.zeros(g.n_arrows, dtype=np.intp)  # of a covered arrow in keys
     rank[keys] = np.arange(keys.size)
     out_at, out_ptr = _group(n, s.src[keys])
-    into = s.into_ids[covered[s.into_ids]]
+    into = s.into[0][covered[s.into[0]]]
     into_ptr = np.searchsorted(s.tgt[into], np.arange(n + 1))
     fails, worst = [], report.max_deviation
     for x in range(n):
@@ -167,7 +167,7 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
         for lo in range(0, A.size, step):
             a = A[lo:lo + step]
             uu = (S[a].reshape(-1, D) @ right).reshape(a.size, D, C.size, D)
-            prod = s.prod[s.off[a][:, None] + s.pos[C]]
+            prod = s.get(a[:, None], C)
             dev = _dev(S[prod] - uu.transpose(0, 2, 1, 3))
             held = covered[prod]
             worst = float(np.max(dev[held], initial=worst))
@@ -211,7 +211,7 @@ def _iso_table(g: FiniteGroupoid):
     in id order, K the largest fiber; a shorter row repeats its first arrow
     after its end, and an empty one holds some arrow id. Also the fiber
     sizes and the arrows in row order."""
-    ids, ptr = g._arrays.iso
+    ids, ptr = g._product_slots().iso
     size = ptr[1:] - ptr[:-1]
     k = np.arange(size.max(initial=0))
     at = ptr[:-1, None] + k * (k < size[:, None])

@@ -1,5 +1,5 @@
 """Semidirect product of groupoids, twisted by the conjugation action
-_Slots.conj, and the isomorphism criterion relating the product to its
+_Tables.conj, and the isomorphism criterion relating the product to its
 parent."""
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ def _layout(parent: FiniteGroupoid, g1: SubgroupoidSelection):
     if g1.parent is not parent:
         raise PreconditionError("g1 must be a selection of the parent groupoid")
     rows = np.array(sorted(g1.arrows), dtype=np.intp)
-    (ids, ptr), x = parent._arrays.iso, parent._arrays.tgt[rows]
-    size = ptr[x + 1] - ptr[x]
-    if (size != size[:1]).any():
+    # the public fibers: a BundleFunction's parent may have had no structure pass
+    iso = [parent.isotropy_fiber(x) for x in parent.base()]
+    fibers = [iso[parent.tgt[a]] for a in rows.tolist()]
+    if len(set(map(len, fibers))) > 1:
         raise PreconditionError("the isotropy fibers at the targets of g1 differ in size")
-    fiber = ids[ptr[x][:, None] + np.arange(size[0] if size.size else 0)]
+    fiber = np.array(fibers, dtype=np.intp).reshape(rows.size, len(fibers[0]) if fibers else 0)
     row, col = np.full(parent.n_arrows, -1, dtype=np.intp), np.zeros(parent.n_arrows, np.intp)
     row[rows], col[fiber] = np.arange(rows.size), np.arange(fiber.shape[1])
     return rows, fiber, row, col
@@ -79,7 +80,7 @@ def semidirect_product(
     rows, fiber, row, col = layout = _layout(parent, g1)
     K = fiber.shape[1]
     P0, P1 = fiber.ravel(), np.repeat(rows, K)
-    ps, ident = parent._product_slots(), parent._arrays.identity
+    ps = parent._product_slots()
 
     def carrier(c0, c1):  # the id of (c0, c1)
         return row[c1] * K + col[c0]
@@ -92,7 +93,7 @@ def semidirect_product(
     pairs = tuple(zip(P0.tolist(), P1.tolist()))
     return _build(
         SemidirectGroupoid, parent.n_base, ps.src[P1], ps.tgt[P0],
-        carrier(ps.conj(inv1, ps.inv[P0]), inv1), carrier(ident, ident), product,
+        carrier(ps.conj(inv1, ps.inv[P0]), inv1), carrier(ps.identity, ps.identity), product,
         arrow_labels=tuple(
             f"({parent.arrow_label(a0)},{parent.arrow_label(a1)})" for (a0, a1) in pairs
         ),

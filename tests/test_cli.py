@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
+import tempfile
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupoidalg import (
     FinitePrincipalBundle,
@@ -17,7 +24,7 @@ from groupoidalg import (
     validate_groupoid,
 )
 from groupoidalg import io as gio
-from groupoidalg.cli import main
+from groupoidalg.cli import COMMANDS, main
 from groupoidalg.morphism import find_isomorphism
 
 
@@ -656,3 +663,208 @@ class TestReaderCap:
         self._cap_rows(monkeypatch, fn, -1)
         assert main(["random-op", *GAUGE_ARGS, "--fn", str(fn)]) == 3
         assert "MAX_GAUGE_PAIRS" in capsys.readouterr().err
+
+
+class TestStreamCap:
+    """The reader cap bounds the bytes read, also from a pipe, whose size
+    fstat reports as 0: a stream above the cap exits 3 once it has given
+    more bytes than the cap."""
+
+    @staticmethod
+    def _run_on_fifo(tmp_path, text, argv_tail=()):
+        fifo = tmp_path / "in.fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            try:
+                with open(fifo, "w") as fh:
+                    fh.write(text)
+            except BrokenPipeError:  # the reader stopped at the cap
+                pass
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        code = main(["verify-groupoid", "--in", str(fifo), *argv_tail])
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        return code
+
+    @staticmethod
+    def _text():
+        """A groupoid file padded with spaces to a whole number of rows."""
+        text = json.dumps(gio.groupoid_to_dict(pair_groupoid(2)), indent=2)
+        return text + " " * (-len(text) % gio._ROW_BYTES)
+
+    def test_stream_above_the_cap_exits_3(self, monkeypatch, tmp_path, capsys):
+        text = self._text()
+        rows = len(text) // gio._ROW_BYTES - 1
+        monkeypatch.setattr(gio, "MAX_GAUGE_PAIRS", rows)
+        monkeypatch.setattr(json, "loads", lambda s: pytest.fail("the stream was parsed"))
+        assert self._run_on_fifo(tmp_path, text) == 3
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'in.fifo'}: file too large to read: a stream over the cap of "
+            f"{rows * gio._ROW_BYTES} bytes, MAX_GAUGE_PAIRS = {rows} compose rows of "
+            f"{gio._ROW_BYTES} bytes\n")
+
+    def test_stream_at_the_cap_is_read(self, monkeypatch, tmp_path):
+        text = self._text()
+        monkeypatch.setattr(gio, "MAX_GAUGE_PAIRS", len(text) // gio._ROW_BYTES)
+        report = tmp_path / "r.json"
+        assert self._run_on_fifo(tmp_path, text, ["--report", str(report)]) == 0
+        assert read_report(report)["passed"] is True
+
+
+class TestUnreadableInput:
+    """A file argument that cannot be read, or holds what cannot be
+    parsed, exits 2 with an error line, not with a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-groupoid", "--in", "{dir}"],
+        ["quotient", "--in", "{pair}", "--out", "{dir}"],
+        ["semidirect", *GAUGE_ARGS, "--out", "{dir}"],
+        ["verify-prop1", "--base", "2", "--group", "{dir}"],
+        ["verify-prop1", *GAUGE_ARGS, "--section", "{dir}"],
+        ["verify-prop1", *GAUGE_ARGS, "--report", "{dir}"],
+    ], ids=["in", "out", "semidirect-out", "group", "section", "report"])
+    def test_directory_exits_2(self, argv, pair_file, tmp_path, capsys):
+        paths = {"dir": str(tmp_path), "pair": pair_file}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    @pytest.mark.parametrize("flag", ["--in", "--group", "--section", "--fn", "--f1"])
+    def test_file_not_utf8_exits_2(self, flag, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"elements": ["é"]}'.encode("latin-1"))
+        argv = {
+            "--in": ["verify-groupoid", "--in", str(path)],
+            "--group": ["verify-prop1", "--base", "2", "--group", str(path)],
+            "--section": ["verify-prop1", *GAUGE_ARGS, "--section", str(path)],
+            "--fn": ["random-op", *GAUGE_ARGS, "--fn", str(path)],
+            "--f1": ["convolve", *GAUGE_ARGS, "--f1", str(path), "--f2", str(path)],
+        }[flag]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: not readable as JSON: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("value", ["10" * 200, "1" * 5000, "[" * 100_000],
+                             ids=["beyond-float", "beyond-int-digits", "too-deep"])
+    def test_function_value_out_of_reach_exits_2(self, value, tmp_path, capsys):
+        fn = tmp_path / "f.json"
+        fn.write_text('{"(0,e,0)": [' + value + ', 0]}')
+        assert main(["random-op", *GAUGE_ARGS, "--fn", str(fn)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if value == "10" * 200:
+            assert "value of '(0,e,0)'" in err and err.endswith("not finite\n")
+
+
+def _json_values():
+    leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.sampled_from([10**400, -(2**70), 2**63, "e", "a", "(0,e,0)", ""]))
+    return st.recursive(
+        leaves, lambda kids: st.lists(kids, max_size=3)
+        | st.dictionaries(st.sampled_from(["0", "1", "2", "elements", "mul", "(0,e,0)"])
+                          | st.text(max_size=3), kids, max_size=3),
+        max_leaves=10)
+
+
+@st.composite
+def _file_contents(draw, kind):
+    """The contents of a group, section, function or groupoid file: near
+    the right shape, any JSON value, bytes that are not JSON, or a
+    directory (None)."""
+    how = draw(st.sampled_from(["shaped", "shaped", "json", "bytes", "dir"]))
+    if how == "dir":
+        return None
+    if how == "bytes":
+        return draw(st.sampled_from([b"", b"{", b"\xff\xfe{}", b"[" * 5000, b"1" * 4400]))
+    if how == "json":
+        return json.dumps(draw(_json_values())).encode()
+    elements = st.sampled_from(["e", "a", "b", "x", 0, 1, 2, 5, -1, 10**400, None, 0.5])
+    if kind == "group":
+        n = draw(st.integers(0, 3))
+        names = draw(st.lists(st.sampled_from(["e", "a", "b", "e"]), min_size=n, max_size=n))
+        mul = draw(st.lists(st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n))
+        data = {"elements": names, "mul": mul}
+    elif kind == "section":
+        data = draw(st.dictionaries(st.sampled_from(["0", "1", "2", "3", "x"]), elements,
+                                    max_size=4))
+    elif kind == "function":
+        labels = st.sampled_from(["(0,e,0)", "(1,e,0)", "(0,a,0)", "((0,e,0),(0,e,0))", "z"])
+        numbers = st.sampled_from([0, 1.5, -2, 10**400, None, "1", float("nan"), [0]])
+        data = draw(st.dictionaries(labels, st.lists(numbers, min_size=1, max_size=3),
+                                    max_size=4))
+    else:
+        data = gio.groupoid_to_dict(pair_groupoid(2))
+        how = draw(st.sampled_from(["valid", "product", "key"]))
+        if how == "product":  # one product redirected: the axioms may fail
+            entry = draw(st.sampled_from(data["compose"]))
+            entry[2] = draw(st.sampled_from([a["id"] for a in data["arrows"]]))
+        elif how == "key":
+            data[draw(st.sampled_from(sorted(data)))] = draw(_json_values())
+    return json.dumps(data).encode()
+
+
+FUZZ_FILES = {"--group": "group", "--section": "section", "--fn": "function",
+              "--f1": "function", "--f2": "function", "--in": "groupoid"}
+
+
+FUZZ_VALUES = {
+    "--base": st.sampled_from(["1", "2", "3", "2", "3", "0", "x"]),
+    "--group": st.sampled_from(["Z2", "Z3", "FILE", "FILE", "E8"]),
+    "--section": st.sampled_from(["identity", "random", "FILE", "FILE"]),
+    "--seed": st.sampled_from(["0", "7", "-1"]),
+    "--tol": st.sampled_from(["1e-9", "0", "nan"]),
+    "--trials": st.sampled_from(["1", "2", "0"]),
+    "--in": st.just("FILE"), "--fn": st.just("FILE"), "--f1": st.just("FILE"),
+    "--f2": st.just("FILE"), "--out": st.sampled_from(["OUT", "OUT", "DIR"]),
+    "--report": st.sampled_from(["REPORT", "REPORT", "DIR"]),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with its required flags and some of its other flags,
+    now and then one it does not take, each value well formed or not; and
+    the files to write, by name."""
+    command = draw(st.sampled_from(COMMANDS))
+    takes = ["--" + name for name in command.config] + ["--report"]
+    required = [f for f in ("--in", "--base", "--group", "--out") if f in takes
+                and (f != "--out" or command.name != "convolve")]
+    flags = required + draw(st.lists(st.sampled_from(takes), max_size=4))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_VALUES))))
+    argv, files = [command.name], {}
+    for flag in dict.fromkeys(flags):
+        value = draw(FUZZ_VALUES[flag])
+        if value == "FILE":
+            value = flag[2:] + ".json"
+            files[value] = draw(_file_contents(FUZZ_FILES[flag]))
+        argv += [flag, value]
+    return argv, files
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_argv())
+    def test_any_input_exits_with_a_documented_code(self, case):
+        """Exit 0, 1, 2 or 3, with no exception escaping, and every check
+        entry of a report carries a boolean passed."""
+        argv, files = case
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                path = pathlib.Path(tmp, name)
+                path.mkdir() if content is None else path.write_bytes(content)
+            paths = {"OUT": "out.json", "REPORT": "report.json", "DIR": ".", **{f: f for f in files}}
+            argv = [os.path.join(tmp, paths[a]) if a in paths else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            report = pathlib.Path(tmp, "report.json")
+            text = report.read_text() if report.is_file() else out.getvalue()
+            if code in (0, 1) and text:  # an error that exits 1 writes no report
+                checks = json.loads(text)["checks"]
+                assert all(isinstance(c["passed"], bool) for c in checks)

@@ -210,13 +210,13 @@ def test_missing_composable_pair():
 
 def test_slot_table_is_built_once(fix_gauge_2_z2):
     g = dataclasses.replace(fix_gauge_2_z2)
-    assert g._slots is None
+    assert g._tables.prod is None
     f = GroupoidFunction.random(g, np.random.default_rng(0))
     groupoid_convolve(f, f, HaarWeights.counting(g))
-    slots = g._slots
-    assert slots.prod.dtype == np.int32
+    prod = g._tables.prod
+    assert prod.dtype == np.int32
     groupoid_convolve(f, f, HaarWeights.counting(g))
-    assert g._slots is slots
+    assert g._tables.prod is prod
 
 
 def test_endpoint_out_of_range():

@@ -159,18 +159,18 @@ def test_fibers_equal_scans(instance):
 
 
 def test_one_array_form(instance):
-    """The tables as read-only int32 arrays, built once: the slot table
-    holds the same array objects."""
+    """The tables as read-only int32 arrays, built once, in the one table
+    object: the accessor gives that object with its products."""
     g, _ = instance
-    arrays, slots = g._arrays, g._product_slots()
+    tables = g._product_slots()
+    assert tables is g._tables and g._product_slots() is tables
+    assert not hasattr(g, "_slots") and not hasattr(g, "_arrays")
     for name in ("src", "tgt", "inv", "identity"):
-        table = getattr(arrays, name)
+        table = getattr(tables, name)
         assert table.dtype == np.int32 and not table.flags.writeable
         assert table.tolist() == list(getattr(g, name))
-    assert all(getattr(slots, name) is getattr(arrays, name) for name in ("src", "tgt", "inv"))
-    assert slots.into_ids is arrays.into[0] and slots.into_ptr is arrays.into[1]
-    assert slots.iso is arrays.iso
-    for fibers in (arrays.into, arrays.out, arrays.iso):
+    assert tables.prod.dtype == np.int32 and not tables.prod.flags.writeable
+    for fibers in (tables.into, tables.out, tables.iso):
         assert not any(t.flags.writeable for t in fibers)
 
 

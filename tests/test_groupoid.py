@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -317,8 +319,8 @@ def test_one_structure_pass(monkeypatch, fix_gauge_2_z2, bundle_2_z2):
     passes = []
     real = groupoid_mod._structure
     monkeypatch.setattr(groupoid_mod, "_structure", lambda g: passes.append(g) or real(g))
-    g = with_fields(fix_gauge_2_z2)  # a fresh copy without a slot table
-    assert g._slots is None
+    g = with_fields(fix_gauge_2_z2)  # a fresh copy without products
+    assert g._tables.prod is None
     assert validate_groupoid(g).ok
     g1 = translation_subgroupoid(g, Section.identity(bundle_2_z2))
     sd = semidirect_product(g, isotropy_subgroupoid(g), g1)
@@ -330,3 +332,30 @@ def test_one_structure_pass(monkeypatch, fix_gauge_2_z2, bundle_2_z2):
         f = GroupoidFunction.delta(built, 0)
         groupoid_convolve(f, f, HaarWeights.counting(built))
     assert passes == [g]
+
+
+def test_validation_keeps_the_products(fix_gauge_2_z2):
+    """validate_groupoid fills a product array only where there is none:
+    a built groupoid, and one checked before, keep the array they hold."""
+    checked = with_fields(fix_gauge_2_z2, compose_table=dict(fix_gauge_2_z2.compose_table))
+    assert checked._tables.prod is None and validate_groupoid(checked).ok
+    for g in (fix_gauge_2_z2, gauge_groupoid(FinitePrincipalBundle(3, symmetric(3))), checked):
+        prod = g._tables.prod
+        assert prod is not None and validate_groupoid(g).ok
+        assert g._tables.prod is prod and g._product_slots().prod is prod
+
+
+LAYOUT_FIELDS = {"prod", "off", "pos", "n_slots"}
+
+
+def test_only_the_groupoid_module_reads_the_slot_layout():
+    """The slot layout of the table object is private to groupoid.py: no
+    other module of the package reads an attribute of that name."""
+    package = pathlib.Path(groupoid_mod.__file__).parent
+    reads = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in sorted(package.glob("*.py")) if path.name != "groupoid.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_FIELDS
+    ]
+    assert reads == []

@@ -484,7 +484,8 @@ class TestLightsTest:
 
         comp = {(a, b): product(a, b) for a in range(8) for b in range(8) if src[a] == tgt[b]}
         g = FiniteGroupoid(2, src, tgt, comp, (0, 1, 3, 2, 4, 5, 6, 7), (0, 4))
-        _, s, (A, B, C) = groupoid._structure(g)
+        _, (A, B, C) = groupoid._structure(g)
+        s = g._product_slots()
         by_tgt, ptr = groupoid._group(2, s.tgt[:4])
         assert not groupoid._associativity(s, A, B, C, (s.pos[:4][by_tgt], ptr))
         report, calls = forced_report(g)
