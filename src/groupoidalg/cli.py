@@ -13,6 +13,8 @@ order), and a function from the parsed arguments to the report's checks.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import json
 import math
 import os
@@ -313,7 +315,23 @@ COMMANDS = (
 )
 
 
+def _writable(path: str) -> None:
+    """Raise now the error that writing path would raise once every check
+    has run: it is a directory, or its parent is not one."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)  # the subclass open would raise
+
+
 def _run(args) -> int:
+    for path in (getattr(args, "out", None), args.report):
+        if path:
+            _writable(path)
     start = time.perf_counter()
     command = args.command_row
     checks = command.checks(args)
@@ -334,7 +352,10 @@ def _run(args) -> int:
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: parse_args
+    leaves it as it was, and callers must not change it either."""
     parser = argparse.ArgumentParser(
         prog="groupoidalg",
         description="Finite groupoid algebra constructions and verification",

@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import MalformedTableError
 
+_ASSOC_BLOCK = 1 << 16  # triples (a, b, c) per block of the associativity check
+
 
 @dataclass(eq=False)
 class FiniteGroup:
@@ -41,13 +43,16 @@ class FiniteGroup:
                 f"group {self.name}: element {self.elements[a]} has no inverse"
             )
         self.inverse = tuple(both.argmax(1).tolist())
-        bad = t[t] != t[np.arange(n)[:, None, None], t]  # [a, b, c]: (ab)c != a(bc)
-        if bad.any():
-            a, b, c = np.unravel_index(np.argmax(bad), bad.shape)
-            raise MalformedTableError(
-                f"group {self.name}: not associative at "
-                f"({self.elements[a]},{self.elements[b]},{self.elements[c]})"
-            )
+        rows = max(1, _ASSOC_BLOCK // n**2)  # rows a per block: O(n²) memory, not O(n³)
+        for a0 in range(0, n, rows):
+            block = t[a0:a0 + rows]
+            bad = t[block] != block[:, t]  # [a - a0, b, c]: (ab)c != a(bc)
+            if bad.any():
+                a, b, c = np.unravel_index(np.argmax(bad), bad.shape)
+                raise MalformedTableError(
+                    f"group {self.name}: not associative at "
+                    f"({self.elements[a0 + a]},{self.elements[b]},{self.elements[c]})"
+                )
 
     @property
     def order(self) -> int:

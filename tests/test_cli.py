@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -23,8 +24,10 @@ from groupoidalg import (
     translation_subgroupoid,
     validate_groupoid,
 )
+from groupoidalg import cli
 from groupoidalg import io as gio
 from groupoidalg.cli import COMMANDS, main
+from groupoidalg.errors import GroupoidError, SizeCapError
 from groupoidalg.morphism import find_isomorphism
 
 
@@ -757,6 +760,84 @@ class TestUnreadableInput:
         assert err.startswith("error: ") and "Traceback" not in err
         if value == "10" * 200:
             assert "value of '(0,e,0)'" in err and err.endswith("not finite\n")
+
+
+class TestWritePathsFirst:
+    """A --report or --out path that cannot be written exits 2 before any
+    check runs; the report itself is still written only at the end."""
+
+    @pytest.mark.parametrize("argv, call, error", [
+        (["verify-prop1", *GAUGE_ARGS, "--report", "{dir}"], "prop1_equivalence",
+         "Is a directory"),
+        (["verify-prop1", *GAUGE_ARGS, "--report", "{dir}/no/r.json"], "prop1_equivalence",
+         "No such file or directory"),
+        (["verify-theorem1", *GAUGE_ARGS, "--report", "{pair}/r.json"], "verify_theorem1",
+         "Not a directory"),
+        (["semidirect", *GAUGE_ARGS, "--out", "{dir}"], "poincare_decomposition",
+         "Is a directory"),
+        (["quotient", "--in", "{pair}", "--out", "{dir}/no/q.json"], "quotient_by_isotropy",
+         "No such file or directory"),
+        (["convolve", *GAUGE_ARGS, "--out", "{dir}"], "poincare_decomposition",
+         "Is a directory"),
+    ], ids=["report-dir", "report-no-parent", "report-parent-file", "semidirect-out-dir",
+            "quotient-out-no-parent", "convolve-out-dir"])
+    def test_exits_2_before_any_check(self, argv, call, error, pair_file, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.setattr(cli, call, lambda *a, **k: pytest.fail(f"{call} ran"))
+        paths = {"dir": str(tmp_path), "pair": pair_file}
+        assert main([a.format(**paths) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and error in err
+
+    @pytest.mark.parametrize("exc, code", [(SizeCapError, 3), (GroupoidError, 1)])
+    def test_report_untouched_until_the_end(self, exc, code, tmp_path, monkeypatch):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text("kept\n")
+
+        def fail(*args, **kwargs):
+            assert old.read_text() == "kept\n" and not new.exists()
+            raise exc("stopped")
+
+        monkeypatch.setattr(cli, "prop1_equivalence", fail)
+        for report in (old, new):
+            assert main(["verify-prop1", *GAUGE_ARGS, "--report", str(report)]) == code
+        assert old.read_text() == "kept\n" and not new.exists()
+
+
+class TestOneParser:
+    """main builds its parser once per process and reuses it; parse_args
+    leaves it as it was, so a call sees nothing of the calls before it."""
+
+    def test_built_once(self, monkeypatch, capsys):
+        cli.build_parser.cache_clear()
+        progs, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["verify-prop1", "--base", "2"]) == 2
+        assert main(["--help"]) == 0
+        assert progs.count("groupoidalg") == 1 and len(progs) == 1 + len(COMMANDS)
+
+    def test_no_state_from_call_to_call(self, tmp_path, capsys):
+        fn = tmp_path / "f.json"
+        fn.write_text(json.dumps({"(0,e,0)": [1.0, 0.0]}))
+        sequence = [["verify-prop1", "--base", "2"], ["--help"],
+                    ["random-op", *GAUGE_ARGS, "--fn", str(fn)], ["random-op", *GAUGE_ARGS]]
+
+        def outcome(argv, fresh):
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, strip_timing(json.loads(out)) if out.startswith("{") else out, err
+
+        reused = [outcome(argv, fresh=False) for argv in sequence]
+        assert reused == [outcome(argv, fresh=True) for argv in sequence]
+        assert [code for code, _, _ in reused] == [2, 0, 0, 0]
+        assert [r[1]["config"]["trials"] for r in reused[2:]] == [1, 50]
 
 
 def _json_values():

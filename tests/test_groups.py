@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from group_oracle import oracle_check_group
+from groupoidalg import groups
 from groupoidalg.errors import MalformedTableError
 from groupoidalg.groups import (
     FiniteGroup,
@@ -101,10 +104,10 @@ def test_perturbed_tables_match_the_loops():
     """Tables one to three edits away from a group: an entry set to a value
     in [-1, n], or two rows or two columns swapped."""
     rng = np.random.default_rng(16)
-    groups = [cyclic(5), cyclic(6), symmetric(3), dihedral(4)]
+    family = [cyclic(5), cyclic(6), symmetric(3), dihedral(4)]
     kinds, seen = ("out of range", "no identity", "no inverse", "not associative"), set()
     for _ in range(1500):
-        G = groups[rng.integers(len(groups))]
+        G = family[rng.integers(len(family))]
         n = G.order
         mul = [list(row) for row in G.mul]
         for _ in range(rng.integers(1, 4)):
@@ -121,3 +124,64 @@ def test_perturbed_tables_match_the_loops():
         assert _outcome(lambda: _checked(G.name, G.elements, mul)) == want
         seen.add(next((k for k in kinds if k in want), None) if isinstance(want, str) else "group")
     assert seen == {*kinds, "group"}
+
+
+def _witness_row(message, elements):
+    """The index of a in the message "not associative at (a,b,c)"."""
+    return elements.index(message.split("(")[1].split(",")[0])
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_associativity_blocks_match_the_loops(block, monkeypatch):
+    """With blocks of one to four rows a, the first non-associative triple
+    of a perturbed table is the loops' one, also past the first block."""
+    monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
+    rng = np.random.default_rng(19)
+    family = [cyclic(5), cyclic(6), symmetric(3), dihedral(4)]
+    past_first = 0
+    for _ in range(300):
+        G = family[rng.integers(len(family))]
+        mul = [list(row) for row in G.mul]
+        i, j, k = rng.integers(1, G.order, size=3).tolist()
+        mul[i][j], mul[i][k] = mul[i][k], mul[i][j]  # identity row and column kept
+        want = _outcome(lambda: oracle_check_group(G.name, G.elements, mul))
+        assert _outcome(lambda: _checked(G.name, G.elements, mul)) == want
+        if isinstance(want, str) and "not associative" in want:
+            rows = max(1, block // G.order**2)
+            past_first += _witness_row(want, G.elements) >= rows
+    assert past_first > 50
+
+
+def _z4_times(loop):
+    """Z4 × loop as a table, with the Z4 coordinate fastest: the first four
+    elements are (k, e), which associate with everything."""
+    n = len(loop)
+    return [[4 * loop[p // 4][q // 4] + (p + q) % 4 for q in range(4 * n)]
+            for p in range(4 * n)]
+
+
+def test_witness_past_the_first_block_of_128():
+    """At the library's own block size a 128-element table is checked four
+    rows at a time; Z4 × (Z32 with two entries of row 1 swapped) first
+    fails at a = (0, 1), element 4, in the second block."""
+    loop = [list(row) for row in cyclic(32).mul]
+    loop[1][2], loop[1][3] = loop[1][3], loop[1][2]
+    mul = _z4_times(loop)
+    elements = tuple(f"x{i}" for i in range(len(mul)))
+    assert groups._ASSOC_BLOCK // len(mul) ** 2 == 4
+    want = _outcome(lambda: oracle_check_group("L", elements, mul))
+    assert _outcome(lambda: _checked("L", elements, mul)) == want
+    assert _witness_row(want, elements) == 4
+
+
+def test_associativity_check_memory_at_128():
+    """The check held (n, n, n) index arrays: 34 MiB at n = 128. Blocks of
+    at most _ASSOC_BLOCK triples keep it to O(n²)."""
+    G = cyclic(128)
+    tracemalloc.start()
+    try:
+        FiniteGroup(G.name, G.elements, G.mul)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

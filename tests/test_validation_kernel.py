@@ -374,11 +374,13 @@ def _non_transitive(kind):
 
 def _one_product(draw, g):
     """One compose entry redirected to another arrow with the same endpoints,
-    or left as it is when its endpoints hold no other arrow."""
+    or left as it is when it is no arrow (an earlier corruption put an
+    out-of-range id there) or its endpoints hold no other arrow."""
     comp = dict(g.compose_table)
     key = draw(st.sampled_from(sorted(comp)))
     c = comp[key]
-    same = [d for d in g.arrows() if d != c and (g.src[d], g.tgt[d]) == (g.src[c], g.tgt[c])]
+    same = [d for d in g.arrows() if c in g.arrows() and d != c
+            and (g.src[d], g.tgt[d]) == (g.src[c], g.tgt[c])]
     comp[key] = draw(st.sampled_from(same)) if same else c
     return dataclasses.replace(g, compose_table=comp)
 
