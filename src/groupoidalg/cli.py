@@ -39,9 +39,9 @@ from .groupoid import isotropy_subgroupoid, quotient_by_isotropy, validate_group
 from .groups import builtin_group, group_from_table
 from .morphism import verify_morphism
 from .representation import (
-    MAX_COMMUTANT_ENTRIES, HilbertBundle, UnitaryRep, block_diagonal_generators,
-    check_commutation, commutant, contains_in_span, norm_bound, operator_norm,
-    random_operator_from, simple_extension, validate_rep,
+    MAX_COMMUTANT_ENTRIES, HilbertBundle, UnitaryRep, _commutation, _extension,
+    block_diagonal_generators, commutant, contains_in_span, norm_bound, operator_norm,
+    random_operator_from, validate_rep,
 )
 from .semidirect import prop1_equivalence
 
@@ -158,13 +158,15 @@ def _rep_check(args) -> list[dict]:
     U0 = _regular_rep(dec.gauge)
     I = _regular_translations(dec.gauge, dec.g1)
     u0_report = validate_rep(U0, args.tol)
-    comm = check_commutation(U0, I, dec.sd, args.tol)
+    commutation = _commutation(U0, I, dec.sd, args.tol)  # the extension reuses it
+    comm = commutation[0]
     checks = [
         {"name": "isotropy-rep", "passed": u0_report.ok, **u0_report.to_dict()},
         {"name": "commutation", "passed": comm.ok, **comm.to_dict()},
     ]
     if comm.ok:
-        ext_report = validate_rep(simple_extension(U0, I, dec.sd, args.tol), args.tol)
+        ext = _extension(U0, I, dec.sd, args.tol, commutation)
+        ext_report = validate_rep(ext, args.tol)
         checks.append(
             {"name": "simple-extension", "passed": ext_report.ok, **ext_report.to_dict()}
         )
@@ -225,7 +227,7 @@ def _commutant(args) -> list[dict]:
         },
         {
             "name": "generators-in-bicommutant",
-            "passed": all(contains_in_span(second.basis, m, args.tol) for m in gens),
+            "passed": contains_in_span(second.basis, gens, args.tol),
         },
     ]
 

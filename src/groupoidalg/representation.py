@@ -239,21 +239,20 @@ def check_commutation(
 ) -> RepReport:
     """Verify U1(g1) U0(g0) U1(g1)⁻¹ = U0(alpha_{g1}(g0)) for all pairs with
     d(g0) = d(g1). U0 must cover the isotropy arrows and I the g1 arrows."""
+    return _commutation(U0, I, sd, tol)[0]
+
+
+def _commutation(U0: UnitaryRep, I: dict, sd: SemidirectGroupoid, tol: float):
+    """check_commutation's report with the stacks S0 of U0 and SI of I it
+    read: the pairs (a1, a0), a1 a g1 arrow and a0 in the isotropy fiber at
+    src a1, in blocks, with the right-hand side U0 at the conjugate
+    a1∘a0∘a1⁻¹."""
     p = sd.parent
+    s = p._product_slots()
     order = list(sd.g1.arrows)
     S0 = _stack(p, U0.bundle, U0.U, _iso_table(p)[2], name="U0")[0]
     SI = _stack(p, U0.bundle, I, order, name="the unitary family")[0]
     report = RepReport()
-    _check_commutation(report, sd, S0, SI, order, tol)
-    return report
-
-
-def _check_commutation(report: RepReport, sd: SemidirectGroupoid, S0, SI, order, tol: float):
-    """check_commutation on the stacks S0 of U0 and SI of I: the pairs (a1,
-    a0), a1 in order and a0 in the isotropy fiber at src a1, in blocks,
-    with the right-hand side U0 at the conjugate a1∘a0∘a1⁻¹."""
-    p = sd.parent
-    s = p._product_slots()
     order = np.array(order, dtype=np.intp)
     D = S0.shape[1]
     for _, pos, a0 in _walk(*s.iso, s.src[order], max(1, _ENTRIES // (D * D))):
@@ -263,6 +262,7 @@ def _check_commutation(report: RepReport, sd: SemidirectGroupoid, S0, SI, order,
                         lambda i: (int(a0[i]), int(a1[i])),
                         lambda i: f"commutation fails at ({p.arrow_label(a0[i])}, "
                                   f"{p.arrow_label(a1[i])})")
+    return report, S0, SI
 
 
 def simple_extension(
@@ -279,6 +279,12 @@ def simple_extension(
     The products are one batched matmul over pair_of; the extension holds
     views into its result.
     """
+    return _extension(U0, I, sd, tol)
+
+
+def _extension(U0: UnitaryRep, I: dict, sd: SemidirectGroupoid, tol: float, commutation=None):
+    """simple_extension, given, when a caller has it, the _commutation
+    result for the same arguments, which is then not computed again."""
     p, b = sd.parent, U0.bundle
     if set(I) != set(sd.g1.arrows):
         raise PreconditionError("unitary family must be indexed by the g1 arrows")
@@ -290,9 +296,7 @@ def simple_extension(
             "the unitary family is not a representation of the transitive selection: "
             + i_report.violations[0][2]
         )
-    S0 = _stack(p, b, U0.U, _iso_table(p)[2], name="U0")[0]
-    comm = RepReport()
-    _check_commutation(comm, sd, S0, SI, list(sd.g1.arrows), tol)
+    comm, S0, SI = commutation or _commutation(U0, I, sd, tol)
     if not comm.ok:
         a0, a1 = comm.violations[0][1]
         raise PreconditionError(
@@ -433,21 +437,116 @@ def block_diagonal_generators(
     return gens
 
 
-MAX_COMMUTANT_ENTRIES = 4_000_000  # commutant's default cap on a stacked system
+MAX_COMMUTANT_ENTRIES = 4_000_000  # commutant's default cap on the stacked systems
 _QR_COLUMNS = 25  # from k = 5 on, QR then SVD beat the SVD alone, when measured
 
 
-def _nullspace(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of the null space (rows of the result); mat has at
-    least as many rows as columns, so the thin SVD gives the full vh. A
-    taller mat of at least _QR_COLUMNS columns is first reduced to the
+def _nullspaces(mats: np.ndarray, tol: float):
+    """Per matrix of the stack mats (b, rows, cols), rows ≥ cols: the
+    conjugated right singular vectors (b, cols, cols) and the rank by the
+    rule s > tol·max(s₀, 1). Rows rank[i]: of entry i are an orthonormal
+    basis of the null space of mats[i]; the thin SVD gives the full vh. A
+    taller stack of at least _QR_COLUMNS columns is first reduced to the
     square R of its QR factorization, which has the same null space and
     singular values: the SVD then never forms the tall U factor."""
-    if mat.shape[0] > mat.shape[1] >= _QR_COLUMNS:
-        mat = np.linalg.qr(mat, mode="r")
-    _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > tol * max(s[0], 1.0))) if s.size else 0
-    return vh[rank:].conj()
+    if mats.shape[1] > mats.shape[2] >= _QR_COLUMNS:
+        mats = np.linalg.qr(mats, mode="r")
+    _, s, vh = np.linalg.svd(mats, full_matrices=False)
+    return vh.conj(), (s > tol * np.maximum(s[:, :1], 1.0)).sum(axis=1)
+
+
+def _stacked_level(mats: np.ndarray, max_entries: int, tol: float) -> np.ndarray:
+    """The commutant of the (m, k, k) stack mats as an (N, k, k) basis, the
+    generic path: the null space of one k²×k² commutator block per matrix,
+    all stacked."""
+    m, k = mats.shape[:2]
+    entries = m * k**4
+    if entries > max_entries:
+        raise SizeCapError(
+            f"commutator system of {m} blocks of {k * k}x{k * k} has "
+            f"{entries} entries, above the cap of {max_entries}"
+        )
+    eye = np.eye(k)
+    system = np.vstack([np.kron(eye, a.T) - np.kron(a, eye) for a in mats])
+    vh, rank = _nullspaces(system[None], tol)
+    return vh[0, rank[0]:].reshape(-1, k, k)
+
+
+def _fiber_blocks(mats: np.ndarray):
+    """The blocks of the fiber path, or None when the split is not proved:
+    the indices in block order and each block's start and size there. The
+    blocks are the connected components of the joint support of the
+    (m, k, k) stack mats, so every matrix is block-diagonal over them; each
+    block B must have a matrix that is exactly c·P_B with c ≠ 0."""
+    m, k = mats.shape[:2]
+    nz = mats != 0
+    adj = nz.any(axis=0)
+    adj = adj | adj.T | np.eye(k, dtype=bool)
+    lab = np.arange(k)  # ends as the lowest index of each one's component
+    while True:  # the lowest label among the neighbours, then pointer jumping
+        new = np.where(adj, lab, k).min(axis=1)
+        new = new[new]
+        if (new == lab).all():
+            break
+        lab = new
+    diag = mats.diagonal(axis1=1, axis2=2)
+    first = (diag != 0).argmax(axis=1)
+    c = diag[np.arange(m), first]
+    want = lab == lab[first, None]  # the block of each matrix's first diagonal nonzero
+    proj = ((c != 0) & (diag == c[:, None] * want).all(axis=1)
+            & (nz.sum(axis=(1, 2)) == want.sum(axis=1)))  # and nothing off the diagonal
+    has = np.zeros(k, dtype=bool)
+    has[lab[first[proj]]] = True
+    if not has[lab].all():
+        return None
+    points = np.argsort(lab, kind="stable")
+    start = np.flatnonzero(lab[points] == points)  # a block opens at its lowest index
+    return points, start, np.bincount(lab)[points[start]]
+
+
+def _fiber_level(mats: np.ndarray, blocks, max_entries: int, tol: float):
+    """The commutant of the (m, k, k) stack mats, block-diagonal over the
+    blocks of _fiber_blocks, as an (N, k, k) basis in block order, or None
+    when some block holds no matrix. The c_B matrices nonzero on a block B
+    of size d_B give one (c_B·d_B², d_B²) system; the blocks of one shape
+    (d, c) are solved by one batched SVD and scattered by one assignment.
+    Bases orthonormal per block are orthonormal together, their supports
+    being disjoint."""
+    points, start, size = blocks
+    touch = np.logical_or.reduceat((mats != 0).any(axis=2)[:, points], start, axis=1)
+    count = touch.sum(axis=0)  # touch is (matrix, block)
+    if not count.all():
+        return None
+    entries = int(count @ size**4)
+    if entries > max_entries:
+        raise SizeCapError(
+            f"commutator systems of {start.size} fiber blocks have "
+            f"{entries} entries, above the cap of {max_entries}"
+        )
+    mat_of = np.nonzero(touch.T)[1]  # the matrices of each block, block by block
+    mat_at = np.cumsum(count) - count
+    shape = size * (count.max() + 1) + count
+    solved, null = [], np.empty(start.size, dtype=np.intp)
+    for key in sorted(set(shape.tolist())):
+        bs = np.flatnonzero(shape == key)
+        d, c = int(size[bs[0]]), int(count[bs[0]])
+        idx = points[start[bs, None] + np.arange(d)]
+        j = mat_of[mat_at[bs, None] + np.arange(c)]
+        M = mats[j[:, :, None, None], idx[:, None, :, None], idx[:, None, None, :]]
+        eye = np.eye(d)  # row (p, q), column (r, s): δ_pr·M[s, q] − M[p, r]·δ_qs
+        system = (eye[:, None, :, None] * M.swapaxes(2, 3)[:, :, None, :, None, :]
+                  - M[:, :, :, None, :, None] * eye[None, :, None, :])
+        vh, rank = _nullspaces(system.reshape(bs.size, c * d * d, d * d), tol)
+        null[bs] = d * d - rank
+        solved.append((bs, idx, vh, rank))
+    at = np.cumsum(null) - null
+    basis = np.zeros((null.sum(), points.size, points.size), dtype=complex)
+    for bs, idx, vh, rank in solved:
+        d = idx.shape[1]
+        b, r = np.nonzero(np.arange(d * d) >= rank[:, None])
+        basis[(at[bs[b]] + r - rank[b])[:, None, None], idx[b, :, None],
+              idx[b, None, :]] = vh[b, r].reshape(-1, d, d)
+    return basis
 
 
 @dataclass
@@ -463,10 +562,17 @@ def commutant(
     tol: float = 1e-9,
 ) -> CommutantResult:
     """All matrices commuting with every generator (levels=1), or the
-    bicommutant (levels=2), via the null space of the stacked commutator map.
+    bicommutant (levels=2), via null spaces of stacked commutator maps.
 
-    Each level stacks one k²×k² block per matrix; SizeCapError is raised
-    before a stack of more than max_entries entries is built.
+    The fiber path runs when the split into blocks is proved: the blocks
+    are the connected components of the generators' joint support, and
+    each block B has a generator c·P_B, c ≠ 0. A commutant element then
+    commutes with every P_B, so it is block-diagonal and A′ = ⊕ A_B′; each
+    A_B′ holds I_B, so A″ = ⊕ (A_B′)′ likewise. Each level stacks one
+    d_B²×d_B² block per matrix nonzero on B; where the split is not proved,
+    or a block holds no level-1 matrix, one k²×k² block per matrix. Either
+    way SizeCapError is raised before a stack of more than max_entries
+    entries is built.
     """
     if levels not in (1, 2):
         raise PreconditionError("levels must be 1 or 2")
@@ -477,32 +583,29 @@ def commutant(
     if any(m.shape != (k, k) for m in gens):
         raise PreconditionError("generators must be square matrices of equal size")
 
-    def commutant_basis(mats):
-        entries = len(mats) * k**4
-        if entries > max_entries:
-            raise SizeCapError(
-                f"commutator system of {len(mats)} blocks of {k * k}x{k * k} has "
-                f"{entries} entries, above the cap of {max_entries}"
-            )
-        eye = np.eye(k)
-        rows = [np.kron(eye, m.T) - np.kron(m, eye) for m in mats]
-        ns = _nullspace(np.vstack(rows), tol)
-        return [v.reshape(k, k) for v in ns]
+    mats = np.stack(gens)
+    blocks = _fiber_blocks(mats)
 
-    basis = commutant_basis(gens)
+    def level(mats):
+        basis = None if blocks is None else _fiber_level(mats, blocks, max_entries, tol)
+        return _stacked_level(mats, max_entries, tol) if basis is None else basis
+
+    basis = level(mats)
     if levels == 2:
-        if not basis:
+        if not len(basis):
             # commutant is trivial only when k = 0; identity always commutes
             raise PreconditionError("empty commutant basis")
-        basis = commutant_basis(basis)
-    return CommutantResult(dimension=len(basis), basis=basis)
+        basis = level(basis)
+    return CommutantResult(dimension=len(basis), basis=list(basis))
 
 
 def contains_in_span(basis: list[np.ndarray], m: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether m lies in the linear span of the basis matrices."""
-    if not basis:
+    """Whether m, or every matrix of a stack m, lies in the linear span of
+    the basis matrices: one least-squares solve for all of them."""
+    m = np.asarray(m)
+    if not len(basis):
         return bool(np.max(np.abs(m)) <= tol)
     B = np.stack([b.reshape(-1) for b in basis], axis=1)
-    v = m.reshape(-1)
+    v = m.reshape(-1, B.shape[0]).T
     coeff, *_ = np.linalg.lstsq(B, v, rcond=None)
     return bool(np.max(np.abs(B @ coeff - v)) <= tol)

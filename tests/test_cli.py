@@ -158,14 +158,15 @@ class TestExitCodes:
 
 
     def test_size_cap_counts_stacked_system(self, monkeypatch, tmp_path, capsys):
-        # k² = 16 is under the cap; the 4-generator system has 1,024 entries
-        monkeypatch.setenv("GROUPOIDALG_MAX_ENTRIES", "100")
+        # k² = 16 is under the cap; the two fibers stack their 2-generator
+        # 8x4 systems, 64 entries in all
+        monkeypatch.setenv("GROUPOIDALG_MAX_ENTRIES", "63")
         report = tmp_path / "r.json"
         code = main(
             ["commutant", "--base", "2", "--group", "Z2", "--report", str(report)]
         )
         assert code == 3
-        assert "1024 entries" in capsys.readouterr().err
+        assert "64 entries" in capsys.readouterr().err
         assert not report.exists()
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
@@ -255,6 +256,38 @@ class TestSubcommands:
         assert code == 0
         check = read_report(report)["checks"][0]
         assert check["commutant_dim"] == check["bicommutant_dim"] == 4
+
+    def test_commutant_4_d4(self, monkeypatch, tmp_path):
+        """Four fibers of size 8: it exited 3 on the cap when the system was
+        stacked whole. The generators are checked in the bicommutant by
+        one least-squares solve, not one per generator."""
+        lstsq, calls = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        code, data = run_report(["commutant", "--base", "4", "--group", "D4"], tmp_path)
+        assert code == 0
+        check, inside = data["checks"]
+        assert check["commutant_dim"] == check["bicommutant_dim"] == 32
+        assert inside == {"name": "generators-in-bicommutant", "passed": True}
+        assert len(calls) == 1
+
+    def test_rep_check_runs_the_commutation_check_once(self, monkeypatch, tmp_path):
+        """The simple extension reuses the report and the stacks of the
+        commutation check that rep-check reports."""
+        from groupoidalg import representation
+
+        real, calls = representation._commutation, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(representation, "_commutation", counted)
+        monkeypatch.setattr(cli, "_commutation", counted)
+        code, data = run_report(["rep-check", *GAUGE_ARGS, "--section", "random"], tmp_path)
+        assert code == 0
+        assert [c["name"] for c in data["checks"]] == [
+            "isotropy-rep", "commutation", "simple-extension"]
+        assert len(calls) == 1
 
     def test_verify_poincare_random_section(self, tmp_path):
         report = tmp_path / "r.json"

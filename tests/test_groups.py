@@ -1,3 +1,5 @@
+import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -134,11 +136,14 @@ def _witness_row(message, elements):
 @pytest.mark.parametrize("block", [1, 100])
 def test_associativity_blocks_match_the_loops(block, monkeypatch):
     """With blocks of one to four rows a, the first non-associative triple
-    of a perturbed table is the loops' one, also past the first block."""
+    of a perturbed table is the loops' one, also past the first block: on
+    the full scan alone, and behind Light's test, which must reject exactly
+    the tables the loops find non-associative. Every table here takes more
+    than one block, so the constructor runs Light's test first."""
     monkeypatch.setattr(groups, "_ASSOC_BLOCK", block)
     rng = np.random.default_rng(19)
     family = [cyclic(5), cyclic(6), symmetric(3), dihedral(4)]
-    past_first = 0
+    past_first = rejected = 0
     for _ in range(300):
         G = family[rng.integers(len(family))]
         mul = [list(row) for row in G.mul]
@@ -146,10 +151,46 @@ def test_associativity_blocks_match_the_loops(block, monkeypatch):
         mul[i][j], mul[i][k] = mul[i][k], mul[i][j]  # identity row and column kept
         want = _outcome(lambda: oracle_check_group(G.name, G.elements, mul))
         assert _outcome(lambda: _checked(G.name, G.elements, mul)) == want
+        with monkeypatch.context() as m:
+            m.setattr(groups, "_light_test", lambda t, e: False)  # the full scan decides
+            assert _outcome(lambda: _checked(G.name, G.elements, mul)) == want
         if isinstance(want, str) and "not associative" in want:
             rows = max(1, block // G.order**2)
             past_first += _witness_row(want, G.elements) >= rows
-    assert past_first > 50
+        if not isinstance(want, str) or "not associative" in want:
+            lawful = not isinstance(want, str)
+            assert groups._light_test(np.array(mul), G.identity) == lawful
+            rejected += not lawful
+    assert past_first > 50 and rejected > 50
+
+
+def test_light_test_matches_every_triple_on_small_tables():
+    """Light's test against the n³ loop on every 3-element table with
+    identity 0 and on 3,000 random 4-element ones: most fail at a few
+    triples only, so a check that skips a row, a column or a generator
+    disagrees somewhere."""
+    rng = np.random.default_rng(20)
+    tables = [np.reshape(p, (2, 2)) for p in itertools.product(range(3), repeat=4)]
+    tables += list(rng.integers(4, size=(3000, 3, 3)))
+    lawful = 0
+    for rest in tables:
+        n = len(rest) + 1
+        t = np.zeros((n, n), dtype=np.intp)
+        t[0], t[:, 0], t[1:, 1:] = np.arange(n), np.arange(n), rest
+        want = all(t[t[a, b], c] == t[a, t[b, c]]
+                   for a in range(n) for b in range(n) for c in range(n))
+        assert groups._light_test(t, 0) == want
+        lawful += want
+    assert 10 < lawful < len(tables) - 1000
+
+
+def test_light_test_on_cyclic_512():
+    """The full scan took 2.2 s at n = 512 (n³ triples); Light's test on
+    the generating set {a} checks 2·n² products."""
+    G = cyclic(512)
+    start = time.perf_counter()
+    FiniteGroup(G.name, G.elements, G.mul)
+    assert time.perf_counter() - start < 0.5
 
 
 def _z4_times(loop):

@@ -22,8 +22,9 @@ from groupoidalg import (
     validate_rep,
 )
 from conftest import identity_translations
-from groupoidalg.cli import _regular_rep
-from groupoidalg.errors import PreconditionError
+from groupoidalg import representation
+from groupoidalg.cli import _regular_matrices, _regular_rep
+from groupoidalg.errors import PreconditionError, SizeCapError
 from rep_oracle import trivial_rep
 
 
@@ -287,6 +288,40 @@ class TestEquivariance:
             assert check_equivariance(a, reg_s3, I, sd, w).ok
 
 
+def _mixed(gens):
+    """The generators conjugated by one fixed real orthogonal matrix that
+    mixes the fibers: the same algebra in another basis, over which no
+    generator is block-diagonal, so commutant takes the generic path."""
+    k = len(gens[0])
+    Q = np.linalg.qr(np.random.default_rng(20).standard_normal((k, k)))[0]
+    return [Q @ m @ Q.T for m in gens]
+
+
+@pytest.fixture
+def paths(monkeypatch):
+    """The path each commutant level took, in order: "fiber" or "generic".
+    A level counts when its path gave the basis or refused it at the cap."""
+    ran = []
+
+    def record(name, level):
+        def run(*args):
+            try:
+                basis = level(*args)
+            except SizeCapError:
+                ran.append(name)
+                raise
+            if basis is not None:
+                ran.append(name)
+            return basis
+        return run
+
+    monkeypatch.setattr(representation, "_fiber_level",
+                        record("fiber", representation._fiber_level))
+    monkeypatch.setattr(representation, "_stacked_level",
+                        record("generic", representation._stacked_level))
+    return ran
+
+
 class TestCommutant:
     def test_z2_regular_block(self):
         # 2x2 regular representation of the two-element group
@@ -298,6 +333,18 @@ class TestCommutant:
         assert second.dimension == 2
         for m in (I2, swap):
             assert contains_in_span(second.basis, m)
+
+    def test_contains_in_span_takes_a_stack(self):
+        """A stack is inside when every matrix is: one solve for all."""
+        I2 = np.eye(2, dtype=complex)
+        swap = np.array([[0, 1], [1, 0]], dtype=complex)
+        unit = np.array([[1, 0], [0, 0]], dtype=complex)
+        inside = np.stack([I2, swap, 2 * I2 - 3j * swap])
+        assert contains_in_span([I2, swap], inside)
+        assert not contains_in_span([I2, swap], np.concatenate([inside, unit[None]]))
+        assert contains_in_span([I2, swap], list(inside))
+        assert not contains_in_span([I2, swap], unit)
+        assert contains_in_span([], np.zeros((3, 2, 2)))
 
     def test_identity_only_has_full_commutant(self):
         res = commutant([np.eye(2, dtype=complex)])
@@ -322,17 +369,32 @@ class TestCommutant:
         with pytest.raises(SizeCapError):
             commutant([np.eye(40, dtype=complex)], max_entries=100)
 
-    def test_cap_counts_stacked_system(self, fix_gauge_2_z2, reg_z2):
-        """Four 4x4 generators stack a 64x16 system: 1,024 entries, not k² = 16."""
+    def test_cap_counts_stacked_system(self, fix_gauge_2_z2, reg_z2, paths):
+        """Four 4x4 generators stack a 64x16 system: 1,024 entries, not k² = 16.
+        Mixed across the fibers, they take the generic path."""
         from groupoidalg import block_diagonal_generators
-        from groupoidalg.errors import SizeCapError
+
+        gens = _mixed(block_diagonal_generators(
+            fix_gauge_2_z2, reg_z2, HaarWeights.counting(fix_gauge_2_z2)
+        ))
+        with pytest.raises(SizeCapError, match="1024 entries"):
+            commutant(gens, max_entries=100)
+        assert commutant(gens, max_entries=1024).dimension == 4
+        assert set(paths) == {"generic"}
+
+    def test_cap_counts_fiber_blocks(self, fix_gauge_2_z2, reg_z2, paths):
+        """On the fiber path each of the two fibers stacks its two 2x2
+        generators as an 8x4 system: 64 entries at each level."""
+        from groupoidalg import block_diagonal_generators
 
         gens = block_diagonal_generators(
             fix_gauge_2_z2, reg_z2, HaarWeights.counting(fix_gauge_2_z2)
         )
-        with pytest.raises(SizeCapError, match="1024 entries"):
-            commutant(gens, max_entries=100)
-        assert commutant(gens, max_entries=1024).dimension == 4
+        with pytest.raises(SizeCapError, match="^commutator systems of 2 fiber blocks have "
+                                               "64 entries, above the cap of 63$"):
+            commutant(gens, max_entries=63)
+        assert commutant(gens, levels=2, max_entries=64).dimension == 4
+        assert set(paths) == {"fiber"}
 
     def test_cap_checked_at_each_level(self):
         from groupoidalg.errors import SizeCapError
@@ -344,21 +406,43 @@ class TestCommutant:
         with pytest.raises(SizeCapError, match="64 entries"):
             commutant(gens, levels=2, max_entries=16)
 
-    def test_default_cap_rejects_4_d4(self, monkeypatch):
+    def test_default_cap_rejects_4_d4(self, monkeypatch, paths):
         from groupoidalg import FinitePrincipalBundle, block_diagonal_generators, dihedral
         from groupoidalg import gauge_groupoid
-        from groupoidalg.errors import SizeCapError
 
         g = gauge_groupoid(FinitePrincipalBundle(4, dihedral(4)))
-        gens = block_diagonal_generators(g, _regular_rep(g), HaarWeights.counting(g))
+        gens = _mixed(block_diagonal_generators(g, _regular_rep(g), HaarWeights.counting(g)))
 
         def no_kron(*args):
             raise AssertionError("the commutator system was built past the cap")
 
-        # 32 generators of size 32: 3.4e7 entries, refused before any allocation
+        # 32 generators of size 32, mixed across the fibers: the generic path
+        # stacks 3.4e7 entries, refused before any allocation
         monkeypatch.setattr(np, "kron", no_kron)
         with pytest.raises(SizeCapError, match="33554432 entries"):
             commutant(gens)
+        assert paths == ["generic"]
+
+    def test_default_cap_runs_4_d4_by_fibers(self, monkeypatch, paths):
+        """The same generators unmixed: four fibers of 8 generators of size 8
+        stack 4·8·8⁴ = 131,072 entries, under the default cap, and a lower
+        cap refuses them before any SVD."""
+        from groupoidalg import FinitePrincipalBundle, block_diagonal_generators, dihedral
+        from groupoidalg import gauge_groupoid
+
+        g = gauge_groupoid(FinitePrincipalBundle(4, dihedral(4)))
+        gens = block_diagonal_generators(g, _regular_rep(g), HaarWeights.counting(g))
+        second = commutant(gens, levels=2)
+        assert second.dimension == 32
+        assert contains_in_span(second.basis, gens)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a commutator system was solved past the cap")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(SizeCapError, match="131072 entries"):
+            commutant(gens, max_entries=131071)
+        assert paths == ["fiber", "fiber", "fiber"]
 
     def test_commutant_members_commute(self, rng):
         m = rng.random((4, 4)) + 1j * rng.random((4, 4))
@@ -405,3 +489,155 @@ class TestCommutant:
 
         dev = np.max(np.abs(projector(reduced.basis) - projector(whole.basis)))
         assert dev < 1e-9
+
+
+def _projector(basis):
+    V = np.array([b.ravel() for b in basis])
+    return V.T @ V.conj()
+
+
+def _commutant_dim(gens):
+    """k² minus the rank of the stacked commutator system, by numpy's rank."""
+    k = len(gens[0])
+    eye = np.eye(k)
+    return k * k - np.linalg.matrix_rank(
+        np.vstack([np.kron(eye, m.T) - np.kron(m, eye) for m in gens]), tol=1e-9)
+
+
+def _block_diag(*blocks):
+    k = sum(len(b) for b in blocks)
+    m, at = np.zeros((k, k), dtype=complex), 0
+    for b in blocks:
+        m[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return m
+
+
+class TestFiberPath:
+    """commutant on the fiber path against the generic stacked SVD, which
+    is what runs when _fiber_blocks proves no split."""
+
+    SIZES = [(2, "Z2"), (2, "Z4"), (3, "Z3"), (2, "S3"), (3, "S3"), (2, "file")]
+
+    @staticmethod
+    def generators(n, name, tmp_path):
+        """block_diagonal_generators of the regular representation at (n, G);
+        "file" is S3 relabeled and read back from a group-table file."""
+        from conftest import relabeled_group
+        from groupoidalg import FinitePrincipalBundle, block_diagonal_generators
+        from groupoidalg import builtin_group, gauge_groupoid, symmetric
+        from groupoidalg import io as gio
+        from groupoidalg.cli import _load_group
+        from groupoidalg.groups import group_to_table
+
+        if name == "file":
+            path = tmp_path / "group.json"
+            G = relabeled_group(symmetric(3), np.random.default_rng(5))
+            gio.dump_json(group_to_table(G), path)
+            G = _load_group(str(path))
+        else:
+            G = builtin_group(name)
+        g = gauge_groupoid(FinitePrincipalBundle(n, G))
+        return block_diagonal_generators(g, _regular_rep(g), HaarWeights.counting(g)), n * G.order
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("n, name", SIZES, ids=[f"{n}{name}" for n, name in SIZES])
+    def test_matches_the_stacked_svd(self, n, name, levels, tmp_path, monkeypatch, paths):
+        gens, dim = self.generators(n, name, tmp_path)
+        fiber = commutant(gens, levels=levels)
+        with monkeypatch.context() as m:
+            m.setattr(representation, "_fiber_blocks", lambda mats: None)
+            generic = commutant(gens, levels=levels, max_entries=10**9)
+        assert paths == ["fiber"] * levels + ["generic"] * levels
+        assert fiber.dimension == generic.dimension == dim
+        assert np.abs(_projector(fiber.basis) - _projector(generic.basis)).max() <= 1e-9
+        V = np.array([b.ravel() for b in fiber.basis])
+        assert np.abs(V.conj() @ V.T - np.eye(dim)).max() <= 1e-9
+
+    def test_generator_coupling_two_fibers_falls_back(self, tmp_path, paths):
+        """A matrix unit between fibers 0 and 1 joins them into one block
+        with no c·P_B generator; fiber 2 alone would split off."""
+        gens, _ = self.generators(3, "Z2", tmp_path)
+        coupling = np.zeros((6, 6), dtype=complex)
+        coupling[0, 2] = coupling[2, 0] = 1
+        gens = gens + [coupling]
+        res = commutant(gens)
+        assert paths == ["generic"]
+        assert res.dimension == _commutant_dim(gens)
+        for b in res.basis:
+            assert all(np.abs(b @ m - m @ b).max() <= 1e-9 for m in gens)
+
+    def test_fiber_without_its_projection_falls_back(self, tmp_path, paths):
+        """Fiber 1 keeps L(a), L(a²), L(a³) but loses w(e)·U0(e)."""
+        gens, dim = self.generators(2, "Z4", tmp_path)
+        P1 = _block_diag(np.zeros((4, 4)), np.eye(4))
+        gens = [m for m in gens if not np.array_equal(m, P1)]
+        assert len(gens) == 7
+        res = commutant(gens, levels=2)
+        assert paths == ["generic", "generic"]
+        assert res.dimension == dim  # L(a)⁴ = P1: the algebra is the same
+
+    def test_repeated_fiber_keeps_its_intertwiners(self, paths, monkeypatch):
+        """L(g) ⊕ L(g) has two fibers as support components but no generator
+        c·P_B: its commutant holds the maps between the fibers, M₂ ⊗ R(G),
+        of dimension 4·|G|. A split forced over the fibers finds 2·|G|."""
+        from groupoidalg import symmetric
+
+        G = symmetric(3)
+        gens = [_block_diag(L, L) for L in _regular_matrices(G)]
+        res = commutant(gens)
+        assert paths == ["generic"]
+        assert res.dimension == _commutant_dim(gens) == 4 * G.order
+        split = (np.arange(12), np.array([0, 6]), np.array([6, 6]))
+        monkeypatch.setattr(representation, "_fiber_blocks", lambda mats: split)
+        assert commutant(gens).dimension == 2 * G.order
+        assert paths == ["generic", "fiber"]
+
+    def test_blocks_of_different_shapes(self, paths, monkeypatch):
+        """Blocks of sizes 2, 3, 3 and 1: {I, swap}, {I, L(a)} of Z3,
+        {I, N} with N = E₀₁ + E₀₂ and {7i}. The two 3-blocks share a shape
+        and one batched SVD but not a rank: their commutants have dimensions
+        3 and 5, and at level 2 the four blocks have four shapes."""
+        from groupoidalg import cyclic
+
+        swap, La = _regular_matrices(cyclic(2))[1], _regular_matrices(cyclic(3))[1]
+        N = np.zeros((3, 3))
+        N[0, 1] = N[0, 2] = 1
+        blocks = [[np.eye(2), swap], [np.eye(3), La], [np.eye(3), N], [7j * np.eye(1)]]
+        zeros = [np.zeros((len(b[0]),) * 2) for b in blocks]
+        gens = [_block_diag(*zeros[:i], m, *zeros[i + 1:])
+                for i, block in enumerate(blocks) for m in block]
+        first, second = commutant(gens), commutant(gens, levels=2)
+        assert first.dimension == _commutant_dim(gens) == 2 + 3 + 5 + 1
+        assert second.dimension == _commutant_dim(first.basis) == 2 + 3 + 2 + 1
+        assert paths == ["fiber"] * 3
+        monkeypatch.setattr(representation, "_fiber_blocks", lambda mats: None)
+        for fiber in (first, second):
+            generic = commutant(gens, levels=2 if fiber is second else 1)
+            assert np.abs(_projector(fiber.basis) - _projector(generic.basis)).max() <= 1e-9
+
+    def test_block_without_a_matrix_is_not_split(self):
+        """A level whose matrices leave a block empty proves no split there."""
+        blocks = (np.arange(4), np.array([0, 2]), np.array([2, 2]))
+        mats = np.stack([_block_diag(np.eye(2), np.zeros((2, 2)))])
+        assert representation._fiber_level(mats, blocks, 10**9, 1e-9) is None
+
+    def test_rank_rule_per_block(self, fix_gauge_2_z2, reg_z2, paths):
+        """s > tol·max(s₀, 1) on each block: generators far below tol leave
+        every block its full d×d commutant. The split itself is exact, so
+        the generic path, which sees only a system below tol, finds k²."""
+        from groupoidalg import block_diagonal_generators
+
+        gens = block_diagonal_generators(
+            fix_gauge_2_z2, reg_z2, HaarWeights.counting(fix_gauge_2_z2))
+        tiny = [1e-10 * m for m in gens]
+        assert commutant(tiny).dimension == 2 * 2**2
+        assert commutant(_mixed(tiny)).dimension == 4**2
+        assert paths == ["fiber", "generic"]
+
+    def test_zero_generator_is_ignored(self, paths):
+        gens = [np.eye(2, dtype=complex), np.zeros((2, 2))]
+        gens[0][1, 1] = 0
+        gens.append(_block_diag(np.zeros((1, 1)), np.eye(1)))
+        assert commutant(gens).dimension == 2
+        assert paths == ["fiber"]
