@@ -214,15 +214,15 @@ def _commutant(args) -> list[dict]:
     max_entries = _max_entries()
     gauge = gauge_groupoid(_bundle_section(args)[0])
     gens = block_diagonal_generators(gauge, _regular_rep(gauge), HaarWeights.counting(gauge))
-    first = commutant(gens, levels=1, max_entries=max_entries, tol=args.tol)
     second = commutant(gens, levels=2, max_entries=max_entries, tol=args.tol)
+    first_dim = second.dimensions[0]  # level 1, computed on the way to level 2
     # the regular representation on every fiber: both dimensions are n·|G|
     k = args.base * gauge.bundle.group.order
     return [
         {
             "name": "commutant",
-            "passed": first.dimension == second.dimension == k,
-            "commutant_dim": first.dimension,
+            "passed": first_dim == second.dimension == k,
+            "commutant_dim": first_dim,
             "bicommutant_dim": second.dimension,
         },
         {
@@ -319,12 +319,16 @@ COMMANDS = (
 
 def _writable(path: str) -> None:
     """Raise now the error that writing path would raise once every check
-    has run: it is a directory, or its parent is not one."""
+    has run: it is a directory, its parent is not one, or the process may
+    not write the file or create it in its parent."""
     parent = os.path.dirname(path) or "."
     if os.path.isdir(path):
         code = errno.EISDIR
     elif not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not (os.access(path, os.W_OK) if os.path.exists(path)
+              else os.access(parent, os.W_OK | os.X_OK)):
+        code = errno.EACCES
     else:
         return
     raise OSError(code, os.strerror(code), path)  # the subclass open would raise

@@ -188,7 +188,7 @@ class _Tables:
     lists behind scalar lookups are built on first use and kept."""
 
     __slots__ = ("src", "tgt", "inv", "identity", "into", "out", "iso",
-                 "off", "pos", "n_slots", "prod", "_ab", "_lists")
+                 "off", "pos", "n_slots", "prod", "_ab", "_lists", "_star")
 
     def __init__(self, g):
         tables = (g.src, g.tgt, g.inv, g.identity)
@@ -204,6 +204,7 @@ class _Tables:
         for t in (*self.into, *self.out, *self.iso):
             t.setflags(write=False)
         self.off = self.pos = self.n_slots = self.prod = self._ab = self._lists = None
+        self._star = _UNSET
 
     def _lay_out(self) -> int:
         """Lay out the slots of in-range tables, on the first call; the
@@ -265,6 +266,13 @@ class _Tables:
             a.flags.writeable = b.flags.writeable = False
             self._ab = a, b
         return self._ab
+
+    def star(self) -> "_Star | None":
+        """The star coordinates of _star_coordinates, built on first use
+        and kept, as the products they are read from are."""
+        if self._star is _UNSET:
+            self._star = _star_coordinates(self)
+        return self._star
 
     def entries(self):
         """The arrays a, b and a∘b of the composable pairs, in slot order."""
@@ -483,10 +491,13 @@ def _associativity(s: _Tables, A, B, C, cols=None) -> list:
     position of c in into ids). Per base point x, the entries (a, b) with
     src b = x run against the arrows c into x by their slot columns j =
     pos c: all of them, or with cols = (columns, ptr) those at
-    columns[ptr[x]:ptr[x + 1]]. In blocks of at most _BLOCK triples."""
+    columns[ptr[x]:ptr[x + 1]]. In blocks of at most _BLOCK triples. The
+    entries go by src b through a stable sort of 16-bit keys where the base
+    allows, which numpy runs as a radix sort, in linear time."""
     src, into_ptr = s.src, s.into[1]
-    by_x = np.argsort(src[B], kind="stable")
-    bounds = np.searchsorted(src[B][by_x], np.arange(len(into_ptr)))
+    keys = src[B].astype(np.uint16 if len(into_ptr) <= 1 << 16 else np.int32)
+    by_x = np.argsort(keys, kind="stable")
+    bounds = np.searchsorted(keys[by_x], np.arange(len(into_ptr)))
     fails = []
     for x in range(len(into_ptr) - 1):
         if cols is None:
@@ -505,38 +516,79 @@ def _associativity(s: _Tables, A, B, C, cols=None) -> list:
     return fails
 
 
-def _generators(s: _Tables):
-    """Light's generating set S as sorted arrow ids, or None when S is not
-    seen to generate every arrow literally in the table. Per orbit, with
-    root r its lowest base point: the star arrows star[x], the first arrow
-    r → x; their inv entries; and the isotropy fiber at r. Each arrow must
-    be star[y]∘(h∘inv[star[x]]) for some x, y with root r and h in iso(r):
-    two gathers, which in a groupoid give each arrow once."""
+_UNSET = object()  # a cache not filled yet, where None is a value
+
+
+@dataclass(frozen=True, eq=False)
+class _Star:
+    """Star coordinates of a groupoid, every orbit at once. The root r of
+    an orbit is its lowest base point; star[x] is the star arrow σ_x: r → x,
+    the first arrow from r into x; an arrow a: x → y is σ_y∘k∘σ_x⁻¹ for
+    the one k in the isotropy fiber at r of rank rank[a] there, the fiber
+    being iso_ids[iso_ptr[r]:iso_ptr[r + 1]] of the table object. So the
+    orbit is the pair groupoid on its base points times iso(r) (H. Brandt,
+    Math. Ann. 96, 1927)."""
+
+    root: np.ndarray  # per base point
+    star: np.ndarray  # per base point
+    rank: np.ndarray  # per arrow
+
+    def k(self, s: _Tables, a):
+        """The arrow ids k = σ_y⁻¹∘a∘σ_x of arrows a."""
+        ids, ptr = s.iso
+        return ids[ptr[self.root[s.src[a]]] + self.rank[a]]
+
+
+def _star_coordinates(s: _Tables):
+    """The star coordinates of the groupoid of the table object s, or None
+    when they are not seen to cover every arrow literally in the table:
+    each arrow must be star[y]∘(k∘inv[star[x]]) for exactly one (y, k, x)
+    with k in iso(r). Two gathers over (y, k, x), which in a groupoid give
+    each arrow once."""
     ids, ptr = s.into
     sizes = np.diff(ptr)
-    if not sizes.all():
-        return None  # a base point with no star arrow
+    if not (sizes.size and sizes.all()):
+        return None  # no base point, or one with no star arrow
     ends = s.src[ids]
     root = np.minimum.reduceat(ends, ptr[:-1])  # the lowest source of an arrow into x
     first = np.flatnonzero(ends == np.repeat(root, sizes))
     star = ids[first[first.searchsorted(ptr[:-1])]]  # into x is in arrow-id order
     orbit, optr = _group(len(sizes), root)
     # in a groupoid the products below are the arrows, each once; another
-    # count goes to the full scan, which also bounds the gathers
+    # count gives no coordinates, which also bounds the gathers
     if (np.diff(optr) ** 2 * np.diff(s.iso[1])).sum() != len(s.src):
         return None
-    blocks = list(_walk(*s.iso, root, _PAIR_BLOCK))  # (x, h) with h in iso(root x)
-    x, h = (np.concatenate([blk[k] for blk in blocks]) for k in (1, 2))
-    t = s.get(h, s.inv[star[x]])
+    span = np.diff(s.iso[1])[root]
+    blocks = list(_walk(*s.iso, root, _PAIR_BLOCK))  # (x, k) with k in iso(root x)
+    x, k = (np.concatenate([blk[i] for blk in blocks]) for i in (1, 2))
+    k_rank = np.arange(x.size) - np.repeat(np.cumsum(span) - span, span)
+    t = s.get(k, s.inv[star[x]])
     if (t < 0).any():
         return None
-    covered = np.zeros(len(s.src), dtype=bool)
+    rank = np.full(len(s.src), -1, dtype=np.int32)
     for _, i, y in _walk(orbit, optr, root[x], _PAIR_BLOCK):  # y with the root of x[i]
         c = s.get(star[y], t[i])
         if (c < 0).any():
             return None
-        covered[c] = True
-    return np.unique(np.concatenate((star, s.inv[star], h))) if covered.all() else None
+        rank[c] = k_rank[i]
+    if (rank < 0).any():
+        return None
+    for table in (root, star, rank):
+        table.setflags(write=False)
+    return _Star(root, star, rank)
+
+
+def _generators(s: _Tables):
+    """Light's generating set S as sorted arrow ids, or None when the star
+    coordinates are not seen: per orbit, the star arrows, their inv entries
+    and the isotropy fiber at the root, which generate every arrow as
+    σ_y∘k∘σ_x⁻¹."""
+    c = s.star()
+    if c is None:
+        return None
+    at_root = c.root == np.arange(c.root.size)
+    k = s.iso[0][at_root[s.src[s.iso[0]]]]
+    return np.unique(np.concatenate((c.star, s.inv[c.star], k)))
 
 
 def check_structure(g: FiniteGroupoid) -> ValidationReport:

@@ -270,6 +270,27 @@ class TestSubcommands:
         assert inside == {"name": "generators-in-bicommutant", "passed": True}
         assert len(calls) == 1
 
+    def test_commutant_solves_each_level_once(self, monkeypatch, tmp_path):
+        """One commutant call gives both dimensions: level 1 is solved once,
+        not again under level 2."""
+        from groupoidalg import representation
+
+        real, calls = representation._fiber_level, []
+        monkeypatch.setattr(representation, "_fiber_level",
+                            lambda *args: calls.append(1) or real(*args))
+        code, data = run_report(["commutant", "--base", "2", "--group", "Z2"], tmp_path)
+        assert code == 0 and len(calls) == 2
+        check = data["checks"][0]
+        assert check["commutant_dim"] == check["bicommutant_dim"] == 4
+
+    def test_rep_check_reports_the_composition_check(self, tmp_path):
+        """U0 covers the isotropy arrows only, so its composition takes the
+        pair scan; the extension covers every arrow and takes the star
+        coordinates."""
+        code, data = run_report(["rep-check", *GAUGE_ARGS, "--section", "random"], tmp_path)
+        assert code == 0
+        assert [c.get("composition") for c in data["checks"]] == ["pairs", None, "star"]
+
     def test_rep_check_runs_the_commutation_check_once(self, monkeypatch, tmp_path):
         """The simple extension reuses the report and the stacks of the
         commutation check that rep-check reports."""
@@ -821,6 +842,27 @@ class TestWritePathsFirst:
         assert main([a.format(**paths) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and error in err
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+    @pytest.mark.parametrize("flag", ["--report", "--out"])
+    def test_path_the_process_may_not_write_exits_2_first(self, existing, flag, tmp_path,
+                                                          monkeypatch, capsys):
+        """os.access denies writing the file, or creating it in its
+        directory: exit 2 before any check runs, the file left as it was."""
+        path = tmp_path / "locked" / "r.json"
+        path.parent.mkdir()
+        if existing:
+            path.write_text("kept\n")
+        denied, real = str(path if existing else path.parent), os.access
+        monkeypatch.setattr(os, "access", lambda p, mode, **kw: (
+            os.fspath(p) != denied and real(p, mode, **kw)))
+        monkeypatch.setattr(cli, "poincare_decomposition",
+                            lambda *a, **k: pytest.fail("poincare_decomposition ran"))
+        assert main(["semidirect", *GAUGE_ARGS, flag, str(path)]
+                    + (["--out", str(tmp_path / "o.json")] if flag == "--report" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and "Permission denied" in err
+        assert (path.read_text() == "kept\n") if existing else not path.exists()
 
     @pytest.mark.parametrize("exc, code", [(SizeCapError, 3), (GroupoidError, 1)])
     def test_report_untouched_until_the_end(self, exc, code, tmp_path, monkeypatch):

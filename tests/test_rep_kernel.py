@@ -7,6 +7,7 @@ unitary per fiber (inexact entries), mixed fiber dimensions, and corrupted
 representations."""
 
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from groupoidalg import (
     simple_extension,
     validate_rep,
 )
+from groupoidalg import FiniteGroupoid, gauge_groupoid, groupoid, pair_groupoid
 from groupoidalg.cli import _regular_matrices
 from groupoidalg.errors import PreconditionError
 from rep_oracle import (
@@ -266,3 +268,200 @@ def test_nan_matrix_is_a_violation(fix_gauge_2_z2):
     assert f"U({g.arrow_label(1)}) is not unitary (deviation nan)" in [
         m for _, _, m in report.violations
     ]
+
+
+# --- composition on the star coordinates -------------------------------------
+#
+# validate_rep checks composition on the star coordinates when U covers every
+# arrow and every deviation it reads is at most min(tol, 1)/(8·D); otherwise
+# it scans the composable pairs. The tests compare the two, the pair scan
+# forced by hiding the coordinates, and the loop oracle where it is quick.
+
+
+def pair_scan(rep, tol=1e-9):
+    """validate_rep with no star coordinates, so on the pair scan."""
+    with mock.patch.object(groupoid._Tables, "star", lambda self: None):
+        report = validate_rep(rep, tol)
+    assert report.composition == "pairs"
+    return report
+
+
+def extension(n, name, kind, relabel=None, section=None, seed=0):
+    dec = decomposition(n, name, relabel, n if section is None else section)
+    U0, I = representation(dec, kind, np.random.default_rng(seed))
+    return oracle_simple_extension(U0, I, dec.sd)
+
+
+def replaced(rep, U):
+    return UnitaryRep(rep.groupoid, rep.bundle, {**rep.U, **U})
+
+
+def star_coordinates(g):
+    c = g._product_slots().star()
+    assert c is not None
+    return c
+
+
+class TestStarPath:
+    @pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"),
+                                        (12, "S3"), (16, "D4")])
+    @pytest.mark.parametrize("kind", ["regular", "conjugated"])
+    def test_ladder(self, n, name, kind):
+        ext = extension(n, name, kind)
+        report = same_outcome(lambda: validate_rep(ext), lambda: pair_scan(ext))
+        assert report.ok and report.composition == "star"
+        if kind == "regular":
+            assert report.max_deviation == 0.0
+        if n <= 4:
+            same_outcome(lambda: validate_rep(ext), lambda: oracle_validate_rep(ext))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), name=st.sampled_from(GROUPS),
+           relabel=st.sampled_from([None, 0, 1]), section=st.integers(0, 2),
+           kind=st.sampled_from(["regular", "conjugated"]), seed=st.integers(0, 2**32 - 1))
+    def test_random_sections_and_conjugates(self, n, name, relabel, section, kind, seed):
+        ext = extension(n, name, kind, relabel, section, seed)
+        report = same_outcome(lambda: validate_rep(ext), lambda: oracle_validate_rep(ext))
+        assert report.ok and report.composition == "star"
+
+    def test_two_orbits(self):
+        """The disjoint union of two carriers, fibers of dimension 2 and 6:
+        one root per orbit, and the star check on both."""
+        parts = [extension(2, "Z2", "conjugated"), extension(3, "S3", "conjugated", seed=1)]
+        src, tgt, inv, ident, comp, U, dims = [], [], [], [], {}, {}, ()
+        n_base = n_arrows = 0
+        for rep in parts:
+            p = rep.groupoid
+            src += [x + n_base for x in p.src]
+            tgt += [x + n_base for x in p.tgt]
+            inv += [a + n_arrows for a in p.inv]
+            ident += [a + n_arrows for a in p.identity]
+            comp.update({(a + n_arrows, b + n_arrows): c + n_arrows
+                         for (a, b), c in p.compose_table.items()})
+            U.update({a + n_arrows: m for a, m in rep.U.items()})
+            dims += rep.bundle.dims
+            n_base, n_arrows = n_base + p.n_base, n_arrows + p.n_arrows
+        g = FiniteGroupoid(n_base, tuple(src), tuple(tgt), comp, tuple(inv), tuple(ident))
+        rep = UnitaryRep(g, HilbertBundle(dims), U)
+        report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
+        assert report.ok and report.composition == "star"
+        assert star_coordinates(g).root.tolist() == [0, 0, 2, 2, 2]
+
+    def test_partial_cover_falls_back(self):
+        """U0 on the isotropy arrows, the family I on the g1 arrows, and
+        the extension less one arrow cover part of the arrows."""
+        dec = decomposition(3, "S3", None, 1)
+        U0, I = representation(dec, "conjugated", np.random.default_rng(0))
+        ext = oracle_simple_extension(U0, I, dec.sd)
+        g = ext.groupoid
+        less = UnitaryRep(g, ext.bundle, {a: m for a, m in ext.U.items() if a != 5})
+        root = UnitaryRep(g, ext.bundle, {a: ext.U[a] for a in g.isotropy_fiber(0)})
+        for rep in (U0, UnitaryRep(dec.gauge, U0.bundle, I), less, root):
+            report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
+            assert report.composition == "pairs"
+        assert report.ok  # the isotropy group at the root: every star equation holds
+
+    def test_isometry_between_fibers_of_two_dimensions_falls_back(self):
+        """The pair groupoid on {0, 1}, fibers of dimension 2 and 1, with
+        U((1,0)) = [1, 0] and U((0,1)) its adjoint: the identity, inverse
+        and star equations hold, unitarity fails at (1,0), and so does the
+        composition (0,1)∘(1,0) = (0,0)."""
+        g = pair_groupoid(2)
+        v = np.array([[1.0, 0.0]])
+        rep = UnitaryRep(g, HilbertBundle((2, 1)), {0: np.eye(2), 1: v.T, 2: v, 3: np.eye(1)})
+        report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
+        assert report.composition == "pairs"
+        assert [cond for cond, _, _ in report.violations] == ["unitarity", "composition"]
+
+    def test_nan_falls_back(self):
+        ext = extension(2, "D4", "regular")
+        rep = replaced(ext, {3: np.full((8, 8), np.nan)})
+        report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
+        assert report.composition == "pairs" and not report.ok
+
+    def test_no_coordinates_falls_back(self):
+        ext = extension(3, "S3", "conjugated")
+        same_outcome(lambda: pair_scan(ext), lambda: oracle_validate_rep(ext))
+        empty = UnitaryRep(FiniteGroupoid(0, (), (), {}, (), ()), HilbertBundle(()), {})
+        report = same_outcome(lambda: validate_rep(empty), lambda: oracle_validate_rep(empty))
+        assert report.ok and report.composition == "pairs"
+
+    @pytest.mark.parametrize("scale", [1 / 6, 1 / 2, 1.0, 4.0])
+    def test_deviation_between_the_gate_and_tol(self, scale):
+        """One matrix moved off by about tol·scale/4: a worst deviation above
+        tol/(8·D) goes to the pair scan, whose report the oracle gives, with
+        or without violations."""
+        tol = 1e-6
+        ext = extension(2, "D4", "conjugated")
+        rng = np.random.default_rng(3)
+        move = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rep = replaced(ext, {6: ext.U[6] + tol * scale / 4 * move / np.abs(move).max()})
+        report = same_outcome(lambda: validate_rep(rep, tol), lambda: oracle_validate_rep(rep, tol))
+        assert report.composition == "pairs" and report.max_deviation > tol / (8 * 8)
+        assert report.ok == (report.max_deviation <= tol)
+
+    def test_gate_caps_tol_at_one(self):
+        """A large tol does not widen the gate past 1/(8·D): the star check
+        is sound only while D·ε is small."""
+        ext = extension(2, "Z2", "regular")
+        rep = replaced(ext, {1: 1.2 * ext.U[1]})
+        report = same_outcome(lambda: validate_rep(rep, 10.0),
+                              lambda: oracle_validate_rep(rep, 10.0))
+        assert report.ok and report.composition == "pairs"
+
+    @pytest.mark.parametrize("on", ["carrier", "gauge"])
+    @pytest.mark.parametrize("n,name", [(3, "Z2"), (3, "D4")])
+    def test_every_self_inverse_equation_is_read(self, n, name, on):
+        """An involution a at a point other than the root is its own inverse,
+        so −U(a) keeps unitarity, identity and inverse: only the star
+        equation at a, and the compositions through a, see it. On the
+        carrier, and on the gauge groupoid with L(g) on (y, g, x)."""
+        if on == "carrier":
+            ext = extension(n, name, "regular")
+        else:
+            gauge = gauge_groupoid(FinitePrincipalBundle(n, builtin_group(name)))
+            L = _regular_matrices(gauge.bundle.group)
+            ext = UnitaryRep(gauge, HilbertBundle((len(L),) * n),
+                             {a: L[h] for a, (_, h, _) in enumerate(gauge.triples)})
+        g, c = ext.groupoid, star_coordinates(ext.groupoid)
+        seen = 0
+        for a in g.arrows():
+            x = g.src[a]
+            if (g.tgt[a] != x or c.root[x] == x or g.inv[a] != a or a == g.identity[x]):
+                continue
+            rep = replaced(ext, {a: -ext.U[a]})
+            report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
+            assert not report.ok and report.composition == "pairs"
+            assert {cond for cond, _, _ in report.violations} == {"composition"}
+            seen += 1
+        assert seen >= n - 1
+
+    @pytest.mark.parametrize("name", ["S3", "D4"])
+    def test_every_product_of_the_root_group_is_read(self, name):
+        """U(a) = U(σ_y)·W(k)·U(σ_x)* with W the regular representation on
+        G_r but for one pair {k, k⁻¹} turned to −W: every star equation,
+        unitarity, identity and inverse hold, and only the products of G_r
+        can tell that W is no representation."""
+        ext = extension(3, name, "conjugated")
+        g, c = ext.groupoid, star_coordinates(ext.groupoid)
+        s = g._product_slots()
+        arrows = np.arange(g.n_arrows)
+        ks = c.k(s, arrows)
+        sigma = {x: ext.U[int(c.star[x])] for x in g.base()}
+        seen = 0
+        for k in g.isotropy_fiber(0):
+            if k == g.identity[0] or k == c.star[0]:
+                continue
+            flip = {k, g.inv[k]}
+            W = {h: -ext.U[h] if h in flip else ext.U[h] for h in g.isotropy_fiber(0)}
+            U = {a: sigma[g.tgt[a]] @ W[int(ks[a])] @ sigma[g.src[a]].conj().T
+                 for a in g.arrows()}
+            rep = UnitaryRep(g, ext.bundle, U)
+            want = oracle_validate_rep(rep)
+            if want.ok:  # the sign is a character of the group
+                continue
+            report = same_outcome(lambda: validate_rep(rep), lambda: want)
+            assert report.composition == "pairs"
+            assert {cond for cond, _, _ in report.violations} == {"composition"}
+            seen += 1
+        assert seen >= 2
