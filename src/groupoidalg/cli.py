@@ -32,7 +32,7 @@ from .algebra import (
 from .errors import GroupoidError, MalformedTableError, SizeCapError
 from .gauge import (
     FinitePrincipalBundle, Section, gauge_groupoid, lorentz_subgroupoid,
-    poincare_convolve_agreement, poincare_decomposition, translation_subgroupoid,
+    poincare_convolve, poincare_decomposition, translation_subgroupoid,
     verify_poincare_decomposition,
 )
 from .groupoid import isotropy_subgroupoid, quotient_by_isotropy, validate_groupoid
@@ -250,10 +250,11 @@ def _convolve(args) -> list[dict]:
     else:
         rng = np.random.default_rng(args.seed)
         f1, f2 = GroupoidFunction.random(dec.sd, rng), GroupoidFunction.random(dec.sd, rng)
-    dev = poincare_convolve_agreement(f1, f2, dec)
+    # gauge.poincare_convolve_agreement, keeping the carrier product for --out
+    w = HaarWeights.counting(dec.gauge)
+    result = groupoid_convolve(f1, f2, carrier_weights(dec.sd, w))
+    dev = float(np.max(np.abs(poincare_convolve(f1, f2, dec, w).values - result.values)))
     if args.out:
-        w = carrier_weights(dec.sd, HaarWeights.counting(dec.gauge))
-        result = groupoid_convolve(f1, f2, w)
         gio.dump_json(gio.function_to_dict(dec.sd, result.values), args.out)
     return [
         {

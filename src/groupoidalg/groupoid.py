@@ -184,11 +184,12 @@ class _Tables:
     the running sum of |into(src a)| and pos[b] the rank of b in into(tgt
     b), so slots run in the order of _walk, which is (a, b) order. A tail
     as long as the largest fiber starts at slot n_slots; it holds -1, and
-    non-composable lookups read it. The pair arrays of the slots and the
-    lists behind scalar lookups are built on first use and kept."""
+    non-composable lookups read it. The pair arrays of the slots, the
+    lists behind scalar lookups, the star coordinates and the convolution
+    plan are built on first use and kept."""
 
     __slots__ = ("src", "tgt", "inv", "identity", "into", "out", "iso",
-                 "off", "pos", "n_slots", "prod", "_ab", "_lists", "_star")
+                 "off", "pos", "n_slots", "prod", "_ab", "_lists", "_star", "_plan")
 
     def __init__(self, g):
         tables = (g.src, g.tgt, g.inv, g.identity)
@@ -204,7 +205,7 @@ class _Tables:
         for t in (*self.into, *self.out, *self.iso):
             t.setflags(write=False)
         self.off = self.pos = self.n_slots = self.prod = self._ab = self._lists = None
-        self._star = _UNSET
+        self._star, self._plan = _UNSET, None
 
     def _lay_out(self) -> int:
         """Lay out the slots of in-range tables, on the first call; the
@@ -273,6 +274,14 @@ class _Tables:
         if self._star is _UNSET:
             self._star = _star_coordinates(self)
         return self._star
+
+    def plan(self, label) -> list:
+        """The convolution plan of _block_plan, built on first use and kept
+        (a table that fails its checks keeps none); label names arrow ids
+        in the error."""
+        if self._plan is None:
+            self._plan = _block_plan(self, label)
+        return self._plan
 
     def entries(self):
         """The arrays a, b and a∘b of the composable pairs, in slot order."""
@@ -543,8 +552,8 @@ def _star_coordinates(s: _Tables):
     """The star coordinates of the groupoid of the table object s, or None
     when they are not seen to cover every arrow literally in the table:
     each arrow must be star[y]∘(k∘inv[star[x]]) for exactly one (y, k, x)
-    with k in iso(r). Two gathers over (y, k, x), which in a groupoid give
-    each arrow once."""
+    with k in iso(r), and have target y and source x. Two gathers over
+    (y, k, x), which in a groupoid give each arrow once."""
     ids, ptr = s.into
     sizes = np.diff(ptr)
     if not (sizes.size and sizes.all()):
@@ -568,7 +577,7 @@ def _star_coordinates(s: _Tables):
     rank = np.full(len(s.src), -1, dtype=np.int32)
     for _, i, y in _walk(orbit, optr, root[x], _PAIR_BLOCK):  # y with the root of x[i]
         c = s.get(star[y], t[i])
-        if (c < 0).any():
+        if (c < 0).any() or (s.tgt[c] != y).any() or (s.src[c] != x[i]).any():
             return None
         rank[c] = k_rank[i]
     if (rank < 0).any():
@@ -576,6 +585,79 @@ def _star_coordinates(s: _Tables):
     for table in (root, star, rank):
         table.setflags(write=False)
     return _Star(root, star, rank)
+
+
+def _block_plan(s: _Tables, label) -> list:
+    """The groupoid convolution as block products, one per orbit shape
+    (n, K): a list of pairs (at, by) of intp index arrays over the orbits
+    o of that shape, base points numbered in each orbit in id order.
+    at[o, y, h·n + x] is the arrow with star coordinates (y, h, x), that is
+    target y, rank h and source x; by[o, h·n + z, k·n + x] the arrow at (z,
+    h⁻¹k, x), with h⁻¹k read off the table of the isotropy group G_r at
+    the root. In a groupoid, a = (y, h, z) and b = (z, m, x) compose to
+    (y, h·m, x), and for each h one m gives h·m = k, so with u = w·f1 the
+    convolution is (f1 * f2)[at] = u[at] @ f2[by] for each o.
+
+    The plan proves this on the table it is built from. The coordinates
+    cover every arrow once (_star_coordinates), so the pairs (at[o, y, j],
+    by[o, j, k]) are the composable pairs, each once; one pass over them,
+    in blocks of rows (o, y), finds each product at at[o, y, k]. Then the
+    block products sum exactly the terms w(a)·f1(a)·f2(b) of the composable
+    pairs (a, b) into a∘b. A groupoid passes; any other table raises
+    PreconditionError naming, through label, the pair of the lowest slot
+    whose product is elsewhere."""
+    if not len(s.src):
+        return []
+    c = s.star()
+    if c is None:
+        raise PreconditionError("the compose table has no star coordinates: it is not a groupoid's")
+    iso_ids, iso_ptr = s.iso
+    sizes = np.diff(iso_ptr)
+    in_fiber = np.full(len(s.src), -1, dtype=np.intp)  # an isotropy arrow's rank in its fiber
+    in_fiber[iso_ids] = np.arange(iso_ids.size) - np.repeat(iso_ptr[:-1], sizes)
+    roots = np.flatnonzero(c.root == np.arange(c.root.size))  # one per orbit, ascending
+    orbit = roots.searchsorted(c.root)  # of each base point
+    n_of, k_of = np.bincount(orbit), sizes[roots]
+    by_orbit, optr = _group(roots.size, orbit)
+    local = np.empty(orbit.size, dtype=np.intp)  # a base point's number in its orbit
+    local[by_orbit] = np.arange(orbit.size) - np.repeat(optr[:-1], n_of)
+    at_orbit = orbit[s.tgt]
+    plan, first = [], (s.n_slots,)  # first: the failing (slot, a, b) of the lowest slot
+    for n, K in sorted(set(zip(n_of.tolist(), k_of.tolist()))):
+        os = np.flatnonzero((n_of == n) & (k_of == K))
+        where = np.full(roots.size, -1, dtype=np.intp)  # an orbit's number in the shape
+        where[os] = np.arange(os.size)
+        arrows = np.flatnonzero(where[at_orbit] >= 0)
+        at = np.empty((os.size, n, K, n), dtype=np.intp)
+        at.reshape(-1)[((where[at_orbit[arrows]] * n + local[s.tgt[arrows]]) * K
+                        + c.rank[arrows]) * n + local[s.src[arrows]]] = arrows
+        kr = iso_ids[iso_ptr[roots[os], None] + np.arange(K)]  # G_r, by rank
+        mul = in_fiber[s.get(kr[:, :, None], kr[:, None, :])]  # [o, h, m]: rank of h·m
+        ldiv = _left_quotients(mul)[:, :, None, :, None]
+        by = at[np.arange(os.size)[:, None, None, None, None], np.arange(n)[:, None, None],
+                ldiv, np.arange(n)].reshape(os.size, K * n, K * n)
+        at = at.reshape(os.size * n, K * n)  # rows (o, y)
+        off, pos = s.off[at], s.pos[by]
+        step = max(1, _PAIR_BLOCK // by[0].size)
+        for lo in range(0, len(at), step):
+            slot = off[lo:lo + step, :, None] + pos[np.arange(lo, min(lo + step, len(at))) // n]
+            bad = s.prod[slot] != at[lo:lo + step, None, :]
+            if bad.any():
+                i = np.unravel_index(np.where(bad, slot, s.n_slots).argmin(), bad.shape)
+                first = min(first, (int(slot[i]), int(at[lo + i[0], i[1]]),
+                                    int(by[(lo + i[0]) // n, i[1], i[2]])))
+        plan.append((at.reshape(os.size, n, K * n), by))
+    if len(first) > 1:
+        raise PreconditionError(
+            f"the compose table is not a groupoid's: {label(first[1])}∘{label(first[2])} "
+            "is not the arrow its star coordinates give")
+    return plan
+
+
+def _left_quotients(mul):
+    """[o, h, k] = h⁻¹k, the m with h·m = k, from group tables mul[o, h, m]
+    = h·m, whose rows are permutations."""
+    return np.argsort(mul, axis=2)
 
 
 def _generators(s: _Tables):

@@ -15,11 +15,15 @@ from hypothesis import strategies as st
 from groupoidalg import (
     FinitePrincipalBundle,
     GroupoidFunction,
+    HaarWeights,
     Section,
     builtin_group,
+    carrier_weights,
     gauge_groupoid,
+    groupoid_convolve,
     lorentz_subgroupoid,
     pair_groupoid,
+    poincare_convolve_agreement,
     poincare_decomposition,
     translation_subgroupoid,
     validate_groupoid,
@@ -524,7 +528,34 @@ class TestChecksCheck:
         argv = ["convolve", *GAUGE_ARGS, "--section", "random", "--seed", "0", "--tol", "0"]
         code, data = run_report(argv, tmp_path)
         assert (data["config"]["seed"], data["config"]["tol"]) == (0, 0.0)
-        assert code == 0  # the two kernels agree exactly at (2,Z2)
+        # tol 0 is applied as given: the two kernels sum in different orders,
+        # and the check passes exactly when they agree to the bit
+        check = data["checks"][0]
+        assert check["max_deviation"] < 1e-15
+        assert check["passed"] is (check["max_deviation"] == 0.0)
+        assert code == (0 if check["passed"] else 1)
+
+    def test_convolve_computes_the_carrier_product_once(self, monkeypatch, tmp_path):
+        """One groupoid_convolve call gives both the report's deviation and
+        the --out file, each the same as from a call of its own."""
+        seen = {}
+
+        def spy(name):
+            real = getattr(cli, name)
+            return lambda *args: seen.setdefault(name, []).append(args) or real(*args)
+
+        for name in ("groupoid_convolve", "poincare_convolve"):
+            monkeypatch.setattr(cli, name, spy(name))
+        out = tmp_path / "f.json"
+        argv = ["convolve", "--base", "3", "--group", "S3", "--section", "random", "--seed", "5",
+                "--out", str(out)]
+        code, data = run_report(argv, tmp_path)
+        assert code == 0 and len(seen["groupoid_convolve"]) == 1
+        f1, f2, dec, _ = seen["poincare_convolve"][0]
+        assert data["checks"][0]["max_deviation"] == poincare_convolve_agreement(f1, f2, dec)
+        want = groupoid_convolve(f1, f2, carrier_weights(dec.sd, HaarWeights.counting(dec.gauge)))
+        gio.dump_json(gio.function_to_dict(dec.sd, want.values), tmp_path / "want.json")
+        assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_random_op_norm_tolerance(self, monkeypatch, tmp_path):
         import groupoidalg.cli as cli

@@ -1,10 +1,18 @@
 """groupoid_convolve, twisted_convolve and poincare_convolve against the
-loop oracles in convolution_oracle.py: the outputs must be equal byte for
-byte (tobytes), on the ladder and on random instances, weights and values.
-Also the pair form against its loop, and HaarWeights' invariance check
-against the loop it replaces."""
+loop oracles in convolution_oracle.py, on the ladder and on random
+instances, weights and values. twisted_convolve and poincare_convolve must
+equal their loops byte for byte (tobytes). groupoid_convolve, a block
+product per orbit, must too where its order of the terms is the loop's
+(the gauge groupoids of the builtin groups), and lie within 1e-12 of the
+loop elsewhere. Also its plan on groupoids with orbits of several shapes
+and on tables that are not a groupoid's, the pair form against its loop,
+and HaarWeights' invariance check against the loop it replaces."""
 
 import dataclasses
+import gc
+import re
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,9 +61,11 @@ from groupoidalg import (
     validate_groupoid,
     verify_theorem1,
 )
-from groupoidalg import algebra
+from groupoidalg import algebra, groupoid
+from groupoidalg import io as gio
 from groupoidalg.errors import PreconditionError
-from groupoidalg.groups import BUILTIN_GROUPS
+from groupoidalg.groupoid import check_structure
+from groupoidalg.groups import BUILTIN_GROUPS, group_from_table, group_to_table, symmetric
 from groupoidalg.semidirect import prop1_on_carrier
 
 LADDER = [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"), (16, "D4")]
@@ -64,6 +74,15 @@ LADDER = [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"), (16, "D4")]
 def assert_same_convolution(f1, f2, w):
     got = groupoid_convolve(f1, f2, w)
     assert got.values.tobytes() == oracle_groupoid_convolve(f1, f2, w).values.tobytes()
+
+
+def assert_close_convolution(f1, f2, w):
+    """Within 1e-12 of the loop, relative to its largest value: the block
+    product sums each value's terms in its order (h, z), not in the loop's
+    order of the arrows."""
+    got = groupoid_convolve(f1, f2, w).values
+    want = oracle_groupoid_convolve(f1, f2, w).values
+    assert np.max(np.abs(got - want), initial=0) <= 1e-12 * np.max(np.abs(want), initial=0)
 
 
 def assert_same_twisted(F1, F2, w):
@@ -112,14 +131,14 @@ def test_ladder(n, name):
     quotient, _ = quotient_by_isotropy(dec.gauge, dec.g0)
     w = HaarWeights.counting(dec.gauge)
     scaled = HaarWeights(dec.gauge, 0.5 * np.ones(dec.gauge.n_arrows))
-    for g, wg in (
-        (dec.gauge, w),
-        (dec.sd, carrier_weights(dec.sd, w)),
-        (dec.sd, carrier_weights(dec.sd, scaled)),
-        (quotient, HaarWeights.counting(quotient)),
+    for g, wg, same in (
+        (dec.gauge, w, assert_same_convolution),
+        (dec.sd, carrier_weights(dec.sd, w), assert_close_convolution),
+        (dec.sd, carrier_weights(dec.sd, scaled), assert_close_convolution),
+        (quotient, HaarWeights.counting(quotient), assert_close_convolution),
     ):
         f1, f2 = GroupoidFunction.random(g, rng), GroupoidFunction.random(g, rng)
-        assert_same_convolution(f1, f2, wg)
+        same(f1, f2, wg)
     for wp in (w, scaled):
         assert_same_twisted(
             BundleFunction.random(dec.gauge, dec.g1, rng),
@@ -148,14 +167,16 @@ class TestRandomInstances:
     def test_gauge_carrier_and_twisted(self, name, n, seed, zeros):
         """Gauge groupoids over relabeled group tables with a random section,
         random Haar weights and carriers under the product weights; and
-        poincare_convolve there, under counting and the random weights."""
+        poincare_convolve there, under counting and the random weights.
+        A relabeled table moves the identity off index 0, so the star
+        coordinates of the gauge groupoid are not in arrow order either."""
         rng = np.random.default_rng(seed)
         bundle = FinitePrincipalBundle(n, relabeled_group(builtin_group(name), rng))
         dec = poincare_decomposition(bundle, Section.random(bundle, rng))
         w = random_weights(dec.gauge, rng)
         for g, wg in ((dec.gauge, w), (dec.sd, carrier_weights(dec.sd, w))):
             f1, f2 = (GroupoidFunction(g, random_values(rng, g.n_arrows, zeros)) for _ in "12")
-            assert_same_convolution(f1, f2, wg)
+            assert_close_convolution(f1, f2, wg)
         F1, F2 = (random_bundle_function(dec.gauge, dec.g1, rng, zeros) for _ in "12")
         assert_same_twisted(F1, F2, w)
         for wp in (HaarWeights.counting(dec.gauge), w):
@@ -188,7 +209,143 @@ class TestRandomInstances:
                 g = selection_to_groupoid(dec.g0 if family == "isotropy" else dec.g1)[0]
         w = random_weights(g, rng)
         f1, f2 = (GroupoidFunction(g, random_values(rng, g.n_arrows, 0.2)) for _ in "12")
-        assert_same_convolution(f1, f2, w)
+        assert_close_convolution(f1, f2, w)
+
+
+def disjoint_union(parts, rng):
+    """The disjoint union of groupoids, its base points and arrows
+    shuffled, so that the orbits interleave in id order."""
+    n_base, n_arrows = sum(p.n_base for p in parts), sum(p.n_arrows for p in parts)
+    base, arrow = rng.permutation(n_base).tolist(), rng.permutation(n_arrows).tolist()
+    src, tgt, inv, ident, comp = [0] * n_arrows, [0] * n_arrows, [0] * n_arrows, [0] * n_base, {}
+    b0 = a0 = 0
+    for p in parts:
+        for a in p.arrows():
+            src[arrow[a0 + a]], tgt[arrow[a0 + a]] = base[b0 + p.src[a]], base[b0 + p.tgt[a]]
+            inv[arrow[a0 + a]] = arrow[a0 + p.inv[a]]
+        for x in p.base():
+            ident[base[b0 + x]] = arrow[a0 + p.identity[x]]
+        comp.update({(arrow[a0 + a], arrow[a0 + b]): arrow[a0 + c]
+                     for (a, b), c in p.compose_table.items()})
+        b0, a0 = b0 + p.n_base, a0 + p.n_arrows
+    return FiniteGroupoid(n_base, tuple(src), tuple(tgt), comp, tuple(inv), tuple(ident))
+
+
+def redirected(g, pairs):
+    """A copy of g with the product of each pair (a, b) moved to another
+    arrow with the same endpoints: the structure stays valid, and
+    associativity fails."""
+    comp = dict(g.compose_table)
+    for a, b in pairs:
+        c = comp[(a, b)]
+        comp[(a, b)] = next(d for d in g.arrows()
+                            if d != c and (g.src[d], g.tgt[d]) == (g.src[c], g.tgt[c]))
+    bad = dataclasses.replace(g, compose_table=comp)
+    assert check_structure(bad).ok and not validate_groupoid(bad).ok
+    return bad
+
+
+def right_quotients(mul):
+    """The mutant of groupoid._left_quotients: k·h⁻¹ in place of h⁻¹k."""
+    return np.argsort(mul, axis=1).transpose(0, 2, 1)
+
+
+class TestBlockPlan:
+    def test_orbits_of_different_shapes(self):
+        """Seven orbits in five shapes, interleaved: a carrier, a gauge
+        groupoid, two relabeled groups, two pair groupoids and a point
+        with the trivial group. Orbits of one shape share a block."""
+        rng = np.random.default_rng(11)
+        parts = [ladder_carrier(2, "Z2"), gauge_groupoid(FinitePrincipalBundle(3, symmetric(3)))]
+        parts += [group_groupoid(relabeled_group(symmetric(3), rng)) for _ in "12"]
+        parts += [pair_groupoid(3), pair_groupoid(3), pair_groupoid(1)]
+        g = disjoint_union(parts, rng)
+        assert validate_groupoid(g).ok
+        for w in (HaarWeights.counting(g), random_weights(g, rng)):
+            f1, f2 = (GroupoidFunction(g, random_values(rng, g.n_arrows, 0.2)) for _ in "12")
+            assert_close_convolution(f1, f2, w)
+        shapes = sorted(by.shape for _, by in g._tables.plan(g.arrow_label))
+        assert shapes == [(1, 1, 1), (1, 4, 4), (1, 18, 18), (2, 3, 3), (2, 6, 6)]
+
+    def test_group_read_from_a_table_file(self, tmp_path):
+        """S3 and D4 through group_to_table, a JSON file and
+        group_from_table, as given and relabeled: the group groupoid and a
+        gauge groupoid over it."""
+        rng = np.random.default_rng(4)
+        for G in (symmetric(3), builtin_group("D4")):
+            for H in (G, relabeled_group(G, rng)):
+                gio.dump_json(group_to_table(H), tmp_path / "g.json")
+                read = group_from_table(gio.load_json(tmp_path / "g.json"))
+                for g in (group_groupoid(read), gauge_groupoid(FinitePrincipalBundle(3, read))):
+                    w = random_weights(g, rng)
+                    f1, f2 = (GroupoidFunction(g, random_values(rng, g.n_arrows)) for _ in "12")
+                    assert_close_convolution(f1, f2, w)
+
+    def test_right_quotients_mutant_fails_on_s3(self, monkeypatch):
+        """With k·h⁻¹ in place of h⁻¹k the plan sums the wrong pairs on a
+        non-abelian group, and its own check finds that; on Z4 the two are
+        one table."""
+        monkeypatch.setattr(groupoid, "_left_quotients", right_quotients)
+        rng = np.random.default_rng(3)
+        abelian = gauge_groupoid(FinitePrincipalBundle(3, builtin_group("Z4")))
+        f = GroupoidFunction.random(abelian, rng)
+        assert_same_convolution(f, f, HaarWeights.counting(abelian))
+        for g in (group_groupoid(symmetric(3)),
+                  gauge_groupoid(FinitePrincipalBundle(3, symmetric(3))),
+                  ladder_carrier(3, "S3")):
+            f = GroupoidFunction.random(g, rng)
+            with pytest.raises(PreconditionError, match="not the arrow its star coordinates give"):
+                groupoid_convolve(f, f, HaarWeights.counting(g))
+
+    def test_non_associative_table_raises_with_its_pair(self):
+        """Redirected products off the star arrows and the root's group:
+        the coordinates stand, and the error names the pair of the lowest
+        slot (a first, then b). The scatter-add summed whatever the table
+        held."""
+        gauge = gauge_groupoid(FinitePrincipalBundle(3, symmetric(3)))
+        c = gauge._product_slots().star()
+        used = set(c.star.tolist()) | set(gauge.isotropy_fiber(0))
+        pairs = [(a, b) for a in range(gauge.n_arrows - 1, 0, -1) if a not in used
+                 for b in gauge.arrows_into(gauge.src[a])][::40][:3]
+        bad = redirected(gauge, pairs)
+        a, b = min(pairs, key=lambda p: (p[0], gauge.arrows_into(gauge.src[p[0]]).index(p[1])))
+        f = GroupoidFunction.random(bad, np.random.default_rng(0))
+        message = (f"the compose table is not a groupoid's: {bad.arrow_label(a)}∘"
+                   f"{bad.arrow_label(b)} is not the arrow its star coordinates give")
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            groupoid_convolve(f, f, HaarWeights.counting(bad))
+        group = group_groupoid(symmetric(3))
+        bad = redirected(group, [(3, 4)])
+        with pytest.raises(PreconditionError, match="not the arrow its star coordinates give"):
+            groupoid_convolve(*(GroupoidFunction.delta(bad, 1),) * 2, HaarWeights.counting(bad))
+
+    def test_no_coordinates_raises(self):
+        g = gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2")))
+        f = GroupoidFunction.random(g, np.random.default_rng(0))
+        with mock.patch.object(groupoid._Tables, "star", lambda self: None):
+            with pytest.raises(PreconditionError, match="has no star coordinates"):
+                groupoid_convolve(f, f, HaarWeights.counting(g))
+        assert g._tables._plan is None
+
+    def test_empty_groupoid(self):
+        g = FiniteGroupoid(0, (), (), {}, (), ())
+        out = groupoid_convolve(GroupoidFunction.zero(g), GroupoidFunction.zero(g),
+                                HaarWeights.counting(g))
+        assert out.values.shape == (0,)
+
+    def test_plan_built_once_and_freed_with_its_groupoid(self, monkeypatch):
+        calls, real = [], groupoid._block_plan
+        monkeypatch.setattr(groupoid, "_block_plan",
+                            lambda s, label: calls.append(1) or real(s, label))
+        g = ladder_carrier(3, "S3")
+        f, w = GroupoidFunction.random(g, np.random.default_rng(0)), HaarWeights.counting(g)
+        first = groupoid_convolve(f, f, w)
+        assert groupoid_convolve(f, f, w).values.tobytes() == first.values.tobytes()
+        assert calls == [1]
+        ref = weakref.ref(g._tables.plan(g.arrow_label)[0][1])
+        del g, f, w, first
+        gc.collect()
+        assert ref() is None
 
 
 def test_empty_selection(fix_gauge_2_z2):
