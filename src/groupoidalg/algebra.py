@@ -170,50 +170,51 @@ def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> 
     (F1 ⊛ F2)(g1) = sum over g1' with r(g1') = r(g1) of
     w(g1') · F1(g1') • beta_{g1'⁻¹}(F2(g1'⁻¹ ∘ g1)).
 
-    Runs on the parent's slot table over all targets x at once, in blocks
-    of the targets with the same number m of g1 arrows: each fiber product
-    is a gather over the fiber at x, and beta an index permutation. Sums
-    run over g1' in g1's iteration order and over the fiber in fiber order,
-    so the values are bit-identical to the loop over the definition.
+    Two einsums per block of the targets x with the same number of g1
+    arrows, on the plan of _twisted_plan, kept with the parent: the fiber
+    products, summed over the fiber in fiber order, then their sum over g1'
+    in g1's iteration order. So the values are bit-identical to the loop
+    over the definition.
     """
     if F1.parent is not F2.parent or F1.g1.arrows != F2.g1.arrows:
         raise PreconditionError("operands live on different crossed products")
-    p = F1.parent
+    p, arrows = F1.parent, F1.g1.arrows
     if w.groupoid is not p:
         raise PreconditionError("weights must live on the parent groupoid")
-    s, (_, fiber, row, rank) = p._product_slots(), F1._layout
-    n, K = fiber.shape
-    order = np.fromiter(F1.g1.arrows, dtype=np.intp, count=n)
+    plan = p._product_slots().kept(("twisted", arrows), _twisted_plan, p, arrows, F1._layout)
+    out = np.zeros(F1.values.shape, dtype=complex)
+    for rb, b1, f, c1, beta in plan:
+        step = max(1, _BLOCK * 4 // (b1.shape[1] * beta[0].size))  # targets, m²K² terms each
+        for lo in range(0, len(b1), step):
+            x = slice(lo, lo + step)
+            u = w.values[f[x]][:, None, :] * F1.values[rb[x]]  # [x, k, j]
+            v = F2.values[c1[x][:, None, :, :, None], beta[x][:, :, :, None, :]]  # [x, j, k, r, i]
+            S = np.einsum("xkj,xjkri->xkri", u, v, optimize=False)
+            out[rb[x]] = np.einsum("xk,xkri->xri", w.values[b1[x]], S, optimize=False)
+    return BundleFunction.__new__(BundleFunction)._set(p, F1.g1, F1._layout, out)
+
+
+def _twisted_plan(s, p, arrows, layout) -> list:
+    """twisted_convolve's index arrays for the g1 arrows of p, from its table
+    object s, per group of the targets x with m g1 arrows b1_k (k in g1's
+    order): row[b1], b1, the fiber f[x, j] at x, c1[x, k, r] the row of
+    b1_k⁻¹∘b1_r (in g1, or PreconditionError) and beta[x, j, k, i] the rank
+    of b1_k⁻¹∘(f_j⁻¹∘f_i)∘b1_k; c1 and beta are gathered together per block."""
+    _, fiber, row, rank = layout
+    order = np.fromiter(arrows, dtype=np.intp, count=len(arrows))
     at, ptr = _group(p.n_base, s.tgt[order])  # the g1 arrows by target, in g1 order
     into, m_of = order[at], np.diff(ptr)
-    out = np.zeros((n, K), dtype=complex)
+    plan = []
     for m in np.unique(m_of[m_of > 0]).tolist():
-        targets = np.flatnonzero(m_of == m)
-        step = max(1, _BLOCK * 4 // (m * m * K * K))  # targets per block
-        for lo in range(0, targets.size, step):
-            b1 = into[ptr[targets[lo:lo + step], None] + np.arange(m)]  # [x, k]
-            ib = s.inv[b1]
-            c1 = row[s.compose(ib[:, :, None], b1[:, None, :])]  # [x, k, r]: b1_k⁻¹ ∘ b1_r
-            if (c1 < 0).any():
-                raise PreconditionError("g1 is not closed under composition")
-            f = fiber[row[b1[:, 0]]]  # [x, j]: the fiber at x
-            h = s.compose(s.inv[f][:, :, None], f[:, None, :])  # [x, j, i] = f_j⁻¹ ∘ f_i
-            beta_h = rank[s.conj(ib[:, None, :, None], h[:, :, None, :])]  # [x, j, k, i]
-            v = c1[:, None, :, :, None] * K + beta_h[:, :, :, None, :]  # [x, j, k, r, i]
-            vr, vi = F2.values.real.ravel()[v], F2.values.imag.ravel()[v]
-            u, wf = F1.values[row[b1]], w.values[f][:, None, :]  # u[x, k, j] = F1(b1_k)(f_j)
-            ur, ui = wf * u.real, wf * u.imag
-            sr, si = np.zeros((2, b1.shape[0], m, m, K))  # [x, k, r, i]
-            for j in range(K):
-                xr, xi = ur[:, :, j, None, None], ui[:, :, j, None, None]
-                sr += xr * vr[:, j] - xi * vi[:, j]
-                si += xr * vi[:, j] + xi * vr[:, j]
-            (acc_r, acc_i), wb = np.zeros((2, b1.shape[0], m, K)), w.values[b1]  # [x, r, i]
-            for k in range(m):
-                acc_r += wb[:, k, None, None] * sr[:, k]
-                acc_i += wb[:, k, None, None] * si[:, k]
-            out.real[row[b1]], out.imag[row[b1]] = acc_r, acc_i
-    return BundleFunction.__new__(BundleFunction)._set(p, F1.g1, F1._layout, out)
+        b1 = into[ptr[np.flatnonzero(m_of == m), None] + np.arange(m)]  # [x, k]
+        c1 = row[s.compose(s.inv[b1][:, :, None], b1[:, None, :])]  # [x, k, r]
+        if (c1 < 0).any():
+            raise PreconditionError("g1 is not closed under composition")
+        f = fiber[row[b1[:, 0]]]  # [x, j]
+        h = s.compose(s.inv[f][:, :, None], f[:, None, :])  # [x, j, i] = f_j⁻¹ ∘ f_i
+        beta = rank[s.conj(s.inv[b1][:, None, :, None], h[:, :, None, :])]  # [x, j, k, i]
+        plan.append((row[b1], b1, f, c1, beta))
+    return plan
 
 
 def groupoid_convolve(

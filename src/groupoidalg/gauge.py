@@ -10,7 +10,7 @@ measures of the motivating construction are replaced by counting measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -147,6 +147,7 @@ class PoincareDecomposition:
     g1: SubgroupoidSelection
     sd: SemidirectGroupoid
     translation: np.ndarray  # [tgt, src] -> parent arrow id, as (n, n)
+    _plan: tuple = field(default=None, init=False, repr=False)  # of poincare_convolve
 
 
 def poincare_decomposition(
@@ -218,46 +219,40 @@ def poincare_convolve(
     n×n matrix product over ℂ[G]:
     out[x, g, y] = Σ_z Σ_g' w(iso_x(g'))·w(t_xz) · f1[x, g', z] · f2[z, g'⁻¹g, y],
     with iso_x(g') = (x, σ(x)·g'·σ(x)⁻¹, x) and t_xz the translation z → x.
-    Each (z, g'), z first, is one step over all outputs, with the complex
-    products spelled out as real arithmetic: the values are bit-identical
-    to the loop over the formula.
+    One einsum over j = z·|G| + g', z first as in the loop over the
+    formula, on index tables built on the first call and kept on dec
+    (_poincare_plan): the values are bit-identical to that loop.
 
     Agrees with groupoid_convolve under the product carrier weights.
     """
     sd = dec.sd
     if f1.groupoid is not sd or f2.groupoid is not sd:
         raise PreconditionError("functions must live on the decomposition carrier")
-    gauge, G, s, t = dec.gauge, dec.bundle.group, dec.section, dec.translation
     if w_parent is None:
-        w_parent = HaarWeights.counting(gauge)
-    if w_parent.groupoid is not gauge:
+        w_parent = HaarWeights.counting(dec.gauge)
+    if w_parent.groupoid is not dec.gauge:
         raise PreconditionError("weights must live on the decomposition's gauge groupoid")
-    n, k = gauge.n_base, G.order
-    mul, inv, sigma = np.array(G.mul), np.array(G.inverse), np.array(s.sigma)
-    # iso[x, q] = iso_x(q), t[x, z] = t_xz, and ids[x, z, q] is the carrier
-    # arrow (iso_x(q), t_xz), labelled (x, q, z)
-    conj = mul[mul[sigma[:, None], np.arange(k)], inv[sigma][:, None]]
-    iso = gauge.triple_index[np.arange(n)[:, None], conj, np.arange(n)[:, None]]
-    _, _, row, col = sd.layout
-    ids = (row[t] * k)[:, :, None] + col[iso][:, None, :]
-    wv = w_parent.values
-    dm = wv[iso][:, None, :] * wv[t][:, :, None]  # [x, z, g'] = dg·mu
-    # (dg·mu)·f1 as in the loop, where the real weight entered a complex
-    # product: that differs only in the sign of a zero, which sums from +0.0 drop
-    u = f1.values[ids]
-    ur, ui = (dm * u.real)[..., None, None], (dm * u.imag)[..., None, None]
-    # [z, g', part, y, g] at g'⁻¹g, so that ur·v1 + ui·v2 is (re, im) of u·f2
-    # (a + (-b) is a - b in floating point)
-    v = f2.values[ids][:, :, mul[inv]].transpose(0, 2, 1, 3)
-    v1 = np.stack((v.real, v.imag), 2)[:, :, :, None]
-    v2 = np.stack((-v.imag, v.real), 2)[:, :, :, None]
-    acc = np.zeros((2, n, n, k))  # [part, x, y, g]
-    for z in range(n):
-        for gp in range(k):
-            acc += ur[:, z, gp] * v1[z, gp] + ui[:, z, gp] * v2[z, gp]
+    if dec._plan is None:
+        dec._plan = _poincare_plan(dec)
+    iso, ids, by = dec._plan
+    dm = w_parent.values[iso][:, None, :] * w_parent.values[dec.translation][:, :, None]
+    u = (dm * f1.values[ids]).reshape(1, len(ids), -1)  # [x, (z, g')]
     out = np.empty(sd.n_arrows, dtype=complex)
-    out.real[ids], out.imag[ids] = acc
+    out[ids] = np.einsum("oxj,ojk->oxk", u, f2.values[by], optimize=False).reshape(ids.shape)
     return GroupoidFunction(sd, out)
+
+
+def _poincare_plan(dec: PoincareDecomposition) -> tuple:
+    """(iso, ids, by) of poincare_convolve: iso_x(q) as iso[x, q], the carrier
+    arrow (iso_x(q), t_xz) as ids[x, z, q], ids at g'⁻¹g as by[0, (z, g'), (y, g)]."""
+    G, sd = dec.bundle.group, dec.sd
+    n, k = dec.gauge.n_base, G.order
+    mul, inv, sigma = np.array(G.mul), np.array(G.inverse), np.array(dec.section.sigma)
+    conj = mul[mul[sigma[:, None], np.arange(k)], inv[sigma][:, None]]
+    iso = dec.gauge.triple_index[np.arange(n)[:, None], conj, np.arange(n)[:, None]]
+    _, _, row, col = sd.layout
+    ids = (row[dec.translation] * k)[:, :, None] + col[iso][:, None, :]
+    return iso, ids, ids[:, :, mul[inv]].transpose(0, 2, 1, 3).reshape(1, n * k, n * k)
 
 
 def poincare_convolve_agreement(

@@ -185,11 +185,11 @@ class _Tables:
     b), so slots run in the order of _walk, which is (a, b) order. A tail
     as long as the largest fiber starts at slot n_slots; it holds -1, and
     non-composable lookups read it. The pair arrays of the slots, the
-    lists behind scalar lookups, the star coordinates and the convolution
-    plan are built on first use and kept."""
+    lists behind scalar lookups, the star coordinates and the kernels'
+    plans are built on first use and kept."""
 
     __slots__ = ("src", "tgt", "inv", "identity", "into", "out", "iso",
-                 "off", "pos", "n_slots", "prod", "_ab", "_lists", "_star", "_plan")
+                 "off", "pos", "n_slots", "prod", "_ab", "_lists", "_star", "_plans")
 
     def __init__(self, g):
         tables = (g.src, g.tgt, g.inv, g.identity)
@@ -205,7 +205,7 @@ class _Tables:
         for t in (*self.into, *self.out, *self.iso):
             t.setflags(write=False)
         self.off = self.pos = self.n_slots = self.prod = self._ab = self._lists = None
-        self._star, self._plan = _UNSET, None
+        self._star, self._plans = _UNSET, {}
 
     def _lay_out(self) -> int:
         """Lay out the slots of in-range tables, on the first call; the
@@ -279,9 +279,13 @@ class _Tables:
         """The convolution plan of _block_plan, built on first use and kept
         (a table that fails its checks keeps none); label names arrow ids
         in the error."""
-        if self._plan is None:
-            self._plan = _block_plan(self, label)
-        return self._plan
+        return self.kept("block", _block_plan, label)
+
+    def kept(self, key, build, *args):
+        """build(self, *args), built on first use for key and kept (none if it raises)."""
+        if key not in self._plans:
+            self._plans[key] = build(self, *args)
+        return self._plans[key]
 
     def entries(self):
         """The arrays a, b and a∘b of the composable pairs, in slot order."""

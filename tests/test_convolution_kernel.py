@@ -6,7 +6,10 @@ product per orbit, must too where its order of the terms is the loop's
 (the gauge groupoids of the builtin groups), and lie within 1e-12 of the
 loop elsewhere. Also its plan on groupoids with orbits of several shapes
 and on tables that are not a groupoid's, the pair form against its loop,
-and HaarWeights' invariance check against the loop it replaces."""
+and HaarWeights' invariance check against the loop it replaces. The
+plans of twisted_convolve and poincare_convolve: built once per parent
+and g1 arrows, or per decomposition, freed with what they were built
+from, and none kept by a selection that fails."""
 
 import dataclasses
 import gc
@@ -57,11 +60,12 @@ from groupoidalg import (
     quotient_by_isotropy,
     selection_to_groupoid,
     semidirect_convolve_pairform,
+    translation_subgroupoid,
     twisted_convolve,
     validate_groupoid,
     verify_theorem1,
 )
-from groupoidalg import algebra, groupoid
+from groupoidalg import algebra, gauge, groupoid
 from groupoidalg import io as gio
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import check_structure
@@ -325,7 +329,7 @@ class TestBlockPlan:
         with mock.patch.object(groupoid._Tables, "star", lambda self: None):
             with pytest.raises(PreconditionError, match="has no star coordinates"):
                 groupoid_convolve(f, f, HaarWeights.counting(g))
-        assert g._tables._plan is None
+        assert g._tables._plans == {}
 
     def test_empty_groupoid(self):
         g = FiniteGroupoid(0, (), (), {}, (), ())
@@ -569,16 +573,29 @@ def test_K_inverse_round_trip():
     assert K_map(K_inverse(f, sd), sd).values.tobytes() == f.values.tobytes()
 
 
+def twisted_blocks(monkeypatch):
+    """The blocks twisted_convolve runs, one fiber-product einsum each."""
+    specs, real = [], np.einsum
+    monkeypatch.setattr(np, "einsum",
+                        lambda spec, *a, **k: specs.append(spec) or real(spec, *a, **k))
+    return lambda: specs.count("xkj,xjkri->xkri")
+
+
 def test_twisted_in_blocks_of_one_target(monkeypatch):
     """Of the ladder, only (16,D4) has more targets than one block holds,
-    and the loop is slow there. With the block bound at 1, each block holds
-    one target, and the kernel still equals the loop at (4,D4)."""
+    and the loop is slow there. At (4,D4) the 4 targets fit one block; with
+    the block bound at 1, set after the plan is built, each block holds one
+    target, and the kernel still equals the loop."""
     dec = ladder_decomposition(4, "D4")
     rng = np.random.default_rng(4)
     F1, F2 = (random_bundle_function(dec.gauge, dec.g1, rng, 0.2) for _ in "12")
     w = random_weights(dec.gauge, rng)
+    blocks = twisted_blocks(monkeypatch)
+    assert_same_twisted(F1, F2, w)
+    assert blocks() == 1
     monkeypatch.setattr(algebra, "_BLOCK", 1)
     assert_same_twisted(F1, F2, w)
+    assert blocks() == 1 + dec.gauge.n_base
 
 
 def test_twisted_over_targets_with_unequal_counts():
@@ -645,11 +662,101 @@ def test_unequal_fiber_sizes():
         BundleFunction(g, g1, {0: GroupoidFunction.delta(g, 0), 1: GroupoidFunction.delta(g, 1)})
 
 
+def twisted_plans(p):
+    """The g1 arrow sets with a twisted_convolve plan kept on p."""
+    return [key[1] for key in p._tables._plans if key[0] == "twisted"]
+
+
 def test_twisted_rejects_unclosed_selection():
-    """g1: the identities and one translation without its inverse."""
+    """g1: the identities and one translation without its inverse. No plan
+    is kept, so a second call raises again."""
     dec = ladder_decomposition(3, "S3")
     t = dec.translation
     g1 = SubgroupoidSelection(dec.gauge, frozenset([t[(x, x)] for x in range(3)] + [t[(0, 1)]]))
     F = BundleFunction.random(dec.gauge, g1, np.random.default_rng(3))
-    with pytest.raises(PreconditionError, match="^g1 is not closed under composition$"):
-        twisted_convolve(F, F, HaarWeights.counting(dec.gauge))
+    for _ in "12":
+        with pytest.raises(PreconditionError, match="^g1 is not closed under composition$"):
+            twisted_convolve(F, F, HaarWeights.counting(dec.gauge))
+        assert twisted_plans(dec.gauge) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rung=st.sampled_from(LADDER[:4]),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    zeros=st.sampled_from([0.0, 0.3]),
+)
+def test_twisted_on_closed_selections_of_blocks(rung, data, seed, zeros):
+    """g1 = the arrows (y, σ(y)·k·σ(x)⁻¹, x) with y and x in one block of a
+    random partition of the base and k in the subgroup generated by a
+    random h, on a random section: closed, not transitive when there are
+    two blocks or more, and with m = |block|·|⟨h⟩| at each target; h = e
+    gives the σ-translations inside each block. The kernel equals the loop
+    under random weights, on values with exact zeros."""
+    n, name = rung
+    block = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="block")
+    rng = np.random.default_rng(seed)
+    G = builtin_group(name)
+    h = data.draw(st.integers(0, G.order - 1), label="h")
+    powers = [G.identity]
+    while G.mul[powers[-1]][h] != G.identity:
+        powers.append(G.mul[powers[-1]][h])
+    bundle = FinitePrincipalBundle(n, G)
+    dec = poincare_decomposition(bundle, Section.random(bundle, rng))
+    s = dec.section.sigma
+    g1 = SubgroupoidSelection(dec.gauge, frozenset(
+        int(dec.gauge.triple_index[y, G.mul[G.mul[s[y]][k]][G.inverse[s[x]]], x])
+        for y in range(n) for x in range(n) if block[y] == block[x] for k in powers))
+    F1, F2 = (random_bundle_function(dec.gauge, g1, rng, zeros) for _ in "12")
+    assert_same_twisted(F1, F2, random_weights(dec.gauge, rng))
+
+
+class TestKernelPlans:
+    def test_twisted_plan_built_once_per_selection_and_freed(self, monkeypatch):
+        """One build per (parent, g1 arrows), across calls and across the
+        trials of verify_theorem1; a second section gives a second g1 on
+        the same parent and a second plan, and each result equals the loop.
+        The plans go with their parent."""
+        calls, real = [], algebra._twisted_plan
+        monkeypatch.setattr(algebra, "_twisted_plan",
+                            lambda s, p, arrows, layout: calls.append(arrows)
+                            or real(s, p, arrows, layout))
+        dec = ladder_decomposition(3, "S3")
+        p, rng = dec.gauge, np.random.default_rng(5)
+        other = translation_subgroupoid(p, Section.random(dec.bundle, np.random.default_rng(8)))
+        assert other.arrows != dec.g1.arrows
+        w = random_weights(p, rng)
+        for g1 in (dec.g1, other, dec.g1, other):
+            F1, F2 = (random_bundle_function(p, g1, rng, 0.2) for _ in "12")
+            assert_same_twisted(F1, F2, w)
+        assert verify_theorem1(dec.sd, trials=3, seed=1).passed
+        assert calls == [dec.g1.arrows, other.arrows]
+        assert sorted(map(sorted, twisted_plans(p))) == sorted(map(sorted, calls))
+        refs = [weakref.ref(p._tables._plans[("twisted", arrows)][0][4]) for arrows in calls]
+        del dec, p, other, g1, F1, F2, w, calls
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_poincare_plan_built_once_per_decomposition(self, monkeypatch):
+        """Two decompositions of one bundle on different sections: a plan
+        each, built on the first call and kept on the decomposition across
+        calls and weights; each result equals the loop, and the plan goes
+        with its decomposition."""
+        calls, real = [], gauge._poincare_plan
+        monkeypatch.setattr(gauge, "_poincare_plan", lambda dec: calls.append(dec) or real(dec))
+        bundle = FinitePrincipalBundle(4, builtin_group("D4"))
+        decs = [poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(s)))
+                for s in (1, 2)]
+        assert decs[0].section != decs[1].section
+        rng = np.random.default_rng(6)
+        for dec in decs + decs:
+            f1, f2 = (GroupoidFunction(dec.sd, random_values(rng, dec.sd.n_arrows, 0.2))
+                      for _ in "12")
+            for w in (None, random_weights(dec.gauge, rng)):
+                assert_same_poincare(f1, f2, dec, w)
+        assert calls == decs
+        ref = weakref.ref(decs[0]._plan[2])
+        del decs, dec, calls
+        gc.collect()
+        assert ref() is None
