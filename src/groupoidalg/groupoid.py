@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import PreconditionError, QuotientUndefinedError
+from .errors import MalformedTableError, PreconditionError, QuotientUndefinedError
 from .groups import FiniteGroup
 
 AXIOM_SOURCE_TARGET = "source-target"
@@ -25,7 +25,7 @@ AXIOM_IDENTITY_BASE = "identity-base"
 
 _BLOCK = 1 << 16  # triples per associativity block; bounds the temporaries
 # nominal triples up to which the full associativity scan runs directly: in
-# one block it costs less than finding a generating set
+# one block it costs less than building the convolution plan
 _DIRECT_SCAN = _BLOCK
 
 
@@ -278,8 +278,16 @@ class _Tables:
     def plan(self, label) -> list:
         """The convolution plan of _block_plan, built on first use and kept
         (a table that fails its checks keeps none); label names arrow ids
-        in the error."""
+        in the error. A plan that builds proves the table a groupoid's."""
         return self.kept("block", _block_plan, label)
+
+    def proves(self) -> bool:
+        """Whether the plan builds: whether the table is a groupoid's."""
+        try:
+            self.plan(str)
+            return True
+        except PreconditionError:
+            return False
 
     def kept(self, key, build, *args):
         """build(self, *args), built on first use for key and kept (none if it raises)."""
@@ -499,24 +507,20 @@ def _structure(g: FiniteGroupoid):
     return rep, (A, B, C)
 
 
-def _associativity(s: _Tables, A, B, C, cols=None) -> list:
+def _associativity(s: _Tables, A, B, C) -> list:
     """The triples where (a∘b)∘c ≠ a∘(b∘c), as blocks (entry i of A, B, C;
     position of c in into ids). Per base point x, the entries (a, b) with
-    src b = x run against the arrows c into x by their slot columns j =
-    pos c: all of them, or with cols = (columns, ptr) those at
-    columns[ptr[x]:ptr[x + 1]]. In blocks of at most _BLOCK triples. The
-    entries go by src b through a stable sort of 16-bit keys where the base
-    allows, which numpy runs as a radix sort, in linear time."""
+    src b = x run against every arrow c into x, by its slot column j =
+    pos c. In blocks of at most _BLOCK triples. The entries go by src b
+    through a stable sort of 16-bit keys where the base allows, which
+    numpy runs as a radix sort, in linear time."""
     src, into_ptr = s.src, s.into[1]
     keys = src[B].astype(np.uint16 if len(into_ptr) <= 1 << 16 else np.int32)
     by_x = np.argsort(keys, kind="stable")
     bounds = np.searchsorted(keys[by_x], np.arange(len(into_ptr)))
     fails = []
     for x in range(len(into_ptr) - 1):
-        if cols is None:
-            j = np.arange(into_ptr[x + 1] - into_ptr[x])
-        else:
-            j = cols[0][cols[1][x]:cols[1][x + 1]]
+        j = np.arange(into_ptr[x + 1] - into_ptr[x])
         rows = by_x[bounds[x]:bounds[x + 1]]
         step = max(1, _BLOCK // max(1, j.size))
         for lo in range(0, len(rows), step):
@@ -607,9 +611,11 @@ def _block_plan(s: _Tables, label) -> list:
     by[o, j, k]) are the composable pairs, each once; one pass over them,
     in blocks of rows (o, y), finds each product at at[o, y, k]. Then the
     block products sum exactly the terms w(a)·f1(a)·f2(b) of the composable
-    pairs (a, b) into a∘b. A groupoid passes; any other table raises
-    PreconditionError naming, through label, the pair of the lowest slot
-    whose product is elsewhere."""
+    pairs (a, b) into a∘b. Each distinct table of G_r must then make a
+    FiniteGroup, whose rows are permutations: so a∘b = (y, h·m, x) on every
+    pair, and the table is a groupoid's. A groupoid passes; any other table
+    raises PreconditionError naming, through label, the pair of the lowest
+    slot whose product is elsewhere, or else the isotropy group that fails."""
     if not len(s.src):
         return []
     c = s.star()
@@ -626,7 +632,7 @@ def _block_plan(s: _Tables, label) -> list:
     local = np.empty(orbit.size, dtype=np.intp)  # a base point's number in its orbit
     local[by_orbit] = np.arange(orbit.size) - np.repeat(optr[:-1], n_of)
     at_orbit = orbit[s.tgt]
-    plan, first = [], (s.n_slots,)  # first: the failing (slot, a, b) of the lowest slot
+    plan, groups, first = [], [], (s.n_slots,)  # first: the failing (slot, a, b) of the lowest slot
     for n, K in sorted(set(zip(n_of.tolist(), k_of.tolist()))):
         os = np.flatnonzero((n_of == n) & (k_of == K))
         where = np.full(roots.size, -1, dtype=np.intp)  # an orbit's number in the shape
@@ -637,6 +643,8 @@ def _block_plan(s: _Tables, label) -> list:
                         + c.rank[arrows]) * n + local[s.src[arrows]]] = arrows
         kr = iso_ids[iso_ptr[roots[os], None] + np.arange(K)]  # G_r, by rank
         mul = in_fiber[s.get(kr[:, :, None], kr[:, None, :])]  # [o, h, m]: rank of h·m
+        groups += [(roots[os[o]], kr[o], mul[o])
+                   for o in {m.tobytes(): o for o, m in enumerate(mul)}.values()]
         ldiv = _left_quotients(mul)[:, :, None, :, None]
         by = at[np.arange(os.size)[:, None, None, None, None], np.arange(n)[:, None, None],
                 ldiv, np.arange(n)].reshape(os.size, K * n, K * n)
@@ -655,6 +663,12 @@ def _block_plan(s: _Tables, label) -> list:
         raise PreconditionError(
             f"the compose table is not a groupoid's: {label(first[1])}∘{label(first[2])} "
             "is not the arrow its star coordinates give")
+    for r, k, mul in groups:
+        try:
+            FiniteGroup(f"of the isotropy at base point {r}", tuple(map(label, k.tolist())),
+                        mul.tolist())
+        except MalformedTableError as exc:
+            raise PreconditionError(f"the compose table is not a groupoid's: {exc}") from None
     return plan
 
 
@@ -662,19 +676,6 @@ def _left_quotients(mul):
     """[o, h, k] = h⁻¹k, the m with h·m = k, from group tables mul[o, h, m]
     = h·m, whose rows are permutations."""
     return np.argsort(mul, axis=2)
-
-
-def _generators(s: _Tables):
-    """Light's generating set S as sorted arrow ids, or None when the star
-    coordinates are not seen: per orbit, the star arrows, their inv entries
-    and the isotropy fiber at the root, which generate every arrow as
-    σ_y∘k∘σ_x⁻¹."""
-    c = s.star()
-    if c is None:
-        return None
-    at_root = c.root == np.arange(c.root.size)
-    k = s.iso[0][at_root[s.src[s.iso[0]]]]
-    return np.unique(np.concatenate((c.star, s.inv[c.star], k)))
 
 
 def check_structure(g: FiniteGroupoid) -> ValidationReport:
@@ -688,8 +689,8 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     Structurally malformed tables are reported as kind "malformed" and
     short-circuit the axiom checks. Each check runs as array expressions
     over the slot array; Violations are built only for failing entries.
-    Associativity is proved by Light's test on a generating set where it
-    applies; the full scan runs otherwise and gives the witnesses.
+    Associativity is proved by the convolution plan where it builds (see
+    _block_plan); the full scan runs otherwise and gives the witnesses.
     """
     rep, entries = _structure(g)
     if not rep.ok:
@@ -728,17 +729,12 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     for a in np.flatnonzero(bad).tolist():
         rep.add("axiom", AXIOM_INVERSE, (a,), f"inverse law fails at arrow {g.arrow_label(a)}")
 
-    # associativity by Light's test when the source-target axiom holds: the
-    # arrows c with (a∘b)∘c = a∘(b∘c) for every composable (a, b) are closed
-    # under composition, so checking the c of a generating set proves it for
-    # all. Any failure, and any table the test does not apply to, goes to
-    # the full scan, which gives the witnesses.
-    proved = False
-    if not wrong_ends.size and s.n_slots * int(np.diff(s.into[1]).max(initial=0)) > _DIRECT_SCAN:
-        gens = _generators(s)
-        if gens is not None:
-            at, ptr = _group(g.n_base, tgt[gens])
-            proved = not _associativity(s, A, B, C, (s.pos[gens[at]], ptr))
+    # associativity by the convolution plan, kept for the kernels, when the
+    # source-target axiom holds and the full scan takes more than one block:
+    # a plan that builds proves the table a groupoid's. A table it does not
+    # build on goes to the full scan, which gives the witnesses.
+    big = s.n_slots * int(np.diff(s.into[1]).max(initial=0)) > _DIRECT_SCAN
+    proved = not wrong_ends.size and big and s.proves()
     fails = [] if proved else _associativity(s, A, B, C)
     if fails:
         entry, at = (np.concatenate(parts) for parts in zip(*fails))

@@ -159,13 +159,13 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
     """validate_rep's checks on the stack S of the covered arrows keys.
 
     Composition runs on the star coordinates of g (groupoid._Star) when U
-    covers every arrow, g has them, and every deviation checked, those of
-    unitarity, identity and inverse included, is at most ε = min(tol, 1) /
-    (8·D), D the largest fiber dimension; the full scan over the
-    composable pairs runs otherwise, and gives the witnesses. The star
-    check reads n²K star equations U(a) = U(σ_y)·U(k)·U(σ_x)* and the K²
-    products of the isotropy group G_r at each root r, for n base points
-    and K = |G_r|, where the scan forms n³K² products.
+    covers every arrow, g's plan proves g a groupoid (groupoid._block_plan)
+    and every deviation checked, those of unitarity, identity and inverse
+    included, is at most ε = min(tol, 1) / (8·D), D the largest fiber
+    dimension; the full scan over the composable pairs runs otherwise, and
+    gives the witnesses. The star check reads n²K star equations U(a) =
+    U(σ_y)·U(k)·U(σ_x)* and the K² products of the isotropy group G_r at
+    each root r, for n base points and K = |G_r|; the scan forms n³K².
 
     Why it suffices. For a: y → z and c: x → y, a∘c has k = k_a·k_c, as g
     is a groupoid. With V_x = U(σ_x), every deviation at most ε and t =
@@ -196,7 +196,7 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
     inverse = _dev(S[inv] - MH)
     eps = min(tol, 1.0) / (8 * D)
     within = covered.all() and all((d <= eps).all() for d in (unitarity, identity, inverse))
-    c = s.star() if within else None
+    c = s.star() if within and s.proves() else None  # none on an empty base
     star = None if c is None else _star_deviations(s, c, S)
     if star is not None and (star <= eps).all():
         report.composition = "star"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from groupoidalg import (
+    FiniteGroupoid,
     FinitePrincipalBundle,
     Section,
     cyclic,
@@ -35,6 +36,31 @@ def relabeled_group(G, rng):
     H = group_from_table({"elements": names, "mul": mul}, name=f"{G.name}-relabeled")
     assert H.order == 1 or H.identity != 0
     return H
+
+
+# An order-5 loop, a quasigroup with identity 0 whose elements are their own
+# inverses: its table is not associative, at 36 triples.
+LOOP = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+Z5 = tuple(tuple((g + h) % 5 for h in range(5)) for g in range(5))  # a group of that order
+
+
+def pair_times(n, mul):
+    """The pair groupoid on n points times the table mul, a quasigroup with
+    identity 0, with a dict compose table: arrow (y·k + g)·n + x is (y, g,
+    x), and (y, g, z)∘(z, h, x) = (y, mul[g][h], x). A groupoid exactly
+    when mul is a group's."""
+    k = len(mul)
+    triples = [(y, g, x) for y in range(n) for g in range(k) for x in range(n)]
+
+    def at(y, g, x):
+        return (y * k + g) * n + x
+
+    comp = {(at(y, g, z), at(z, h, x)): at(y, mul[g][h], x)
+            for y, g, z in triples for h in range(k) for x in range(n)}
+    return FiniteGroupoid(
+        n, tuple(x for _, _, x in triples), tuple(y for y, _, _ in triples), comp,
+        tuple(at(x, mul[g].index(0), y) for y, g, x in triples),
+        tuple(at(x, 0, x) for x in range(n)))
 
 
 @pytest.fixture(scope="session")

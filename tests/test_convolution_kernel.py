@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import relabeled_group
+from conftest import LOOP, Z5, pair_times, relabeled_group
 from convolution_oracle import (
     oracle_bundle_random,
     oracle_groupoid_convolve,
@@ -216,11 +216,12 @@ class TestRandomInstances:
         assert_close_convolution(f1, f2, w)
 
 
-def disjoint_union(parts, rng):
+def disjoint_union(parts, rng=None):
     """The disjoint union of groupoids, its base points and arrows
-    shuffled, so that the orbits interleave in id order."""
+    shuffled by rng, if given, so that the orbits interleave in id order."""
     n_base, n_arrows = sum(p.n_base for p in parts), sum(p.n_arrows for p in parts)
-    base, arrow = rng.permutation(n_base).tolist(), rng.permutation(n_arrows).tolist()
+    order = np.arange if rng is None else rng.permutation
+    base, arrow = order(n_base).tolist(), order(n_arrows).tolist()
     src, tgt, inv, ident, comp = [0] * n_arrows, [0] * n_arrows, [0] * n_arrows, [0] * n_base, {}
     b0 = a0 = 0
     for p in parts:
@@ -322,6 +323,30 @@ class TestBlockPlan:
         bad = redirected(group, [(3, 4)])
         with pytest.raises(PreconditionError, match="not the arrow its star coordinates give"):
             groupoid_convolve(*(GroupoidFunction.delta(bad, 1),) * 2, HaarWeights.counting(bad))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_loop_isotropy_raises(self, n):
+        """The pair groupoid times the order-5 loop: every product is where
+        the star coordinates put it, so the slot pass holds, but the
+        isotropy is no group, and the plan raises naming it."""
+        g = pair_times(n, LOOP)
+        f = GroupoidFunction.random(g, np.random.default_rng(0))
+        with pytest.raises(PreconditionError, match="^the compose table is not a groupoid's: "
+                           "group of the isotropy at base point 0: not associative at "):
+            groupoid_convolve(f, f, HaarWeights.counting(g))
+        assert g._tables._plans == {}
+
+    @pytest.mark.parametrize("loop_first", [False, True])
+    def test_one_loop_orbit_raises(self, loop_first):
+        """Two orbits of one shape (2, 5), the pair groupoid times Z5 and
+        times the loop: two isotropy tables to check in one block, and the
+        error names the loop's root."""
+        parts = [pair_times(2, Z5), pair_times(2, LOOP)]
+        g = disjoint_union(parts[::-1] if loop_first else parts)
+        f = GroupoidFunction.random(g, np.random.default_rng(0))
+        root = 0 if loop_first else 2
+        with pytest.raises(PreconditionError, match=f"group of the isotropy at base point {root}:"):
+            groupoid_convolve(f, f, HaarWeights.counting(g))
 
     def test_no_coordinates_raises(self):
         g = gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2")))

@@ -273,14 +273,16 @@ def test_nan_matrix_is_a_violation(fix_gauge_2_z2):
 # --- composition on the star coordinates -------------------------------------
 #
 # validate_rep checks composition on the star coordinates when U covers every
-# arrow and every deviation it reads is at most min(tol, 1)/(8·D); otherwise
-# it scans the composable pairs. The tests compare the two, the pair scan
-# forced by hiding the coordinates, and the loop oracle where it is quick.
+# arrow, the convolution plan proves the table a groupoid's and every
+# deviation it reads is at most min(tol, 1)/(8·D); otherwise it scans the
+# composable pairs. The tests compare the two, the pair scan forced by
+# reporting that the plan does not build, and the loop oracle where it is
+# quick.
 
 
 def pair_scan(rep, tol=1e-9):
-    """validate_rep with no star coordinates, so on the pair scan."""
-    with mock.patch.object(groupoid._Tables, "star", lambda self: None):
+    """validate_rep as if the plan did not build, so on the pair scan."""
+    with mock.patch.object(groupoid._Tables, "proves", lambda self: False):
         report = validate_rep(rep, tol)
     assert report.composition == "pairs"
     return report
@@ -346,6 +348,22 @@ class TestStarPath:
         report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
         assert report.ok and report.composition == "star"
         assert star_coordinates(g).root.tolist() == [0, 0, 2, 2, 2]
+
+    def test_composition_off_a_groupoid_takes_the_pair_scan(self):
+        """The (2,Z2) gauge groupoid as a dict, (0,a,1)∘(1,e,0), ids (3, 4),
+        redirected from (0,a,0) to (0,e,0): no groupoid's table, so its plan
+        does not build. The sign representation U(y,g,x) = χ(g) meets every
+        star equation and G_r's products, yet U(3)·U(4) = −1 ≠ U(0) = 1;
+        the pair scan reports it."""
+        gauge = gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2")))
+        assert gauge.triples[3:5] == ((0, 1, 1), (1, 0, 0)) and gauge.compose(3, 4) == 2
+        comp = {**gauge.compose_table, (3, 4): 0}
+        g = FiniteGroupoid(2, gauge.src, gauge.tgt, comp, gauge.inv, gauge.identity)
+        U = {a: np.array([[(-1.0) ** h]]) for a, (_, h, _) in enumerate(gauge.triples)}
+        rep = UnitaryRep(g, HilbertBundle((1, 1)), U)
+        report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
+        assert not report.ok and report.composition == "pairs"
+        assert [(cond, w) for cond, w, _ in report.violations] == [("composition", (3, 4))]
 
     def test_partial_cover_falls_back(self):
         """U0 on the isotropy arrows, the family I on the g1 arrows, and

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import LOOP, Z5, pair_times
 from groupoidalg import (
     FinitePrincipalBundle,
     FiniteGroupoid,
@@ -31,6 +32,7 @@ from groupoidalg import (
     verify_morphism,
 )
 from groupoidalg import groupoid
+from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import check_structure
 from groupoidalg.semidirect import prop1_on_carrier
 from groupoidalg.groups import BUILTIN_GROUPS
@@ -294,51 +296,55 @@ class TestVerifyMorphism:
         assert verify_morphism(short).to_dict() == oracle_verify_morphism(short).to_dict()
 
 
-# --- Light's associativity test ---------------------------------------------
+# --- associativity by the convolution plan ----------------------------------
 #
-# validate_groupoid checks associativity on the arrows c of a generating set
-# S when the source-target axiom holds and the full scan would take more than
-# one block; any failure, and a table on which S is not seen to generate,
-# goes to the full scan. The tests below set the one-block rule to 0, so that
-# small tables take the generating-set path too, and record the scans run.
+# validate_groupoid proves associativity by building the convolution plan
+# (groupoid._block_plan) when the source-target axiom holds and the full scan
+# would take more than one block; a table the plan does not build on goes to
+# the full scan, which gives the witnesses. The tests below set the one-block
+# rule to 0, so that small tables take the plan path too, and record the
+# plans and scans run.
 
 
 @contextmanager
 def recorded_scans(direct_scan=0):
     """validate_groupoid with the one-block rule set to direct_scan, by
-    default the generating-set path at every size. Yields the record of
-    the calls: "S" for the scan over S, "all" for the full scan, and "no S"
-    for a generating-set search that gave up."""
+    default the plan path at every size. Yields the record of the calls:
+    "plan" for a plan that builds, "no plan" for one that raises, and
+    "all" for the full scan."""
     calls = []
-    scan, search = groupoid._associativity, groupoid._generators
+    plan, scan = groupoid._Tables.plan, groupoid._associativity
 
-    def spy_scan(s, A, B, C, cols=None):
-        calls.append("all" if cols is None else "S")
-        return scan(s, A, B, C, cols)
+    def spy_plan(s, label):
+        try:
+            kept = plan(s, label)
+        except PreconditionError:
+            calls.append("no plan")
+            raise
+        calls.append("plan")
+        return kept
 
-    def spy_search(s):
-        gens = search(s)
-        if gens is None:
-            calls.append("no S")
-        return gens
+    def spy_scan(s, A, B, C):
+        calls.append("all")
+        return scan(s, A, B, C)
 
     with mock.patch.object(groupoid, "_DIRECT_SCAN", direct_scan), \
-            mock.patch.object(groupoid, "_associativity", spy_scan), \
-            mock.patch.object(groupoid, "_generators", spy_search):
+            mock.patch.object(groupoid._Tables, "plan", spy_plan), \
+            mock.patch.object(groupoid, "_associativity", spy_scan):
         yield calls
 
 
 def forced_report(g):
-    """validate_groupoid's report on the generating-set path, equal to the
-    loop oracle's, and the scans it ran. A scan over S that finds a failure
-    is followed by the full scan; when S is found and the report has no
-    associativity violation, the scan over S is the only scan."""
+    """validate_groupoid's report on the plan path, equal to the loop
+    oracle's, and the plans and scans it ran. A plan that builds is the
+    only check, and then no triple fails; a plan that raises is followed by
+    the full scan; a malformed table runs neither."""
     with recorded_scans() as calls:
         report = validate_groupoid(g).to_dict()
     assert report == oracle_validate_groupoid(g).to_dict()
-    if "S" in calls:
-        assoc = any(v["axiom"] == "associativity" for v in report["violations"])
-        assert calls == (["S", "all"] if assoc else ["S"])
+    assert calls in ([], ["plan"], ["no plan", "all"], ["all"])
+    if calls == ["plan"]:
+        assert not any(v["axiom"] == "associativity" for v in report["violations"])
     return report, calls
 
 
@@ -406,23 +412,28 @@ def light_instances(draw):
 
 
 class TestLightsTest:
+    """validate_groupoid's plan path. The class and some tests keep the
+    names of Light's generating-set test, which the plan replaced."""
+
     @pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4")])
     def test_ladder_takes_the_generating_set(self, n, name):
+        """The plan builds on the gauge groupoid, the carrier and the
+        quotient, and proves them associative alone."""
         bundle = FinitePrincipalBundle(n, builtin_group(name))
         dec = poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(5)))
         quotient, _ = quotient_by_isotropy(dec.gauge, dec.g0)
         for g in (dec.gauge, dec.sd, quotient):
-            assert forced_report(g) == ({"ok": True, "violations": []}, ["S"])
+            assert forced_report(g) == ({"ok": True, "violations": []}, ["plan"])
 
     @pytest.mark.parametrize("kind", ["union", "isotropy", "bundle"])
     def test_non_transitive_takes_the_generating_set(self, kind):
-        assert forced_report(_non_transitive(kind)) == ({"ok": True, "violations": []}, ["S"])
+        assert forced_report(_non_transitive(kind)) == ({"ok": True, "violations": []}, ["plan"])
 
     def test_one_block_rule(self):
         """At the library's own rule, tables whose full scan fits in one
         block, n_slots · max |into(x)| ≤ _BLOCK, run the full scan only."""
-        for n, name, path in [(2, "Z2", "all"), (3, "S3", "all"), (4, "D4", "S"),
-                              (8, "Z4", "S")]:
+        for n, name, path in [(2, "Z2", "all"), (3, "S3", "all"), (4, "D4", "plan"),
+                              (8, "Z4", "plan")]:
             with recorded_scans(groupoid._DIRECT_SCAN) as calls:
                 assert validate_groupoid(_gauge(n, name)).ok
             assert calls == [path]
@@ -430,13 +441,13 @@ class TestLightsTest:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_one_product_mutants(self, data):
-        """Endpoints kept, so the generating-set path runs, and only
-        associativity (and with it the identity and inverse laws) can fail."""
+        """Endpoints kept, so the plan path runs, and only associativity
+        (and with it the identity and inverse laws) can fail."""
         g = data.draw(light_instances())
         for _ in range(data.draw(st.integers(1, 2))):
             g = _one_product(data.draw, g)
         report, calls = forced_report(g)
-        assert calls[0] in ("S", "no S")
+        assert calls[0] in ("plan", "no plan")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -451,6 +462,7 @@ class TestLightsTest:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_wrong_endpoints_skip_the_generating_set(self, data):
+        """A product with wrong endpoints skips the plan: the full scan only."""
         g = _wrong_ends(data.draw, data.draw(light_instances()))
         report, calls = forced_report(g)
         assert any(v["axiom"] == "source-target" for v in report["violations"])
@@ -458,22 +470,24 @@ class TestLightsTest:
 
     def test_no_generating_set_falls_back_to_the_scan(self):
         """The inv entry of a star arrow points back at the star arrow, so
-        h∘inv[star x] is not composable: S is not seen to generate, and the
-        full scan decides, with only the inverse law failing."""
+        h∘inv[star x] is not composable: there are no star coordinates, the
+        plan does not build, and the full scan decides, with only the
+        inverse law failing."""
         g = _gauge(3, "S3")
         star = next(a for a in g.arrows_from(0) if g.tgt[a] == 1)
         inv = list(g.inv)
         inv[star] = star
         report, calls = forced_report(dataclasses.replace(g, inv=tuple(inv)))
-        assert calls == ["no S", "all"]
+        assert calls == ["no plan", "all"]
         assert {v["axiom"] for v in report["violations"]} == {"inverse"}
 
     def test_generating_set_that_misses_arrows_falls_back_to_the_scan(self):
         """Base {0, 1}: e0, z0 at 0 with z0 absorbing, f: 0 → 1, g: 1 → 0 and
         four arrows at 1 that compose as a right-zero band (x∘y = y), with
-        f∘g the first of them. Associativity holds at every c of S = {e0,
-        z0, f, g} but fails at (f, g, c) for the other three arrows at 1,
-        which are no products of S; so S must not be taken as generating."""
+        f∘g the first of them. Associativity holds at every c of {e0, z0,
+        f, g}, which a generating-set test would read, but fails at (f, g,
+        c) for the other three arrows at 1, which are no products of them;
+        the plan must not build."""
         src, tgt = (0, 0, 0, 1, 1, 1, 1, 1), (0, 0, 1, 0, 1, 1, 1, 1)
 
         def product(a, b):
@@ -488,10 +502,11 @@ class TestLightsTest:
         g = FiniteGroupoid(2, src, tgt, comp, (0, 1, 3, 2, 4, 5, 6, 7), (0, 4))
         _, (A, B, C) = groupoid._structure(g)
         s = g._product_slots()
-        by_tgt, ptr = groupoid._group(2, s.tgt[:4])
-        assert not groupoid._associativity(s, A, B, C, (s.pos[:4][by_tgt], ptr))
+        fails = groupoid._associativity(s, A, B, C)
+        at = np.concatenate([cols for _, cols in fails])
+        assert not np.isin(s.into[0][at], [0, 1, 2, 3]).any()
         report, calls = forced_report(g)
-        assert calls == ["no S", "all"]
+        assert calls == ["no plan", "all"]
         assert [v["witness"] for v in report["violations"] if v["axiom"] == "associativity"] == [
             [2, 3, 5], [2, 3, 6], [2, 3, 7]]
 
@@ -499,44 +514,44 @@ class TestLightsTest:
         """e0 at 0, f: 0 → 1, g: 1 → 0 and e1, z1 at 1 composing as a
         right-zero band, with f∘g = e1: five arrows, but an orbit of two
         points over a trivial isotropy group has four. Associativity fails
-        only at (f, g, z1), outside S = {e0, f, g}."""
+        only at (f, g, z1), outside {e0, f, g}; the plan must not build."""
         src, tgt = (0, 0, 1, 1, 1), (0, 1, 0, 1, 1)
         ends = {(0, 0): 0, (0, 1): 1, (1, 0): 2}
         comp = {(a, b): ends.get((src[b], tgt[a]), 3 if (a, b) == (1, 2) else b)
                 for a in range(5) for b in range(5) if src[a] == tgt[b]}
         report, calls = forced_report(FiniteGroupoid(2, src, tgt, comp, (0, 2, 1, 3, 4), (0, 3)))
-        assert calls == ["no S", "all"]
+        assert calls == ["no plan", "all"]
         assert [v["witness"] for v in report["violations"] if v["axiom"] == "associativity"] == [
             [1, 2, 4]]
 
     def test_base_point_without_arrows_into_it_has_no_star_arrow(self):
         g = FiniteGroupoid(2, (0, 1), (0, 0), {(0, 0): 0, (0, 1): 1}, (0, 1), (0, 1))
-        assert forced_report(g)[1] == ["no S", "all"]
+        assert forced_report(g)[1] == ["no plan", "all"]
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_loop_isotropy_falls_back_to_the_scan(self, n):
+        """The pair groupoid times the order-5 loop: its star coordinates
+        stand and every product is where they put it, but the isotropy is no
+        group, so the plan does not build and the full scan finds the
+        36·n⁴ failing triples."""
+        g = pair_times(n, LOOP)
+        assert g._product_slots().star() is not None
+        report, calls = forced_report(g)
+        assert calls == ["no plan", "all"]
+        assert [v["axiom"] for v in report["violations"]] == ["associativity"] * 36 * n**4
 
-def _closure(g, gens):
-    """Every product of arrows of gens, by a left-multiplication walk over
-    the compose table."""
-    seen, todo = set(gens), list(gens)
-    while todo:
-        e = todo.pop()
-        for s in gens:
-            if g.src[s] == g.tgt[e] and (p := g.compose(s, e)) not in seen:
-                seen.add(p)
-                todo.append(p)
-    return seen
+    @pytest.mark.parametrize("loop_first", [False, True])
+    def test_one_loop_orbit_of_two_falls_back_to_the_scan(self, loop_first):
+        """Two orbits of one shape (2, 5), the pair groupoid times Z5 and
+        times the loop, so two isotropy tables to check in one block."""
+        parts = [pair_times(2, Z5), pair_times(2, LOOP)]
+        assert validate_groupoid(parts[0]).ok
+        report, calls = forced_report(_disjoint_union(*(parts[::-1] if loop_first else parts)))
+        assert calls == ["no plan", "all"]
+        assert [v["axiom"] for v in report["violations"]] == ["associativity"] * 576
 
-
-@pytest.mark.parametrize(
-    "n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"), (16, "D4")])
-def test_generating_set_generates_the_ladder(n, name):
-    """S generates every arrow of the gauge groupoid, the carrier and the
-    quotient; it has 2(n − 1) + |iso| arrows: the star arrows off the root,
-    their inverses and the root's isotropy fiber."""
-    bundle = FinitePrincipalBundle(n, builtin_group(name))
-    dec = poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(n)))
-    quotient, _ = quotient_by_isotropy(dec.gauge, dec.g0)
-    for g, iso in ((dec.gauge, bundle.group.order), (dec.sd, bundle.group.order), (quotient, 1)):
-        gens = groupoid._generators(g._product_slots())
-        assert gens is not None and len(gens) == 2 * (n - 1) + iso
-        assert _closure(g, gens.tolist()) == set(g.arrows())
+    def test_plan_kept_for_the_kernels(self):
+        """The plan that proves associativity is the one the convolution
+        reads: validate_groupoid keeps it on the table object."""
+        g = _gauge(4, "D4")
+        assert validate_groupoid(g).ok and "block" in g._tables._plans
