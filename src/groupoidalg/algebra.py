@@ -228,19 +228,20 @@ def groupoid_convolve(
     Groupoid Approach to C*-Algebras", LNM 793, 1980) and the convolution a
     matrix product: with A[y, (h, z)] = w·f1 at the star coordinates
     (y, h, z) and B[(h, z), (k, x)] = f2 at (z, h⁻¹k, x), f1 * f2 = A·B.
-    One einsum per orbit shape, on the plan the table object keeps
-    (groupoid._block_plan), which also proves that the table is a
-    groupoid's; any other table raises PreconditionError naming the first
-    pair that fails. einsum, not BLAS: it sums over (h, z) in order on any
-    CPU, so the bits do not depend on the BLAS kernel. On the gauge
-    groupoids of the builtin groups that order is the order of eta, and
-    the values are bit-identical to the loop over the definition.
+    One einsum per orbit shape, on the index grids of the plan the table
+    object keeps (groupoid._block_plan), which gathers them from the star
+    arrows and so proves that the table is a groupoid's; any other table
+    raises PreconditionError naming what fails. einsum, not BLAS: it sums
+    over (h, z) in order on any CPU, so the bits do not depend on the BLAS
+    kernel. On the gauge groupoids of the builtin groups that order is the
+    order of eta, and the values are bit-identical to the loop over the
+    definition.
     """
     g = f1.groupoid
     if f2.groupoid is not g or w.groupoid is not g:
         raise PreconditionError("operands live on different groupoids")
     u, out = w.values * f1.values, np.empty(g.n_arrows, dtype=complex)
-    for at, by in g._product_slots().plan(g.arrow_label):
+    for at, by, _, _ in g._product_slots().plan(g.arrow_label).shapes:
         out[at] = np.einsum("oyj,ojk->oyk", u[at], f2.values[by], optimize=False)
     return GroupoidFunction(g, out)
 

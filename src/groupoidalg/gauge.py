@@ -10,7 +10,7 @@ measures of the motivating construction are replaced by counting measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,6 +67,9 @@ class Section:
     def from_names(cls, bundle: FinitePrincipalBundle, names: dict) -> "Section":
         if not isinstance(names, dict):
             raise MalformedTableError("section file: not a map from base point to element")
+        base = {str(x) for x in range(bundle.n_base)}
+        if unknown := [key for key in names if key not in base]:
+            raise MalformedTableError(f"section file: unknown base point {unknown[0]!r}")
         sigma = []
         for x in range(bundle.n_base):
             key = str(x)
@@ -147,7 +150,6 @@ class PoincareDecomposition:
     g1: SubgroupoidSelection
     sd: SemidirectGroupoid
     translation: np.ndarray  # [tgt, src] -> parent arrow id, as (n, n)
-    _plan: tuple = field(default=None, init=False, repr=False)  # of poincare_convolve
 
 
 def poincare_decomposition(
@@ -220,8 +222,9 @@ def poincare_convolve(
     out[x, g, y] = Σ_z Σ_g' w(iso_x(g'))·w(t_xz) · f1[x, g', z] · f2[z, g'⁻¹g, y],
     with iso_x(g') = (x, σ(x)·g'·σ(x)⁻¹, x) and t_xz the translation z → x.
     One einsum over j = z·|G| + g', z first as in the loop over the
-    formula, on index tables built on the first call and kept on dec
-    (_poincare_plan): the values are bit-identical to that loop.
+    formula, on index tables built on the first call and kept with the
+    carrier, per section (_poincare_plan): the values are bit-identical to
+    that loop.
 
     Agrees with groupoid_convolve under the product carrier weights.
     """
@@ -232,9 +235,8 @@ def poincare_convolve(
         w_parent = HaarWeights.counting(dec.gauge)
     if w_parent.groupoid is not dec.gauge:
         raise PreconditionError("weights must live on the decomposition's gauge groupoid")
-    if dec._plan is None:
-        dec._plan = _poincare_plan(dec)
-    iso, ids, by = dec._plan
+    iso, ids, by = sd._product_slots().kept(("poincare", dec.section.sigma),
+                                            lambda _: _poincare_plan(dec))
     dm = w_parent.values[iso][:, None, :] * w_parent.values[dec.translation][:, :, None]
     u = (dm * f1.values[ids]).reshape(1, len(ids), -1)  # [x, (z, g')]
     out = np.empty(sd.n_arrows, dtype=complex)

@@ -185,11 +185,11 @@ class _Tables:
     b), so slots run in the order of _walk, which is (a, b) order. A tail
     as long as the largest fiber starts at slot n_slots; it holds -1, and
     non-composable lookups read it. The pair arrays of the slots, the
-    lists behind scalar lookups, the star coordinates and the kernels'
-    plans are built on first use and kept."""
+    lists behind scalar lookups and the kernels' plans are built on first
+    use and kept."""
 
     __slots__ = ("src", "tgt", "inv", "identity", "into", "out", "iso",
-                 "off", "pos", "n_slots", "prod", "_ab", "_lists", "_star", "_plans")
+                 "off", "pos", "n_slots", "prod", "_ab", "_lists", "_plans")
 
     def __init__(self, g):
         tables = (g.src, g.tgt, g.inv, g.identity)
@@ -205,7 +205,7 @@ class _Tables:
         for t in (*self.into, *self.out, *self.iso):
             t.setflags(write=False)
         self.off = self.pos = self.n_slots = self.prod = self._ab = self._lists = None
-        self._star, self._plans = _UNSET, {}
+        self._plans = {}
 
     def _lay_out(self) -> int:
         """Lay out the slots of in-range tables, on the first call; the
@@ -268,17 +268,11 @@ class _Tables:
             self._ab = a, b
         return self._ab
 
-    def star(self) -> "_Star | None":
-        """The star coordinates of _star_coordinates, built on first use
-        and kept, as the products they are read from are."""
-        if self._star is _UNSET:
-            self._star = _star_coordinates(self)
-        return self._star
-
-    def plan(self, label) -> list:
-        """The convolution plan of _block_plan, built on first use and kept
-        (a table that fails its checks keeps none); label names arrow ids
-        in the error. A plan that builds proves the table a groupoid's."""
+    def plan(self, label) -> "_Plan":
+        """The star coordinates and convolution plan of _block_plan, built
+        on first use and kept (a table that fails its checks keeps none);
+        label names arrow ids in the error. A plan that builds proves the
+        table a groupoid's."""
         return self.kept("block", _block_plan, label)
 
     def proves(self) -> bool:
@@ -533,122 +527,81 @@ def _associativity(s: _Tables, A, B, C) -> list:
     return fails
 
 
-_UNSET = object()  # a cache not filled yet, where None is a value
+_NOT_STAR = "the compose table has no star coordinates: it is not a groupoid's"
 
 
 @dataclass(frozen=True, eq=False)
-class _Star:
-    """Star coordinates of a groupoid, every orbit at once. The root r of
-    an orbit is its lowest base point; star[x] is the star arrow σ_x: r → x,
-    the first arrow from r into x; an arrow a: x → y is σ_y∘k∘σ_x⁻¹ for
-    the one k in the isotropy fiber at r of rank rank[a] there, the fiber
-    being iso_ids[iso_ptr[r]:iso_ptr[r + 1]] of the table object. So the
-    orbit is the pair groupoid on its base points times iso(r) (H. Brandt,
-    Math. Ann. 96, 1927)."""
+class _Plan:
+    """A groupoid's star coordinates and its convolution plan (_block_plan)."""
 
-    root: np.ndarray  # per base point
-    star: np.ndarray  # per base point
-    rank: np.ndarray  # per arrow
-
-    def k(self, s: _Tables, a):
-        """The arrow ids k = σ_y⁻¹∘a∘σ_x of arrows a."""
-        ids, ptr = s.iso
-        return ids[ptr[self.root[s.src[a]]] + self.rank[a]]
+    star: np.ndarray  # per base point x: σ_x, the first arrow from its orbit's root into x
+    k: np.ndarray  # per arrow a: x → y, the k in G_r with a = σ_y∘k∘σ_x⁻¹
+    shapes: list  # per orbit shape: (at, by, kr, mul)
 
 
-def _star_coordinates(s: _Tables):
-    """The star coordinates of the groupoid of the table object s, or None
-    when they are not seen to cover every arrow literally in the table:
-    each arrow must be star[y]∘(k∘inv[star[x]]) for exactly one (y, k, x)
-    with k in iso(r), and have target y and source x. Two gathers over
-    (y, k, x), which in a groupoid give each arrow once."""
+def _block_plan(s: _Tables, label) -> _Plan:
+    """The star coordinates of a groupoid, and its convolution as block
+    products, one per orbit shape (n, K). The root r of an orbit is its
+    lowest base point, σ_x: r → x the first arrow from r into x, and an
+    arrow a: x → y is σ_y∘k∘σ_x⁻¹ for one k in the isotropy group G_r: the
+    orbit is the pair groupoid on its n base points times G_r (H. Brandt,
+    Math. Ann. 96, 1927). For the orbits o of a shape, base points numbered
+    in each orbit in id order and kr[o, h] the arrow of G_r of rank h in its
+    fiber, at[o, y, h·n + x] is the arrow (y, h, x), gathered as
+    σ_y∘(kr[o, h]∘σ_x⁻¹), and by[o, h·n + z, k·n + x] the arrow (z, h⁻¹k, x),
+    with h⁻¹k read off mul[o, h, m], the rank of kr[o, h]∘kr[o, m]. In a
+    groupoid (y, h, z)∘(z, m, x) = (y, h·m, x), and for each h one m gives
+    h·m = k, so with u = w·f1 the convolution is u[at] @ f2[by] for each o.
+
+    The plan proves this on the table it is built from. Every product
+    gathered must exist and run from the x-th to the y-th base point, and
+    one scatter of k must reach every arrow: as the grids hold as many
+    entries as there are arrows, they hold each once. So the pairs (at[o,
+    y, j], by[o, j, k]) are the composable pairs, each once; one pass over
+    them, in blocks of rows (o, y), finds each product at at[o, y, k], so
+    the block products sum exactly the terms w(a)·f1(a)·f2(b) of the pairs
+    (a, b) into a∘b. Each distinct table mul[o] must then make a
+    FiniteGroup, whose rows are permutations: so a∘b = (y, h·m, x) on every
+    pair, and the table is a groupoid's. Any other table raises
+    PreconditionError: that it has no star coordinates, or else naming,
+    through label, the pair of the lowest slot whose product is elsewhere,
+    or else the isotropy group that fails."""
     ids, ptr = s.into
     sizes = np.diff(ptr)
-    if not (sizes.size and sizes.all()):
-        return None  # no base point, or one with no star arrow
+    if not sizes.all():
+        raise PreconditionError(_NOT_STAR)  # a base point with no star arrow
     ends = s.src[ids]
     root = np.minimum.reduceat(ends, ptr[:-1])  # the lowest source of an arrow into x
-    first = np.flatnonzero(ends == np.repeat(root, sizes))
-    star = ids[first[first.searchsorted(ptr[:-1])]]  # into x is in arrow-id order
-    orbit, optr = _group(len(sizes), root)
-    # in a groupoid the products below are the arrows, each once; another
-    # count gives no coordinates, which also bounds the gathers
-    if (np.diff(optr) ** 2 * np.diff(s.iso[1])).sum() != len(s.src):
-        return None
-    span = np.diff(s.iso[1])[root]
-    blocks = list(_walk(*s.iso, root, _PAIR_BLOCK))  # (x, k) with k in iso(root x)
-    x, k = (np.concatenate([blk[i] for blk in blocks]) for i in (1, 2))
-    k_rank = np.arange(x.size) - np.repeat(np.cumsum(span) - span, span)
-    t = s.get(k, s.inv[star[x]])
-    if (t < 0).any():
-        return None
-    rank = np.full(len(s.src), -1, dtype=np.int32)
-    for _, i, y in _walk(orbit, optr, root[x], _PAIR_BLOCK):  # y with the root of x[i]
-        c = s.get(star[y], t[i])
-        if (c < 0).any() or (s.tgt[c] != y).any() or (s.src[c] != x[i]).any():
-            return None
-        rank[c] = k_rank[i]
-    if (rank < 0).any():
-        return None
-    for table in (root, star, rank):
-        table.setflags(write=False)
-    return _Star(root, star, rank)
-
-
-def _block_plan(s: _Tables, label) -> list:
-    """The groupoid convolution as block products, one per orbit shape
-    (n, K): a list of pairs (at, by) of intp index arrays over the orbits
-    o of that shape, base points numbered in each orbit in id order.
-    at[o, y, h·n + x] is the arrow with star coordinates (y, h, x), that is
-    target y, rank h and source x; by[o, h·n + z, k·n + x] the arrow at (z,
-    h⁻¹k, x), with h⁻¹k read off the table of the isotropy group G_r at
-    the root. In a groupoid, a = (y, h, z) and b = (z, m, x) compose to
-    (y, h·m, x), and for each h one m gives h·m = k, so with u = w·f1 the
-    convolution is (f1 * f2)[at] = u[at] @ f2[by] for each o.
-
-    The plan proves this on the table it is built from. The coordinates
-    cover every arrow once (_star_coordinates), so the pairs (at[o, y, j],
-    by[o, j, k]) are the composable pairs, each once; one pass over them,
-    in blocks of rows (o, y), finds each product at at[o, y, k]. Then the
-    block products sum exactly the terms w(a)·f1(a)·f2(b) of the composable
-    pairs (a, b) into a∘b. Each distinct table of G_r must then make a
-    FiniteGroup, whose rows are permutations: so a∘b = (y, h·m, x) on every
-    pair, and the table is a groupoid's. A groupoid passes; any other table
-    raises PreconditionError naming, through label, the pair of the lowest
-    slot whose product is elsewhere, or else the isotropy group that fails."""
-    if not len(s.src):
-        return []
-    c = s.star()
-    if c is None:
-        raise PreconditionError("the compose table has no star coordinates: it is not a groupoid's")
+    from_root = np.flatnonzero(ends == np.repeat(root, sizes))
+    star = ids[from_root[from_root.searchsorted(ptr[:-1])]]  # into x is in arrow-id order
+    pts, optr = _group(sizes.size, root)  # the base points by root, in id order
     iso_ids, iso_ptr = s.iso
-    sizes = np.diff(iso_ptr)
+    n_of, k_of = np.diff(optr), np.diff(iso_ptr)  # per root
+    if (n_of ** 2 * k_of).sum() != len(s.src):  # a groupoid's grids hold its arrows, each once
+        raise PreconditionError(_NOT_STAR)
     in_fiber = np.full(len(s.src), -1, dtype=np.intp)  # an isotropy arrow's rank in its fiber
-    in_fiber[iso_ids] = np.arange(iso_ids.size) - np.repeat(iso_ptr[:-1], sizes)
-    roots = np.flatnonzero(c.root == np.arange(c.root.size))  # one per orbit, ascending
-    orbit = roots.searchsorted(c.root)  # of each base point
-    n_of, k_of = np.bincount(orbit), sizes[roots]
-    by_orbit, optr = _group(roots.size, orbit)
-    local = np.empty(orbit.size, dtype=np.intp)  # a base point's number in its orbit
-    local[by_orbit] = np.arange(orbit.size) - np.repeat(optr[:-1], n_of)
-    at_orbit = orbit[s.tgt]
-    plan, groups, first = [], [], (s.n_slots,)  # first: the failing (slot, a, b) of the lowest slot
-    for n, K in sorted(set(zip(n_of.tolist(), k_of.tolist()))):
-        os = np.flatnonzero((n_of == n) & (k_of == K))
-        where = np.full(roots.size, -1, dtype=np.intp)  # an orbit's number in the shape
-        where[os] = np.arange(os.size)
-        arrows = np.flatnonzero(where[at_orbit] >= 0)
-        at = np.empty((os.size, n, K, n), dtype=np.intp)
-        at.reshape(-1)[((where[at_orbit[arrows]] * n + local[s.tgt[arrows]]) * K
-                        + c.rank[arrows]) * n + local[s.src[arrows]]] = arrows
-        kr = iso_ids[iso_ptr[roots[os], None] + np.arange(K)]  # G_r, by rank
+    in_fiber[iso_ids] = np.arange(iso_ids.size) - np.repeat(iso_ptr[:-1], k_of)
+    roots = np.flatnonzero(n_of)
+    k = np.full(len(s.src), -1, dtype=np.intp)
+    shapes, groups, first = [], [], (s.n_slots,)  # first: the failing (slot, a, b) of the lowest slot
+    for n, K in sorted(set(zip(n_of[roots].tolist(), k_of[roots].tolist()))):
+        r = roots[(n_of[roots] == n) & (k_of[roots] == K)]
+        x = pts[optr[r, None] + np.arange(n)]  # [o, x]
+        kr = iso_ids[iso_ptr[r, None] + np.arange(K)]  # [o, h]: G_r, by rank
+        t = s.get(kr[:, :, None], s.inv[star[x]][:, None, :])  # [o, h, x]: k∘σ_x⁻¹
+        at = s.get(star[x][:, :, None, None], t[:, None])  # [o, y, h, x]: σ_y∘k∘σ_x⁻¹
+        if ((t < 0).any() or (at < 0).any() or (s.tgt[at] != x[:, :, None, None]).any()
+                or (s.src[at] != x[:, None, None, :]).any()):
+            raise PreconditionError(_NOT_STAR)
+        k[at] = kr[:, None, :, None]
+        at = at.astype(np.intp)
         mul = in_fiber[s.get(kr[:, :, None], kr[:, None, :])]  # [o, h, m]: rank of h·m
-        groups += [(roots[os[o]], kr[o], mul[o])
+        groups += [(r[o], kr[o], mul[o])
                    for o in {m.tobytes(): o for o, m in enumerate(mul)}.values()]
         ldiv = _left_quotients(mul)[:, :, None, :, None]
-        by = at[np.arange(os.size)[:, None, None, None, None], np.arange(n)[:, None, None],
-                ldiv, np.arange(n)].reshape(os.size, K * n, K * n)
-        at = at.reshape(os.size * n, K * n)  # rows (o, y)
+        by = at[np.arange(r.size)[:, None, None, None, None], np.arange(n)[:, None, None],
+                ldiv, np.arange(n)].reshape(r.size, K * n, K * n)
+        at = at.reshape(r.size * n, K * n)  # rows (o, y)
         off, pos = s.off[at], s.pos[by]
         step = max(1, _PAIR_BLOCK // by[0].size)
         for lo in range(0, len(at), step):
@@ -658,18 +611,20 @@ def _block_plan(s: _Tables, label) -> list:
                 i = np.unravel_index(np.where(bad, slot, s.n_slots).argmin(), bad.shape)
                 first = min(first, (int(slot[i]), int(at[lo + i[0], i[1]]),
                                     int(by[(lo + i[0]) // n, i[1], i[2]])))
-        plan.append((at.reshape(os.size, n, K * n), by))
+        shapes.append((at.reshape(r.size, n, K * n), by, kr, mul))
+    if (k < 0).any():
+        raise PreconditionError(_NOT_STAR)
     if len(first) > 1:
         raise PreconditionError(
             f"the compose table is not a groupoid's: {label(first[1])}∘{label(first[2])} "
             "is not the arrow its star coordinates give")
-    for r, k, mul in groups:
+    for r, kr, mul in groups:
         try:
-            FiniteGroup(f"of the isotropy at base point {r}", tuple(map(label, k.tolist())),
+            FiniteGroup(f"of the isotropy at base point {r}", tuple(map(label, kr.tolist())),
                         mul.tolist())
         except MalformedTableError as exc:
             raise PreconditionError(f"the compose table is not a groupoid's: {exc}") from None
-    return plan
+    return _Plan(star, k, shapes)
 
 
 def _left_quotients(mul):

@@ -136,36 +136,40 @@ def _nan_noted(message: str, dev) -> str:
     return f"{message} (deviation nan)" if np.isnan(dev) else message
 
 
-def _star_deviations(s, c, S) -> np.ndarray:
+def _star_deviations(s, plan, S) -> np.ndarray:
     """max|diff| of the star equations U(a) − U(σ_y)·U(k)·U(σ_x)* at every
-    arrow a: x → y, then of the table U(k1∘k2) − U(k1)·U(k2) of the
-    isotropy group at each root, for the star coordinates c; in blocks of
-    at most _ENTRIES entries per temporary."""
+    arrow a: x → y, then of the tables U(h∘m) − U(h)·U(m) of the isotropy
+    group G_r of every orbit, all read off the plan of groupoid._block_plan;
+    in blocks of at most _ENTRIES entries per temporary."""
     D = S.shape[1]
     step = max(1, _ENTRIES // (D * D))
     devs = []
     for lo in range(0, S.shape[0], step):
         a = np.arange(lo, min(lo + step, S.shape[0]))
-        left = S[c.star[s.tgt[a]]] @ S[c.k(s, a)]
-        devs.append(_dev(S[a] - left @ S[c.star[s.src[a]]].conj().swapaxes(1, 2)))
-    ids, ptr = s.iso
-    k1 = ids[(c.root == np.arange(c.root.size))[s.src[ids]]]  # the isotropy at the roots
-    for _, i, k2 in _walk(ids, ptr, s.src[k1], step):
-        devs.append(_dev(S[s.compose(k1[i], k2)] - S[k1[i]] @ S[k2]))
+        left = S[plan.star[s.tgt[a]]] @ S[plan.k[a]]
+        devs.append(_dev(S[a] - left @ S[plan.star[s.src[a]]].conj().swapaxes(1, 2)))
+    for _, _, kr, mul in plan.shapes:
+        rows = max(1, step // mul[0].size)  # orbits per block, K² products each
+        for lo in range(0, len(kr), rows):
+            k = kr[lo:lo + rows]
+            hm = np.take_along_axis(k[:, None, :], mul[lo:lo + rows], axis=2)  # [o, h, m]: h∘m
+            Uk = S[k]
+            devs.append(_dev(S[hm] - Uk[:, :, None] @ Uk[:, None]).ravel())
     return np.concatenate(devs)
 
 
 def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol: float):
     """validate_rep's checks on the stack S of the covered arrows keys.
 
-    Composition runs on the star coordinates of g (groupoid._Star) when U
-    covers every arrow, g's plan proves g a groupoid (groupoid._block_plan)
-    and every deviation checked, those of unitarity, identity and inverse
-    included, is at most ε = min(tol, 1) / (8·D), D the largest fiber
-    dimension; the full scan over the composable pairs runs otherwise, and
-    gives the witnesses. The star check reads n²K star equations U(a) =
-    U(σ_y)·U(k)·U(σ_x)* and the K² products of the isotropy group G_r at
-    each root r, for n base points and K = |G_r|; the scan forms n³K².
+    Composition runs on the star coordinates of g's plan
+    (groupoid._block_plan) when U covers every arrow, the plan builds, which
+    proves g a groupoid, and every deviation checked, those of unitarity,
+    identity and inverse included, is at most ε = min(tol, 1) / (8·D), D the
+    largest fiber dimension; the full scan over the composable pairs runs
+    otherwise, and gives the witnesses. The star check reads n²K star
+    equations U(a) = U(σ_y)·U(k)·U(σ_x)* and the K² products of the isotropy
+    group G_r at each root r, for n base points and K = |G_r|; the scan
+    forms n³K².
 
     Why it suffices. For a: y → z and c: x → y, a∘c has k = k_a·k_c, as g
     is a groupoid. With V_x = U(σ_x), every deviation at most ε and t =
@@ -196,8 +200,8 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
     inverse = _dev(S[inv] - MH)
     eps = min(tol, 1.0) / (8 * D)
     within = covered.all() and all((d <= eps).all() for d in (unitarity, identity, inverse))
-    c = s.star() if within and s.proves() else None  # none on an empty base
-    star = None if c is None else _star_deviations(s, c, S)
+    proved = within and g.n_base and s.proves()  # "pairs" on an empty base
+    star = _star_deviations(s, s.plan(str), S) if proved else None
     if star is not None and (star <= eps).all():
         report.composition = "star"
         report.max_deviation = float(np.max(star, initial=report.max_deviation))

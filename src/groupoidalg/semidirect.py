@@ -27,10 +27,15 @@ def _layout(parent: FiniteGroupoid, g1: SubgroupoidSelection):
     sorted(g1.arrows); per row the isotropy fiber at its target, as (|g1|, K);
     per parent arrow its row (-1 off g1) and its column, its rank in its fiber.
     Carrier arrow row·K + column is (fiber arrow, row arrow), and values[row, column]
-    of a BundleFunction."""
+    of a BundleFunction. Read-only, built once per g1 arrow set and kept
+    with the parent, next to twisted_convolve's plan."""
     if g1.parent is not parent:
         raise PreconditionError("g1 must be a selection of the parent groupoid")
-    rows = np.array(sorted(g1.arrows), dtype=np.intp)
+    return parent._tables.kept(("layout", g1.arrows), _build_layout, parent, g1.arrows)
+
+
+def _build_layout(_, parent: FiniteGroupoid, arrows) -> tuple:
+    rows = np.array(sorted(arrows), dtype=np.intp)
     # the public fibers: a BundleFunction's parent may have had no structure pass
     iso = [parent.isotropy_fiber(x) for x in parent.base()]
     fibers = [iso[parent.tgt[a]] for a in rows.tolist()]
@@ -39,6 +44,8 @@ def _layout(parent: FiniteGroupoid, g1: SubgroupoidSelection):
     fiber = np.array(fibers, dtype=np.intp).reshape(rows.size, len(fibers[0]) if fibers else 0)
     row, col = np.full(parent.n_arrows, -1, dtype=np.intp), np.zeros(parent.n_arrows, np.intp)
     row[rows], col[fiber] = np.arange(rows.size), np.arange(fiber.shape[1])
+    for table in (rows, fiber, row, col):
+        table.setflags(write=False)
     return rows, fiber, row, col
 
 

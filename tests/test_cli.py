@@ -631,6 +631,14 @@ class TestMalformedInput:
         section.write_text(json.dumps(names))
         assert main(["verify-prop1", *GAUGE_ARGS, "--section", str(section)]) == 2
 
+    @pytest.mark.parametrize("extra", ["5", "2", "-1", "01", "x"])
+    def test_section_file_with_a_point_outside_the_base(self, extra, tmp_path, capsys):
+        """Every base point named, and one more key: exit 2 naming it."""
+        section = tmp_path / "section.json"
+        section.write_text(json.dumps({"0": "e", "1": "a", extra: "a"}))
+        assert main(["verify-prop1", *GAUGE_ARGS, "--section", str(section)]) == 2
+        assert f"section file: unknown base point {extra!r}" in capsys.readouterr().err
+
     def test_empty_base_rejected(self, capsys):
         assert main(["verify-prop1", "--base", "0", "--group", "Z2"]) == 2
         assert "--base" in capsys.readouterr().err

@@ -15,7 +15,6 @@ import dataclasses
 import gc
 import re
 import weakref
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,12 +64,13 @@ from groupoidalg import (
     validate_groupoid,
     verify_theorem1,
 )
-from groupoidalg import algebra, gauge, groupoid
+from groupoidalg import algebra, gauge, groupoid, semidirect
 from groupoidalg import io as gio
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import check_structure
 from groupoidalg.groups import BUILTIN_GROUPS, group_from_table, group_to_table, symmetric
 from groupoidalg.semidirect import prop1_on_carrier
+from star_oracle import NO_STAR, assert_same_plan, oracle_star_coordinates
 
 LADDER = [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"), (16, "D4")]
 
@@ -269,8 +269,33 @@ class TestBlockPlan:
         for w in (HaarWeights.counting(g), random_weights(g, rng)):
             f1, f2 = (GroupoidFunction(g, random_values(rng, g.n_arrows, 0.2)) for _ in "12")
             assert_close_convolution(f1, f2, w)
-        shapes = sorted(by.shape for _, by in g._tables.plan(g.arrow_label))
+        shapes = sorted(by.shape for _, by, _, _ in assert_same_plan(g).shapes)
         assert shapes == [(1, 1, 1), (1, 4, 4), (1, 18, 18), (2, 3, 3), (2, 6, 6)]
+
+    @pytest.mark.parametrize("n,name", LADDER)
+    def test_plan_equals_the_oracle_on_the_ladder(self, n, name):
+        """The gathered grid equals the reference's scatter, byte for byte,
+        on the gauge groupoid and the carrier of each rung."""
+        dec = ladder_decomposition(n, name)
+        for g in (dec.gauge, dec.sd):
+            assert assert_same_plan(g) is not None
+
+    def test_plan_equals_the_oracle_off_the_ladder(self):
+        """Pair groupoids on 1 to 4 points, the group groupoid of every
+        builtin group, as given and relabeled with the identity off index
+        0 (so σ_r ≠ e at the root), gauge groupoids over relabeled groups,
+        and disjoint unions of them, shuffled and not."""
+        rng = np.random.default_rng(12)
+        groups = [builtin_group(name) for name in sorted(BUILTIN_GROUPS)]
+        relabeled = [relabeled_group(G, rng) for G in groups if G.order > 1]
+        parts = [pair_groupoid(n) for n in range(1, 5)]
+        parts += [group_groupoid(G) for G in groups + relabeled]
+        parts += [gauge_groupoid(FinitePrincipalBundle(3, G)) for G in relabeled[:3]]
+        for g in parts + [disjoint_union(parts, rng), disjoint_union(parts[::3])]:
+            assert assert_same_plan(g) is not None
+        for G in relabeled:
+            g = group_groupoid(G)
+            assert g._tables.plan(g.arrow_label).star[0] != g.identity[0]
 
     def test_group_read_from_a_table_file(self, tmp_path):
         """S3 and D4 through group_to_table, a JSON file and
@@ -308,7 +333,7 @@ class TestBlockPlan:
         slot (a first, then b). The scatter-add summed whatever the table
         held."""
         gauge = gauge_groupoid(FinitePrincipalBundle(3, symmetric(3)))
-        c = gauge._product_slots().star()
+        c = gauge._product_slots().plan(gauge.arrow_label)
         used = set(c.star.tolist()) | set(gauge.isotropy_fiber(0))
         pairs = [(a, b) for a in range(gauge.n_arrows - 1, 0, -1) if a not in used
                  for b in gauge.arrows_into(gauge.src[a])][::40][:3]
@@ -349,12 +374,50 @@ class TestBlockPlan:
             groupoid_convolve(f, f, HaarWeights.counting(g))
 
     def test_no_coordinates_raises(self):
-        g = gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2")))
+        """The (2,Z2) gauge groupoid with k∘σ_1⁻¹, k the first arrow of
+        G_0, redirected to an arrow into 1: no σ_y composes with it, so the
+        grid has no coordinates, and no plan is kept."""
+        gauge = gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2")))
+        _, star, _ = oracle_star_coordinates(gauge._product_slots())
+        k, back = gauge.isotropy_fiber(0)[0], gauge.inv[star[1]]
+        assert gauge.tgt[gauge.compose(k, back)] == 0
+        comp = {**gauge.compose_table, (k, back): gauge.arrows_into(1)[0]}
+        g = dataclasses.replace(gauge, compose_table=comp)
+        assert oracle_star_coordinates(g._product_slots()) is None
         f = GroupoidFunction.random(g, np.random.default_rng(0))
-        with mock.patch.object(groupoid._Tables, "star", lambda self: None):
-            with pytest.raises(PreconditionError, match="has no star coordinates"):
-                groupoid_convolve(f, f, HaarWeights.counting(g))
+        with pytest.raises(PreconditionError, match=f"^{re.escape(NO_STAR)}$"):
+            groupoid_convolve(f, f, HaarWeights.counting(g))
         assert g._tables._plans == {}
+        assert_same_plan(g)
+
+    @pytest.mark.parametrize("kind", ["swapped", "wrong inverse", "collapsed"])
+    def test_no_coordinates_on_small_tables(self, kind):
+        """Tables the grid gathers without a -1 but that have no star
+        coordinates: the pair groupoid on 3 points with σ_1∘t_2 and σ_2∘t_1
+        swapped (every arrow in the grid once, two with wrong endpoints);
+        the pair groupoid on 2 points, (0,1) the last arrow, with σ_1⁻¹
+        given as (1,1), so that k∘σ_1⁻¹ does not compose, where the index
+        -1 of the failed product is that last arrow; a category with
+        G_0 = Z2, one arrow each way between 0 and 1 and G_1 trivial,
+        whose grid covers its 5 arrows with 8 entries."""
+        if kind == "swapped":
+            g = pair_groupoid(3)
+            comp = {**g.compose_table, (3, 2): 7, (6, 1): 5}
+        elif kind == "wrong inverse":  # arrows (0,0), (1,1), (1,0), (0,1)
+            g = FiniteGroupoid(2, (0, 1, 0, 1), (0, 1, 1, 0), {}, (0, 1, 1, 2), (0, 1))
+            ends = [(0, 0), (1, 1), (1, 0), (0, 1)]
+            comp = {(a, b): ends.index((ends[a][0], ends[b][1]))
+                    for a in range(4) for b in range(4) if ends[a][1] == ends[b][0]}
+        else:  # e, g at 0; b: 0 → 1; c: 1 → 0; e1 at 1
+            g = FiniteGroupoid(2, (0, 0, 0, 1, 1), (0, 0, 1, 0, 1), {}, (0, 1, 3, 2, 4), (0, 4))
+            comp = {(0, 0): 0, (0, 1): 1, (0, 3): 3, (1, 0): 1, (1, 1): 0, (1, 3): 3,
+                    (2, 0): 2, (2, 1): 2, (2, 3): 4, (3, 2): 0, (3, 4): 3, (4, 2): 2, (4, 4): 4}
+        g = dataclasses.replace(g, compose_table=comp)
+        assert check_structure(g).ok and oracle_star_coordinates(g._product_slots()) is None
+        assert assert_same_plan(g) is None
+        f = GroupoidFunction.random(g, np.random.default_rng(0))
+        with pytest.raises(PreconditionError, match=f"^{re.escape(NO_STAR)}$"):
+            groupoid_convolve(f, f, HaarWeights.counting(g))
 
     def test_empty_groupoid(self):
         g = FiniteGroupoid(0, (), (), {}, (), ())
@@ -371,7 +434,7 @@ class TestBlockPlan:
         first = groupoid_convolve(f, f, w)
         assert groupoid_convolve(f, f, w).values.tobytes() == first.values.tobytes()
         assert calls == [1]
-        ref = weakref.ref(g._tables.plan(g.arrow_label)[0][1])
+        ref = weakref.ref(g._tables.plan(g.arrow_label).shapes[0][1])
         del g, f, w, first
         gc.collect()
         assert ref() is None
@@ -660,8 +723,11 @@ def test_twisted_rejects_weights_on_another_groupoid():
 
 
 def test_bundle_function_rejects_g1_of_another_groupoid():
+    """Also once p keeps the layout of a selection with the same arrows."""
     dec, other = ladder_decomposition(3, "S3"), ladder_decomposition(3, "S3")
     p, g1 = dec.gauge, other.g1
+    BundleFunction.random(p, dec.g1, np.random.default_rng(0))
+    assert g1.arrows == dec.g1.arrows and ("layout", g1.arrows) in p._tables._plans
     message = "^g1 must be a selection of the parent groupoid$"
     with pytest.raises(PreconditionError, match=message):
         BundleFunction.random(p, g1, np.random.default_rng(0))
@@ -765,9 +831,9 @@ class TestKernelPlans:
 
     def test_poincare_plan_built_once_per_decomposition(self, monkeypatch):
         """Two decompositions of one bundle on different sections: a plan
-        each, built on the first call and kept on the decomposition across
-        calls and weights; each result equals the loop, and the plan goes
-        with its decomposition."""
+        each, built on the first call and kept with the decomposition's
+        carrier across calls and weights; each result equals the loop, and
+        the plan goes with its decomposition."""
         calls, real = [], gauge._poincare_plan
         monkeypatch.setattr(gauge, "_poincare_plan", lambda dec: calls.append(dec) or real(dec))
         bundle = FinitePrincipalBundle(4, builtin_group("D4"))
@@ -781,7 +847,29 @@ class TestKernelPlans:
             for w in (None, random_weights(dec.gauge, rng)):
                 assert_same_poincare(f1, f2, dec, w)
         assert calls == decs
-        ref = weakref.ref(decs[0]._plan[2])
-        del decs, dec, calls
+        ref = weakref.ref(decs[0].sd._tables._plans[("poincare", decs[0].section.sigma)][2])
+        del decs, dec, calls, f1, f2
+        gc.collect()
+        assert ref() is None
+
+    def test_layout_built_once_per_selection(self, monkeypatch):
+        """BundleFunction, BundleFunction.random and semidirect_product read
+        one layout per (parent, g1 arrows), kept read-only with the parent
+        and freed with it."""
+        calls, real = [], semidirect._build_layout
+        monkeypatch.setattr(semidirect, "_build_layout",
+                            lambda s, p, arrows: calls.append(arrows) or real(s, p, arrows))
+        dec = ladder_decomposition(3, "S3")
+        p, rng = dec.gauge, np.random.default_rng(2)
+        other = translation_subgroupoid(p, Section.random(dec.bundle, np.random.default_rng(8)))
+        F = [BundleFunction.random(p, g1, rng) for g1 in (dec.g1, other, dec.g1, other)]
+        F.append(BundleFunction(p, dec.g1, F[0].fibers))
+        sd = semidirect.semidirect_product(p, dec.g0, dec.g1)
+        assert calls == [dec.g1.arrows, other.arrows]  # the first by the carrier of dec
+        assert F[0]._layout is F[2]._layout is F[4]._layout is sd.layout
+        assert F[1]._layout is F[3]._layout and F[0]._layout is not F[1]._layout
+        assert not any(t.flags.writeable for t in sd.layout)
+        ref = weakref.ref(sd.layout[1])
+        del dec, p, other, F, sd
         gc.collect()
         assert ref() is None

@@ -298,10 +298,30 @@ def replaced(rep, U):
     return UnitaryRep(rep.groupoid, rep.bundle, {**rep.U, **U})
 
 
+def union(*reps):
+    """The representation on the disjoint union of the reps' groupoids,
+    ids shifted part by part, with a dict compose table."""
+    src, tgt, inv, ident, comp, U, dims = [], [], [], [], {}, {}, ()
+    n_base = n_arrows = 0
+    for rep in reps:
+        p = rep.groupoid
+        src += [x + n_base for x in p.src]
+        tgt += [x + n_base for x in p.tgt]
+        inv += [a + n_arrows for a in p.inv]
+        ident += [a + n_arrows for a in p.identity]
+        comp.update({(a + n_arrows, b + n_arrows): c + n_arrows
+                     for (a, b), c in p.compose_table.items()})
+        U.update({a + n_arrows: m for a, m in rep.U.items()})
+        dims += rep.bundle.dims
+        n_base, n_arrows = n_base + p.n_base, n_arrows + p.n_arrows
+    g = FiniteGroupoid(n_base, tuple(src), tuple(tgt), comp, tuple(inv), tuple(ident))
+    return UnitaryRep(g, HilbertBundle(dims), U)
+
+
 def star_coordinates(g):
-    c = g._product_slots().star()
-    assert c is not None
-    return c
+    """The root, star arrow and k of the plan: root[x] is the source of σ_x."""
+    plan = g._product_slots().plan(g.arrow_label)
+    return g._tables.src[plan.star], plan.star, plan.k
 
 
 class TestStarPath:
@@ -329,25 +349,10 @@ class TestStarPath:
     def test_two_orbits(self):
         """The disjoint union of two carriers, fibers of dimension 2 and 6:
         one root per orbit, and the star check on both."""
-        parts = [extension(2, "Z2", "conjugated"), extension(3, "S3", "conjugated", seed=1)]
-        src, tgt, inv, ident, comp, U, dims = [], [], [], [], {}, {}, ()
-        n_base = n_arrows = 0
-        for rep in parts:
-            p = rep.groupoid
-            src += [x + n_base for x in p.src]
-            tgt += [x + n_base for x in p.tgt]
-            inv += [a + n_arrows for a in p.inv]
-            ident += [a + n_arrows for a in p.identity]
-            comp.update({(a + n_arrows, b + n_arrows): c + n_arrows
-                         for (a, b), c in p.compose_table.items()})
-            U.update({a + n_arrows: m for a, m in rep.U.items()})
-            dims += rep.bundle.dims
-            n_base, n_arrows = n_base + p.n_base, n_arrows + p.n_arrows
-        g = FiniteGroupoid(n_base, tuple(src), tuple(tgt), comp, tuple(inv), tuple(ident))
-        rep = UnitaryRep(g, HilbertBundle(dims), U)
+        rep = union(extension(2, "Z2", "conjugated"), extension(3, "S3", "conjugated", seed=1))
         report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
         assert report.ok and report.composition == "star"
-        assert star_coordinates(g).root.tolist() == [0, 0, 2, 2, 2]
+        assert star_coordinates(rep.groupoid)[0].tolist() == [0, 0, 2, 2, 2]
 
     def test_composition_off_a_groupoid_takes_the_pair_scan(self):
         """The (2,Z2) gauge groupoid as a dict, (0,a,1)∘(1,e,0), ids (3, 4),
@@ -441,11 +446,11 @@ class TestStarPath:
             L = _regular_matrices(gauge.bundle.group)
             ext = UnitaryRep(gauge, HilbertBundle((len(L),) * n),
                              {a: L[h] for a, (_, h, _) in enumerate(gauge.triples)})
-        g, c = ext.groupoid, star_coordinates(ext.groupoid)
+        g, (root, _, _) = ext.groupoid, star_coordinates(ext.groupoid)
         seen = 0
         for a in g.arrows():
             x = g.src[a]
-            if (g.tgt[a] != x or c.root[x] == x or g.inv[a] != a or a == g.identity[x]):
+            if (g.tgt[a] != x or root[x] == x or g.inv[a] != a or a == g.identity[x]):
                 continue
             rep = replaced(ext, {a: -ext.U[a]})
             report = same_outcome(lambda: validate_rep(rep), lambda: oracle_validate_rep(rep))
@@ -460,26 +465,32 @@ class TestStarPath:
         G_r but for one pair {k, k⁻¹} turned to −W: every star equation,
         unitarity, identity and inverse hold, and only the products of G_r
         can tell that W is no representation."""
-        ext = extension(3, name, "conjugated")
-        g, c = ext.groupoid, star_coordinates(ext.groupoid)
-        s = g._product_slots()
-        arrows = np.arange(g.n_arrows)
-        ks = c.k(s, arrows)
-        sigma = {x: ext.U[int(c.star[x])] for x in g.base()}
-        seen = 0
-        for k in g.isotropy_fiber(0):
-            if k == g.identity[0] or k == c.star[0]:
-                continue
-            flip = {k, g.inv[k]}
-            W = {h: -ext.U[h] if h in flip else ext.U[h] for h in g.isotropy_fiber(0)}
-            U = {a: sigma[g.tgt[a]] @ W[int(ks[a])] @ sigma[g.src[a]].conj().T
-                 for a in g.arrows()}
-            rep = UnitaryRep(g, ext.bundle, U)
-            want = oracle_validate_rep(rep)
-            if want.ok:  # the sign is a character of the group
-                continue
-            report = same_outcome(lambda: validate_rep(rep), lambda: want)
-            assert report.composition == "pairs"
-            assert {cond for cond, _, _ in report.violations} == {"composition"}
-            seen += 1
-        assert seen >= 2
+        assert_root_group_read(extension(3, name, "conjugated"), 0)
+
+    def test_the_group_of_every_orbit_of_a_shape_is_read(self):
+        """Two copies of one extension, so two orbits of one shape, with W
+        wrong on the G_r of the second only."""
+        ext = extension(3, "S3", "conjugated")
+        assert_root_group_read(union(ext, ext), 3)
+
+
+def assert_root_group_read(ext, r):
+    """The test above, with W wrong on the group at root r only."""
+    g, (_, star, ks) = ext.groupoid, star_coordinates(ext.groupoid)
+    sigma = {x: ext.U[int(star[x])] for x in g.base()}
+    seen = 0
+    for k in g.isotropy_fiber(r):
+        if k == g.identity[r] or k == star[r]:
+            continue
+        flip = {k, g.inv[k]}
+        W = {h: -ext.U[h] if h in flip else ext.U[h] for h in set(ks.tolist())}
+        U = {a: sigma[g.tgt[a]] @ W[int(ks[a])] @ sigma[g.src[a]].conj().T for a in g.arrows()}
+        rep = UnitaryRep(g, ext.bundle, U)
+        want = oracle_validate_rep(rep)
+        if want.ok:  # the sign is a character of the group
+            continue
+        report = same_outcome(lambda: validate_rep(rep), lambda: want)
+        assert report.composition == "pairs"
+        assert {cond for cond, _, _ in report.violations} == {"composition"}
+        seen += 1
+    assert seen >= 2

@@ -36,6 +36,7 @@ from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import check_structure
 from groupoidalg.semidirect import prop1_on_carrier
 from groupoidalg.groups import BUILTIN_GROUPS
+from star_oracle import assert_same_plan, oracle_star_coordinates
 from validation_oracle import (
     oracle_check_structure,
     oracle_validate_groupoid,
@@ -402,6 +403,21 @@ def _wrong_ends(draw, g):
     return dataclasses.replace(g, compose_table=comp)
 
 
+def _star_product(draw, g):
+    """The product k∘σ_x⁻¹ of a k in G_r and a star arrow σ_x, which the
+    plan's grid is gathered from, redirected to any arrow; g as it is where
+    the structure pass fails or the reference finds no coordinates."""
+    coords = oracle_star_coordinates(g._product_slots()) if check_structure(g).ok else None
+    if coords is None:
+        return g
+    root, star, _ = coords
+    x = draw(st.integers(0, g.n_base - 1))
+    comp = dict(g.compose_table)
+    k = draw(st.sampled_from(g.isotropy_fiber(int(root[x]))))
+    comp[(k, g.inv[star[x]])] = draw(st.integers(0, g.n_arrows - 1))
+    return dataclasses.replace(g, compose_table=comp)
+
+
 @st.composite
 def light_instances(draw):
     kind = draw(st.sampled_from(["pair", "group", "gauge", "union", "isotropy", "bundle"]))
@@ -458,6 +474,19 @@ class TestLightsTest:
             if g.compose_table:
                 g = corrupt(data.draw, g)
         forced_report(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_plan_raises_as_the_oracle(self, data):
+        """_block_plan against the reference of star_oracle.py on mutants
+        that pass the structure pass: the same coordinates and grids, or
+        the same error, at the coordinates, the slot pass or G_r."""
+        g = data.draw(light_instances())
+        mutants = [_star_product, _one_product, _redirect, _wrong_inv, _wrong_identity]
+        for corrupt in data.draw(st.lists(st.sampled_from(mutants), min_size=1, max_size=3)):
+            g = corrupt(data.draw, g)
+        if check_structure(g).ok:
+            assert_same_plan(g)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -535,7 +564,8 @@ class TestLightsTest:
         group, so the plan does not build and the full scan finds the
         36·n⁴ failing triples."""
         g = pair_times(n, LOOP)
-        assert g._product_slots().star() is not None
+        with pytest.raises(PreconditionError, match="group of the isotropy at base point 0"):
+            g._product_slots().plan(g.arrow_label)  # the coordinates stand, the group fails
         report, calls = forced_report(g)
         assert calls == ["no plan", "all"]
         assert [v["axiom"] for v in report["violations"]] == ["associativity"] * 36 * n**4
