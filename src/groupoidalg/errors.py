@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the size cap shared across the package."""
+
+# composable pairs, n³·|G|², of the largest gauge groupoid built: (32,D4) has
+# 2.1·10⁶ and takes about 0.25 GB; (100,S3) with 3.6·10⁷ would take about 4 GB
+MAX_GAUGE_PAIRS = 1 << 24
 
 
 class GroupoidError(Exception):

@@ -20,7 +20,7 @@ from .algebra import (
     carrier_weights,
     groupoid_convolve,
 )
-from .errors import MalformedTableError, PreconditionError, SizeCapError
+from .errors import MAX_GAUGE_PAIRS, MalformedTableError, PreconditionError, SizeCapError
 from .groupoid import (
     FiniteGroupoid,
     SubgroupoidSelection,
@@ -30,10 +30,6 @@ from .groupoid import (
 )
 from .groups import FiniteGroup
 from .semidirect import SemidirectGroupoid, prop1_on_carrier, semidirect_product
-
-# composable pairs, n³·|G|², of the largest gauge groupoid built: (32,D4) has
-# 2.1·10⁶ and takes about 0.25 GB; (100,S3) with 3.6·10⁷ would take about 4 GB
-MAX_GAUGE_PAIRS = 1 << 24
 
 
 @dataclass(eq=False)

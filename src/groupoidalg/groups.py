@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedTableError
+from .errors import MAX_GAUGE_PAIRS, MalformedTableError, SizeCapError
 
 _ASSOC_BLOCK = 1 << 16  # triples (a, b, c) per block of the associativity check
 
@@ -154,7 +154,9 @@ def builtin_group(name: str) -> FiniteGroup:
 
 
 def group_from_table(data: dict, name: str = "custom") -> FiniteGroup:
-    """Build a group from the table-file dict: elements, mul, identity."""
+    """Build a group from the table-file dict: elements, mul, identity. An
+    order k with k² > MAX_GAUGE_PAIRS, which no gauge groupoid can have,
+    raises SizeCapError before the table is read."""
     try:
         elements = data["elements"]
         raw = data["mul"]
@@ -163,6 +165,9 @@ def group_from_table(data: dict, name: str = "custom") -> FiniteGroup:
     if not isinstance(elements, list):
         raise MalformedTableError("group table file: elements is not a list")
     elements = tuple(map(str, elements))
+    if len(elements) ** 2 > MAX_GAUGE_PAIRS:
+        raise SizeCapError(f"group table file: order {len(elements)}, {len(elements)}² "
+                           f"table entries > cap MAX_GAUGE_PAIRS = {MAX_GAUGE_PAIRS}")
     pos = {e: i for i, e in enumerate(elements)}
     if len(pos) != len(elements):
         raise MalformedTableError("group table file: duplicate element names")

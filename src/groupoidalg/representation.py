@@ -8,7 +8,10 @@ isotropy arrows); functoriality is checked on the covered set.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,20 +39,59 @@ class HilbertBundle:
         return sum(self.dims[:x])
 
 
-@dataclass(eq=False)
+class _Blocks(Mapping):
+    """The blocks of a zero-padded (n_arrows, D, D) stack S that covers
+    every arrow, read-only: U[a] is S[a] cut to rows[a] × cols[a]."""
+
+    def __init__(self, S: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        S.flags.writeable = False
+        self.S, self.rows, self.cols = S, rows, cols
+
+    def __getitem__(self, a):
+        if not (isinstance(a, (int, np.integer)) and 0 <= a < len(self.S)):
+            raise KeyError(a)
+        return self.S[a, :self.rows[a], :self.cols[a]]
+
+    def __iter__(self):
+        return iter(range(len(self.S)))
+
+    def __len__(self):
+        return len(self.S)
+
+
+@dataclass(frozen=True, eq=False)
 class UnitaryRep:
     """Per-arrow unitaries U(g): H_{src(g)} -> H_{tgt(g)}.
 
     U covers a subset of arrows (all of them by default); the covered set
-    must be closed so the functoriality conditions are checkable.
+    must be closed so the functoriality conditions are checkable. U and
+    its matrices, copies, are read-only, so the stack kept stays U.
     """
 
     groupoid: FiniteGroupoid
     bundle: HilbertBundle
-    U: dict[int, np.ndarray]
+    U: Mapping[int, np.ndarray]
 
     def __post_init__(self):
-        self.U = {a: np.asarray(m, dtype=complex) for a, m in self.U.items()}
+        if not isinstance(self.U, _Blocks):
+            U = {a: np.array(m, dtype=complex) for a, m in self.U.items()}
+            for m in U.values():
+                m.flags.writeable = False
+            object.__setattr__(self, "U", MappingProxyType(U))
+
+    @cached_property
+    def stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U stacked by _stack, its mask of covered arrows and its keys in
+        order: read-only, built on first use and kept. A key outside the
+        groupoid or a wrong shape raises PreconditionError at every use."""
+        U = self.U
+        if isinstance(U, _Blocks):
+            kept = U.S, np.ones(len(U), dtype=bool), np.arange(len(U))
+        else:
+            kept = *_stack(self.groupoid, self.bundle, U), np.fromiter(U, np.intp, len(U))
+        for a in kept:
+            a.flags.writeable = False
+        return kept
 
 
 @dataclass
@@ -96,7 +138,7 @@ class RepReport:
 _ENTRIES = 1 << 16  # complex entries per temporary of a batched product (1 MB)
 
 
-def _stack(g: FiniteGroupoid, bundle: HilbertBundle, U: dict, arrows=None, name="U"):
+def _stack(g: FiniteGroupoid, bundle: HilbertBundle, U: Mapping, arrows=None, name="U"):
     """U at the given arrows (all of U, in its order, by default) as one
     zero-padded (n_arrows, D, D) complex array, D the largest fiber
     dimension, and the mask of the arrows filled. Zero padding leaves the
@@ -119,6 +161,17 @@ def _stack(g: FiniteGroupoid, bundle: HilbertBundle, U: dict, arrows=None, name=
         stack[a, :want[0], :want[1]] = m
         covered[a] = True
     return stack, covered
+
+
+def _kept(rep: UnitaryRep, g: FiniteGroupoid, arrows, name: str) -> np.ndarray:
+    """rep's kept stack as one of g (U afresh on g, for another groupoid
+    object); PreconditionError names the first of the arrows it misses."""
+    S, covered = rep.stacked[:2] if rep.groupoid is g else _stack(g, rep.bundle, rep.U)
+    missing = np.flatnonzero(~covered[arrows])
+    if missing.size:
+        raise PreconditionError(
+            f"{name} does not cover arrow {g.arrow_label(int(arrows[missing[0]]))}")
+    return S
 
 
 def _eyes(dims, D: int) -> np.ndarray:
@@ -260,8 +313,8 @@ def validate_rep(rep: UnitaryRep, tol: float = 1e-9) -> RepReport:
     covered arrows. The measurability condition is vacuous on a finite base
     and recorded as a note.
 
-    The covered unitaries are stacked once per call into a zero-padded
-    (n_arrows, D, D) array; each check is a batched expression over it.
+    The checks read the representation's kept stack (UnitaryRep.stacked);
+    each is a batched expression over it.
     Composition is checked on the star coordinates when that proves it
     (see _check_rep), and otherwise by one matrix product per base point
     over the composable pairs; the report's composition field names the
@@ -269,9 +322,7 @@ def validate_rep(rep: UnitaryRep, tol: float = 1e-9) -> RepReport:
     loop over the definitions: covered order, then into(x)."""
     g = rep.groupoid
     report = RepReport(notes=["measurability: vacuous (finite base)"])
-    S, covered = _stack(g, rep.bundle, rep.U)
-    keys = np.fromiter(rep.U, dtype=np.intp, count=len(rep.U))
-    _check_rep(report, g, rep.bundle.dims, S, covered, keys, tol)
+    _check_rep(report, g, rep.bundle.dims, *rep.stacked, tol)
     return report
 
 
@@ -311,16 +362,17 @@ def check_commutation(
     return _commutation(U0, I, sd, tol)[0]
 
 
-def _commutation(U0: UnitaryRep, I: dict, sd: SemidirectGroupoid, tol: float):
+def _commutation(U0: UnitaryRep, I: dict, sd: SemidirectGroupoid, tol: float, SI=None):
     """check_commutation's report with the stacks S0 of U0 and SI of I it
-    read: the pairs (a1, a0), a1 a g1 arrow and a0 in the isotropy fiber at
-    src a1, in blocks, with the right-hand side U0 at the conjugate
-    a1∘a0∘a1⁻¹."""
+    read (SI, when given, I stacked by the caller): the pairs (a1, a0), a1
+    a g1 arrow and a0 in the isotropy fiber at src a1, in blocks, with the
+    right-hand side U0 at the conjugate a1∘a0∘a1⁻¹."""
     p = sd.parent
     s = p._product_slots()
     order = list(sd.g1.arrows)
-    S0 = _stack(p, U0.bundle, U0.U, _iso_table(p)[2], name="U0")[0]
-    SI = _stack(p, U0.bundle, I, order, name="the unitary family")[0]
+    S0 = _kept(U0, p, _iso_table(p)[2], "U0")
+    if SI is None:
+        SI = _stack(p, U0.bundle, I, order, name="the unitary family")[0]
     report = RepReport()
     order = np.array(order, dtype=np.intp)
     D = S0.shape[1]
@@ -345,8 +397,8 @@ def simple_extension(
 
     The family must itself be a representation of the selection and satisfy
     the commutation relation; otherwise the extension is not functorial.
-    The products are one batched matmul over pair_of; the extension holds
-    views into its result.
+    The products are one batched matmul over pair_of, which is the
+    extension's kept stack; its U is a read-only view of it.
     """
     return _extension(U0, I, sd, tol)
 
@@ -365,7 +417,7 @@ def _extension(U0: UnitaryRep, I: dict, sd: SemidirectGroupoid, tol: float, comm
             "the unitary family is not a representation of the transitive selection: "
             + i_report.violations[0][2]
         )
-    comm, S0, SI = commutation or _commutation(U0, I, sd, tol)
+    comm, S0, _ = commutation or _commutation(U0, I, sd, tol, SI)
     if not comm.ok:
         a0, a1 = comm.violations[0][1]
         raise PreconditionError(
@@ -373,10 +425,8 @@ def _extension(U0: UnitaryRep, I: dict, sd: SemidirectGroupoid, tol: float, comm
             "the simple extension would not be functorial"
         )
     P0, P1 = sd.pair_ids
-    prods = S0[P0] @ SI[P1]
     dims, ps = np.asarray(b.dims), p._product_slots()
-    shapes = zip(dims[ps.tgt[P0]].tolist(), dims[ps.src[P1]].tolist())
-    return UnitaryRep(sd, b, {i: prods[i, :r, :c] for i, (r, c) in enumerate(shapes)})
+    return UnitaryRep(sd, b, _Blocks(S0[P0] @ SI[P1], dims[ps.tgt[P0]], dims[ps.src[P1]]))
 
 
 def _quantized(coef, table, size, S0) -> np.ndarray:
@@ -398,7 +448,7 @@ def quantize(
         )
     table = np.array([fiber], dtype=np.intp)
     q = _quantized(w.values[table] * a.values[table], table, np.array([len(fiber)]),
-                   _stack(g, U0.bundle, U0.U, fiber, name="U0")[0])
+                   _kept(U0, g, fiber, "U0"))
     d = U0.bundle.dims[x]
     return q[0, :d, :d]
 
@@ -421,7 +471,7 @@ def random_operator_from(
     table, size, iso = _iso_table(g)
     if not a.supported_on(iso):
         raise PreconditionError("function must be supported on the isotropy arrows")
-    S0 = _stack(g, U0.bundle, U0.U, iso, name="U0")[0]
+    S0 = _kept(U0, g, iso, "U0")
     q = _quantized(w.values[table] * a.values[table], table, size, S0)
     return RandomOperator(U0.bundle, {x: q[x, :d, :d] for x, d in enumerate(U0.bundle.dims)})
 
@@ -470,7 +520,7 @@ def check_equivariance(
     s = p._product_slots()
     table, size, iso = _iso_table(p)
     order = list(sd.g1.arrows)
-    S0 = _stack(p, U0.bundle, U0.U, iso, name="U0")[0]
+    S0 = _kept(U0, p, iso, "U0")
     SI = _stack(p, U0.bundle, I, order, name="the unitary family")[0]
     q = _quantized(w.values[table] * a.values[table], table, size, S0)
     report = RepReport()
@@ -494,16 +544,14 @@ def block_diagonal_generators(
     """Spanning generators of the quantized algebra on the direct sum of the
     fibers: one block-diagonal operator per isotropy arrow."""
     b = U0.bundle
-    total = b.total_dim
-    gens = []
-    for x in parent.base():
-        off = b.offset(x)
-        d = b.dims[x]
-        for g0 in parent.isotropy_fiber(x):
-            m = np.zeros((total, total), dtype=complex)
-            m[off : off + d, off : off + d] = w[g0] * U0.U[g0]
-            gens.append(m)
-    return gens
+    iso = _iso_table(parent)[2]
+    S0 = _kept(U0, parent, iso, "U0")
+    gens = np.zeros((len(iso), b.total_dim, b.total_dim), dtype=complex)
+    for m, g0 in zip(gens, iso):
+        x = parent.src[g0]
+        off, d = b.offset(x), b.dims[x]
+        m[off : off + d, off : off + d] = w[g0] * S0[g0, :d, :d]
+    return list(gens)
 
 
 MAX_COMMUTANT_ENTRIES = 4_000_000  # commutant's default cap on the stacked systems

@@ -4,7 +4,8 @@ composable pair, per isotropy arrow or per fiber element. Their reports
 are the reference, violations in the same order with the same witnesses
 and messages; quantize and norm_bound sum in the same order as the
 kernels, so their values are the reference bit for bit. Also trivial_rep,
-the one-dimensional identity representation."""
+the one-dimensional identity representation, and oracle_stack, the
+stack a representation keeps."""
 
 import numpy as np
 
@@ -19,6 +20,21 @@ def trivial_rep(g, arrows=None):
     bundle = HilbertBundle((1,) * g.n_base)
     cover = g.arrows() if arrows is None else arrows
     return UnitaryRep(g, bundle, {a: np.eye(1) for a in cover})
+
+
+def oracle_stack(rep):
+    """The unitaries of rep as one zero-padded (n_arrows, D, D) complex
+    array, D the largest fiber dimension, and the mask of the arrows
+    filled, one arrow at a time: the stack a UnitaryRep keeps."""
+    g, dims = rep.groupoid, rep.bundle.dims
+    stack = np.zeros((g.n_arrows, max(dims, default=1), max(dims, default=1)), dtype=complex)
+    covered = np.zeros(g.n_arrows, dtype=bool)
+    for a in rep.U:
+        m = rep.U[a]
+        assert m.shape == (dims[g.tgt[a]], dims[g.src[a]])
+        stack[a, :m.shape[0], :m.shape[1]] = m
+        covered[a] = True
+    return stack, covered
 
 
 def _measure(report, diff, tol, condition, witness, message):

@@ -4,8 +4,12 @@ import io
 import json
 import os
 import pathlib
+import resource
+import subprocess
+import sys
 import tempfile
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,10 +32,11 @@ from groupoidalg import (
     translation_subgroupoid,
     validate_groupoid,
 )
-from groupoidalg import cli
+from groupoidalg import cli, groups
 from groupoidalg import io as gio
 from groupoidalg.cli import COMMANDS, main
 from groupoidalg.errors import GroupoidError, SizeCapError
+from groupoidalg.groups import group_to_table
 from groupoidalg.morphism import find_isomorphism
 
 
@@ -760,6 +765,36 @@ class TestReaderCap:
         assert main(["random-op", *GAUGE_ARGS, "--fn", str(fn)]) == 3
         assert "MAX_GAUGE_PAIRS" in capsys.readouterr().err
 
+    def test_a_read_asks_for_the_file_not_the_cap(self, tmp_path):
+        # the reader asked for the cap and one byte more, 755 MB, on every
+        # read: under 600 MB of address space the 283 KB (4,D4) gauge file
+        # exited 1 with a MemoryError traceback
+        path, report = tmp_path / "gauge.json", tmp_path / "r.json"
+        gauge = gauge_groupoid(FinitePrincipalBundle(4, builtin_group("D4")))
+        gio.dump_json(gio.groupoid_to_dict(gauge), path)
+        limit = 600 << 20
+        src = os.path.dirname(os.path.dirname(gio.__file__))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "groupoidalg.cli", "verify-groupoid", "--in", str(path),
+             "--report", str(report)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert read_report(report)["passed"] is True
+
+    def test_a_file_that_grew_is_read_on_in_chunks(self, pair_file, monkeypatch):
+        # fstat gives fewer bytes than the file holds, as for a file that
+        # grew after it: the reader reads on, to the cap and one byte more
+        monkeypatch.setattr(gio, "_CHUNK", 7)
+        monkeypatch.setattr(gio.os, "fstat", lambda fd: SimpleNamespace(st_size=10))
+        with open(pair_file) as fh:
+            assert gio.load_json(pair_file) == json.load(fh)
+        rows = self._cap_rows(monkeypatch, pair_file, -1)
+        with pytest.raises(SizeCapError, match=f"a stream over the cap of {rows * 45} bytes"):
+            gio.load_json(pair_file)
+
 
 class TestStreamCap:
     """The reader cap bounds the bytes read, also from a pipe, whose size
@@ -808,6 +843,64 @@ class TestStreamCap:
         report = tmp_path / "r.json"
         assert self._run_on_fifo(tmp_path, text, ["--report", str(report)]) == 0
         assert read_report(report)["passed"] is True
+
+    @pytest.mark.parametrize("over", [False, True])
+    def test_stream_read_in_chunks(self, over, monkeypatch, tmp_path, capsys):
+        text = self._text()
+        monkeypatch.setattr(gio, "_CHUNK", 7)
+        monkeypatch.setattr(gio, "MAX_GAUGE_PAIRS", len(text) // gio._ROW_BYTES - over)
+        assert self._run_on_fifo(tmp_path, text) == (3 if over else 0)
+        assert ("a stream over the cap" in capsys.readouterr().err) == over
+
+
+class TestTableCaps:
+    """A groupoid file of more than MAX_GAUGE_PAIRS compose rows, and a
+    group table of an order k with k² > MAX_GAUGE_PAIRS, raise SizeCapError
+    (exit 3) before any array of them is built. The byte cap of load_json
+    does not bound the rows of a file without indentation. The caps are
+    patched down to small tables."""
+
+    @staticmethod
+    def _compose_rows(monkeypatch, g, over):
+        """g's description with the cap patched to its rows less over; over
+        the cap, reading a row fails the test."""
+        data = gio.groupoid_to_dict(g)
+        rows = len(data["compose"]) - over
+        monkeypatch.setattr(gio, "MAX_GAUGE_PAIRS", rows)
+        if over:
+            monkeypatch.setattr(gio, "_compose_ids", lambda *a: pytest.fail("a row was read"))
+        return data, rows
+
+    def test_compose_rows_at_the_cap_are_read(self, fix_gauge_2_z2, monkeypatch):
+        data, _ = self._compose_rows(monkeypatch, fix_gauge_2_z2, 0)
+        g = gio.groupoid_from_dict(data)
+        assert g.compose_table == fix_gauge_2_z2.compose_table
+
+    def test_one_compose_row_more_raises(self, fix_gauge_2_z2, monkeypatch):
+        data, rows = self._compose_rows(monkeypatch, fix_gauge_2_z2, 1)
+        with pytest.raises(SizeCapError, match=f"{rows + 1} compose rows > cap "
+                                               f"MAX_GAUGE_PAIRS = {rows}$"):
+            gio.groupoid_from_dict(data)
+
+    def test_compact_file_over_the_rows_cap_exits_3(self, monkeypatch, tmp_path, capsys):
+        gauge = gauge_groupoid(FinitePrincipalBundle(4, builtin_group("D4")))
+        data, rows = self._compose_rows(monkeypatch, gauge, 1)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data, separators=(",", ":")))
+        assert path.stat().st_size <= rows * gio._ROW_BYTES  # under the byte cap
+        assert main(["verify-groupoid", "--in", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: groupoid file: {rows + 1} compose rows > cap MAX_GAUGE_PAIRS = {rows}\n")
+
+    def test_group_table_above_the_cap_exits_3(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "d4.json"
+        path.write_text(json.dumps(group_to_table(builtin_group("D4"))))
+        monkeypatch.setattr(groups, "MAX_GAUGE_PAIRS", 8 * 8 - 1)
+        monkeypatch.setattr(groups.FiniteGroup, "__post_init__",
+                            lambda self: pytest.fail("the table was built"))
+        assert main(["verify-prop1", "--base", "1", "--group", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: group table file: order 8, 8² table entries > cap MAX_GAUGE_PAIRS = 63\n")
 
 
 class TestUnreadableInput:

@@ -7,7 +7,7 @@ import pytest
 
 from group_oracle import oracle_check_group
 from groupoidalg import groups
-from groupoidalg.errors import MalformedTableError
+from groupoidalg.errors import MalformedTableError, SizeCapError
 from groupoidalg.groups import (
     FiniteGroup,
     builtin_group,
@@ -226,3 +226,22 @@ def test_associativity_check_memory_at_128():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("mul", ["table", [[None]], [["x"]]])
+def test_table_above_the_cap_is_refused_unread(mul, monkeypatch):
+    """Order k with k² > MAX_GAUGE_PAIRS: no gauge groupoid over the group
+    can be built, so group_from_table raises SizeCapError before it
+    resolves an entry of mul or builds the group."""
+    table = group_to_table(builtin_group("D4"))
+    if mul != "table":
+        table["mul"] = mul
+    monkeypatch.setattr(groups, "MAX_GAUGE_PAIRS", 8 * 8 - 1)
+    monkeypatch.setattr(FiniteGroup, "__post_init__", lambda self: pytest.fail("built"))
+    with pytest.raises(SizeCapError, match="order 8, 8² table entries > cap"):
+        group_from_table(table)
+
+
+def test_table_at_the_cap_is_read(monkeypatch):
+    monkeypatch.setattr(groups, "MAX_GAUGE_PAIRS", 8 * 8)
+    assert group_from_table(group_to_table(builtin_group("D4"))).order == 8

@@ -43,6 +43,7 @@ from rep_oracle import (
     oracle_quantize,
     oracle_random_operator_from,
     oracle_simple_extension,
+    oracle_stack,
     oracle_validate_rep,
 )
 
@@ -253,6 +254,49 @@ def test_ladder(n, name):
     w = HaarWeights.counting(dec.gauge)
     assert same_outcome(lambda: check_equivariance(a, U0, I, dec.sd, w),
                         lambda: oracle_check_equivariance(a, U0, I, dec.sd, w)).ok
+
+
+@pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"),
+                                    (16, "D4")])
+@pytest.mark.parametrize("kind", ["regular", "conjugated", "mixed"])
+def test_kept_stack_equals_a_fresh_stack(n, name, kind):
+    """The stack a rep keeps is its U stacked one arrow at a time, byte for
+    byte: for U0, the family I and the extension, whose kept stack is its
+    product stack.
+    The mixed fiber dimensions pad the stacks of U0 and I with zeros; they
+    have no extension, I being unitary on no arrow between fibers of
+    different dimensions."""
+    dec = decomposition(n, name, None, n)
+    U0, I = representation(dec, kind, np.random.default_rng(n))
+    reps = [U0, UnitaryRep(dec.gauge, U0.bundle, I)]
+    if kind != "mixed":
+        reps.append(simple_extension(U0, I, dec.sd))
+    for rep in reps:
+        S, covered, keys = rep.stacked
+        want, want_covered = oracle_stack(rep)
+        for got, ref in ((S, want), (covered, want_covered)):
+            assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+            assert got.tobytes() == ref.tobytes()
+        assert keys.tolist() == list(rep.U)
+
+
+def test_a_rep_of_an_equal_groupoid_object_reads_the_same():
+    """A U0 given on a groupoid object other than the one read, with the
+    same arrows, is stacked against the one read: the same operators and
+    reports as the U0 on it."""
+    dec = decomposition(3, "S3", None, 1)
+    rng = np.random.default_rng(5)
+    U0, I = representation(dec, "conjugated", rng)
+    twin = UnitaryRep(gauge_groupoid(dec.gauge.bundle), U0.bundle, U0.U)
+    assert twin.groupoid is not dec.gauge
+    w = _weights(dec, rng)
+    a = GroupoidFunction.random(dec.gauge, rng, support=dec.gauge._product_slots().iso[0])
+    got, want = random_operator_from(a, twin, w), random_operator_from(a, U0, w)
+    assert all(got.blocks[x].tobytes() == want.blocks[x].tobytes() for x in want.blocks)
+    got, want = check_equivariance(a, twin, I, dec.sd, w), check_equivariance(a, U0, I, dec.sd, w)
+    assert (got.violations, got.max_deviation) == (want.violations, want.max_deviation)
+    got, want = simple_extension(twin, I, dec.sd), simple_extension(U0, I, dec.sd)
+    assert got.stacked[0].tobytes() == want.stacked[0].tobytes()
 
 
 def test_nan_matrix_is_a_violation(fix_gauge_2_z2):

@@ -9,6 +9,7 @@ from groupoidalg import (
     HaarWeights,
     HilbertBundle,
     UnitaryRep,
+    block_diagonal_generators,
     check_commutation,
     check_equivariance,
     commutant,
@@ -177,6 +178,117 @@ class TestPartialRepresentations:
         U = {**reg_z2.U, 999: np.eye(2)}
         with pytest.raises(PreconditionError, match="arrow 999"):
             validate_rep(UnitaryRep(fix_gauge_2_z2, reg_z2.bundle, U))
+
+    def test_quantize(self, partial, fix_gauge_2_z2):
+        U0, _, _ = partial
+        g = fix_gauge_2_z2
+        with pytest.raises(PreconditionError, match=self.missing(g)):
+            quantize(GroupoidFunction.zero(g), U0, g.src[0], HaarWeights.counting(g))
+
+    def test_random_operator_from(self, partial, fix_gauge_2_z2):
+        U0, _, _ = partial
+        g = fix_gauge_2_z2
+        with pytest.raises(PreconditionError, match=self.missing(g)):
+            random_operator_from(GroupoidFunction.zero(g), U0, HaarWeights.counting(g))
+
+    def test_a_U0_of_another_groupoid(self, fix_gauge_2_z2, fix_z3):
+        # read against the function's groupoid, as before the stack was kept
+        # on U0: its one fiber does not fit the two base points
+        g = fix_gauge_2_z2
+        with pytest.raises(PreconditionError, match="bundle has 1 fibers for 2 base points"):
+            random_operator_from(GroupoidFunction.zero(g), trivial_rep(fix_z3),
+                                 HaarWeights.counting(g))
+
+
+class TestKeptStack:
+    """A UnitaryRep stacks its unitaries once, on first use, and keeps the
+    stack; U is a read-only mapping of read-only matrices, so the stack
+    cannot go stale."""
+
+    @pytest.fixture
+    def ext(self, fix_gauge_2_z2, reg_z2, decomposition_2_z2):
+        sd = decomposition_2_z2.sd
+        return simple_extension(reg_z2, identity_translations(fix_gauge_2_z2, sd.g1), sd)
+
+    @pytest.mark.parametrize("which", ["U0", "extension"])
+    def test_U_is_read_only(self, which, reg_z2, ext):
+        rep = reg_z2 if which == "U0" else ext
+        a = next(iter(rep.U))
+        with pytest.raises(TypeError):
+            rep.U[a] = np.eye(2)
+        with pytest.raises(ValueError, match="read-only"):
+            rep.U[a][0, 0] = 5
+        for kept in rep.stacked:
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0
+
+    def test_the_callers_matrices_are_copied(self, fix_gauge_2_z2, reg_z2):
+        U = {a: np.array(m) for a, m in reg_z2.U.items()}
+        rep = UnitaryRep(fix_gauge_2_z2, reg_z2.bundle, U)
+        a = next(iter(U))
+        U[a][0, 0] = 7
+        U[a] = 2 * U[a]
+        assert np.array_equal(rep.U[a], reg_z2.U[a])
+        assert validate_rep(rep).ok
+
+    def test_stacked_once_per_rep(self, fix_gauge_2_z2, reg_z2, decomposition_2_z2,
+                                  monkeypatch):
+        g, sd = fix_gauge_2_z2, decomposition_2_z2.sd
+        U0 = UnitaryRep(g, reg_z2.bundle, reg_z2.U)
+        I = identity_translations(g, sd.g1)
+        calls, stack = [], representation._stack
+
+        def counted(g, b, U, *args, **kw):
+            calls.append(U)
+            return stack(g, b, U, *args, **kw)
+
+        monkeypatch.setattr(representation, "_stack", counted)
+        w = HaarWeights.counting(g)
+        a = GroupoidFunction.zero(g)
+        exts = []
+        for _ in range(2):
+            validate_rep(U0)
+            random_operator_from(a, U0, w)
+            quantize(a, U0, 0, w)
+            block_diagonal_generators(g, U0, w)
+            check_equivariance(a, U0, I, sd, w)
+            exts.append(simple_extension(U0, I, sd))
+            validate_rep(exts[-1])
+        # U0 once, the extensions never: their kept stacks are the products
+        assert sum(U is U0.U for U in calls) == 1
+        assert all(ext.stacked[0] is ext.U.S for ext in exts)
+        # the family I once per check_equivariance and per simple_extension
+        assert sum(U is I for U in calls) == len(calls) - 1 == 4
+
+    @pytest.mark.parametrize("how", ["scaled", "partial"])
+    def test_a_read_rep_reports_as_a_fresh_one(self, how, fix_gauge_3_s3, reg_s3):
+        g = fix_gauge_3_s3
+        U = dict(reg_s3.U)
+        a0 = next(iter(U))
+        if how == "scaled":
+            U[a0] = 1.5 * U[a0]
+        else:
+            del U[a0]
+        read, fresh = (UnitaryRep(g, reg_s3.bundle, U) for _ in range(2))
+        f = GroupoidFunction.zero(g)
+        try:
+            random_operator_from(f, read, HaarWeights.counting(g))
+        except PreconditionError:
+            assert how == "partial"
+        got, want = validate_rep(read), validate_rep(fresh)
+        assert not want.ok
+        assert (got.violations, got.max_deviation, got.notes, got.composition) == (
+            want.violations, want.max_deviation, want.notes, want.composition)
+
+    def test_a_bad_key_is_refused_at_every_reader(self, fix_gauge_2_z2, reg_z2):
+        # the stack is built whole on first use, so a U0 reader refuses a
+        # key outside the groupoid, though it reads only isotropy arrows
+        g = fix_gauge_2_z2
+        rep = UnitaryRep(g, reg_z2.bundle, {**reg_z2.U, 999: np.eye(2)})
+        w = HaarWeights.counting(g)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="arrow 999"):
+                random_operator_from(GroupoidFunction.zero(g), rep, w)
 
 
 class TestQuantize:
