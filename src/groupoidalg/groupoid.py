@@ -240,12 +240,6 @@ class _Tables:
             return self.prod.item(off[a] + pos[b])
         return -1
 
-    def lookup(self):
-        """(a, b) ↦ a∘b on the composable pairs, unchecked: list lookups,
-        converted once, for scalar loops over a small table."""
-        prod, off, pos = self.prod.tolist(), self.off.tolist(), self.pos.tolist()
-        return lambda a, b: prod[off[a] + pos[b]]
-
     def compose(self, a, b):
         """The products of arrays of arrow ids, which must be composable."""
         c = self.get(a, b)

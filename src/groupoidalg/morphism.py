@@ -1,4 +1,5 @@
-"""Morphism verification and exhaustive isomorphism search for small instances."""
+"""Morphism verification, and isomorphisms of finite groupoids orbit by
+orbit (Brandt's theorem)."""
 
 from __future__ import annotations
 
@@ -61,120 +62,81 @@ def verify_morphism(m: GroupoidMorphism, require_iso: bool = False) -> Validatio
     return rep
 
 
-def _signatures(g: FiniteGroupoid):
-    """Per arrow: (is identity, order under repeated composition with
-    itself) for an isotropy arrow, (False, 0) for any other. Per base
-    point: its fiber sizes and the sorted orders of its isotropy fiber.
-    The orders come from repeated gathers over the slot table."""
-    s = g._product_slots()
-    iso, ptr = s.iso
-    e = s.identity[s.src[iso]]
-    x, order = iso.copy(), np.ones(iso.size, dtype=np.int64)
-    live = np.flatnonzero(x != e)
-    while live.size:
-        x[live] = s.compose(x[live], iso[live])
-        order[live] += 1
-        live = live[x[live] != e[live]]
-    arrow = [(False, 0)] * g.n_arrows
-    orders = order.tolist()
-    for a, is_e, k in zip(iso.tolist(), (iso == e).tolist(), orders):
-        arrow[a] = (is_e, k)
-    sizes = ((p[1:] - p[:-1]).tolist() for p in (s.into[1], s.out[1], ptr))
-    base = [(*n, tuple(sorted(orders[lo:hi])))
-            for *n, lo, hi in zip(*sizes, ptr[:-1].tolist(), ptr[1:].tolist())]
-    return arrow, base
+def _orders(mul, e: int) -> np.ndarray:
+    """The order of each element of the group table mul, e its identity."""
+    order, x, a = np.ones(len(mul), dtype=np.intp), np.arange(len(mul)), np.arange(len(mul))
+    while (live := x != e).any():
+        x = np.where(live, mul[x, a], x)
+        order += live
+    return order
 
 
-def _extend_arrows(g, h, base_map, cand, order, sig_g, sig_h, prod_g, prod_h):
-    """Backtracking arrow assignment with forced-product propagation; sig_*
-    are the arrow signatures and prod_* the products."""
-    into, out = ([fiber(x) for x in g.base()] for fiber in (g.arrows_into, g.arrows_from))
-    amap: dict[int, int] = {}
-    used: set[int] = set()
-    # identities are forced
-    for x in g.base():
-        delta = h.identity[base_map[x]]
-        amap[g.identity[x]] = delta
-        used.add(delta)
-
-    def consistent(a, d):
-        # inverse coherence
-        ia = g.inv[a]
-        if ia in amap and amap[ia] != h.inv[d]:
+def _close(phi, mul_g, mul_h):
+    """The partial map phi of ranks (-1 where unset), extended by
+    phi(a·b) = phi(a)·phi(b) until its domain is closed under products, a
+    subgroup; None when an element meets two images, or two elements one."""
+    phi = phi.copy()
+    while True:
+        d = np.flatnonzero(phi >= 0)
+        p, q = mul_g[np.ix_(d, d)], mul_h[np.ix_(phi[d], phi[d])]
+        phi[p] = q  # e·a = a, so an image changed shows as two for one element
+        if (phi[p] != q).any():
             return None
-        forced = []
-        if ia not in amap:
-            if h.inv[d] in used and h.inv[d] != d:
-                return None
-            if ia != a:
-                forced.append((ia, h.inv[d]))
-        return forced
+        mapped = phi[phi >= 0]
+        if np.unique(mapped).size < mapped.size:
+            return None
+        if mapped.size == d.size:
+            return phi
 
-    def propagate(a, d, trail):
-        """Assign a→d plus everything it forces; append to trail, or fail."""
-        queue = [(a, d)]
-        while queue:
-            a, d = queue.pop()
-            if a in amap:
-                if amap[a] != d:
-                    return False
-                continue
-            if d in used:
-                return False
-            if h.src[d] != base_map[g.src[a]] or h.tgt[d] != base_map[g.tgt[a]]:
-                return False
-            if sig_g[a] != sig_h[d]:
-                return False
-            forced = consistent(a, d)
-            if forced is None:
-                return False
-            amap[a] = d
-            used.add(d)
-            trail.append(a)
-            queue.extend(forced)
-            # products with already-assigned partners (a itself included) are
-            # forced; the closure, and so the outcome, does not depend on order
-            for b in into[g.src[a]]:
-                if b in amap:
-                    queue.append((prod_g(a, b), prod_h(d, amap[b])))
-            for b in out[g.tgt[a]]:
-                if b != a and b in amap:
-                    queue.append((prod_g(b, a), prod_h(amap[b], d)))
-        return True
 
-    def undo(trail, n):
-        while len(trail) > n:
-            a = trail.pop()
-            used.discard(amap.pop(a))
+def _group_isomorphism(mul_g, mul_h):
+    """A bijection phi of ranks with phi(a·b) = phi(a)·phi(b) between two
+    group tables, or None: a backtracking search over the images of a
+    generating set of mul_g, each generator the lowest rank outside the
+    subgroup the earlier ones generate, each candidate image of the same
+    element order and each choice closed under products before the next."""
+    eg, eh = (int(np.flatnonzero((m == np.arange(len(m))).all(axis=1))[0])
+              for m in (mul_g, mul_h))
+    og, oh = _orders(mul_g, eg), _orders(mul_h, eh)
 
-    def search(i):
-        while i < len(order) and order[i] in amap:
-            i += 1
-        if i == len(order):
-            return True
-        a = order[i]
-        for d in cand[a]:
-            if d in used:
-                continue
-            trail: list[int] = []
-            if propagate(a, d, trail) and search(i + 1):
-                return True
-            undo(trail, 0)
-        return False
+    def search(phi):
+        if phi is None or (phi >= 0).all():
+            return phi
+        a = int(np.argmax(phi < 0))
+        for c in np.flatnonzero(oh == og[a]):
+            ext = phi.copy()
+            ext[a] = c
+            if (found := search(_close(ext, mul_g, mul_h))) is not None:
+                return found
+        return None
 
-    if search(0):
-        return tuple(amap[a] for a in g.arrows())
-    return None
+    return search(np.where(np.arange(len(mul_g)) == eg, eh, -1))
+
+
+def _orbits(g: FiniteGroupoid) -> list:
+    """g's orbits off its plan (groupoid._block_plan), by shape (n, |G_r|)
+    and then in root order: per orbit at[y, h, x], the arrow (y, h, x), and
+    the rank table of G_r. PreconditionError when the table is not a
+    groupoid's."""
+    return [(at.reshape(len(at), -1, len(at)), mul)
+            for grid, _, _, muls in g._product_slots().plan(g.arrow_label).shapes
+            for at, mul in zip(grid, muls)]
 
 
 def find_isomorphism(
     g: FiniteGroupoid, h: FiniteGroupoid, max_arrows: int = DEFAULT_ISO_CAP
 ) -> GroupoidMorphism | None:
-    """Exhaustive isomorphism search, pruned by fiber-size and isotropy-order
-    signatures. Returns a verified isomorphism or None.
+    """An isomorphism g → h, verified, or None. By Brandt's theorem every
+    orbit is the pair groupoid on its n points times its isotropy group
+    G_r, so g ≅ h exactly when their orbits match one to one with equal n
+    and isomorphic G_r. Each orbit of g takes the first free orbit of h
+    of its shape (n, |G_r|) whose group is isomorphic by some phi
+    (_group_isomorphism); the star coordinates (y, k, x) go to (y, phi(k),
+    x), the y-th point of one orbit to the y-th of the other.
 
     Groupoids of different sizes are rejected before the cap applies;
-    raises SizeCapError above max_arrows, since the worst case is factorial.
+    raises SizeCapError above max_arrows, and PreconditionError when a
+    table is not a groupoid's.
     """
     if g.n_base != h.n_base or g.n_arrows != h.n_arrows:
         return None
@@ -183,50 +145,17 @@ def find_isomorphism(
             f"instance too large for isomorphism search "
             f"({g.n_arrows} arrows > cap {max_arrows})"
         )
-    arrow_g, sig_g = _signatures(g)
-    arrow_h, sig_h = _signatures(h)
-    if sorted(sig_g) != sorted(sig_h):
-        return None
-    prod_g, prod_h = g._product_slots().lookup(), h._product_slots().lookup()
-    into_h = [h.arrows_into(y) for y in h.base()]
-
-    base_candidates = [
-        [y for y in h.base() if sig_h[y] == sig_g[x]] for x in g.base()
-    ]
-
-    def base_search(x, taken, assignment):
-        if x == g.n_base:
-            yield tuple(assignment)
-            return
-        for y in base_candidates[x]:
-            if y in taken:
-                continue
-            assignment.append(y)
-            taken.add(y)
-            yield from base_search(x + 1, taken, assignment)
-            taken.discard(y)
-            assignment.pop()
-
-    for base_map in base_search(0, set(), []):
-        cand = {}
-        feasible = True
-        for a in g.arrows():
-            cs = [
-                d
-                for d in into_h[base_map[g.tgt[a]]]
-                if h.src[d] == base_map[g.src[a]]
-                and arrow_h[d] == arrow_g[a]
-            ]
-            if not cs:
-                feasible = False
+    free = _orbits(h)
+    am, bm = np.empty(g.n_arrows, dtype=np.intp), np.empty(g.n_base, dtype=np.intp)
+    for at, mul in _orbits(g):
+        for i, (to, mul_h) in enumerate(free):
+            if to.shape == at.shape and (phi := _group_isomorphism(mul, mul_h)) is not None:
+                am[at] = to[:, phi]
+                bm[g._tables.tgt[at[:, 0, 0]]] = h._tables.tgt[to[:, 0, 0]]
+                del free[i]
                 break
-            cand[a] = cs
-        if not feasible:
-            continue
-        order = sorted(g.arrows(), key=lambda a: len(cand[a]))
-        amap = _extend_arrows(g, h, base_map, cand, order, arrow_g, arrow_h, prod_g, prod_h)
-        if amap is not None:
-            m = GroupoidMorphism(domain=g, codomain=h, arrow_map=amap, base_map=base_map)
-            if verify_morphism(m, require_iso=True).ok:
-                return m
-    return None
+        else:
+            return None
+    m = GroupoidMorphism(domain=g, codomain=h, arrow_map=tuple(am.tolist()),
+                         base_map=tuple(bm.tolist()))
+    return m if verify_morphism(m, require_iso=True).ok else None

@@ -237,7 +237,7 @@ def _check_rep(report: RepReport, g: FiniteGroupoid, dims, S, covered, keys, tol
     D = S.shape[1]
     dims = np.asarray(dims, dtype=np.intp)
     label = g.arrow_label
-    M = S[keys]
+    M = S if np.array_equal(keys, np.arange(len(S))) else S[keys]  # every arrow: S, uncopied
     MH = M.conj().swapaxes(1, 2)
     unitarity = _dev(MH @ M - _eyes(dims[s.src[keys]], D))
     report._measure(unitarity, tol, "unitarity",

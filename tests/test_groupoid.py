@@ -273,6 +273,19 @@ class TestQuotient:
         assert exc.value.witnesses == (gamma,)
         assert "(0,e,1)" in str(exc.value)
 
+    def test_orbit_structure_inconsistent(self, fix_gauge_2_z2):
+        """With (0,a,0)∘(0,e,1) redirected to (0,e,1), the orbit of (0,a,1)
+        holds (0,e,1) twice and the class of (0,e,1) is met again: the
+        witnesses are the arrow whose orbit it is and the member met."""
+        g = fix_gauge_2_z2
+        a0, gamma, other = (arrow_by_label(g, s) for s in ("(0,a,0)", "(0,e,1)", "(0,a,1)"))
+        comp = dict(g.compose_table)
+        comp[(a0, gamma)] = gamma
+        bad = with_fields(g, compose_table=comp)
+        with pytest.raises(QuotientUndefinedError, match="^orbit structure inconsistent$") as exc:
+            quotient_by_isotropy(bad, isotropy_subgroupoid(bad))
+        assert exc.value.witnesses == (other, gamma)
+
     def test_incomplete_table(self, fix_gauge_2_z2):
         """Without its first compose entry the table fails the structure
         check with the missing pair, not with a KeyError."""

@@ -342,6 +342,17 @@ def test_reader_matches_oracle(d):
     same_groupoid(gio.groupoid_from_dict(d), want)
 
 
+def test_identity_at_an_unknown_base_id():
+    """An identity table keyed by a base id the file does not list."""
+    d = copy.deepcopy(BASE_FILE)
+    d["identity"]["9"] = d["identity"].pop("1")
+    message = "groupoid file: unknown base id '9'"
+    with pytest.raises(MalformedTableError, match=f"^{message}$"):
+        gio.groupoid_from_dict(d)
+    with pytest.raises(MalformedTableError, match=f"^{message}$"):
+        oracle_groupoid_from_dict(copy.deepcopy(d))
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=mutated_files())
 def test_cli_on_malformed_files(d):

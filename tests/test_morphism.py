@@ -3,16 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import LOOP, pair_times, relabeled_group
 from groupoidalg import (
+    FinitePrincipalBundle,
+    builtin_group,
     cyclic,
     find_isomorphism,
+    gauge_groupoid,
     group_groupoid,
     pair_groupoid,
     symmetric,
     verify_morphism,
 )
-from groupoidalg.errors import SizeCapError
+from groupoidalg.errors import PreconditionError, SizeCapError
 from groupoidalg.groupoid import FiniteGroupoid, GroupoidMorphism
+from groupoidalg.groups import FiniteGroup
+from groupoidalg.morphism import _close
+from validation_oracle import oracle_find_isomorphism
 
 
 def relabel(
@@ -198,3 +205,86 @@ class TestFindIsomorphism:
         m = find_isomorphism(g, h)
         assert m is not None
         assert verify_morphism(m, require_iso=True).ok
+
+
+def _z4_by_z4(sign):
+    """Z4×Z4 for sign 1; for sign -1 Z4⋊Z4, b acting on a by a ↦ -a. Both
+    have 3 elements of order 2 and 12 of order 4."""
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    mul = tuple(tuple(pairs.index(((a + sign ** b * c) % 4, (b + d) % 4)) for c, d in pairs)
+                for a, b in pairs)
+    return FiniteGroup(f"Z4x{sign}Z4", tuple(f"{a}{b}" for a, b in pairs), mul)
+
+
+def _union(*gs):
+    """The disjoint union of groupoids, each one's ids after the last one's."""
+    src, tgt, inv, identity, comp, base, arrow = [], [], [], [], {}, 0, 0
+    for g in gs:
+        src += [base + x for x in g.src]
+        tgt += [base + x for x in g.tgt]
+        inv += [arrow + a for a in g.inv]
+        identity += [arrow + a for a in g.identity]
+        comp.update({(arrow + a, arrow + b): arrow + c for (a, b), c in g.compose_table.items()})
+        base, arrow = base + g.n_base, arrow + g.n_arrows
+    return FiniteGroupoid(base, tuple(src), tuple(tgt), comp, tuple(inv), tuple(identity))
+
+
+def _gauge(n, name, group=None):
+    return gauge_groupoid(FinitePrincipalBundle(n, group or builtin_group(name)))
+
+
+def _shuffled(g, seed):
+    rng = np.random.default_rng(seed)
+    return relabel(g, list(rng.permutation(g.n_base)), list(rng.permutation(g.n_arrows)))
+
+
+def _verdict_cases():
+    z4z4, z4_by_z4 = (group_groupoid(_z4_by_z4(sign)) for sign in (1, -1))
+    v4 = group_groupoid(FiniteGroup("Z2xZ2", ("e", "a", "b", "ab"),
+                                    tuple(tuple(i ^ j for j in range(4)) for i in range(4))))
+    yield "Z4xZ4-Z4:Z4", z4z4, z4_by_z4
+    yield "Z4:Z4-Z4:Z4", z4_by_z4, z4_by_z4
+    relabeled = relabeled_group(_z4_by_z4(-1), np.random.default_rng(0))
+    yield "Z4:Z4-relabeled", z4_by_z4, group_groupoid(relabeled)  # the first images fail
+    yield "pair2+Z3-Z3+pair2", _union(pair_groupoid(2), group_groupoid(cyclic(3))), _union(
+        group_groupoid(cyclic(3)), pair_groupoid(2))
+    yield "pair2+Z4-pair2+V4", _union(pair_groupoid(2), group_groupoid(cyclic(4))), _union(
+        pair_groupoid(2), v4)
+    for n, name in [(2, "D4"), (2, "S3"), (4, "Z3"), (4, "Z4")]:
+        yield f"gauge-{n}{name}-shuffled", _gauge(n, name), _shuffled(_gauge(n, name), n)
+    relabeled = relabeled_group(builtin_group("D4"), np.random.default_rng(5))
+    yield "gauge-2D4-relabeled-group", _gauge(2, "D4"), _shuffled(_gauge(2, "D4", relabeled), 5)
+
+
+@pytest.mark.parametrize("g,h", [c[1:] for c in _verdict_cases()],
+                         ids=[c[0] for c in _verdict_cases()])
+def test_find_isomorphism_verdict_equals_oracle(g, h):
+    """The orbit matching finds a map exactly when the exhaustive search
+    does, and any map it finds is an isomorphism."""
+    got = find_isomorphism(g, h)
+    assert (got is None) == (oracle_find_isomorphism(g, h) is None)
+    if got is not None:
+        assert verify_morphism(got, require_iso=True).ok
+
+
+def test_find_isomorphism_on_a_table_that_is_no_groupoids():
+    """A non-associative table has no star coordinates to match."""
+    g = pair_times(1, LOOP)
+    with pytest.raises(PreconditionError, match="not a groupoid's"):
+        find_isomorphism(g, g)
+
+
+Z4 = np.array(cyclic(4).mul)
+
+
+@pytest.mark.parametrize("phi,closed", [
+    ([0, 1, -1, -1], [0, 1, 2, 3]),
+    ([0, 3, -1, -1], [0, 3, 2, 1]),
+    ([0, 1, 3, -1], None),  # 1·1 = 2 is sent to 3, not to 1 + 1
+    ([0, 2, -1, -1], None),  # 1 ↦ 2 sends 2 to 0, the image of 0
+])
+def test_close(phi, closed):
+    """A partial map of Z4 to itself closed under products, or None when
+    the closure meets two images for one element or one for two."""
+    got = _close(np.array(phi), Z4, Z4)
+    assert (got is None) if closed is None else (got.tolist() == closed)
