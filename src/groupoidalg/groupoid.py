@@ -184,12 +184,12 @@ class _Tables:
     the running sum of |into(src a)| and pos[b] the rank of b in into(tgt
     b), so slots run in the order of _walk, which is (a, b) order. A tail
     as long as the largest fiber starts at slot n_slots; it holds -1, and
-    non-composable lookups read it. The pair arrays of the slots, the
-    lists behind scalar lookups and the kernels' plans are built on first
-    use and kept."""
+    non-composable lookups read it. The composable pairs are walked off
+    the fiber index, not kept. The lists behind scalar lookups and the
+    kernels' plans are built on first use and kept."""
 
     __slots__ = ("src", "tgt", "inv", "identity", "into", "out", "iso",
-                 "off", "pos", "n_slots", "prod", "_ab", "_lists", "_plans")
+                 "off", "pos", "n_slots", "prod", "_lists", "_plans")
 
     def __init__(self, g):
         tables = (g.src, g.tgt, g.inv, g.identity)
@@ -204,7 +204,7 @@ class _Tables:
         self.iso = iso, src[iso].searchsorted(np.arange(g.n_base + 1, dtype=np.int32))
         for t in (*self.into, *self.out, *self.iso):
             t.setflags(write=False)
-        self.off = self.pos = self.n_slots = self.prod = self._ab = self._lists = None
+        self.off = self.pos = self.n_slots = self.prod = self._lists = None
         self._plans = {}
 
     def _lay_out(self) -> int:
@@ -219,17 +219,17 @@ class _Tables:
             self.off, self.n_slots = np.cumsum(span) - span, int(span.sum())
         return self.n_slots + int(sizes.max(initial=0))
 
-    def _keep(self, prod, ab=None):
-        """Hold the products, and the pair arrays when known, read-only."""
-        for t in (prod, *(ab or ())):
-            t.flags.writeable = False
-        self.prod, self._ab = prod, ab
+    def _keep(self, prod):
+        """Hold the products, read-only."""
+        prod.flags.writeable = False
+        self.prod = prod
 
     def get(self, a, b):
-        """compose_table.get over arrays of arrow ids, with -1 for None."""
-        return self.prod[
-            np.where(self.src[a] == self.tgt[b], self.off[a], self.n_slots) + self.pos[b]
-        ]
+        """compose_table.get over arrays of arrow ids, with -1 for None; take
+        gathers with int32 ids about twice as fast as indexing does."""
+        return self.prod.take(
+            np.where(self.src.take(a) == self.tgt.take(b), self.off.take(a), self.n_slots)
+            + self.pos.take(b))
 
     def at(self, a: int, b: int) -> int:
         """The product of one pair of arrow ids; -1 when it is not composable."""
@@ -250,17 +250,6 @@ class _Tables:
     def conj(self, g, a):
         """The conjugation action g∘a∘g⁻¹ over arrays of arrow ids."""
         return self.compose(self.compose(g, a), self.inv[g])
-
-    def pair_arrays(self):
-        """The composable pairs as arrays a and b, in slot order; intp, so
-        that the kernels index with them without a cast."""
-        if self._ab is None:
-            a, b = np.empty((2, self.n_slots), dtype=np.intp)
-            for first, x, y in _walk(*self.into, self.src, _PAIR_BLOCK):
-                a[first:first + x.size], b[first:first + x.size] = x, y
-            a.flags.writeable = b.flags.writeable = False
-            self._ab = a, b
-        return self._ab
 
     def plan(self, label) -> "_Plan":
         """The star coordinates and convolution plan of _block_plan, built
@@ -284,14 +273,19 @@ class _Tables:
         return self._plans[key]
 
     def entries(self):
-        """The arrays a, b and a∘b of the composable pairs, in slot order."""
-        return (*self.pair_arrays(), self.prod[:self.n_slots])
+        """The arrays a, b and a∘b of the composable pairs in slot order,
+        int32 and read-only; a and b are walked afresh on each call."""
+        a, b = np.empty((2, self.n_slots), dtype=np.int32)
+        for first, x, y in _walk(*self.into, self.src, _PAIR_BLOCK):
+            a[first:first + x.size], b[first:first + x.size] = x, y
+        a.flags.writeable = b.flags.writeable = False
+        return a, b, self.prod[:self.n_slots]
 
     def pairs(self, block: int):
-        """The entries in blocks (a, b, a∘b) of at most block pairs."""
-        a, b, c = self.entries()
-        return ((a[lo:lo + block], b[lo:lo + block], c[lo:lo + block])
-                for lo in range(0, self.n_slots, block))
+        """The composable pairs in slot order, walked off the fiber index in
+        blocks (a, b, a∘b) of whole arrows a, as _walk gives them (intp)."""
+        return ((a, b, self.prod[first:first + a.size])
+                for first, a, b in _walk(*self.into, self.src, block))
 
 
 def _rows(*columns):
@@ -490,8 +484,7 @@ def _structure(g: FiniteGroupoid):
     if t.prod is None:  # filled once: a built or checked groupoid keeps its products
         prod = np.full(size, -1, dtype=np.int32)
         prod[slot] = C  # every entry is composable here, so slot covers them all
-        in_order = bool((slot[1:] > slot[:-1]).all())  # then A, B are the pair arrays
-        t._keep(prod, (A.astype(np.intp), B.astype(np.intp)) if in_order else None)
+        t._keep(prod)
     return rep, (A, B, C)
 
 
@@ -658,7 +651,7 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             f"({g.base_label(g.src[e])},{g.base_label(g.tgt[e])})",
         )
 
-    wrong_ends = np.flatnonzero((src[C] != src[B]) | (tgt[C] != tgt[A]))
+    wrong_ends = np.flatnonzero((src.take(C) != src.take(B)) | (tgt.take(C) != tgt.take(A)))
     for i in wrong_ends.tolist():
         a, b = int(A[i]), int(B[i])
         rep.add(
@@ -846,7 +839,7 @@ def quotient_by_isotropy(
     worst = m * m
     for a, b, c in s.pairs(_PAIR_BLOCK):
         ca, cb = cls[a], cls[b]
-        bad = cls[c] != cls[s.compose(rep[ca], rep[cb])]
+        bad = cls.take(c) != cls.take(s.compose(rep[ca], rep[cb]))
         worst = min(worst, int((ca[bad] * m + cb[bad]).min(initial=worst)))
     if worst < m * m:
         c1, c2 = divmod(worst, m)

@@ -697,6 +697,18 @@ class TestMalformedInput:
         assert main(["verify-prop1", "--base", "2", "--group", str(table)]) == 2
         assert "elements is not a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, message", [
+        ({"elements": ["e", "e"], "mul": [["e", "e"], ["e", "e"]]}, "duplicate element names"),
+        ({"elements": ["e", "a"], "mul": [["e", "a"], ["a", "b"]]}, "unknown element 'b'"),
+        ({"elements": ["e", "a"], "mul": [["e", "a"], ["a", "e"]], "identity": "a"},
+         "declared identity is not the identity"),
+    ], ids=["duplicate-names", "unknown-name", "wrong-identity"])
+    def test_group_table_refused(self, table, message, tmp_path, capsys):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(table))
+        assert main(["verify-prop1", "--base", "2", "--group", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: group table file: {message}\n"
+
 
 class TestEchoedOptions:
     @pytest.mark.parametrize("cmd, flag", [

@@ -4,6 +4,8 @@ place of one lookup per product, against the loop oracles."""
 
 import copy
 import dataclasses
+import gc
+import tracemalloc
 from collections.abc import Mapping
 
 import numpy as np
@@ -21,6 +23,7 @@ from groupoidalg import (
     pair_groupoid,
     quotient_by_isotropy,
     selection_to_groupoid,
+    semidirect_product,
     symmetric,
     translation_subgroupoid,
     validate_groupoid,
@@ -28,6 +31,7 @@ from groupoidalg import (
 from groupoidalg import io as gio
 from conftest import relabeled_group
 from groupoidalg.errors import PreconditionError
+from groupoidalg.semidirect import prop1_on_carrier
 from io_oracle import oracle_groupoid_from_dict, oracle_groupoid_to_dict
 from validation_oracle import (
     oracle_find_isomorphism,
@@ -137,9 +141,57 @@ def test_compose_table_is_read_only(tmp_path):
 
 def test_slot_arrays_are_read_only():
     s = pair_groupoid(2)._product_slots()
-    for arr in (s.prod, *s.pair_arrays()):
+    for arr in s.entries():
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+def _entries_cases(tmp_path):
+    for n, name in LADDER[:4]:
+        yield _gauge(n, name)
+    path = tmp_path / "g.json"
+    gio.dump_json(gio.groupoid_to_dict(_gauge(3, "S3")), path)
+    yield gio.groupoid_from_dict(gio.load_json(path))
+
+
+def test_entries_are_the_walked_pairs(tmp_path):
+    """entries() is int32 and in slot order: the pairs() blocks, concatenated,
+    and the keys and values of the compose table, in its order."""
+    for g in _entries_cases(tmp_path):
+        s = g._product_slots()
+        a, b, c = s.entries()
+        assert a.dtype == b.dtype == c.dtype == np.int32
+        blocks = list(s.pairs(8))
+        assert len(blocks) > 1
+        for got, want in zip((a, b, c), map(np.concatenate, zip(*blocks))):
+            assert np.array_equal(got, want)
+        assert list(zip(a.tolist(), b.tolist())) == list(g.compose_table)
+        assert c.tolist() == list(g.compose_table.values())
+        assert all(np.array_equal(x, y) for x, y in zip(s.entries(), (a, b, c)))
+
+
+def test_checks_keep_no_pairs():
+    """Prop. 1 and the axiom check on a fresh (16,D4) carrier leave less
+    than its slot table allocated once their results are dropped: no pass
+    keeps the pairs it walked or the entries it built (the kept plan of
+    the carrier is 0.2 MB)."""
+    bundle = FinitePrincipalBundle(16, builtin_group("D4"))
+    g = gauge_groupoid(bundle)
+    sel = translation_subgroupoid(g, Section.random(bundle, np.random.default_rng(3)))
+    sd = semidirect_product(g, lorentz_subgroupoid(g), sel)
+    n_slots = sd._product_slots().n_slots
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = prop1_on_carrier(sd)
+        assert result.j_exists and result.J_is_iso and result.i_map_verified
+        assert validate_groupoid(sd).ok
+        del result
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < n_slots * 4
 
 
 def test_mapping_equality(tmp_path):

@@ -353,6 +353,17 @@ def test_identity_at_an_unknown_base_id():
         oracle_groupoid_from_dict(copy.deepcopy(d))
 
 
+def test_compose_entries_as_tuples():
+    """Entries given as tuples, as a caller's dict may hold them, are read
+    one by one and give the compose table of the list form."""
+    d = gio.groupoid_to_dict(gauge_groupoid(FinitePrincipalBundle(3, builtin_group("S3"))))
+    want = gio.groupoid_from_dict(d).compose_table
+    got = gio.groupoid_from_dict({**d, "compose": [tuple(e) for e in d["compose"]]}).compose_table
+    assert list(got.items()) == list(want.items())
+    for x, y in zip(got.entries(), want.entries()):
+        assert x.dtype == y.dtype == np.int32 and np.array_equal(x, y)
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=mutated_files())
 def test_cli_on_malformed_files(d):
