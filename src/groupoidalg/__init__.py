@@ -18,7 +18,6 @@ from .errors import (
     GroupoidError,
     MalformedTableError,
     PreconditionError,
-    QuotientUndefinedError,
     SizeCapError,
 )
 from .gauge import (

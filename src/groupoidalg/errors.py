@@ -18,13 +18,5 @@ class MalformedTableError(GroupoidError):
     to unknown ids. Distinct from an axiom violation."""
 
 
-class QuotientUndefinedError(GroupoidError):
-    """Quotient composition depends on the choice of representatives."""
-
-    def __init__(self, message, witnesses=()):
-        super().__init__(message)
-        self.witnesses = tuple(witnesses)
-
-
 class SizeCapError(GroupoidError):
     """An instance exceeded a configured size guard."""

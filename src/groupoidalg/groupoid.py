@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import MalformedTableError, PreconditionError, QuotientUndefinedError
+from .errors import MalformedTableError, PreconditionError
 from .groups import FiniteGroup
 
 AXIOM_SOURCE_TARGET = "source-target"
@@ -770,95 +770,64 @@ def selection_to_groupoid(sel: SubgroupoidSelection) -> tuple[FiniteGroupoid, Gr
 def quotient_by_isotropy(
     g: FiniteGroupoid, g0: SubgroupoidSelection
 ) -> tuple[FiniteGroupoid, GroupoidMorphism]:
-    """Quotient of g by a wide, conjugation-stable isotropy selection.
+    """Quotient of g by a wide, conjugation-stable isotropy selection N, and
+    the projection morphism.
 
-    Classes are orbits of the left action gamma0 ∘ gamma; quotient
-    composition is verified well defined on representatives before the
-    tables are emitted. Returns the quotient and the projection morphism.
+    An orbit of g with root r is pair(n) × G_r (Brandt's theorem, see
+    _block_plan). N is conjugation-stable exactly when N at each x is
+    σ_x N_r σ_x⁻¹ and N_r is normal in G_r. Then the class of the arrow
+    σ_y∘k∘σ_x⁻¹, its orbit under the left action of N, is (y, N_r·k, x):
+    the quotient orbit is pair(n) × G_r/N_r, its composition well defined
+    by construction. A class is represented by its smallest arrow, and the
+    classes go in the order of their representatives. A table that is no
+    groupoid's raises the plan's PreconditionError.
     """
     props = subgroupoid_properties(g, g0)
     if not (props["is_wide"] and props["is_closed"]):
         raise PreconditionError("quotient selection must be wide and closed")
-    for a in g0.arrows:
-        if g.src[a] != g.tgt[a]:
-            raise PreconditionError(
-                f"quotient selection contains non-isotropy arrow {g.arrow_label(a)}"
-            )
-    # conjugation stability: alpha_gamma maps g0 fibers into g0
-    s = g._product_slots()
+    s, sel = g._product_slots(), np.array(sorted(g0.arrows), dtype=np.intp)
+    off = sel[s.src[sel] != s.tgt[sel]]
+    if off.size:
+        raise PreconditionError(
+            f"quotient selection contains non-isotropy arrow {g.arrow_label(int(off[0]))}")
+    plan = s.plan(g.arrow_label)
     inside = np.zeros(g.n_arrows, dtype=bool)
-    inside[list(g0.arrows)] = True
-    for _, gamma, a in _walk(*s.iso, s.src, _PAIR_BLOCK):  # a in the fiber at src γ
-        keep = inside[a]
-        gamma, a = gamma[keep], a[keep]
-        bad = np.flatnonzero(~inside[s.conj(gamma, a)])
-        if bad.size:
-            raise PreconditionError(
-                f"selection is not conjugation-stable: witness arrows "
-                f"({g.arrow_label(int(gamma[bad[0]]))}, {g.arrow_label(int(a[bad[0]]))})"
-            )
+    inside[sel] = True
 
-    # the orbit g0∘γ of each γ, sorted: gathers over the pairs (γ, a) with
-    # a in g0 at tgt γ, in blocks; orbit γ is flat[bound[γ]:bound[γ + 1]]
-    sel = np.flatnonzero(inside)
-    at, ptr = _group(g.n_base, s.src[sel])
-    gammas, products = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.int32)]
-    for _, gamma, a in _walk(sel[at], ptr, s.tgt, _PAIR_BLOCK):
-        gammas.append(gamma)
-        products.append(s.compose(a, gamma))
-    gammas, products = np.concatenate(gammas), np.concatenate(products)
-    flat = products[np.lexsort((products, gammas))].tolist()
-    bound = np.zeros(g.n_arrows + 1, dtype=np.int64)
-    np.cumsum(np.diff(ptr)[s.tgt], out=bound[1:])
-    bound = bound.tolist()
-    # a class opens at an arrow in no class and takes its orbit, whose
-    # members must all be in no class yet, so the arrow that opens it is
-    # its smallest member: its representative
-    class_of = [None] * g.n_arrows
-    reps: list[int] = []
-    for gamma in g.arrows():
-        if class_of[gamma] is not None:
-            continue
-        cid = len(reps)
-        reps.append(gamma)
-        for m in flat[bound[gamma]:bound[gamma + 1]]:
-            if class_of[m] is not None and class_of[m] != cid:
-                raise QuotientUndefinedError(
-                    "orbit structure inconsistent", witnesses=(gamma, m)
-                )
-            class_of[m] = cid
-        if class_of[gamma] is None:
-            raise QuotientUndefinedError(
-                f"arrow {g.arrow_label(gamma)} lies in no orbit", witnesses=(gamma,)
-            )
+    def unstable(gamma, a):  # a in N at src γ, γ∘a∘γ⁻¹ not in N
+        return PreconditionError(
+            f"selection is not conjugation-stable: witness arrows "
+            f"({g.arrow_label(int(gamma))}, {g.arrow_label(int(a))})")
 
-    # well-definedness: every composable pair (a, b) lands in the class of
-    # the product of its classes' representatives; the witness is the first
-    # pair of classes (c1, c2), c1 ascending, then c2, that does not
-    cls, rep, m = np.array(class_of), np.array(reps), len(reps)
-    worst = m * m
-    for a, b, c in s.pairs(_PAIR_BLOCK):
-        ca, cb = cls[a], cls[b]
-        bad = cls.take(c) != cls.take(s.compose(rep[ca], rep[cb]))
-        worst = min(worst, int((ca[bad] * m + cb[bad]).min(initial=worst)))
-    if worst < m * m:
-        c1, c2 = divmod(worst, m)
-        raise QuotientUndefinedError(
-            f"quotient undefined: classes [{g.arrow_label(reps[c1])}] and "
-            f"[{g.arrow_label(reps[c2])}] compose ambiguously",
-            witnesses=(reps[c1], reps[c2]),
-        )
-
+    iso = s.iso[0]  # the isotropy arrow a at x is σ_x∘k∘σ_x⁻¹, k = plan.k[a]
+    bad = iso[inside[iso] != inside[plan.k[iso]]]
+    if bad.size:
+        a = bad.min()
+        star = plan.star[s.src[a]]
+        raise unstable(s.inv[star], a) if inside[a] else unstable(star, plan.k[a])
+    rep_of = np.empty(g.n_arrows, dtype=np.intp)
+    for at, _, kr, mul in plan.shapes:
+        member = inside[kr]  # [o, m]: m in N_r
+        o, c, h = np.nonzero(member[:, None, :] & ~inside[s.conj(kr[:, :, None], kr[:, None, :])])
+        if o.size:
+            raise unstable(kr[o[0], c[0]], kr[o[0], h[0]])
+        (n_orbits, K), n = kr.shape, at.shape[1]
+        at = at.reshape(n_orbits, n, K, n)  # [o, y, h, x]
+        coset = np.where(member[:, :, None], mul, np.arange(K))  # [o, m, h]: m·h, or h
+        rep_of[at] = at[np.arange(n_orbits)[:, None, None, None, None],
+                        np.arange(n)[:, None, None, None], coset[:, None, :, :, None],
+                        np.arange(n)].min(axis=2)
+    rep, cls = np.unique(rep_of, return_inverse=True)
     quotient = _build(
         FiniteGroupoid, g.n_base, s.src[rep], s.tgt[rep], cls[s.inv[rep]],
         cls[s.identity], lambda c1, c2: cls[s.compose(rep[c1], rep[c2])],
-        arrow_labels=tuple(f"[{g.arrow_label(r)}]" for r in reps),
+        arrow_labels=tuple(f"[{g.arrow_label(r)}]" for r in rep.tolist()),
         base_labels=g.base_labels,
     )
     rho = GroupoidMorphism(
         domain=g,
         codomain=quotient,
-        arrow_map=tuple(class_of),
+        arrow_map=tuple(cls.tolist()),
         base_map=tuple(g.base()),
     )
     return quotient, rho

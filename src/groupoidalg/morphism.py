@@ -46,7 +46,7 @@ def verify_morphism(m: GroupoidMorphism, require_iso: bool = False) -> Validatio
         rep.add("morphism", "identity", (x,), f"identity at {d.base_label(x)} not preserved")
     fails = set()
     for a, b, ab in ds.pairs(_PAIR_BLOCK):
-        hit = cs.get(AM[a], AM[b]) != AM[ab]
+        hit = cs.get(AM[a], AM[b]) != AM[ab.astype(np.intp)]  # numpy gathers slower by int32
         fails.update(zip(a[hit].tolist(), b[hit].tolist()))
     if fails:  # only a failure walks the compose table, for its witness order
         for a, b in (ab for ab in d.compose_table if ab in fails):

@@ -31,6 +31,7 @@ from groupoidalg import (
 from groupoidalg import io as gio
 from conftest import relabeled_group
 from groupoidalg.errors import PreconditionError
+from groupoidalg.groupoid import SubgroupoidSelection
 from groupoidalg.semidirect import prop1_on_carrier
 from io_oracle import oracle_groupoid_from_dict, oracle_groupoid_to_dict
 from validation_oracle import (
@@ -221,6 +222,38 @@ def test_quotient_equals_oracle(build, n, name):
     g0 = lorentz_subgroupoid(g)
     q, rho = quotient_by_isotropy(g, g0)
     want = oracle_quotient_by_isotropy(g, g0)
+    assert (list(q.src), list(q.tgt)) == (want["src"], want["tgt"])
+    assert (list(q.inv), list(q.identity)) == (want["inv"], want["identity"])
+    assert list(q.compose_table.items()) == want["compose"]
+    assert list(q.arrow_labels) == want["labels"]
+    assert list(rho.arrow_map) == want["arrow_map"]
+
+
+def _normal_subgroup(G, kind):
+    """The centre of G, its squares (Z2 in Z4, A3 in S3, a subgroup in both)
+    or the trivial subgroup, as element indices."""
+    order = range(G.order)
+    if kind == "centre":
+        return [a for a in order if all(G.mul[a][b] == G.mul[b][a] for b in order)]
+    if kind == "squares":
+        return sorted({G.mul[a][a] for a in order})
+    return [G.identity]
+
+
+@pytest.mark.parametrize("n,name,kind", [(3, "D4", "centre"), (2, "Z4", "squares"),
+                                         (4, "S3", "squares"), (3, "S3", "trivial")])
+@pytest.mark.parametrize("build", [_gauge, _relabeled_gauge], ids=["gauge", "relabeled"])
+def test_quotient_by_normal_subgroup_equals_oracle(build, n, name, kind):
+    """The quotient by a normal subgroup N of the isotropy at every point,
+    N proper: each class (y, N·k, x) holds several arrows, each class
+    represented by its smallest."""
+    g = build(n, name)
+    N = _normal_subgroup(g.bundle.group, kind)
+    base = np.arange(n)[:, None]
+    g0 = SubgroupoidSelection(g, frozenset(g.triple_index[base, N, base].ravel().tolist()))
+    q, rho = quotient_by_isotropy(g, g0)
+    want = oracle_quotient_by_isotropy(g, g0)
+    assert q.n_arrows == g.n_arrows // len(N)
     assert (list(q.src), list(q.tgt)) == (want["src"], want["tgt"])
     assert (list(q.inv), list(q.identity)) == (want["inv"], want["identity"])
     assert list(q.compose_table.items()) == want["compose"]

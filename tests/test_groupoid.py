@@ -1,12 +1,14 @@
 import ast
 import dataclasses
 import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupoidalg import (
+    FiniteGroupoid,
     FinitePrincipalBundle,
     GroupoidFunction,
     HaarWeights,
@@ -26,7 +28,7 @@ from groupoidalg import (
     validate_groupoid,
 )
 from groupoidalg import groupoid as groupoid_mod
-from groupoidalg.errors import PreconditionError, QuotientUndefinedError
+from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import (
     AXIOM_ASSOCIATIVITY,
     AXIOM_IDENTITY,
@@ -35,6 +37,7 @@ from groupoidalg.groupoid import (
     SubgroupoidSelection,
 )
 from groupoidalg.morphism import find_isomorphism, verify_morphism
+from star_oracle import NO_STAR
 from validation_oracle import oracle_validate_groupoid
 
 
@@ -214,6 +217,18 @@ class TestSubgroupoids:
             selection_to_groupoid(sel)
 
 
+def assert_unstable_witness(g, sel, exc):
+    """exc names a pair (γ, a) with a in sel at src γ and γ∘a∘γ⁻¹ not in sel."""
+    head = "selection is not conjugation-stable: witness arrows "
+    assert str(exc).startswith(head)
+    named = {f"({g.arrow_label(c)}, {g.arrow_label(a)})": (c, a)
+             for c in g.arrows() for a in g.arrows()}
+    gamma, a = named[str(exc)[len(head):]]
+    assert a in sel.arrows and g.src[a] == g.tgt[a] == g.src[gamma]
+    table = g.compose_table
+    assert table[(table[(gamma, a)], g.inv[gamma])] not in sel.arrows
+
+
 class TestQuotient:
     def test_gauge_quotient_is_pair_groupoid(self, fix_gauge_2_z2):
         iso = isotropy_subgroupoid(fix_gauge_2_z2)
@@ -262,29 +277,27 @@ class TestQuotient:
 
     def test_arrow_in_no_orbit(self, fix_gauge_2_z2):
         """With e∘(0,e,1) redirected to (0,a,1), the orbit of (0,e,1) misses
-        (0,e,1) itself: the quotient is undefined, with that arrow as witness."""
+        (0,e,1) itself: the table is no groupoid's, and the star coordinates
+        the quotient reads its classes off do not exist."""
         g = fix_gauge_2_z2
         e0, gamma, other = (arrow_by_label(g, s) for s in ("(0,e,0)", "(0,e,1)", "(0,a,1)"))
         comp = dict(g.compose_table)
         comp[(e0, gamma)] = other
         bad = with_fields(g, compose_table=comp)
-        with pytest.raises(QuotientUndefinedError) as exc:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(NO_STAR)}$"):
             quotient_by_isotropy(bad, isotropy_subgroupoid(bad))
-        assert exc.value.witnesses == (gamma,)
-        assert "(0,e,1)" in str(exc.value)
 
     def test_orbit_structure_inconsistent(self, fix_gauge_2_z2):
         """With (0,a,0)∘(0,e,1) redirected to (0,e,1), the orbit of (0,a,1)
-        holds (0,e,1) twice and the class of (0,e,1) is met again: the
-        witnesses are the arrow whose orbit it is and the member met."""
+        holds (0,e,1) twice: the table is no groupoid's, and it has no star
+        coordinates."""
         g = fix_gauge_2_z2
-        a0, gamma, other = (arrow_by_label(g, s) for s in ("(0,a,0)", "(0,e,1)", "(0,a,1)"))
+        a0, gamma = (arrow_by_label(g, s) for s in ("(0,a,0)", "(0,e,1)"))
         comp = dict(g.compose_table)
         comp[(a0, gamma)] = gamma
         bad = with_fields(g, compose_table=comp)
-        with pytest.raises(QuotientUndefinedError, match="^orbit structure inconsistent$") as exc:
+        with pytest.raises(PreconditionError, match=f"^{re.escape(NO_STAR)}$"):
             quotient_by_isotropy(bad, isotropy_subgroupoid(bad))
-        assert exc.value.witnesses == (other, gamma)
 
     def test_incomplete_table(self, fix_gauge_2_z2):
         """Without its first compose entry the table fails the structure
@@ -300,19 +313,59 @@ class TestQuotient:
     def test_ambiguous_composition(self):
         """With (0,e,1)∘(1,e,2) sent to (0,e,1) on the (3,Z2) gauge groupoid,
         the orbits and conjugations are unchanged, but the classes
-        [(0,e,1)] and [(1,e,2)] compose to two classes; the witness is
-        their representatives."""
+        [(0,e,1)] and [(1,e,2)] would compose to two classes: the plan
+        names that pair as the product off its star coordinates."""
         g = gauge_groupoid(FinitePrincipalBundle(3, cyclic(2)))
         a, b = arrow_by_label(g, "(0,e,1)"), arrow_by_label(g, "(1,e,2)")
         comp = dict(g.compose_table)
         comp[(a, b)] = a
         bad = with_fields(g, compose_table=comp)
-        with pytest.raises(QuotientUndefinedError) as exc:
+        message = ("the compose table is not a groupoid's: (0,e,1)∘(1,e,2) is not the arrow "
+                   "its star coordinates give")
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
             quotient_by_isotropy(bad, isotropy_subgroupoid(bad))
-        assert exc.value.witnesses == (a, b)
-        assert str(exc.value) == (
-            "quotient undefined: classes [(0,e,1)] and [(1,e,2)] compose ambiguously"
-        )
+
+    def test_non_isotropy_witness_is_the_lowest(self):
+        """The witness is the lowest non-isotropy arrow of the selection,
+        whatever order the frozenset iterates in: (1,3) = 8, not (3,1) = 16."""
+        g = pair_groupoid(5)
+        sel = SubgroupoidSelection(g, frozenset(g.identity) | {8, 16})
+        with pytest.raises(PreconditionError,
+                           match=r"^quotient selection contains non-isotropy arrow \(1,3\)$"):
+            quotient_by_isotropy(g, sel)
+
+    @pytest.mark.parametrize("kept", [(("e", "a^2"), ("e",)), (("e",), ("e", "a^2"))],
+                             ids=["N0-larger", "N1-larger"])
+    def test_untransported_selection_rejected(self, kept):
+        """On the (2,Z4) gauge groupoid, N at each point is normal in its
+        isotropy group, but N at 0 and N at 1 are not conjugate: refused,
+        with a witness that really fails."""
+        g = gauge_groupoid(FinitePrincipalBundle(2, cyclic(4)))
+        arrows = [arrow_by_label(g, f"({x},{m},{x})") for x, ms in enumerate(kept) for m in ms]
+        sel = SubgroupoidSelection(g, frozenset(arrows))
+        with pytest.raises(PreconditionError) as exc:
+            quotient_by_isotropy(g, sel)
+        assert_unstable_witness(g, sel, exc.value)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_non_normal_witness_fails(self, n):
+        """A transposition of S3 at every point, in the group groupoid and
+        in the (2,S3) gauge groupoid, is refused with a witness that
+        really fails."""
+        g = (group_groupoid(symmetric(3)) if n == 1
+             else gauge_groupoid(FinitePrincipalBundle(2, symmetric(3))))
+        kept = ("012", "102")  # the identity and a transposition
+        labels = kept if n == 1 else [f"({x},{h},{x})" for x in range(n) for h in kept]
+        sel = SubgroupoidSelection(g, frozenset(arrow_by_label(g, label) for label in labels))
+        with pytest.raises(PreconditionError) as exc:
+            quotient_by_isotropy(g, sel)
+        assert_unstable_witness(g, sel, exc.value)
+
+    def test_empty_groupoid(self):
+        """No base point: the quotient is empty too (an IndexError before)."""
+        g = FiniteGroupoid(0, (), (), {}, (), ())
+        q, rho = quotient_by_isotropy(g, isotropy_subgroupoid(g))
+        assert (q.n_base, q.n_arrows, rho.arrow_map) == (0, 0, ())
 
     def test_non_wide_selection_rejected(self, fix_pair):
         sel = SubgroupoidSelection(fix_pair, frozenset({fix_pair.identity[0]}))

@@ -4,7 +4,7 @@ oracles for the library's array kernels: one compose_table lookup per
 composable pair and per composable triple. Their reports are the
 reference, violations in the same order and with the same messages."""
 
-from groupoidalg.errors import QuotientUndefinedError, SizeCapError
+from groupoidalg.errors import GroupoidError, SizeCapError
 from groupoidalg.groupoid import (
     AXIOM_ASSOCIATIVITY,
     AXIOM_IDENTITY,
@@ -16,6 +16,15 @@ from groupoidalg.groupoid import (
     ValidationReport,
 )
 from groupoidalg.morphism import DEFAULT_ISO_CAP
+
+
+class QuotientUndefinedError(GroupoidError):
+    """The oracle's quotient composition depends on the choice of
+    representatives, or its orbits do not partition the arrows."""
+
+    def __init__(self, message, witnesses=()):
+        super().__init__(message)
+        self.witnesses = tuple(witnesses)
 
 
 def oracle_composable_pairs(g):
@@ -175,7 +184,8 @@ def oracle_quotient_by_isotropy(g, g0):
     """The quotient of g by the wide, closed, conjugation-stable isotropy
     selection g0, by the orbit loop and a loop over the compose table: the
     quotient's tables, its compose entries in order and the projection's
-    arrow map. Raises QuotientUndefinedError as the library does."""
+    arrow map. Raises QuotientUndefinedError where the orbits or the
+    composition are not well defined."""
     class_of, classes = [None] * g.n_arrows, []
     for gamma in g.arrows():
         if class_of[gamma] is not None:
