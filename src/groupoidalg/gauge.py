@@ -99,12 +99,13 @@ def gauge_groupoid(bundle: FinitePrincipalBundle) -> GaugeGroupoid:
             f"> cap {MAX_GAUGE_PAIRS}"
         )
     triples = [(y, g, x) for y in range(n) for g in range(k) for x in range(n)]
-    mul, inv = np.array(G.mul, dtype=np.int32).reshape(-1), np.array(G.inverse, dtype=np.int32)
+    mul, inv = np.array(G.mul, dtype=np.int32).reshape(k, k), np.array(G.inverse, dtype=np.int32)
     y, g, x = np.array(triples, dtype=np.int32).reshape(-1, 3).T
-    yk, gk, base = y * k, g * k, np.arange(n)
-    return _build(  # products by gathers on per-arrow int32 tables, not divisions
+    base = np.arange(n, dtype=np.int32)
+    row = ((base * k)[:, None, None] + mul) * n  # [y, g, h]: (y, g·h, 0)
+    return _build(  # the slot row of (y, g, x) over into(x) = (x, h, z) is (y, g·h, z)
         GaugeGroupoid, n, x, y, (x * k + inv[g]) * n + y, (base * k + G.identity) * n + base,
-        lambda a, b: (yk[a] + mul[gk[a] + g[b]]) * n + x[b],
+        rows=lambda out: np.add(row[:, :, None, :, None], base, out=out.reshape(n, k, n, k, n)),
         arrow_labels=tuple(f"({y},{G.elements[g]},{x})" for (y, g, x) in triples),
         bundle=bundle,
         triples=tuple(triples),

@@ -78,15 +78,15 @@ def _walk(ids, ptr, end, block: int):
     target and end = src, these are the composable pairs in slot order. In
     blocks of the pairs of whole arrows a, at most block pairs unless one
     arrow has more: yields (first pair, a, b) with a and b arrays."""
-    span = np.diff(ptr)[end]
-    off = np.cumsum(span) - span
+    span = (ptr[1:] - ptr[:-1])[end]  # method calls: at small sizes the overhead is the cost
+    off = span.cumsum() - span
     step = max(1, block // max(1, int(span.max(initial=0))))
     shift = ptr[end] - off  # b runs over ids[ptr[end a]:], from pair off[a]
     for lo in range(0, len(span), step):
         hi = min(lo + step, len(span))
         first = int(off[lo])
-        a = np.repeat(np.arange(lo, hi), span[lo:hi])
-        at = np.repeat(shift[lo:hi], span[lo:hi]) + np.arange(first, first + a.size)
+        a = np.arange(lo, hi).repeat(span[lo:hi])
+        at = shift[lo:hi].repeat(span[lo:hi]) + np.arange(first, first + a.size)
         yield first, a, ids[at]
 
 
@@ -211,12 +211,12 @@ class _Tables:
         """Lay out the slots of in-range tables, on the first call; the
         length of the product array, its tail included."""
         ids, ptr = self.into
-        sizes = np.diff(ptr)
+        sizes = ptr[1:] - ptr[:-1]
         if self.off is None:
             self.pos = np.empty(len(self.src), dtype=np.int32)
-            self.pos[ids] = np.arange(len(self.src)) - np.repeat(ptr[:-1], sizes)
+            self.pos[ids] = np.arange(len(self.src)) - ptr[:-1].repeat(sizes)
             span = sizes[self.src]
-            self.off, self.n_slots = np.cumsum(span) - span, int(span.sum())
+            self.off, self.n_slots = span.cumsum() - span, int(span.sum())
         return self.n_slots + int(sizes.max(initial=0))
 
     def _keep(self, prod):
@@ -382,18 +382,22 @@ class _Items(ItemsView):
 _PAIR_BLOCK = 1 << 14  # pairs per block of a walk; bounds the temporaries
 
 
-def _build(cls, n_base: int, src, tgt, inv, identity, product, **fields):
+def _build(cls, n_base: int, src, tgt, inv, identity, rows=None, walk=None, **fields):
     """A groupoid of class cls from int arrays of its src, tgt, inv and
-    identity tables, its products filled from the walk over its fiber
-    index, in blocks; product(a, b) gives the products of arrays of arrow
-    ids. Its compose_table is the mapping over its table object."""
+    identity tables; its compose_table is the mapping over its table
+    object. rows(out) writes the products in closed form, in place: a∘b at
+    out[a, j] for b the j-th arrow into src a, when all those fibers are
+    the same size; walk(a, b) gives them for arrays of pairs of the walk."""
     table = _ComposeTable()
     g = cls(n_base, tuple(src.tolist()), tuple(tgt.tolist()), table,
             tuple(inv.tolist()), tuple(np.asarray(identity).tolist()), **fields)
     t = table._tables = g._tables
     prod = np.full(t._lay_out(), -1, dtype=np.int32)
-    for first, x, y in _walk(*t.into, t.src, _PAIR_BLOCK):
-        prod[first:first + x.size] = product(x, y)
+    if walk is None:  # the tail is as long as the largest fiber
+        rows(prod[:t.n_slots].reshape(len(t.src), len(prod) - t.n_slots))
+    else:
+        for first, x, y in _walk(*t.into, t.src, _PAIR_BLOCK):
+            prod[first:first + x.size] = walk(x, y)
     t._keep(prod)
     return g
 
@@ -451,8 +455,21 @@ def _structure(g: FiniteGroupoid):
         C = _ids(comp.values, len(comp))
     pair_known = (A >= 0) & (A < n) & (B >= 0) & (B < n)
     known = pair_known & (C >= 0) & (C < n)
-    composable = np.zeros(len(comp), dtype=bool)
-    composable[pair_known] = src[A[pair_known]] == tgt[B[pair_known]]
+    size = t._lay_out()
+    off, into_ids, into_ptr = t.off, *t.into
+    composable, filled = np.zeros(len(comp), dtype=bool), np.zeros(t.n_slots, dtype=bool)
+    keep = t.prod is None and len(comp) == t.n_slots  # a clean table has one entry per slot
+    prod = np.full(size, -1, dtype=np.int32) if keep else None
+    for lo in range(0, len(comp), _PAIR_BLOCK):  # gathers by intp ids, cast a block at a time
+        part = slice(lo, lo + _PAIR_BLOCK)
+        ok = pair_known[part]
+        a, b = A[part][ok].astype(np.intp), B[part][ok].astype(np.intp)
+        fits = src[a] == tgt[b]
+        composable[part][ok] = fits
+        slot = off[a[fits]] + t.pos[b[fits]]
+        filled[slot] = True
+        if prod is not None:
+            prod[slot] = C[part][ok][fits]
     bad = np.flatnonzero(~(known & composable)).tolist()
     keys = list(comp) if bad else []  # the witnesses keep ids beyond int32
     for i in bad:
@@ -465,12 +482,6 @@ def _structure(g: FiniteGroupoid):
                 f"compose entry on non-composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
             )
 
-    size = t._lay_out()
-    off, into_ids, into_ptr = t.off, *t.into
-    slot = off[A[composable]]
-    slot += t.pos[B[composable]]
-    filled = np.zeros(t.n_slots, dtype=bool)
-    filled[slot] = True
     missing = np.flatnonzero(~filled)
     ma = np.searchsorted(off, missing, side="right") - 1
     mb = into_ids[into_ptr[src[ma]] + missing - off[ma]]
@@ -481,10 +492,8 @@ def _structure(g: FiniteGroupoid):
         )
     if not rep.ok:
         return rep, None
-    if t.prod is None:  # filled once: a built or checked groupoid keeps its products
-        prod = np.full(size, -1, dtype=np.int32)
-        prod[slot] = C  # every entry is composable here, so slot covers them all
-        t._keep(prod)
+    if prod is not None:  # filled once: a built or checked groupoid keeps its products
+        t._keep(prod)  # every entry is composable here, so the slots cover them all
     return rep, (A, B, C)
 
 
@@ -754,7 +763,7 @@ def selection_to_groupoid(sel: SubgroupoidSelection) -> tuple[FiniteGroupoid, Gr
     sub = _build(
         FiniteGroupoid, len(base_pts), base_rank[s.src[at]], base_rank[s.tgt[at]],
         rank[s.inv[at]], rank[s.identity[base_pts]],
-        lambda a, b: rank[s.compose(at[a], at[b])],
+        walk=lambda a, b: rank[s.compose(at[a], at[b])],
         arrow_labels=tuple(p.arrow_label(a) for a in arrows),
         base_labels=tuple(p.base_label(x) for x in base_pts),
     )
@@ -820,7 +829,7 @@ def quotient_by_isotropy(
     rep, cls = np.unique(rep_of, return_inverse=True)
     quotient = _build(
         FiniteGroupoid, g.n_base, s.src[rep], s.tgt[rep], cls[s.inv[rep]],
-        cls[s.identity], lambda c1, c2: cls[s.compose(rep[c1], rep[c2])],
+        cls[s.identity], walk=lambda c1, c2: cls[s.compose(rep[c1], rep[c2])],
         arrow_labels=tuple(f"[{g.arrow_label(r)}]" for r in rep.tolist()),
         base_labels=g.base_labels,
     )
@@ -836,21 +845,21 @@ def quotient_by_isotropy(
 # --- builders ---------------------------------------------------------------
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
-    """Pair groupoid over {0..n-1}: arrow y·n + x is (y,x), (z,y)∘(y,x) = (z,x)."""
+    """Pair groupoid over {0..n-1}: arrow y·n + x is (y,x), (y,x)∘(x,z) = (y,z)."""
     y, x = np.divmod(np.arange(n * n), n)
     return _build(
         FiniteGroupoid, n, x, y, x * n + y, np.arange(n) * (n + 1),
-        lambda a, b: a - a % n + b % n,
+        rows=lambda out: np.add((y * n)[:, None], x[:n], out=out),
         arrow_labels=tuple(f"({t},{s})" for t, s in zip(y.tolist(), x.tolist())),
     )
 
 
 def group_groupoid(G: FiniteGroup) -> FiniteGroupoid:
     """A finite group viewed as a groupoid over a one-point base."""
-    mul, zero = np.array(G.mul, dtype=np.intp).reshape(G.order, G.order), np.zeros(G.order, int)
+    zero = np.zeros(G.order, int)
     return _build(
         FiniteGroupoid, 1, zero, zero, np.array(G.inverse), np.array([G.identity]),
-        lambda a, b: mul[a, b],
+        rows=lambda out: np.copyto(out, np.reshape(G.mul, out.shape)),
         arrow_labels=G.elements,
         base_labels=("*",),
     )

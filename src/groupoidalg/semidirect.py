@@ -14,6 +14,7 @@ from .groupoid import (
     GroupoidMorphism,
     SubgroupoidSelection,
     _build,
+    _group,
     isotropy_subgroupoid,
     quotient_by_isotropy,
     selection_to_groupoid,
@@ -69,8 +70,11 @@ def semidirect_product(
     """The semidirect product of the isotropy selection g0 with a wide
     transitive selection g1, materialized as an explicit groupoid.
 
-    Arrows are pairs (gamma0, gamma1) with d(gamma0) = r(gamma1);
-    multiplication twists the second factor through the conjugation action.
+    Arrows are pairs (gamma0, gamma1) with d(gamma0) = r(gamma1), and
+    (a0, a1)∘(b0, b1) = (a0∘α_{a1}(b0), a1∘b1), twisted by conjugation.
+    Carrier arrow i = r·K + a, with a1 the r-th arrow of g1, meets the
+    arrows (b1_j, f_c) into src a1 in id order, j then c, so its products
+    are the outer sum R[r, j] + C[i, c] of K·row(a1∘b1_j) and col(a0∘α_{a1}(f_c)).
     """
     if g0.arrows != isotropy_subgroupoid(parent).arrows:
         raise PreconditionError(
@@ -88,19 +92,22 @@ def semidirect_product(
     K = fiber.shape[1]
     P0, P1 = fiber.ravel(), np.repeat(rows, K)
     ps = parent._product_slots()
-
-    def carrier(c0, c1):  # the id of (c0, c1)
-        return row[c1] * K + col[c0]
-
-    def product(i, j):  # (a0, a1)∘(b0, b1) = (a0∘α_{a1}(b0), a1∘b1)
-        a0, a1 = P0[i], P1[i]
-        return carrier(ps.compose(a0, ps.conj(a1, P0[j])), ps.compose(a1, P1[j]))
-
+    into, ptr = _group(parent.n_base, ps.tgt[rows])  # the rows of the g1 arrows into each x
+    m, a1 = ptr[1:] - ptr[:-1], rows[:, None]
+    if (m != m[:1]).any():
+        raise PreconditionError("the fibers of g1 differ in size")
+    at = ptr[ps.src[rows]]  # [r]: the first row into src a1, whose fiber is f
+    b1 = rows[into[at[:, None] + np.arange(m.max(initial=0))]]  # [r, j]
+    twist = ps.compose(ps.get(a1, fiber[into[at]]), ps.inv[a1])  # [r, c]: α_{a1}(f_c)
+    R = (K * row[ps.get(a1, b1)]).astype(np.int32)
+    C = col[ps.compose(fiber[:, :, None], twist[:, None])].astype(np.int32)
     inv1 = ps.inv[P1]  # (a0, a1)⁻¹ = (α_{a1⁻¹}(a0⁻¹), a1⁻¹)
     pairs = tuple(zip(P0.tolist(), P1.tolist()))
-    return _build(
+    return _build(  # the id of (c0, c1) is row(c1)·K + col(c0)
         SemidirectGroupoid, parent.n_base, ps.src[P1], ps.tgt[P0],
-        carrier(ps.conj(inv1, ps.inv[P0]), inv1), carrier(ps.identity, ps.identity), product,
+        row[inv1] * K + col[ps.conj(inv1, ps.inv[P0])], (row * K + col)[ps.identity],
+        rows=lambda out: np.add(R[:, None, :, None], C[:, :, None],
+                                out=out.reshape(R.shape[0], K, R.shape[1], K)),
         arrow_labels=tuple(
             f"({parent.arrow_label(a0)},{parent.arrow_label(a1)})" for (a0, a1) in pairs
         ),
