@@ -14,7 +14,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .errors import MalformedTableError, PreconditionError
+from .errors import MAX_GAUGE_PAIRS, MalformedTableError, PreconditionError, SizeCapError
 from .groups import FiniteGroup
 
 AXIOM_SOURCE_TARGET = "source-target"
@@ -22,11 +22,6 @@ AXIOM_ASSOCIATIVITY = "associativity"
 AXIOM_IDENTITY = "identity"
 AXIOM_INVERSE = "inverse"
 AXIOM_IDENTITY_BASE = "identity-base"
-
-_BLOCK = 1 << 16  # triples per associativity block; bounds the temporaries
-# nominal triples up to which the full associativity scan runs directly: in
-# one block it costs less than building the convolution plan
-_DIRECT_SCAN = _BLOCK
 
 
 @dataclass(frozen=True)
@@ -420,7 +415,9 @@ def _structure(g: FiniteGroupoid):
     """check_structure's report, and when it is clean the compose entries:
     arrays of a, b and a∘b in the compose table's order, read directly off
     a _ComposeTable and entry by entry off any other mapping. A clean pass
-    fills g's products from the entries unless they are filled."""
+    fills g's products from the entries unless they are filled. The arrow
+    table alone sets the number of slots, so more than MAX_GAUGE_PAIRS of
+    them raise SizeCapError before any array per slot is allocated."""
     rep = ValidationReport()
 
     def malformed(witness, message):
@@ -445,6 +442,10 @@ def _structure(g: FiniteGroupoid):
         malformed((x,), f"base point {x}: identity out of range")
     if not rep.ok:
         return rep, None
+    size = t._lay_out()
+    if t.n_slots > MAX_GAUGE_PAIRS:
+        raise SizeCapError(f"groupoid: {t.n_slots} composable pairs > cap "
+                           f"MAX_GAUGE_PAIRS = {MAX_GAUGE_PAIRS}")
 
     comp = g.compose_table
     if isinstance(comp, _ComposeTable):
@@ -455,7 +456,6 @@ def _structure(g: FiniteGroupoid):
         C = _ids(comp.values, len(comp))
     pair_known = (A >= 0) & (A < n) & (B >= 0) & (B < n)
     known = pair_known & (C >= 0) & (C < n)
-    size = t._lay_out()
     off, into_ids, into_ptr = t.off, *t.into
     composable, filled = np.zeros(len(comp), dtype=bool), np.zeros(t.n_slots, dtype=bool)
     keep = t.prod is None and len(comp) == t.n_slots  # a clean table has one entry per slot
@@ -497,30 +497,22 @@ def _structure(g: FiniteGroupoid):
     return rep, (A, B, C)
 
 
-def _associativity(s: _Tables, A, B, C) -> list:
-    """The triples where (a∘b)∘c ≠ a∘(b∘c), as blocks (entry i of A, B, C;
-    position of c in into ids). Per base point x, the entries (a, b) with
-    src b = x run against every arrow c into x, by its slot column j =
-    pos c. In blocks of at most _BLOCK triples. The entries go by src b
-    through a stable sort of 16-bit keys where the base allows, which
-    numpy runs as a radix sort, in linear time."""
-    src, into_ptr = s.src, s.into[1]
-    keys = src[B].astype(np.uint16 if len(into_ptr) <= 1 << 16 else np.int32)
-    by_x = np.argsort(keys, kind="stable")
-    bounds = np.searchsorted(keys[by_x], np.arange(len(into_ptr)))
-    fails = []
-    for x in range(len(into_ptr) - 1):
-        j = np.arange(into_ptr[x + 1] - into_ptr[x])
-        rows = by_x[bounds[x]:bounds[x + 1]]
-        step = max(1, _BLOCK // max(1, j.size))
-        for lo in range(0, len(rows), step):
-            r = rows[lo:lo + step, None]
-            bc = s.prod[s.off[B[r]] + j]
-            lhs = s.prod[np.where(src[C[r]] == x, s.off[C[r]], s.n_slots) + j]
-            hit_r, hit_j = np.nonzero((lhs < 0) | (lhs != s.get(A[r], bc)))
-            if hit_r.size:
-                fails.append((r[hit_r, 0], into_ptr[x] + j[hit_j]))
-    return fails
+def _associativity(s: _Tables, A, B, C):
+    """The triples (a, b, c) where (a∘b)∘c ≠ a∘(b∘c), for the entries
+    (a, b, a∘b) of A, B, C and every arrow c into src b: one walk, entries
+    ascending, then c in fiber order, which is the report's order. Yields a
+    block (entry i, arrow c) per block of the walk. Per entry, the slots of
+    b∘c and (a∘b)∘c start at b_off and c_off, int32 since the structure pass
+    caps the slots; a∘b not composable with c reads the tail."""
+    src, pos, prod = s.src, s.pos, s.prod
+    off = s.off.astype(np.int32)
+    b_off = off.take(B)
+    c_off = np.where(src.take(C) == src.take(B), off.take(C), np.int32(s.n_slots))
+    for _, i, c in _walk(*s.into, src.take(B), _PAIR_BLOCK):
+        j = pos.take(c)
+        ab_c = prod.take(c_off.take(i) + j)
+        hit = (ab_c < 0) | (ab_c != s.get(A.take(i), prod.take(b_off.take(i) + j)))
+        yield i[hit], c[hit]
 
 
 _NOT_STAR = "the compose table has no star coordinates: it is not a groupoid's"
@@ -563,20 +555,20 @@ def _block_plan(s: _Tables, label) -> _Plan:
     through label, the pair of the lowest slot whose product is elsewhere,
     or else the isotropy group that fails."""
     ids, ptr = s.into
-    sizes = np.diff(ptr)
+    sizes = ptr[1:] - ptr[:-1]  # array methods, as in _walk
     if not sizes.all():
         raise PreconditionError(_NOT_STAR)  # a base point with no star arrow
     ends = s.src[ids]
     root = np.minimum.reduceat(ends, ptr[:-1])  # the lowest source of an arrow into x
-    from_root = np.flatnonzero(ends == np.repeat(root, sizes))
+    from_root = np.flatnonzero(ends == root.repeat(sizes))
     star = ids[from_root[from_root.searchsorted(ptr[:-1])]]  # into x is in arrow-id order
     pts, optr = _group(sizes.size, root)  # the base points by root, in id order
     iso_ids, iso_ptr = s.iso
-    n_of, k_of = np.diff(optr), np.diff(iso_ptr)  # per root
+    n_of, k_of = optr[1:] - optr[:-1], iso_ptr[1:] - iso_ptr[:-1]  # per root
     if (n_of ** 2 * k_of).sum() != len(s.src):  # a groupoid's grids hold its arrows, each once
         raise PreconditionError(_NOT_STAR)
     in_fiber = np.full(len(s.src), -1, dtype=np.intp)  # an isotropy arrow's rank in its fiber
-    in_fiber[iso_ids] = np.arange(iso_ids.size) - np.repeat(iso_ptr[:-1], k_of)
+    in_fiber[iso_ids] = np.arange(iso_ids.size) - iso_ptr[:-1].repeat(k_of)
     roots = np.flatnonzero(n_of)
     k = np.full(len(s.src), -1, dtype=np.intp)
     shapes, groups, first = [], [], (s.n_slots,)  # first: the failing (slot, a, b) of the lowest slot
@@ -638,16 +630,20 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     """Check all groupoid axioms; an empty report means the instance is valid.
 
     Structurally malformed tables are reported as kind "malformed" and
-    short-circuit the axiom checks. Each check runs as array expressions
-    over the slot array; Violations are built only for failing entries.
-    Associativity is proved by the convolution plan where it builds (see
-    _block_plan); the full scan runs otherwise and gives the witnesses.
+    short-circuit the axiom checks. On any other table the convolution plan
+    runs and is kept for the quotient and the kernels: a plan that builds
+    proves the source-target and associativity axioms (see _block_plan).
+    Only a table it refuses takes the source-target check and the full
+    associativity scan, which give the witnesses. Each check runs as array
+    expressions over the slot array; Violations are built only for failing
+    entries.
     """
     rep, entries = _structure(g)
     if not rep.ok:
         return rep
     s, (A, B, C) = g._tables, entries  # the products the pass found, or filled
     src, tgt, ident = s.src, s.tgt, s.identity
+    proved = s.proves()
 
     base = np.arange(g.n_base)
     for x in np.flatnonzero((src[ident] != base) | (tgt[ident] != base)).tolist():
@@ -660,15 +656,12 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
             f"({g.base_label(g.src[e])},{g.base_label(g.tgt[e])})",
         )
 
-    wrong_ends = np.flatnonzero((src.take(C) != src.take(B)) | (tgt.take(C) != tgt.take(A)))
-    for i in wrong_ends.tolist():
+    wrong_ends = () if proved else np.flatnonzero(
+        (src.take(C) != src.take(B)) | (tgt.take(C) != tgt.take(A))).tolist()
+    for i in wrong_ends:
         a, b = int(A[i]), int(B[i])
-        rep.add(
-            "axiom",
-            AXIOM_SOURCE_TARGET,
-            (a, b),
-            f"product {g.arrow_label(a)}∘{g.arrow_label(b)} has wrong endpoints",
-        )
+        rep.add("axiom", AXIOM_SOURCE_TARGET, (a, b),
+                f"product {g.arrow_label(a)}∘{g.arrow_label(b)} has wrong endpoints")
 
     arrows = np.arange(g.n_arrows)
     left, right = ident[tgt], ident[src]
@@ -680,25 +673,11 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     for a in np.flatnonzero(bad).tolist():
         rep.add("axiom", AXIOM_INVERSE, (a,), f"inverse law fails at arrow {g.arrow_label(a)}")
 
-    # associativity by the convolution plan, kept for the kernels, when the
-    # source-target axiom holds and the full scan takes more than one block:
-    # a plan that builds proves the table a groupoid's. A table it does not
-    # build on goes to the full scan, which gives the witnesses.
-    big = s.n_slots * int(np.diff(s.into[1]).max(initial=0)) > _DIRECT_SCAN
-    proved = not wrong_ends.size and big and s.proves()
-    fails = [] if proved else _associativity(s, A, B, C)
-    if fails:
-        entry, at = (np.concatenate(parts) for parts in zip(*fails))
-        order = np.lexsort((at, entry))
-        for i, c in zip(entry[order].tolist(), s.into[0][at[order]].tolist()):
+    for entry, arrow in () if proved else _associativity(s, A, B, C):
+        for i, c in zip(entry.tolist(), arrow.tolist()):
             a, b = int(A[i]), int(B[i])
-            rep.add(
-                "axiom",
-                AXIOM_ASSOCIATIVITY,
-                (a, b, c),
-                f"associativity fails at ({g.arrow_label(a)}, "
-                f"{g.arrow_label(b)}, {g.arrow_label(c)})",
-            )
+            rep.add("axiom", AXIOM_ASSOCIATIVITY, (a, b, c), f"associativity fails at "
+                    f"({g.arrow_label(a)}, {g.arrow_label(b)}, {g.arrow_label(c)})")
     return rep
 
 

@@ -120,6 +120,21 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["verify-groupoid", "--in", "/nonexistent.json"]) == 2
 
+    def test_slots_over_the_cap(self, tmp_path, capsys):
+        """A file of 4,097 loops on one point and no compose rows, about
+        226 KB, asks for 4,097² composable pairs: exit 3 with one error
+        line, not 1.7·10⁷ missing-pair violations."""
+        ids = [str(a) for a in range(4097)]
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps({
+            "base": ["*"], "arrows": [{"id": a, "src": "*", "tgt": "*"} for a in ids],
+            "compose": [], "inv": {a: a for a in ids}, "identity": {"*": "0"}}, indent=2))
+        report = tmp_path / "r.json"
+        assert main(["verify-groupoid", "--in", str(path), "--report", str(report)]) == 3
+        assert capsys.readouterr().err == (
+            "error: groupoid: 16785409 composable pairs > cap MAX_GAUGE_PAIRS = 16777216\n")
+        assert not report.exists()
+
     def test_unknown_group(self, capsys):
         assert main(["verify-prop1", "--base", "2", "--group", "E8"]) == 2
         assert "error" in capsys.readouterr().err

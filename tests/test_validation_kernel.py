@@ -4,6 +4,7 @@ order with the same witnesses and messages, on valid instances and on
 random corruptions of them."""
 
 import dataclasses
+import tracemalloc
 from contextlib import contextmanager
 from functools import lru_cache
 from unittest import mock
@@ -32,7 +33,7 @@ from groupoidalg import (
     verify_morphism,
 )
 from groupoidalg import groupoid
-from groupoidalg.errors import PreconditionError
+from groupoidalg.errors import PreconditionError, SizeCapError
 from groupoidalg.groupoid import check_structure
 from groupoidalg.semidirect import prop1_on_carrier
 from groupoidalg.groups import BUILTIN_GROUPS
@@ -130,6 +131,37 @@ def test_base_point_without_arrows_into_it():
     assert [v["axiom"] for v in assert_same_reports(g)["violations"]] == [
         "identity-base", "identity", "inverse",
     ]
+
+
+def _loops(n):
+    """n loops on one base point, each its own inverse, with no compose
+    entries: n² missing pairs."""
+    return FiniteGroupoid(1, (0,) * n, (0,) * n, {}, tuple(range(n)), (0,))
+
+
+def test_slots_over_the_cap_raise_before_they_are_allocated():
+    """The arrow table alone sets the number of slots. 4,097 loops ask for
+    4,097² > MAX_GAUGE_PAIRS of them: SizeCapError, raised before any array
+    per slot is allocated, not 1.7·10⁷ missing-pair violations."""
+    tracemalloc.start()
+    try:
+        for check in (check_structure, validate_groupoid):
+            with pytest.raises(SizeCapError, match=(
+                    r"^groupoid: 16785409 composable pairs > cap MAX_GAUGE_PAIRS = 16777216$")):
+                check(_loops(4097))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # the slots' fill mask alone would be 16 MB
+
+
+def test_slot_cap_is_inclusive(monkeypatch):
+    """At the cap the table is checked, every missing pair named as the
+    loop oracle names it; one arrow more raises."""
+    monkeypatch.setattr(groupoid, "MAX_GAUGE_PAIRS", 100)
+    assert len(assert_same_reports(_loops(10))["violations"]) == 100
+    with pytest.raises(SizeCapError, match="^groupoid: 121 composable pairs > cap"):
+        validate_groupoid(_loops(11))
 
 
 @lru_cache(maxsize=None)
@@ -299,20 +331,18 @@ class TestVerifyMorphism:
 
 # --- associativity by the convolution plan ----------------------------------
 #
-# validate_groupoid proves associativity by building the convolution plan
-# (groupoid._block_plan) when the source-target axiom holds and the full scan
-# would take more than one block; a table the plan does not build on goes to
-# the full scan, which gives the witnesses. The tests below set the one-block
-# rule to 0, so that small tables take the plan path too, and record the
-# plans and scans run.
+# validate_groupoid builds the convolution plan (groupoid._block_plan) on
+# every table that passes the structure pass; a plan that builds proves the
+# source-target and associativity axioms, and a table the plan does not build
+# on goes to the full scan, which gives the witnesses. The tests below record
+# the plans and scans run.
 
 
 @contextmanager
-def recorded_scans(direct_scan=0):
-    """validate_groupoid with the one-block rule set to direct_scan, by
-    default the plan path at every size. Yields the record of the calls:
-    "plan" for a plan that builds, "no plan" for one that raises, and
-    "all" for the full scan."""
+def recorded_scans():
+    """validate_groupoid with its plans and scans recorded. Yields the
+    record of the calls: "plan" for a plan that builds, "no plan" for one
+    that raises, and "all" for the full scan."""
     calls = []
     plan, scan = groupoid._Tables.plan, groupoid._associativity
 
@@ -329,21 +359,20 @@ def recorded_scans(direct_scan=0):
         calls.append("all")
         return scan(s, A, B, C)
 
-    with mock.patch.object(groupoid, "_DIRECT_SCAN", direct_scan), \
-            mock.patch.object(groupoid._Tables, "plan", spy_plan), \
+    with mock.patch.object(groupoid._Tables, "plan", spy_plan), \
             mock.patch.object(groupoid, "_associativity", spy_scan):
         yield calls
 
 
 def forced_report(g):
-    """validate_groupoid's report on the plan path, equal to the loop
-    oracle's, and the plans and scans it ran. A plan that builds is the
-    only check, and then no triple fails; a plan that raises is followed by
-    the full scan; a malformed table runs neither."""
+    """validate_groupoid's report, equal to the loop oracle's, and the
+    plans and scans it ran. A plan that builds is the only check, and then
+    no triple fails; a plan that raises is followed by the full scan; a
+    malformed table runs neither."""
     with recorded_scans() as calls:
         report = validate_groupoid(g).to_dict()
     assert report == oracle_validate_groupoid(g).to_dict()
-    assert calls in ([], ["plan"], ["no plan", "all"], ["all"])
+    assert calls in ([], ["plan"], ["no plan", "all"])
     if calls == ["plan"]:
         assert not any(v["axiom"] == "associativity" for v in report["violations"])
     return report, calls
@@ -445,14 +474,19 @@ class TestLightsTest:
     def test_non_transitive_takes_the_generating_set(self, kind):
         assert forced_report(_non_transitive(kind)) == ({"ok": True, "violations": []}, ["plan"])
 
-    def test_one_block_rule(self):
-        """At the library's own rule, tables whose full scan fits in one
-        block, n_slots · max |into(x)| ≤ _BLOCK, run the full scan only."""
-        for n, name, path in [(2, "Z2", "all"), (3, "S3", "all"), (4, "D4", "plan"),
-                              (8, "Z4", "plan")]:
-            with recorded_scans(groupoid._DIRECT_SCAN) as calls:
-                assert validate_groupoid(_gauge(n, name)).ok
-            assert calls == [path]
+    def test_every_size_takes_the_plan(self):
+        """Under the library's own rule, fresh gauge groupoids, carriers and
+        quotients take the plan alone at every size of the ladder, the
+        smallest included, and keep it for the quotient and the kernels."""
+        for n, name in [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4")]:
+            bundle = FinitePrincipalBundle(n, builtin_group(name))
+            dec = poincare_decomposition(bundle, Section.random(bundle, np.random.default_rng(n)))
+            quotient, _ = quotient_by_isotropy(dec.gauge, dec.g0)
+            for g in (gauge_groupoid(bundle), dec.sd, quotient):
+                assert "block" not in g._tables._plans
+                with recorded_scans() as calls:
+                    assert validate_groupoid(g).ok
+                assert calls == ["plan"] and "block" in g._tables._plans
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -491,11 +525,12 @@ class TestLightsTest:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_wrong_endpoints_skip_the_generating_set(self, data):
-        """A product with wrong endpoints skips the plan: the full scan only."""
+        """The plan refuses a product with wrong endpoints: the full scan
+        follows."""
         g = _wrong_ends(data.draw, data.draw(light_instances()))
         report, calls = forced_report(g)
         assert any(v["axiom"] == "source-target" for v in report["violations"])
-        assert calls == ["all"]
+        assert calls == ["no plan", "all"]
 
     def test_no_generating_set_falls_back_to_the_scan(self):
         """The inv entry of a star arrow points back at the star arrow, so
@@ -532,8 +567,7 @@ class TestLightsTest:
         _, (A, B, C) = groupoid._structure(g)
         s = g._product_slots()
         fails = groupoid._associativity(s, A, B, C)
-        at = np.concatenate([cols for _, cols in fails])
-        assert not np.isin(s.into[0][at], [0, 1, 2, 3]).any()
+        assert not np.isin(np.concatenate([c for _, c in fails]), [0, 1, 2, 3]).any()
         report, calls = forced_report(g)
         assert calls == ["no plan", "all"]
         assert [v["witness"] for v in report["violations"] if v["axiom"] == "associativity"] == [
