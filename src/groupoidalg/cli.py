@@ -183,8 +183,10 @@ def _random_op(args) -> list[dict]:
     checks = []
     for t in range(args.trials):
         if args.fn:
-            values = gio.function_from_dict(gauge, gio.load_json(args.fn))
-            a = GroupoidFunction(gauge, values).restrict(iso)
+            a = GroupoidFunction(gauge, gio.function_from_dict(gauge, gio.load_json(args.fn)))
+            if (off := np.flatnonzero(a.values != a.restrict(iso).values)).size:
+                raise MalformedTableError(f"function file: value of {gauge.arrow_label(off[0])!r}"
+                                          " is not 0, and it is not an isotropy arrow")
         else:
             a = GroupoidFunction.random(gauge, rng, support=iso)
         norm = operator_norm(random_operator_from(a, U0, w))

@@ -107,12 +107,12 @@ class FiniteGroupoid:
         self._tables = _Tables(self)
 
     def _product_slots(self) -> "_Tables":
-        """The table object with its products, which the structure pass of
-        check_structure fills on first use unless a builder did: the tables
-        are not to change after that. Malformed tables raise
+        """The table object with its products, which a builder writes or the
+        structure pass of check_structure parses once, on first use: the
+        tables are not to change after that. Malformed tables raise
         PreconditionError with the first violation that pass finds."""
         if self._tables.prod is None:
-            rep, _ = _structure(self)
+            rep = _structure(self)
             if not rep.ok:
                 raise PreconditionError(rep.violations[0].message)
         return self._tables
@@ -411,13 +411,22 @@ def _ids(make, count: int) -> np.ndarray:
         )
 
 
-def _structure(g: FiniteGroupoid):
-    """check_structure's report, and when it is clean the compose entries:
-    arrays of a, b and a∘b in the compose table's order, read directly off
-    a _ComposeTable and entry by entry off any other mapping. A clean pass
-    fills g's products from the entries unless they are filled. The arrow
-    table alone sets the number of slots, so more than MAX_GAUGE_PAIRS of
-    them raise SizeCapError before any array per slot is allocated."""
+def _entries(comp):
+    """Arrays of a, b and a∘b in the order of the compose table comp: read
+    directly off a _ComposeTable and entry by entry off any other mapping."""
+    if isinstance(comp, _ComposeTable):
+        return comp.entries()
+    ab = _ids(lambda: chain.from_iterable(comp), 2 * len(comp)).reshape(-1, 2)
+    return ab[:, 0], ab[:, 1], _ids(comp.values, len(comp))
+
+
+def _structure(g: FiniteGroupoid) -> ValidationReport:
+    """check_structure's report. More than MAX_GAUGE_PAIRS slots, which the
+    arrow table alone sets, raise SizeCapError before any array per slot is
+    allocated. A table object that holds its products (a builder's, or an
+    earlier clean parse's) is clean when each is an arrow id: one compare.
+    Any other table is parsed: its compose entries are scattered onto the
+    slots, and a clean parse keeps them as the products."""
     rep = ValidationReport()
 
     def malformed(witness, message):
@@ -427,10 +436,10 @@ def _structure(g: FiniteGroupoid):
     src, tgt, inv, ident = t.src, t.tgt, t.inv, t.identity
     if len(tgt) != n or len(inv) != n:
         malformed((), "src/tgt/inv tables have inconsistent lengths")
-        return rep, None
+        return rep
     if len(ident) != nb:
         malformed((), "identity table does not cover the base")
-        return rep, None
+        return rep
     bad_ends = (src < 0) | (src >= nb) | (tgt < 0) | (tgt >= nb)
     bad_inv = (inv < 0) | (inv >= n)
     for a in np.flatnonzero(bad_ends | bad_inv).tolist():
@@ -441,25 +450,21 @@ def _structure(g: FiniteGroupoid):
     for x in np.flatnonzero((ident < 0) | (ident >= n)).tolist():
         malformed((x,), f"base point {x}: identity out of range")
     if not rep.ok:
-        return rep, None
+        return rep
     size = t._lay_out()
     if t.n_slots > MAX_GAUGE_PAIRS:
         raise SizeCapError(f"groupoid: {t.n_slots} composable pairs > cap "
                            f"MAX_GAUGE_PAIRS = {MAX_GAUGE_PAIRS}")
+    if t.prod is not None and (t.prod[:t.n_slots].view(np.uint32) < n).all():  # -1 reads 2³²-1
+        return rep  # a product off the arrows takes the parse, which names its entry
 
     comp = g.compose_table
-    if isinstance(comp, _ComposeTable):
-        A, B, C = comp.entries()
-    else:
-        ab = _ids(lambda: chain.from_iterable(comp), 2 * len(comp)).reshape(-1, 2)
-        A, B = ab[:, 0], ab[:, 1]
-        C = _ids(comp.values, len(comp))
+    A, B, C = _entries(comp)
     pair_known = (A >= 0) & (A < n) & (B >= 0) & (B < n)
     known = pair_known & (C >= 0) & (C < n)
     off, into_ids, into_ptr = t.off, *t.into
     composable, filled = np.zeros(len(comp), dtype=bool), np.zeros(t.n_slots, dtype=bool)
-    keep = t.prod is None and len(comp) == t.n_slots  # a clean table has one entry per slot
-    prod = np.full(size, -1, dtype=np.int32) if keep else None
+    prod = np.full(size, -1, dtype=np.int32)
     for lo in range(0, len(comp), _PAIR_BLOCK):  # gathers by intp ids, cast a block at a time
         part = slice(lo, lo + _PAIR_BLOCK)
         ok = pair_known[part]
@@ -468,8 +473,7 @@ def _structure(g: FiniteGroupoid):
         composable[part][ok] = fits
         slot = off[a[fits]] + t.pos[b[fits]]
         filled[slot] = True
-        if prod is not None:
-            prod[slot] = C[part][ok][fits]
+        prod[slot] = C[part][ok][fits]
     bad = np.flatnonzero(~(known & composable)).tolist()
     keys = list(comp) if bad else []  # the witnesses keep ids beyond int32
     for i in bad:
@@ -490,11 +494,9 @@ def _structure(g: FiniteGroupoid):
             (a, b),
             f"compose table missing composable pair ({g.arrow_label(a)}, {g.arrow_label(b)})",
         )
-    if not rep.ok:
-        return rep, None
-    if prod is not None:  # filled once: a built or checked groupoid keeps its products
-        t._keep(prod)  # every entry is composable here, so the slots cover them all
-    return rep, (A, B, C)
+    if rep.ok:  # every entry is composable and every slot filled: one entry per slot
+        t._keep(prod)
+    return rep
 
 
 def _associativity(s: _Tables, A, B, C):
@@ -622,8 +624,9 @@ def _left_quotients(mul):
 
 
 def check_structure(g: FiniteGroupoid) -> ValidationReport:
-    """Malformed-table checks: totality and id ranges, before any axiom check."""
-    return _structure(g)[0]
+    """Malformed-table checks: totality and id ranges, before any axiom
+    check. A table object is parsed once (see _structure)."""
+    return _structure(g)
 
 
 def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
@@ -633,17 +636,16 @@ def validate_groupoid(g: FiniteGroupoid) -> ValidationReport:
     short-circuit the axiom checks. On any other table the convolution plan
     runs and is kept for the quotient and the kernels: a plan that builds
     proves the source-target and associativity axioms (see _block_plan).
-    Only a table it refuses takes the source-target check and the full
-    associativity scan, which give the witnesses. Each check runs as array
-    expressions over the slot array; Violations are built only for failing
-    entries.
+    Only a table it refuses reads its compose entries: the source-target
+    check and the full associativity scan name the witnesses. Checks run
+    as array expressions; Violations are built only for failing entries.
     """
-    rep, entries = _structure(g)
+    rep = _structure(g)
     if not rep.ok:
         return rep
-    s, (A, B, C) = g._tables, entries  # the products the pass found, or filled
-    src, tgt, ident = s.src, s.tgt, s.identity
-    proved = s.proves()
+    s = g._tables
+    src, tgt, ident, proved = s.src, s.tgt, s.identity, s.proves()
+    A, B, C = (None,) * 3 if proved else _entries(g.compose_table)  # for the witnesses only
 
     base = np.arange(g.n_base)
     for x in np.flatnonzero((src[ident] != base) | (tgt[ident] != base)).tolist():

@@ -641,6 +641,24 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert f"value of {aid!r}" in err and "not finite" in err
 
+    def test_function_value_off_the_isotropy(self, tmp_path, capsys):
+        """random-op quantizes functions on the isotropy arrows: a nonzero
+        value on another arrow exits 2 naming it, with no report. It used
+        to be dropped, and the zero function passed. Zeros there, as
+        function_to_dict writes them, are accepted."""
+        fn, report = tmp_path / "f.json", tmp_path / "r.json"
+        argv = ["random-op", *GAUGE_ARGS, "--fn", str(fn), "--report", str(report)]
+        fn.write_text(json.dumps({"(1,a,0)": [5.0, 0.0]}))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("error: function file: value of '(1,a,0)' is not 0,"
+                                           " and it is not an isotropy arrow\n")
+        assert not report.exists()
+        gauge = gauge_groupoid(FinitePrincipalBundle(2, builtin_group("Z2")))
+        on_iso = np.equal(gauge.src, gauge.tgt)
+        gio.dump_json(gio.function_to_dict(gauge, np.where(on_iso, 2.0, -0.0)), fn)
+        assert main(argv) == 0
+        assert read_report(report)["checks"][0]["bound"] == 4.0  # 2 on each of |Z2| arrows
+
     def test_function_file_not_a_map(self, tmp_path):
         fn = tmp_path / "f.json"
         fn.write_text(json.dumps([1, 2]))

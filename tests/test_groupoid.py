@@ -27,7 +27,9 @@ from groupoidalg import (
     translation_subgroupoid,
     validate_groupoid,
 )
+from groupoidalg import gauge as gauge_mod
 from groupoidalg import groupoid as groupoid_mod
+from groupoidalg import io as gio
 from groupoidalg.errors import PreconditionError
 from groupoidalg.groupoid import (
     AXIOM_ASSOCIATIVITY,
@@ -35,10 +37,12 @@ from groupoidalg.groupoid import (
     AXIOM_INVERSE,
     AXIOM_SOURCE_TARGET,
     SubgroupoidSelection,
+    check_structure,
 )
 from groupoidalg.morphism import find_isomorphism, verify_morphism
+from conftest import LOOP, pair_times
 from star_oracle import NO_STAR
-from validation_oracle import oracle_validate_groupoid
+from validation_oracle import oracle_check_structure, oracle_validate_groupoid
 
 
 def with_fields(g, **kwargs):
@@ -409,6 +413,86 @@ def test_validation_keeps_the_products(fix_gauge_2_z2):
         prod = g._tables.prod
         assert prod is not None and validate_groupoid(g).ok
         assert g._tables.prod is prod and g._product_slots().prod is prod
+
+
+def test_held_products_walk_no_pairs(monkeypatch, bundle_2_z2, bundle_3_s3):
+    """A table object that holds its products, a builder's or an earlier
+    clean parse's, passes the structure pass by one compare over them:
+    check_structure and validate_groupoid walk no compose entry."""
+    built = []
+    for bundle in (bundle_2_z2, bundle_3_s3):
+        g = gauge_groupoid(bundle)
+        iso = isotropy_subgroupoid(g)
+        g1 = translation_subgroupoid(g, Section.identity(bundle))
+        built += [g, semidirect_product(g, iso, g1), quotient_by_isotropy(g, iso)[0],
+                  selection_to_groupoid(iso)[0]]
+    built += [pair_groupoid(3), group_groupoid(symmetric(3))]
+    loaded = gio.groupoid_from_dict(gio.groupoid_to_dict(built[1]))  # a carrier file
+    checked = with_fields(built[0], compose_table=dict(built[0].compose_table))
+    for parsed in (loaded, checked):
+        assert parsed._tables.prod is None and validate_groupoid(parsed).ok
+    walks = []
+    for cls in (groupoid_mod._Tables, groupoid_mod._ComposeTable):
+        monkeypatch.setattr(cls, "entries",
+                            lambda self, real=cls.entries: walks.append(self) or real(self))
+    for g in (*built, loaded, checked):
+        assert check_structure(g).ok and validate_groupoid(g).ok
+    assert walks == []
+
+
+@pytest.mark.parametrize("value", ["n_arrows", -1])
+@pytest.mark.parametrize("build", ["pair", "gauge"])
+def test_a_product_off_the_arrows_is_parsed(monkeypatch, bundle_2_z2, build, value):
+    """A closed form that writes a product outside the arrows into one slot
+    gets the parse's report: the one entry, named by its pair, refers to an
+    unknown arrow. The builder's products stay."""
+    real = groupoid_mod._build
+
+    def corrupted(cls, n_base, src, *args, rows, **fields):
+        def bad_rows(out):
+            rows(out)
+            out[1, 0] = len(src) if value == "n_arrows" else value
+        return real(cls, n_base, src, *args, rows=bad_rows, **fields)
+
+    monkeypatch.setattr(groupoid_mod, "_build", corrupted)
+    monkeypatch.setattr(gauge_mod, "_build", corrupted)
+    g = pair_groupoid(3) if build == "pair" else gauge_groupoid(bundle_2_z2)
+    prod = g._tables.prod
+    b = g.arrows_into(g.src[1])[0]  # slot row 1, column 0
+    want = [{"kind": "malformed", "axiom": "tables", "witness": [1, b],
+             "message": "compose entry refers to unknown arrow"}]
+    for check, oracle in ((check_structure, oracle_check_structure),
+                          (validate_groupoid, oracle_validate_groupoid)):
+        report = check(g).to_dict()
+        assert report == {"ok": False, "violations": want}
+        if value == "n_arrows":  # a lookup of -1 raises KeyError: the oracle also names it missing
+            assert report == oracle(g).to_dict()
+    assert g._tables.prod is prod
+
+
+def _reversed_with_wrong_ends(g):
+    """g with its compose entries in reverse order, and two products moved
+    to arrows with other endpoints: a dict table the plan refuses."""
+    comp = dict(reversed(list(g.compose_table.items())))
+    keys = list(comp)
+    for key in (keys[3], keys[-5]):
+        comp[key] = next(c for c in g.arrows() if g.tgt[c] != g.tgt[comp[key]])
+    return with_fields(g, compose_table=comp)
+
+
+@pytest.mark.parametrize("make", [lambda: pair_times(2, LOOP),
+                                  lambda: _reversed_with_wrong_ends(gauge_groupoid(
+                                      FinitePrincipalBundle(2, symmetric(3))))],
+                         ids=["loop", "wrong-ends"])
+def test_a_refused_table_reports_twice_alike(make):
+    """A dict table the plan refuses: its first validation parses it and
+    keeps the products, and the second reads its entries only for the
+    witnesses, in the table's order. Both reports are the oracle's."""
+    g = make()
+    first = validate_groupoid(g).to_dict()
+    assert g._tables.prod is not None
+    assert first == validate_groupoid(g).to_dict() == oracle_validate_groupoid(g).to_dict()
+    assert not first["ok"]
 
 
 LAYOUT_FIELDS = {"prod", "off", "pos", "n_slots"}
