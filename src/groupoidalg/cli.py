@@ -97,7 +97,7 @@ def _regular_translations(gauge, g1):
 
 
 def _verify_groupoid(args) -> list[dict]:
-    rep = validate_groupoid(gio.groupoid_from_dict(gio.load_json(getattr(args, "in"))))
+    rep = validate_groupoid(gio.read_groupoid(getattr(args, "in")))
     return [
         {
             "name": "groupoid-axioms",
@@ -110,7 +110,7 @@ def _verify_groupoid(args) -> list[dict]:
 def _semidirect(args) -> list[dict]:
     bundle, section = _bundle_section(args)
     sd = poincare_decomposition(bundle, section).sd
-    gio.dump_json(gio.groupoid_to_dict(sd), args.out)
+    gio.write_groupoid(sd, args.out)
     return [
         {"name": "carrier-valid", "passed": validate_groupoid(sd).ok},
         {
@@ -122,9 +122,9 @@ def _semidirect(args) -> list[dict]:
 
 
 def _quotient(args) -> list[dict]:
-    g = gio.groupoid_from_dict(gio.load_json(getattr(args, "in")))
+    g = gio.read_groupoid(getattr(args, "in"))
     q, rho = quotient_by_isotropy(g, isotropy_subgroupoid(g))
-    gio.dump_json(gio.groupoid_to_dict(q), args.out)
+    gio.write_groupoid(q, args.out)
     return [
         {"name": "quotient-valid", "passed": validate_groupoid(q).ok},
         {"name": "projection-morphism", "passed": verify_morphism(rho).ok},

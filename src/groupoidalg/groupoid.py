@@ -440,14 +440,15 @@ def _structure(g: FiniteGroupoid) -> ValidationReport:
     if len(ident) != nb:
         malformed((), "identity table does not cover the base")
         return rep
-    bad_ends = (src < 0) | (src >= nb) | (tgt < 0) | (tgt >= nb)
-    bad_inv = (inv < 0) | (inv >= n)
+    u = np.uint32  # a negative id reads 2³¹ or more; one compare per bound
+    bad_ends = (src.view(u) >= nb) | (tgt.view(u) >= nb)
+    bad_inv = inv.view(u) >= n
     for a in np.flatnonzero(bad_ends | bad_inv).tolist():
         if bad_ends[a]:
             malformed((a,), f"arrow {a}: src/tgt out of range")
         if bad_inv[a]:
             malformed((a,), f"arrow {a}: inv out of range")
-    for x in np.flatnonzero((ident < 0) | (ident >= n)).tolist():
+    for x in np.flatnonzero(ident.view(u) >= n).tolist():
         malformed((x,), f"base point {x}: identity out of range")
     if not rep.ok:
         return rep
@@ -455,7 +456,7 @@ def _structure(g: FiniteGroupoid) -> ValidationReport:
     if t.n_slots > MAX_GAUGE_PAIRS:
         raise SizeCapError(f"groupoid: {t.n_slots} composable pairs > cap "
                            f"MAX_GAUGE_PAIRS = {MAX_GAUGE_PAIRS}")
-    if t.prod is not None and (t.prod[:t.n_slots].view(np.uint32) < n).all():  # -1 reads 2³²-1
+    if t.prod is not None and (t.prod[:t.n_slots].view(u) < n).all():  # -1 reads 2³²-1
         return rep  # a product off the arrows takes the parse, which names its entry
 
     comp = g.compose_table

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import MAX_GAUGE_PAIRS, MalformedTableError, PreconditionError, SizeCapError
-from .groupoid import FiniteGroupoid, _ComposeTable
+from .groupoid import FiniteGroupoid, _ComposeTable, check_structure
 
 
 @contextmanager
@@ -32,16 +32,25 @@ def _gc_paused():
             gc.enable()
 
 
+def _labels(g: FiniteGroupoid) -> list:
+    """The arrow labels, once they are unique and the tables pass the
+    structure pass, held products included; PreconditionError otherwise."""
+    aid = [g.arrow_label(a) for a in g.arrows()]
+    if len(set(aid)) != g.n_arrows:
+        raise PreconditionError("arrow labels are not unique; cannot serialize")
+    if not (rep := check_structure(g)).ok:
+        raise PreconditionError(rep.violations[0].message)
+    return aid
+
+
 @_gc_paused()
 def groupoid_to_dict(g: FiniteGroupoid) -> dict:
     """Groupoid description: keys base, arrows, compose, inv, identity,
     in that order; arrow and base ids are their labels. The compose rows
     are read off the slot table, in (a, b) id order, so a table that fails
     the structure pass raises PreconditionError."""
-    aid = [g.arrow_label(a) for a in g.arrows()]
-    if len(set(aid)) != g.n_arrows:
-        raise PreconditionError("arrow labels are not unique; cannot serialize")
-    rows = np.stack(g._product_slots().entries(), axis=1)  # in (a, b) order
+    aid = _labels(g)
+    rows = np.stack(g._tables.entries(), axis=1)  # in (a, b) order
     bid = [g.base_label(x) for x in g.base()]
     return {
         "base": bid,
@@ -151,8 +160,9 @@ def groupoid_from_dict(data: dict) -> FiniteGroupoid:
 
 
 _ROWS = 1 << 12  # rows per write of a row table; bounds the text held at once
-# the text between two items of a row, and between two rows, at indent level 1
+# at indent level 1: between items of a row, between rows; an arrow record; a map entry
 _INNER, _ROW = '",\n      "', '"\n    ],\n    [\n      "'
+_ARROW, _ITEM = '{\n      "id": %s,\n      "src": %s,\n      "tgt": %s\n    }', "%s: %s"
 
 
 def _row_table(value) -> dict | None:
@@ -172,19 +182,23 @@ def _row_table(value) -> dict | None:
     return {v: e[1:-1] for v in distinct if (e := encode_basestring_ascii(v))[1:-1] != v}
 
 
-def _write_rows(fh, rows, escaped: dict) -> None:
+def _write_rows(fh, blocks) -> None:
     """Write a table of str rows at indent level 1 as json.dump(indent=2)
-    lays it out, a block of rows per join; rows are rewritten only where a
-    string needs escaping."""
+    lays it out, one join per block; the rows hold the escaped text of
+    their strings, without quotes, and there is at least one."""
     fh.write('[\n    [\n      "')
-    for lo in range(0, len(rows), _ROWS):
-        block = rows[lo:lo + _ROWS]
-        if escaped:
-            block = [[escaped.get(v, v) for v in row] for row in block]
-        if lo:
+    for i, block in enumerate(blocks):
+        if i:
             fh.write(_ROW)
         fh.write(_ROW.join(map(_INNER.join, block)))
     fh.write('"\n    ]\n  ]')
+
+
+def _blocks(rows, escaped: dict):
+    """A row table in blocks of _ROWS rows, rewritten where a string needs escaping."""
+    for lo in range(0, len(rows), _ROWS):
+        block = rows[lo:lo + _ROWS]
+        yield [[escaped.get(v, v) for v in row] for row in block] if escaped else block
 
 
 @_gc_paused()
@@ -204,11 +218,34 @@ def dump_json(data: dict, path) -> None:
                 fh.write(sep + encode_basestring_ascii(key) + ": ")
                 sep = ",\n  "
                 if key in tables:
-                    _write_rows(fh, value, tables[key])
+                    _write_rows(fh, _blocks(value, tables[key]))
                 else:
                     fh.write(json.dumps(value, indent=2).replace("\n", "\n  "))
             fh.write("\n}")
         fh.write("\n")
+
+
+def write_groupoid(g: FiniteGroupoid, path) -> None:
+    """Write dump_json(groupoid_to_dict(g), path)'s bytes from the tables:
+    labels (str) escaped once, records and map entries from templates, and
+    the compose rows gathered off the slot table a block at a time, with no
+    list per row. groupoid_to_dict's errors are raised before the open."""
+    aid = _labels(g)
+    if not aid:  # no arrows and no base: every value is empty
+        return dump_json(groupoid_to_dict(g), path)
+    arrow = [encode_basestring_ascii(a) for a in aid]
+    base = [encode_basestring_ascii(g.base_label(x)) for x in g.base()]
+    bare = np.array([a[1:-1] for a in arrow], dtype=object)  # as _write_rows takes them
+    ident = dict(zip(base, map(arrow.__getitem__, g.identity)))  # a repeated base label keeps one
+    with open(path, "w") as fh:
+        fh.write('{\n  "base": [\n    ' + ",\n    ".join(base) + '\n  ],\n  "arrows": [\n    ')
+        fh.write(",\n    ".join(map(_ARROW.__mod__, zip(arrow, map(base.__getitem__, g.src), map(
+            base.__getitem__, g.tgt)))) + '\n  ],\n  "compose": ')
+        _write_rows(fh, (zip(*(bare[ids].tolist() for ids in block))
+                         for block in g._tables.pairs(_ROWS)))
+        fh.write(',\n  "inv": {\n    ' + ",\n    ".join(map(_ITEM.__mod__, zip(
+            arrow, map(arrow.__getitem__, g.inv)))) + '\n  },\n  "identity": {\n    ')
+        fh.write(",\n    ".join(map(_ITEM.__mod__, ident.items())) + "\n  }\n}\n")
 
 
 # the fewest bytes of a compose row as dump_json writes it, ids of one
@@ -265,6 +302,13 @@ def load_json(path) -> dict:
         raise
     except (ValueError, RecursionError) as exc:
         raise MalformedTableError(f"{path}: not readable as JSON: {exc}") from None
+
+
+@_gc_paused()
+def read_groupoid(path) -> FiniteGroupoid:
+    """groupoid_from_dict(load_json(path)) under one pause of the cyclic
+    GC: the parsed document is freed before a collection can walk it."""
+    return groupoid_from_dict(load_json(path))
 
 
 def function_to_dict(g: FiniteGroupoid, values: np.ndarray) -> dict:

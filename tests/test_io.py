@@ -31,6 +31,7 @@ from groupoidalg import (
     symmetric,
     translation_subgroupoid,
 )
+from groupoidalg import groupoid as groupoid_mod
 from groupoidalg import io as gio
 from groupoidalg.cli import main
 from groupoidalg.errors import MalformedTableError, PreconditionError
@@ -181,6 +182,108 @@ def test_repeated_arrow_labels_are_not_serialized():
                        arrow_labels=("e0", "t", "t", "e1"))
     with pytest.raises(PreconditionError, match="^arrow labels are not unique; cannot serialize$"):
         gio.groupoid_to_dict(g)
+
+
+def _written(g, path) -> bytes:
+    gio.write_groupoid(g, path)
+    return Path(path).read_bytes()
+
+
+def _dumped_description(g, path) -> bytes:
+    gio.dump_json(gio.groupoid_to_dict(g), path)
+    return Path(path).read_bytes()
+
+
+@pytest.mark.parametrize("name,g", BUILT, ids=[name for name, _ in BUILT])
+def test_write_groupoid_equals_the_dict_path(name, g, tmp_path):
+    """The file written from the tables is the dict path's, byte for byte."""
+    assert _written(g, tmp_path / "w.json") == _dumped_description(g, tmp_path / "d.json")
+
+
+def test_write_groupoid_of_a_reloaded_shuffled_file(tmp_path):
+    """A table read in shuffled file order is written in (a, b) order."""
+    d = gio.groupoid_to_dict(_decomposition(3, "S3", 1).sd)
+    np.random.default_rng(0).shuffle(d["compose"])
+    g = gio.groupoid_from_dict(d)
+    assert list(g.compose_table) != sorted(g.compose_table)
+    got = _written(g, tmp_path / "w.json")
+    assert got == _dumped_description(g, tmp_path / "d.json")
+    assert got == oracle_dump(oracle_groupoid_to_dict(g)).encode("ascii")
+
+
+def _escaped_labels(g):
+    """g with arrow and base labels that json escapes: quotes, backslashes
+    and non-ASCII."""
+    return FiniteGroupoid(
+        g.n_base, g.src, g.tgt, g.compose_table, g.inv, g.identity,
+        arrow_labels=tuple(f'"σ{a}\\' for a in g.arrows()),
+        base_labels=tuple(f'\\x"{x}σ' for x in g.base()),
+    )
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("make", [lambda: pair_groupoid(3),
+                                  lambda: _decomposition(2, "Z2", 2).sd])
+def test_write_groupoid_escapes_labels_across_blocks(make, rows, tmp_path, monkeypatch):
+    """Labels that need escaping are escaped once and written as json.dump
+    writes them; with 3 rows per block the compose rows join across the
+    block edges as one table."""
+    if rows is not None:
+        monkeypatch.setattr(gio, "_ROWS", rows)
+    g = _escaped_labels(make())
+    got = _written(g, tmp_path / "w.json")
+    assert got == _dumped_description(g, tmp_path / "d.json")
+    assert got == oracle_dump(oracle_groupoid_to_dict(g)).encode("ascii")
+    assert got.count(b'\\u03c3') > g.n_arrows
+
+
+def _repeated_labels():
+    p = pair_groupoid(2)
+    return FiniteGroupoid(p.n_base, p.src, p.tgt, p.compose_table, p.inv, p.identity,
+                          arrow_labels=("e0", "t", "t", "e1"))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: FiniteGroupoid(2, (0, 1), (0, 1), {(0, 0): 0, (0, 1): 0}, (0, 1), (0, 1)),
+     "compose entry on non-composable pair (0, 1)"),
+    (_repeated_labels, "arrow labels are not unique; cannot serialize"),
+])
+def test_write_groupoid_refuses_before_opening(make, message, tmp_path):
+    """A malformed table or repeated labels raise the dict path's message,
+    and no file is left at the path."""
+    path = tmp_path / "w.json"
+    for write in (gio.write_groupoid, lambda g, p: gio.dump_json(gio.groupoid_to_dict(g), p)):
+        with pytest.raises(PreconditionError) as info:
+            write(make(), path)
+        assert str(info.value) == message
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("value", ["n_arrows", -1])
+@pytest.mark.parametrize("write", ["groupoid_to_dict", "write_groupoid"])
+def test_a_held_product_off_the_arrows_is_not_written(monkeypatch, tmp_path, write, value):
+    """A builder's slot array with a product outside the arrows raises the
+    structure pass's first message, not the label at that index."""
+    real = groupoid_mod._build
+
+    def corrupted(cls, n_base, src, *args, rows, **fields):
+        def bad_rows(out):
+            rows(out)
+            out[1, 0] = len(src) if value == "n_arrows" else value
+        return real(cls, n_base, src, *args, rows=bad_rows, **fields)
+
+    monkeypatch.setattr(groupoid_mod, "_build", corrupted)
+    g = pair_groupoid(3)
+    first = check_structure(g).violations[0].message
+    assert first == "compose entry refers to unknown arrow"
+    path = tmp_path / "w.json"
+    with pytest.raises(PreconditionError) as info:
+        if write == "groupoid_to_dict":
+            gio.groupoid_to_dict(g)
+        else:
+            gio.write_groupoid(g, path)
+    assert str(info.value) == first
+    assert not path.exists()
 
 
 # --- the reader -------------------------------------------------------------
@@ -364,6 +467,17 @@ def test_compose_entries_as_tuples():
         assert x.dtype == y.dtype == np.int32 and np.array_equal(x, y)
 
 
+LADDER = [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"), (12, "S3"), (16, "D4")]
+
+
+@pytest.mark.parametrize("n,name", LADDER)
+def test_read_groupoid_equals_the_dict_path(n, name, tmp_path):
+    """read_groupoid gives the tables of groupoid_from_dict(load_json(path))."""
+    path = tmp_path / "c.json"
+    gio.write_groupoid(_decomposition(n, name, 5).sd, path)
+    same_groupoid(gio.read_groupoid(path), gio.groupoid_from_dict(gio.load_json(path)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=mutated_files())
 def test_cli_on_malformed_files(d):
@@ -401,6 +515,10 @@ def test_gc_state_is_restored(enabled, tmp_path, fix_gauge_2_z2):
          MalformedTableError),
         (lambda: gio.groupoid_to_dict(malformed), PreconditionError),
         (lambda: gio.dump_json({"a": object()}, tmp_path / "o.json"), TypeError),
+        (lambda: gio.write_groupoid(fix_gauge_2_z2, path), None),
+        (lambda: gio.read_groupoid(path), None),
+        (lambda: gio.read_groupoid(bad_json), json.JSONDecodeError),
+        (lambda: gio.write_groupoid(malformed, tmp_path / "m.json"), PreconditionError),
     ]
     was = gc.isenabled()
     try:
