@@ -20,6 +20,7 @@ from .groupoid import FiniteGroupoid, SubgroupoidSelection, _group, _walk
 from .semidirect import SemidirectGroupoid, _layout
 
 _BLOCK = 1 << 14  # pairs per block of a kernel; bounds the temporaries
+_SKIP = 512  # from 512 doubles skipped per row on, advance beats drawing them, when measured
 
 
 @dataclass(eq=False)
@@ -156,14 +157,42 @@ class BundleFunction:
     def random(cls, parent, g1, rng: np.random.Generator):
         """Fiber values uniform in the complex unit square, from the draws of
         GroupoidFunction.random(parent, rng, support=fiber) per arrow of
-        sorted(g1.arrows): a real and an imaginary part per parent arrow."""
+        sorted(g1.arrows): a real and an imaginary part per parent arrow.
+
+        Each row keeps its window, its fiber's first to last arrow. When
+        every row leaves at least _SKIP doubles of a part outside it and rng
+        runs on a PCG64 with no 32-bit output held, only the windows are
+        drawn and PCG64.advance skips the rest in O(log k) (M. O'Neill, "PCG:
+        A Family of Simple Fast Space-Efficient Statistically Good
+        Algorithms for Random Number Generation", HMC-CS-2014-0905, 2014):
+        the same values and the same state after. Otherwise whole rows are
+        drawn."""
         rows, fiber, _, _ = layout = _layout(parent, g1)
+        n, bg = parent.n_arrows, rng.bit_generator
+        skip = n - fiber.shape[1] >= _SKIP and type(bg) is np.random.PCG64  # whole rows: no windows
+        if skip:
+            first, end = fiber.min(axis=1, initial=n), fiber.max(axis=1, initial=-1) + 1
+            width = int((end - first).max(initial=0))
+            skip = n - width >= _SKIP and not bg.state["has_uint32"]
+            # a gap: the rest of the last row's imaginary part and this row's lead
+            gaps, widths = (np.r_[first, 0] + n - np.r_[n, end]).tolist(), (end - first).tolist()
         values = np.empty(fiber.shape, dtype=complex)
-        step = max(1, 4 * _BLOCK // max(1, 2 * parent.n_arrows))  # rows per draw
+        step = max(1, 4 * _BLOCK // max(1, 2 * (width if skip else n)))  # rows per draw
         for lo in range(0, rows.size, step):
-            f = fiber[lo:lo + step, None]
-            d = np.take_along_axis(rng.random((len(f), 2, parent.n_arrows)), f, axis=2)
-            values[lo:lo + step] = d[:, 0] + 1j * d[:, 1]
+            hi, f = min(lo + step, rows.size), fiber[lo:lo + step]
+            if skip:
+                d, f = np.empty((hi - lo, 2, width)), f - first[lo:hi, None]
+                for r, (gap, w) in enumerate(zip(gaps[lo:hi], widths[lo:hi])):
+                    bg.advance(gap)
+                    rng.random(out=d[r, 0, :w])
+                    bg.advance(n - w)
+                    rng.random(out=d[r, 1, :w])
+            else:
+                d = rng.random((hi - lo, 2, n))
+            d = np.take_along_axis(d, f[:, None], axis=2)
+            values[lo:hi] = d[:, 0] + 1j * d[:, 1]
+        if skip:
+            bg.advance(gaps[-1])
         return cls.__new__(cls)._set(parent, g1, layout, values)
 
 
@@ -185,13 +214,13 @@ def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> 
         raise PreconditionError("weights must live on the parent groupoid")
     plan = p._product_slots().kept(("twisted", arrows), _twisted_plan, p, arrows, F1._layout)
     out = np.zeros(F1.values.shape, dtype=complex)
-    for rb, b1, f, c1, beta in plan:
-        step = max(1, _BLOCK * 4 // (b1.shape[1] * beta[0].size))  # targets, m²K² terms each
+    for rb, b1, f, flat in plan:
+        step = max(1, _BLOCK * 4 // flat[0].size)  # targets, m²K² terms each
         for lo in range(0, len(b1), step):
             x = slice(lo, lo + step)
             u = w.values[f[x]][:, None, :] * F1.values[rb[x]]  # [x, k, j]
-            v = F2.values[c1[x][:, None, :, :, None], beta[x][:, :, :, None, :]]  # [x, j, k, r, i]
-            S = np.einsum("xkj,xjkri->xkri", u, v, optimize=False)
+            v = F2.values.take(flat[x])  # [x, k, r, i, j]
+            S = np.einsum("xkj,xkrij->xkri", u, v, optimize=False)
             out[rb[x]] = np.einsum("xk,xkri->xri", w.values[b1[x]], S, optimize=False)
     return BundleFunction.__new__(BundleFunction)._set(p, F1.g1, F1._layout, out)
 
@@ -199,9 +228,14 @@ def twisted_convolve(F1: BundleFunction, F2: BundleFunction, w: HaarWeights) -> 
 def _twisted_plan(s, p, arrows, layout) -> list:
     """twisted_convolve's index arrays for the g1 arrows of p, from its table
     object s, per group of the targets x with m g1 arrows b1_k (k in g1's
-    order): row[b1], b1, the fiber f[x, j] at x, c1[x, k, r] the row of
-    b1_k⁻¹∘b1_r (in g1, or PreconditionError) and beta[x, j, k, i] the rank
-    of b1_k⁻¹∘(f_j⁻¹∘f_i)∘b1_k; c1 and beta are gathered together per block."""
+    order): row[b1], b1, the fiber f[x, j] at x, and the flat index
+    flat[x, k, r, i, j] = c1[x, k, r]·K + beta[x, j, k, i] into a
+    BundleFunction's (|g1|, K) values, int32, with c1 the row of b1_k⁻¹∘b1_r
+    (in g1, or PreconditionError) and beta the rank of
+    b1_k⁻¹∘(f_j⁻¹∘f_i)∘b1_k. The fiber index j comes last, so the first
+    einsum reads the terms it sums side by side. That is K²·m² entries per
+    target: on a transitive g1 of the gauge groupoid 16 KB at (4,D4),
+    8.4 MB at (32,D4) and 67 MB at (64,D4)."""
     _, fiber, row, rank = layout
     order = np.fromiter(arrows, dtype=np.intp, count=len(arrows))
     at, ptr = _group(p.n_base, s.tgt[order])  # the g1 arrows by target, in g1 order
@@ -215,7 +249,8 @@ def _twisted_plan(s, p, arrows, layout) -> list:
         f = fiber[row[b1[:, 0]]]  # [x, j]
         h = s.compose(s.inv[f][:, :, None], f[:, None, :])  # [x, j, i] = f_j⁻¹ ∘ f_i
         beta = rank[s.conj(s.inv[b1][:, None, :, None], h[:, :, None, :])]  # [x, j, k, i]
-        plan.append((row[b1], b1, f, c1, beta))
+        c1, beta = (c1 * fiber.shape[1]).astype(np.int32), beta.astype(np.int32)
+        plan.append((row[b1], b1, f, c1[..., None, None] + beta.transpose(0, 2, 3, 1)[:, :, None]))
     return plan
 
 

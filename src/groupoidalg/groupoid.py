@@ -132,7 +132,7 @@ class FiniteGroupoid:
 
     def compose(self, g: int, xi: int) -> int:
         c = self._product_slots().at(g, xi)
-        if c < 0:
+        if c is None:
             raise PreconditionError(
                 f"arrows {self.arrow_label(g)} and {self.arrow_label(xi)} are not composable"
             )
@@ -226,14 +226,15 @@ class _Tables:
             np.where(self.src.take(a) == self.tgt.take(b), self.off.take(a), self.n_slots)
             + self.pos.take(b))
 
-    def at(self, a: int, b: int) -> int:
-        """The product of one pair of arrow ids; -1 when it is not composable."""
+    def at(self, a: int, b: int) -> int | None:
+        """The held product of one pair of arrow ids; None when it is not
+        composable."""
         if self._lists is None:
             self._lists = tuple(t.tolist() for t in (self.src, self.tgt, self.off, self.pos))
         src, tgt, off, pos = self._lists
         if 0 <= a < len(src) and 0 <= b < len(src) and src[a] == tgt[b]:
             return self.prod.item(off[a] + pos[b])
-        return -1
+        return None
 
     def compose(self, a, b):
         """The products of arrays of arrow ids, which must be composable."""
@@ -345,10 +346,10 @@ class _ComposeTable(Mapping):
             keys, order = self._index()
             i = int(keys.searchsorted((a << 32) | b))
             hit = i < keys.size and keys[i] == (a << 32) | b
-            c = self._entries[2].item(i if order is None else order[i]) if hit else -1
+            c = self._entries[2].item(i if order is None else order[i]) if hit else None
         else:
-            c = -1
-        if c < 0:
+            c = None
+        if c is None:  # over a built table, every composable pair is a key
             raise KeyError(key)
         return c
 

@@ -193,7 +193,9 @@ def _star_deviations(s, plan, S) -> np.ndarray:
     """max|diff| of the star equations U(a) − U(σ_y)·U(k)·U(σ_x)* at every
     arrow a: x → y, then of the tables U(h∘m) − U(h)·U(m) of the isotropy
     group G_r of every orbit, all read off the plan of groupoid._block_plan;
-    in blocks of at most _ENTRIES entries per temporary."""
+    in blocks of at most _ENTRIES entries per temporary (one D×D block
+    when D² exceeds it): whole orbits while their K² products fit, else
+    rows h, else pieces of a row, so the deviations stay in (o, h, m) order."""
     D = S.shape[1]
     step = max(1, _ENTRIES // (D * D))
     devs = []
@@ -202,12 +204,17 @@ def _star_deviations(s, plan, S) -> np.ndarray:
         left = S[plan.star[s.tgt[a]]] @ S[plan.k[a]]
         devs.append(_dev(S[a] - left @ S[plan.star[s.src[a]]].conj().swapaxes(1, 2)))
     for _, _, kr, mul in plan.shapes:
-        rows = max(1, step // mul[0].size)  # orbits per block, K² products each
+        K = kr.shape[1]
+        rows = max(1, step // (K * K))  # orbits per block
+        hs, ms = min(K, max(1, step // K)), min(K, step)  # h and m per block
         for lo in range(0, len(kr), rows):
             k = kr[lo:lo + rows]
-            hm = np.take_along_axis(k[:, None, :], mul[lo:lo + rows], axis=2)  # [o, h, m]: h∘m
-            Uk = S[k]
-            devs.append(_dev(S[hm] - Uk[:, :, None] @ Uk[:, None]).ravel())
+            for h in range(0, K, hs):
+                for m in range(0, K, ms):
+                    at = mul[lo:lo + rows, h:h + hs, m:m + ms]
+                    hm = np.take_along_axis(k[:, None, :], at, axis=2)  # [o, h, m]: h∘m
+                    prod = S[k[:, h:h + hs, None]] @ S[k[:, None, m:m + ms]]
+                    devs.append(_dev(S[hm] - prod).ravel())
     return np.concatenate(devs)
 
 

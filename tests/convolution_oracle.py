@@ -70,17 +70,20 @@ def beta(parent, g1, a):
     return GroupoidFunction(parent, out)
 
 
-def oracle_bundle_random(p, g1, rng):
-    """The fibers BundleFunction.random draws: per arrow of sorted(g1.arrows),
-    a real and an imaginary part per parent arrow, zero off the fiber."""
-    fibers = {}
+def oracle_bundle_draws(p, g1, rng):
+    """Per arrow of sorted(g1.arrows), in turn, that arrow and its draw: a
+    real and an imaginary part per parent arrow, zero off the fiber."""
     for a1 in sorted(g1.arrows):
         v = rng.random(p.n_arrows) + 1j * rng.random(p.n_arrows)
         off = np.ones(p.n_arrows, dtype=bool)
         off[p.isotropy_fiber(p.tgt[a1])] = False
         v[off] = 0
-        fibers[a1] = GroupoidFunction(p, v)
-    return fibers
+        yield a1, v
+
+
+def oracle_bundle_random(p, g1, rng):
+    """The fibers BundleFunction.random draws, from oracle_bundle_draws."""
+    return {a1: GroupoidFunction(p, v) for a1, v in oracle_bundle_draws(p, g1, rng)}
 
 
 def oracle_K_map(F, sd):

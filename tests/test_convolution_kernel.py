@@ -6,13 +6,16 @@ product per orbit, must too where its order of the terms is the loop's
 (the gauge groupoids of the builtin groups), and lie within 1e-12 of the
 loop elsewhere. Also its plan on groupoids with orbits of several shapes
 and on tables that are not a groupoid's, the pair form against its loop,
-and HaarWeights' invariance check against the loop it replaces. The
-plans of twisted_convolve and poincare_convolve: built once per parent
-and g1 arrows, or per decomposition, freed with what they were built
-from, and none kept by a selection that fails."""
+and HaarWeights' invariance check against the loop it replaces.
+BundleFunction.random against the draw loop, row by row with the
+generator's state after, on both sides of _SKIP and on generators that
+draw whole rows. The plans of twisted_convolve and poincare_convolve:
+built once per parent and g1 arrows, or per decomposition, freed with
+what they were built from, and none kept by a selection that fails."""
 
 import dataclasses
 import gc
+import json
 import re
 import weakref
 
@@ -23,6 +26,8 @@ from hypothesis import strategies as st
 
 from conftest import LOOP, Z5, pair_times, relabeled_group
 from convolution_oracle import (
+    alpha,
+    oracle_bundle_draws,
     oracle_bundle_random,
     oracle_groupoid_convolve,
     oracle_haar_check,
@@ -599,6 +604,91 @@ def test_bundle_random_equals_draw_loop(n, name):
     assert got_rng.random() == want_rng.random()
 
 
+def gauge_and_g1(n, name):
+    """The gauge groupoid and the g1 of a random section, without the rest
+    of the decomposition."""
+    bundle = FinitePrincipalBundle(n, builtin_group(name))
+    gauge = gauge_groupoid(bundle)
+    return gauge, translation_subgroupoid(gauge, Section.random(bundle, np.random.default_rng(n)))
+
+
+def assert_random_equals_draws(p, g1, rng, want_rng, monkeypatch):
+    """BundleFunction.random against oracle_bundle_draws, row by row, and
+    the generators' states after; returns the widths of the rows drawn."""
+    widths, real = [], np.take_along_axis
+    monkeypatch.setattr(np, "take_along_axis",
+                        lambda d, *a, **k: widths.append(d.shape[-1]) or real(d, *a, **k))
+    got = BundleFunction.random(p, g1, rng)
+    monkeypatch.setattr(np, "take_along_axis", real)
+    _, fiber, row, _ = got._layout
+    for a1, v in oracle_bundle_draws(p, g1, want_rng):
+        assert got.values[row[a1]].tobytes() == v[fiber[row[a1]]].tobytes()
+    assert json.dumps(rng.bit_generator.state, default=np.ndarray.tolist) == json.dumps(
+        want_rng.bit_generator.state, default=np.ndarray.tolist)
+    return set(widths)
+
+
+@pytest.mark.parametrize("make", [np.random.default_rng, lambda seed: np.random.Generator(
+    np.random.MT19937(seed))], ids=["PCG64", "MT19937"])
+def test_bundle_random_skips_only_on_pcg64(make, monkeypatch):
+    """At (32,D4) each row of a PCG64 draw skips 8,192 − 225 doubles of
+    each part: the window of the fiber (x·K + g)·n + x is drawn, the rest
+    is skipped by advance, with the bytes and the state of the whole draw.
+    An MT19937 draws whole rows and gives the same bytes too."""
+    p, g1 = gauge_and_g1(32, "D4")
+    widths = assert_random_equals_draws(p, g1, make(7), make(7), monkeypatch)
+    assert widths == ({(8 - 1) * 32 + 1} if make is np.random.default_rng else {p.n_arrows})
+
+
+@pytest.mark.parametrize("n,name,skip", [(8, "Z4", 0), (12, "S3", 1 << 30), (16, "D4", 1 << 30)])
+def test_bundle_random_on_the_other_side_of_the_crossover(n, name, skip, monkeypatch):
+    """Below _SKIP a row draws whole; with the constant moved, (8,Z4)
+    takes the skip path and (12,S3) and (16,D4) the whole rows, with the
+    same bytes and state."""
+    p, g1 = gauge_and_g1(n, name)
+    monkeypatch.setattr(algebra, "_SKIP", skip)
+    widths = assert_random_equals_draws(
+        p, g1, np.random.default_rng(n), np.random.default_rng(n), monkeypatch)
+    assert (max(widths) < p.n_arrows) == (skip == 0)
+
+
+def test_bundle_random_with_a_32_bit_output_held(monkeypatch):
+    """advance drops a PCG64's held 32-bit output, so a generator that
+    holds one draws whole rows: the same bytes, and the output still held."""
+    p, g1 = gauge_and_g1(16, "D4")
+    rng, want_rng = np.random.default_rng(16), np.random.default_rng(16)
+    for r in (rng, want_rng):
+        r.integers(0, 10, dtype=np.int32)
+    assert rng.bit_generator.state["has_uint32"]
+    assert assert_random_equals_draws(p, g1, rng, want_rng, monkeypatch) == {p.n_arrows}
+    assert rng.integers(0, 2**31, dtype=np.int32) == want_rng.integers(0, 2**31, dtype=np.int32)
+
+
+@pytest.mark.parametrize("n,name", LADDER + [(32, "D4")])
+def test_twisted_flat_index_equals_the_two_array_gather(n, name):
+    """The plan's flat index c1·K + beta reads from a BundleFunction's
+    values what the two-array gather values[c1, beta] reads, with c1 and
+    beta from the scalar compose: c1[x, k, r] the row of b1_k⁻¹∘b1_r and
+    beta[x, j, k, i] the rank of b1_k⁻¹∘(f_j⁻¹∘f_i)∘b1_k. At (32,D4) each
+    block of the kernel holds one target."""
+    p, g1 = gauge_and_g1(n, name)
+    F2 = BundleFunction.random(p, g1, np.random.default_rng(n))
+    F1 = BundleFunction.random(p, g1, np.random.default_rng(n + 1))
+    twisted_convolve(F1, F2, HaarWeights.counting(p))
+    [(_, b1, f, flat)] = p._tables._plans[("twisted", g1.arrows)]
+    _, _, row, rank = F2._layout
+    inv = p.inv
+    c1 = np.array([[[row[p.compose(inv[bk], br)] for br in bx] for bk in bx] for bx in b1.tolist()])
+    beta = np.array([[[[rank[alpha(p, inv[bk], p.compose(inv[fj], fi))] for fi in fx]
+                       for bk in bx] for fj in fx] for bx, fx in zip(b1.tolist(), f.tolist())])
+    step = max(1, algebra._BLOCK * 4 // flat[0].size)
+    assert (step == 1) == (n == 32)
+    for lo in range(0, len(b1), step):
+        x = slice(lo, lo + step)
+        want = F2.values[c1[x][..., None, None], beta[x].transpose(0, 2, 3, 1)[:, :, None]]
+        assert F2.values.take(flat[x]).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("n,name", LADDER)
 def test_K_map_equals_pair_loop(n, name):
     dec = ladder_decomposition(n, name)
@@ -666,7 +756,7 @@ def twisted_blocks(monkeypatch):
     specs, real = [], np.einsum
     monkeypatch.setattr(np, "einsum",
                         lambda spec, *a, **k: specs.append(spec) or real(spec, *a, **k))
-    return lambda: specs.count("xkj,xjkri->xkri")
+    return lambda: specs.count("xkj,xkrij->xkri")
 
 
 def test_twisted_in_blocks_of_one_target(monkeypatch):
@@ -824,7 +914,7 @@ class TestKernelPlans:
         assert verify_theorem1(dec.sd, trials=3, seed=1).passed
         assert calls == [dec.g1.arrows, other.arrows]
         assert sorted(map(sorted, twisted_plans(p))) == sorted(map(sorted, calls))
-        refs = [weakref.ref(p._tables._plans[("twisted", arrows)][0][4]) for arrows in calls]
+        refs = [weakref.ref(p._tables._plans[("twisted", arrows)][0][-1]) for arrows in calls]
         del dec, p, other, g1, F1, F2, w, calls
         gc.collect()
         assert [ref() for ref in refs] == [None, None]

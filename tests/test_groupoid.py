@@ -440,12 +440,9 @@ def test_held_products_walk_no_pairs(monkeypatch, bundle_2_z2, bundle_3_s3):
     assert walks == []
 
 
-@pytest.mark.parametrize("value", ["n_arrows", -1])
-@pytest.mark.parametrize("build", ["pair", "gauge"])
-def test_a_product_off_the_arrows_is_parsed(monkeypatch, bundle_2_z2, build, value):
-    """A closed form that writes a product outside the arrows into one slot
-    gets the parse's report: the one entry, named by its pair, refers to an
-    unknown arrow. The builder's products stay."""
+def built_off_the_arrows(monkeypatch, bundle, build, value):
+    """pair_groupoid(3) or the gauge groupoid of bundle, built by a closed
+    form that writes value, n_arrows or -1, into slot row 1, column 0."""
     real = groupoid_mod._build
 
     def corrupted(cls, n_base, src, *args, rows, **fields):
@@ -456,7 +453,16 @@ def test_a_product_off_the_arrows_is_parsed(monkeypatch, bundle_2_z2, build, val
 
     monkeypatch.setattr(groupoid_mod, "_build", corrupted)
     monkeypatch.setattr(gauge_mod, "_build", corrupted)
-    g = pair_groupoid(3) if build == "pair" else gauge_groupoid(bundle_2_z2)
+    return pair_groupoid(3) if build == "pair" else gauge_groupoid(bundle)
+
+
+@pytest.mark.parametrize("value", ["n_arrows", -1])
+@pytest.mark.parametrize("build", ["pair", "gauge"])
+def test_a_product_off_the_arrows_is_parsed(monkeypatch, bundle_2_z2, build, value):
+    """A closed form that writes a product outside the arrows into one slot
+    gets the parse's report: the one entry, named by its pair, refers to an
+    unknown arrow. The builder's products stay."""
+    g = built_off_the_arrows(monkeypatch, bundle_2_z2, build, value)
     prod = g._tables.prod
     b = g.arrows_into(g.src[1])[0]  # slot row 1, column 0
     want = [{"kind": "malformed", "axiom": "tables", "witness": [1, b],
@@ -465,9 +471,29 @@ def test_a_product_off_the_arrows_is_parsed(monkeypatch, bundle_2_z2, build, val
                           (validate_groupoid, oracle_validate_groupoid)):
         report = check(g).to_dict()
         assert report == {"ok": False, "violations": want}
-        if value == "n_arrows":  # a lookup of -1 raises KeyError: the oracle also names it missing
-            assert report == oracle(g).to_dict()
+        assert report == oracle(g).to_dict()
     assert g._tables.prod is prod
+
+
+@pytest.mark.parametrize("value", ["n_arrows", -1])
+@pytest.mark.parametrize("build", ["pair", "gauge"])
+def test_a_product_off_the_arrows_is_looked_up(monkeypatch, bundle_2_z2, build, value):
+    """Over a built table with a product off the arrows, lookup, in, len
+    and iteration agree: every key iteration yields is found, with the
+    value items() gives, the corrupted slot's held value included; a pair
+    that is not composable is no key."""
+    g = built_off_the_arrows(monkeypatch, bundle_2_z2, build, value)
+    table = g.compose_table
+    keys, (a, b, c) = list(table), table.entries()
+    assert len(keys) == len(table) == len(c)
+    assert all(key in table for key in keys)
+    assert [table[key] for key in keys] == [v for _, v in table.items()] == c.tolist()
+    bad = (1, g.arrows_into(g.src[1])[0])  # slot row 1, column 0
+    assert table[bad] == g.compose(*bad) == (g.n_arrows if value == "n_arrows" else -1)
+    apart = next((x, y) for x in g.arrows() for y in g.arrows() if g.src[x] != g.tgt[y])
+    assert apart not in table and table.get(apart) is None
+    with pytest.raises(KeyError):
+        table[apart]
 
 
 def _reversed_with_wrong_ends(g):

@@ -6,6 +6,7 @@ relabeled group tables and random sections, the same conjugated by a random
 unitary per fiber (inexact entries), mixed fiber dimensions, and corrupted
 representations."""
 
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -34,6 +35,7 @@ from groupoidalg import (
     validate_rep,
 )
 from groupoidalg import FiniteGroupoid, gauge_groupoid, groupoid, pair_groupoid
+from groupoidalg import representation as rep_mod
 from groupoidalg.cli import _regular_matrices
 from groupoidalg.errors import PreconditionError
 from rep_oracle import (
@@ -502,6 +504,39 @@ class TestStarPath:
             assert {cond for cond, _, _ in report.violations} == {"composition"}
             seen += 1
         assert seen >= n - 1
+
+    @pytest.mark.parametrize("n,name", [(2, "Z2"), (3, "S3"), (4, "D4"), (8, "Z4"),
+                                        (12, "S3"), (16, "D4")])
+    def test_blocked_deviations_equal_one_block(self, n, name, monkeypatch):
+        """With _ENTRIES cut to D² (one product per block), 3·D² (pieces of
+        a row h of G_r's table) and 2·K·D² (two rows h per block), the star
+        deviations equal those of the default's single block bit for bit,
+        in the same order."""
+        ext = extension(n, name, "conjugated")
+        s, S = ext.groupoid._product_slots(), ext.stacked[0]
+        plan, D, K = s.plan(str), S.shape[1], ext.groupoid.n_arrows // n // n
+        want = rep_mod._star_deviations(s, plan, S)
+        assert want.size == n * n * K + K * K
+        for entries in (D * D, 3 * D * D, 2 * K * D * D):
+            monkeypatch.setattr(rep_mod, "_ENTRIES", entries)
+            assert rep_mod._star_deviations(s, plan, S).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n,name", [(3, "S3"), (4, "D4")])
+    def test_blocked_deviations_stay_within_the_block(self, n, name, monkeypatch):
+        """With _ENTRIES at 8·D², no temporary holds all K² products of an
+        orbit: the run peaks under eight blocks of _ENTRIES complex entries
+        (under five, measured; a block of whole orbits took 15 to 27)."""
+        ext = extension(n, name, "conjugated")
+        s, S = ext.groupoid._product_slots(), ext.stacked[0]
+        plan = s.plan(str)
+        monkeypatch.setattr(rep_mod, "_ENTRIES", 8 * S.shape[1] ** 2)
+        tracemalloc.start()
+        try:
+            rep_mod._star_deviations(s, plan, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 16 * rep_mod._ENTRIES
 
     @pytest.mark.parametrize("name", ["S3", "D4"])
     def test_every_product_of_the_root_group_is_read(self, name):
